@@ -19,8 +19,8 @@ mean velocity E[c1 * s] of the slow component.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,9 +48,18 @@ class ProfileError(ValueError):
     """Invalid profile construction or use."""
 
 
+_log = logging.getLogger(__name__)
+
 # Continuous speed functions are plain callables mapping an (..., n-1) array
 # of angles to an (...,) array of speeds. The builtins below are dataclasses
-# so that configs pickle across process workers.
+# so that configs pickle across process workers. They also have a direction
+# form, on_directions, mapping (..., n) unit vectors to the same speeds
+# without the inverse chart: for every unit vector s it equals the angle form
+# at angles_from_directions(s), bit for bit. The one exception is a null set
+# of the step: on the boundary s_n = 0 (theta_{n-1} in {0, pi}) the chart's
+# rounding of the azimuth decides. There theta_{n-1} = pi gives
+# s_n = sin(pi) > 0, but the chart maps it back to pi, which the step counts
+# as the lower half. A uniform draw never lands within rounding of that set.
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,9 @@ class ConstantSpeed:
     def __call__(self, angles: np.ndarray) -> np.ndarray:
         angles = np.asarray(angles, dtype=float)
         return np.full(angles.shape[:-1], self.value)
+
+    def on_directions(self, directions: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(directions)[:-1], self.value)
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,15 @@ class FirstAngleSine:
         angles = np.asarray(angles, dtype=float)
         return self.scale * np.sin(angles[..., 0])
 
+    def on_directions(self, directions: np.ndarray) -> np.ndarray:
+        # theta_1 by the chart's own expression: a polar angle for n >= 3,
+        # the azimuth in the plane.
+        if directions.shape[-1] == 2:
+            theta = np.mod(np.arctan2(directions[..., 1], directions[..., 0]), 2.0 * math.pi)
+        else:
+            theta = np.arccos(np.clip(directions[..., 0], -1.0, 1.0))
+        return self.scale * np.sin(theta)
+
 
 @dataclass(frozen=True)
 class LowerHalfStep:
@@ -82,6 +103,9 @@ class LowerHalfStep:
     def __call__(self, angles: np.ndarray) -> np.ndarray:
         angles = np.asarray(angles, dtype=float)
         return np.where(angles[..., -1] >= math.pi, self.height, 0.0)
+
+    def on_directions(self, directions: np.ndarray) -> np.ndarray:
+        return np.where(directions[..., -1] < 0.0, self.height, 0.0)
 
 
 @dataclass(frozen=True)
@@ -99,18 +123,33 @@ class Atom:
             raise ProfileError(f"atom weight must be positive, got {self.weight}")
 
 
+# Callables whose row-by-row fallback was reported, kept alive so that their
+# ids are not reused.
+_reported_fallbacks: dict[int, Callable] = {}
+
+
 def _evaluate(fn: Callable, angles: np.ndarray) -> np.ndarray:
-    """Evaluate a speed function on rows of angles, vectorized when possible."""
+    """Evaluate a speed function on rows of angles, vectorized when possible.
+
+    A callable that fails on the whole array, or returns the wrong shape, is
+    called once per row instead; that fallback is logged once per callable.
+    """
     angles = np.asarray(angles, dtype=float)
     want = angles.shape[:-1]
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # probing a possibly scalar-only callable
-            out = np.asarray(fn(angles), dtype=float)
+        out = np.asarray(fn(angles), dtype=float)
         if out.shape == want:
             return out
-    except (TypeError, ValueError, IndexError):
-        pass
+        reason = f"returned shape {out.shape} for rows {want}"
+    except (TypeError, ValueError, IndexError) as exc:
+        reason = f"raised {exc!r}"
+    if id(fn) not in _reported_fallbacks:
+        _reported_fallbacks[id(fn)] = fn
+        _log.warning(
+            "speed function %r %s on an array of angle rows; calling it once per row",
+            fn,
+            reason,
+        )
     flat = angles.reshape(-1, angles.shape[-1])
     out = np.array([float(fn(row)) for row in flat])
     return out.reshape(want)
@@ -168,6 +207,30 @@ class VelocityProfile:
         if self.continuous_c1 is None:
             return np.zeros(angles.shape[:-1])
         return _evaluate(self.continuous_c1, angles)
+
+    @property
+    def direction_form(self) -> bool:
+        """True when values_on_directions applies: no atoms, and every
+        continuous part has a direction form."""
+        return not self.atoms and all(
+            part is None or hasattr(part, "on_directions")
+            for part in (self.continuous_c, self.continuous_c1)
+        )
+
+    def values_on_directions(self, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c, c1) at unit-vector rows, equal to values_at at their chart angles."""
+        if not self.direction_form:
+            raise ProfileError(
+                f"profile {self.name!r} has atoms or a part without a direction form"
+            )
+        directions = np.asarray(directions, dtype=float)
+
+        def part(fn):
+            if fn is None:
+                return np.zeros(directions.shape[:-1])
+            return np.asarray(fn.on_directions(directions), dtype=float)
+
+        return part(self.continuous_c), part(self.continuous_c1)
 
     def values_at(self, angles: np.ndarray, atol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
         """(c, c1) at angle rows, with atom values overriding at matching angles."""

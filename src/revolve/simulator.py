@@ -8,9 +8,21 @@ probabilities; self-transitions are allowed). Positions are integrated in
 closed form segment by segment, so there is no time-discretization error.
 
 Reproducibility: every path owns a counter-based Philox stream keyed by
-(seed, path_index), so path i is a pure function of the configuration and
-its index. Ensembles are therefore bit-identical for any number of workers,
-and any single path can be replayed in isolation.
+(seed, path_index): counter 0 and key words [path_index, seed], the stream
+of Generator(Philox(key=(seed << 64) + path_index)). Path i is a pure
+function of the configuration and its index. Ensembles are therefore
+bit-identical for any number of workers, and any single path can be
+replayed in isolation.
+
+Per-block set-up: a block of paths shares one Philox generator, re-keyed
+for each path, and everything that does not change from path to path. A
+finite switching law becomes a table of directions and speeds, evaluated
+once, with the initial direction as one extra row; a path draws indices into
+it. Under uniform switching, a profile whose parts all have a direction form
+(the built-ins) is evaluated on the drawn unit vectors. The inverse chart
+angles_from_directions is still used for profiles with atoms or with
+user-supplied angle callables, and, once per block, for the speed of a fixed
+initial direction.
 """
 
 from __future__ import annotations
@@ -19,10 +31,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -181,17 +194,29 @@ class EndpointEnsemble:
             raise ValueError("points must be (n_paths, dimension)")
 
 
-def _path_rng(seed: int, path_index: int) -> Generator:
-    # Philox key packs (seed, path_index) into 128 bits: distinct paths get
-    # distinct, statistically independent counter-based streams.
-    return Generator(Philox(key=(int(seed) << 64) + int(path_index)))
+class _PathStreams:
+    """Per-path Philox streams from one generator, re-keyed for each path.
+
+    rekey(i) sets counter 0, key words [i, seed] and an empty buffer: the
+    state of a fresh Generator(Philox(key=(seed << 64) + i)), so the draws
+    are the same. Building a fresh Philox would first seed a SeedSequence
+    from OS entropy that the key then overrides; re-keying skips that.
+    """
+
+    def __init__(self, seed: int):
+        self._bit_generator = Philox(key=int(seed) << 64)
+        self._generator = Generator(self._bit_generator)
+        self._fresh_state = self._bit_generator.state
+        self._key = self._fresh_state["state"]["key"]
+
+    def rekey(self, path_index: int) -> Generator:
+        self._key[0] = path_index
+        self._bit_generator.state = self._fresh_state
+        return self._generator
 
 
-def _draw_switch_times(rng: Generator, epsilon: float, horizon: float) -> np.ndarray:
+def _draw_switch_times(rng: Generator, mean: float, block: int, horizon: float) -> np.ndarray:
     """Event epochs of the Poisson clock inside (0, horizon)."""
-    mean = epsilon * epsilon
-    expected = horizon / mean
-    block = max(16, int(expected + 6.0 * math.sqrt(expected) + 16.0))
     waits = rng.exponential(mean, size=block)
     total = float(waits.sum())
     while total < horizon:
@@ -203,61 +228,95 @@ def _draw_switch_times(rng: Generator, epsilon: float, horizon: float) -> np.nda
     return epochs[:m]
 
 
-def _simulate_arrays(
-    config: EvolutionConfig, path_index: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Core path draw: (switch_times, directions (m+1, n), displacements (m+1, n))."""
-    rng = _path_rng(config.seed, path_index)
-    n = config.dimension
-    switch_times = _draw_switch_times(rng, config.epsilon, config.horizon)
-    m = switch_times.size
-    n_draw = m if config.initial_direction is not None else m + 1
+class _PathKernel:
+    """The per-config work of a block of paths, done once.
 
-    if isinstance(config.switching, UniformSphere):
+    path(i) then only draws from path i's stream and does the path
+    arithmetic. The draws, their order and their count are those of one
+    fresh stream per path, so every path keeps its bits.
+    """
+
+    def __init__(self, config: EvolutionConfig):
+        self.config = config
+        self._streams = _PathStreams(config.seed)
+        eps, init = config.epsilon, config.initial_direction
+        self._mean = eps * eps
+        expected = config.horizon / self._mean
+        self._block = max(16, int(expected + 6.0 * math.sqrt(expected) + 16.0))
+        law = config.switching
+        if isinstance(law, DiscreteSwitching):
+            # Rows: the law's directions, then the initial direction.
+            angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
+            self._table = directions_from_angles(angles)
+            c, c1 = config.profile.values_at(angles)
+            self._table_speeds = c / eps + c1
+            # Generator.choice(K, size, p=p) draws exactly this way.
+            self._cdf = law.probabilities.cumsum()
+            self._cdf /= self._cdf[-1]
+            self._first_index = np.array([law.angles.shape[0]])
+        else:
+            self._cdf = None
+            self._direction_form = config.profile.direction_form
+            if init is not None:
+                self._first = directions_from_angles(init)[None, :]
+                # The chart route, as for any row: a fixed direction may sit
+                # on the null set where only the chart's rounding decides.
+                c, c1 = config.profile.values_at(angles_from_directions(self._first))
+                self._first_speed = c / eps + c1
+
+    def _directions_and_speeds(self, rng: Generator, n_draw: int) -> tuple[np.ndarray, np.ndarray]:
+        config = self.config
+        fixed_first = config.initial_direction is not None
+        if self._cdf is not None:
+            idx = self._cdf.searchsorted(rng.random(n_draw), side="right")
+            if fixed_first:
+                idx = np.concatenate([self._first_index, idx])
+            return self._table[idx], self._table_speeds[idx]
+        n = config.dimension
         if n_draw > 0:
             g = rng.standard_normal((n_draw, n))
             drawn = g / np.linalg.norm(g, axis=-1, keepdims=True)
         else:
             drawn = np.empty((0, n))
-        if config.initial_direction is not None:
-            first = directions_from_angles(config.initial_direction)
-            dirs = np.vstack([first[None, :], drawn])
-        else:
-            dirs = drawn
-        angles = angles_from_directions(dirs)
-    else:
-        law = config.switching
-        idx = rng.choice(law.angles.shape[0], size=n_draw, p=law.probabilities)
-        angles = law.angles[idx]
-        if config.initial_direction is not None:
-            angles = np.vstack([config.initial_direction[None, :], angles])
-        dirs = directions_from_angles(angles)
+        dirs = np.vstack([self._first, drawn]) if fixed_first else drawn
+        if not self._direction_form:
+            c, c1 = config.profile.values_at(angles_from_directions(dirs))
+            return dirs, c / config.epsilon + c1
+        c, c1 = config.profile.values_on_directions(drawn)
+        speeds = c / config.epsilon + c1
+        if fixed_first:
+            speeds = np.concatenate([self._first_speed, speeds])
+        return dirs, speeds
 
-    c, c1 = config.profile.values_at(angles)
-    speeds = c / config.epsilon + c1
-    bounds = np.concatenate(([0.0], switch_times, [config.horizon]))
-    durations = np.diff(bounds)
-    displacements = (speeds * durations)[:, None] * dirs
-    return switch_times, dirs, displacements
+    def path(self, path_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(switch_times, directions (m+1, n), displacements (m+1, n)) of one path."""
+        rng = self._streams.rekey(path_index)
+        switch_times = _draw_switch_times(rng, self._mean, self._block, self.config.horizon)
+        m = switch_times.size
+        n_draw = m if self.config.initial_direction is not None else m + 1
+        dirs, speeds = self._directions_and_speeds(rng, n_draw)
+        durations = np.diff(np.concatenate(([0.0], switch_times, [self.config.horizon])))
+        displacements = (speeds * durations)[:, None] * dirs
+        return switch_times, dirs, displacements
+
+    def endpoint(self, path_index: int) -> np.ndarray:
+        _, _, displacements = self.path(path_index)
+        return self.config.x0 + displacements.sum(axis=0)
 
 
 def simulate_path(config: EvolutionConfig, path_index: int) -> Trajectory:
     """Simulate one path exactly; deterministic in (config.seed, path_index)."""
-    switch_times, dirs, displacements = _simulate_arrays(config, path_index)
+    switch_times, dirs, displacements = _PathKernel(config).path(path_index)
     positions = np.vstack([config.x0[None, :], config.x0 + np.cumsum(displacements, axis=0)])
     return Trajectory(config.horizon, switch_times, dirs, positions)
 
 
-def _endpoint(config: EvolutionConfig, path_index: int) -> np.ndarray:
-    _, _, displacements = _simulate_arrays(config, path_index)
-    return config.x0 + displacements.sum(axis=0)
-
-
 def _endpoint_block(config: EvolutionConfig, start: int, stop: int) -> np.ndarray:
+    kernel = _PathKernel(config)
     out = np.empty((stop - start, config.dimension))
     for i in range(start, stop):
         try:
-            out[i - start] = _endpoint(config, i)
+            out[i - start] = kernel.endpoint(i)
         except MemoryError as exc:
             raise RuntimeError(
                 f"resource exhaustion: completed paths [{start}, {i}) of [{start}, {stop})"
@@ -276,6 +335,45 @@ def resolve_workers(workers: int | None) -> int:
         except ValueError:
             warnings.warn(f"ignoring non-integer REVOLVE_THREADS={env!r}")
     return 1
+
+
+class _PoolUnavailable(Exception):
+    """The process pool cannot run this config; the message names the cause."""
+
+
+_POOL_START_ERRORS = (OSError, NotImplementedError, ImportError)
+
+
+def _pool_blocks(
+    config: EvolutionConfig, spans: list[tuple[int, int]], workers: int
+) -> Iterator[np.ndarray]:
+    """Yield the endpoint blocks of the spans, in order, from a process pool.
+
+    Raises _PoolUnavailable, before the first block, when the config cannot
+    be pickled or the pool cannot start. An error raised by the path code
+    propagates as it is.
+    """
+    try:
+        pickle.dumps(config)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise _PoolUnavailable(f"the config cannot be pickled: {exc!r}") from exc
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers)
+    except _POOL_START_ERRORS as exc:
+        raise _PoolUnavailable(f"the process pool cannot start: {exc!r}") from exc
+    try:
+        try:  # map submits every block at once, and submit starts the workers
+            blocks = pool.map(
+                _endpoint_block,
+                [config] * len(spans),
+                [a for a, _ in spans],
+                [b for _, b in spans],
+            )
+        except _POOL_START_ERRORS as exc:
+            raise _PoolUnavailable(f"the process pool cannot start: {exc!r}") from exc
+        yield from blocks
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def simulate_ensemble(config: EvolutionConfig, workers: int | None = None) -> EndpointEnsemble:
@@ -303,17 +401,10 @@ def simulate_ensemble(config: EvolutionConfig, workers: int | None = None) -> En
         edges = np.linspace(0, config.n_paths, n_chunks + 1, dtype=int)
         spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                blocks = pool.map(
-                    _endpoint_block,
-                    [config] * len(spans),
-                    [a for a, _ in spans],
-                    [b for _, b in spans],
-                )
-                for (a, b), block in zip(spans, blocks):
-                    points[a:b] = block
-        except Exception as exc:  # pool/pickling failure: fall back to serial
-            warnings.warn(f"parallel execution failed ({exc!r}); running serially")
+            for (a, b), block in zip(spans, _pool_blocks(config, spans, workers)):
+                points[a:b] = block
+        except _PoolUnavailable as exc:
+            warnings.warn(f"parallel execution unavailable ({exc}); running serially")
             points[:] = _endpoint_block(config, 0, config.n_paths)
     return EndpointEnsemble(
         dimension=config.dimension,

@@ -1,5 +1,6 @@
 """Tests of velocity profiles and the balance / non-symmetry functionals."""
 
+import logging
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from revolve.profiles import (
     check_balance,
     check_nonsymmetry,
 )
-from revolve.sphere import build_grid
+from revolve.sphere import angles_from_directions, build_grid, sample_directions
 
 RES = {2: 32, 3: 24, 4: 16, 5: 16, 6: 12}
 
@@ -88,6 +89,72 @@ class TestProfileType:
         p = VelocityProfile(2, continuous_c=lambda a: float(np.cos(2.0 * a[0])))
         vals = p.c_values(np.array([[0.0], [math.pi / 4.0]]))
         np.testing.assert_allclose(vals, [1.0, 0.0], atol=1e-15)
+
+    def test_scalar_callable_fallback_is_logged_once(self, caplog):
+        def scalar_only(a):
+            return math.cos(2.0 * a[0])
+
+        p = VelocityProfile(2, continuous_c=scalar_only)
+        angles = np.array([[0.0], [math.pi / 4.0]])
+        with caplog.at_level(logging.WARNING, logger="revolve.profiles"):
+            p.c_values(angles)
+            p.c_values(angles)
+        records = [r for r in caplog.records if "once per row" in r.getMessage()]
+        assert len(records) == 1
+        assert "scalar_only" in records[0].getMessage()
+
+    def test_vectorized_callable_is_not_logged(self, caplog):
+        p = VelocityProfile(2, continuous_c=lambda a: np.cos(a[..., 0]))
+        with caplog.at_level(logging.WARNING, logger="revolve.profiles"):
+            p.c_values(np.array([[0.0], [1.0]]))
+        assert not caplog.records
+
+
+class TestDirectionForms:
+    """The direction form of each built-in part equals its angle form at the
+    chart's angles of the same unit vectors, bit for bit. The simulator
+    relies on this to skip the inverse chart. The null set where they may
+    differ, the step's boundary s_n = 0 (theta_{n-1} in {0, pi}), holds no
+    grid node and, almost surely, no uniform draw."""
+
+    PARTS = (ConstantSpeed(1.7), FirstAngleSine(0.8), LowerHalfStep(2.5))
+
+    @staticmethod
+    def direction_sets(n):
+        rng = np.random.default_rng(1000 + n)
+        return {
+            "grid": build_grid(n, 8).directions,
+            "uniform": sample_directions(n, 10_000, rng),
+        }
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_parts_match_bit_for_bit(self, n):
+        for label, dirs in self.direction_sets(n).items():
+            angles = angles_from_directions(dirs)
+            for part in self.PARTS:
+                by_direction = part.on_directions(dirs)
+                by_angle = part(angles)
+                assert by_direction.dtype == by_angle.dtype, (label, part)
+                assert by_direction.tobytes() == by_angle.tobytes(), (label, part)
+
+    @pytest.mark.parametrize("name,n", [
+        ("msre_const", 2), ("step_half_sphere", 3), ("sin_theta1", 4), ("step_half_sphere", 5),
+    ])
+    def test_profile_values_match_bit_for_bit(self, name, n):
+        profile = builtin_profile(name, n)
+        assert profile.direction_form
+        dirs = self.direction_sets(n)["uniform"]
+        for got, want in zip(profile.values_on_directions(dirs),
+                             profile.values_at(angles_from_directions(dirs))):
+            assert got.tobytes() == want.tobytes()
+
+    def test_atoms_and_plain_callables_have_no_direction_form(self):
+        atomic = builtin_profile("example3_atoms", 2)
+        plain = VelocityProfile(3, continuous_c=lambda a: np.cos(a[..., 0]))
+        for profile in (atomic, plain):
+            assert not profile.direction_form
+            with pytest.raises(ProfileError):
+                profile.values_on_directions(np.eye(profile.dimension))
 
 
 class TestBalance:

@@ -1,9 +1,12 @@
 """Tests of the event-driven path simulator."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats as scipy_stats
 
 from revolve.limits import discrete_limit_coefficients
@@ -12,6 +15,7 @@ from revolve.simulator import (
     DiscreteSwitching,
     EvolutionConfig,
     UniformSphere,
+    _PathStreams,
     config_fingerprint,
     simulate_ensemble,
     simulate_path,
@@ -209,3 +213,103 @@ class TestWarnings:
         with pytest.warns(UserWarning, match="atomic profile under uniform switching"):
             ens = simulate_ensemble(cfg)
         np.testing.assert_array_equal(ens.points, np.zeros((3, 2)))
+
+
+class TestPathStreams:
+    """A re-keyed generator draws exactly what a fresh per-path one draws."""
+
+    CASES = [(0, 0), (321, 7), (12345, 999_999), (2**64 - 1, 0), (2**64 - 1, 2**63 + 5)]
+
+    @staticmethod
+    def draws(rng):
+        return (rng.standard_normal(64), rng.exponential(size=64), rng.random(64))
+
+    @pytest.mark.parametrize("seed,index", CASES)
+    def test_rekey_matches_fresh_philox(self, seed, index):
+        streams = _PathStreams(seed)
+        want = self.draws(Generator(Philox(key=(seed << 64) + index)))
+        got = self.draws(streams.rekey(index))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed,index", CASES)
+    def test_rekey_after_use_matches_fresh_philox(self, seed, index):
+        streams = _PathStreams(seed)
+        used = streams.rekey(index + 1)
+        used.standard_normal(3)
+        used.random(5)  # leaves a partly consumed buffer behind
+        want = self.draws(Generator(Philox(key=(seed << 64) + index)))
+        got = self.draws(streams.rekey(index))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def _pinned_configs():
+    step = builtin_profile("step_half_sphere", 3)
+    atoms = builtin_profile("example3_atoms", 2)
+    atom_law = DiscreteSwitching(np.stack([a.angles for a in atoms.atoms]), np.full(3, 1.0 / 3.0))
+    compass = DiscreteSwitching(
+        np.array([[0.0], [math.pi / 2], [math.pi], [1.5 * math.pi]]),
+        np.array([0.1, 0.2, 0.3, 0.4]),
+    )
+    base = dict(dimension=3, epsilon=0.3, profile=step, horizon=1.0,
+                x0=np.array([0.1, -0.2, 0.3]), n_paths=64, seed=2024)
+    planar = dict(base, dimension=2, x0=np.zeros(2))
+    return {
+        "uniform_step_n3": EvolutionConfig(**base),
+        "uniform_initial": EvolutionConfig(
+            **dict(base, seed=2**64 - 1), initial_direction=np.array([1.0, 4.0])
+        ),
+        "discrete_atoms": EvolutionConfig(**dict(planar, profile=atoms), switching=atom_law),
+        "discrete_initial": EvolutionConfig(
+            **dict(planar, profile=builtin_profile("msre_const", 2, c=2.0)),
+            switching=compass,
+            initial_direction=np.array([math.pi / 2]),
+        ),
+    }
+
+
+class TestPinnedStreams:
+    """Endpoint bytes of four small configs, recorded before the per-block
+    kernel replaced the per-path set-up (x86-64, numpy 2.4). A change of the
+    stream layout or of the path arithmetic changes these digests."""
+
+    DIGESTS = {
+        "uniform_step_n3": "03b81ac96611c4861a57a145422f00fd9536021ea9bd62d45852d957041d363e",
+        "uniform_initial": "f675ccceb073907838b10540080f85e047dc9abec3a3a5be4cf60ee5b8d59076",
+        "discrete_atoms": "2629dd45923708de708fcc909c25e122d52a20b9ed207ff43047098b30452e61",
+        "discrete_initial": "5048537a99a6460ddb514f0161c1045926d2db6f802d3b642a291145ed9e0555",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_endpoint_digest_and_replay(self, name):
+        cfg = _pinned_configs()[name]
+        points = simulate_ensemble(cfg).points
+        assert hashlib.sha256(points.tobytes()).hexdigest() == self.DIGESTS[name]
+        for i in range(cfg.n_paths):
+            assert simulate_path(cfg, i).endpoint.tobytes() == points[i].tobytes()
+
+
+class RaisingSpeed:
+    """A picklable speed function that fails inside the path code."""
+
+    def __call__(self, angles):
+        raise RuntimeError("speed function failed")
+
+
+class TestParallelFailures:
+    def test_path_error_propagates_without_serial_rerun(self):
+        profile = VelocityProfile(2, continuous_c=RaisingSpeed())
+        cfg = msre_config(profile=profile, n_paths=40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="speed function failed"):
+                simulate_ensemble(cfg, workers=2)
+        assert not [w for w in caught if "serially" in str(w.message)]
+
+    def test_unpicklable_config_runs_serially_and_names_the_cause(self):
+        profile = VelocityProfile(2, continuous_c=lambda a: np.ones(a.shape[:-1]))
+        cfg = msre_config(profile=profile, n_paths=40)
+        with pytest.warns(UserWarning, match="cannot be pickled.*running serially"):
+            parallel = simulate_ensemble(cfg, workers=2)
+        np.testing.assert_array_equal(parallel.points, simulate_ensemble(cfg, workers=1).points)
