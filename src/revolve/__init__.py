@@ -10,7 +10,7 @@ form, and tests the convergence statistically.
 
 __version__ = "0.1.0"
 
-from . import cli, limits, operator_lab, profiles, simulator, sphere, stats
+from . import cli, limits, operator_lab, profiles, rates, simulator, sphere, stats
 
 __all__ = [
     "__version__",
@@ -18,6 +18,7 @@ __all__ = [
     "profiles",
     "operator_lab",
     "limits",
+    "rates",
     "simulator",
     "stats",
     "cli",

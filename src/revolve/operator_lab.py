@@ -9,8 +9,12 @@ the potential operator act on direction-dependent fields f(theta) as
                                     annihilates constants),
 
 satisfying Pi Pi = Pi, Q Pi = Pi Q = 0 and R0 Q = Q R0 = I - Pi exactly up
-to roundoff. The transport operator couples the direction to a smooth test
-function phi on R^n. apply_s keeps the customary generator notation
+to roundoff. Q = Pi - I is minus the projection onto mean-zero fields, so
+it is its own inverse there: R0 and Q share one formula, and apply_r0 is an
+alias of apply_q kept under the paper's name.
+
+The transport operator couples the direction to a smooth test function phi
+on R^n. apply_s keeps the customary generator notation
 S(theta) phi = -(s(theta), grad phi); everything in the perturbation solver
 below instead uses the transport sign +(s, grad), the operator that actually
 generates the simulated motion dx/dt = v * s(theta). This is the single
@@ -36,8 +40,13 @@ so that L_eps (phi + eps phi1 + eps^2 phi2) - L0 phi
 
 identically; the remainder is linear in eps up to the eps^2 tail, which
 residual_scaling verifies empirically. Fields entering the hierarchy are
-represented by their derivative coefficients ("jets") up to third order, so
-all operator applications are exact contractions, not finite differences.
+represented by their derivative coefficients ("jets"), so all operator
+applications are exact contractions, not finite differences. phi, phi1 and
+phi2 are jets of order at most two. The remainder terms c T phi2, c1 T phi1
+and c1 T phi2 would be third-order jets of shape (M, n, n, n), but they are
+only ever evaluated at the spatial point x, never averaged by Pi; so the
+outer transport s is contracted into the derivatives of phi at x first
+(_Jet.transported_values) and no third-order jet is ever built.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ import numpy as np
 from .limits import BalanceError
 from .profiles import ProfileError, VelocityProfile, check_balance
 from .sphere import AngleVector, QuadratureGrid, directions_from_angles
-from .stats import RateFit, fit_loglog
+from .rates import RateFit, fit_loglog
 
 __all__ = [
     "ThetaField",
@@ -109,18 +118,23 @@ def project_pi(f: ThetaField) -> float:
 
 
 def apply_q(f: ThetaField) -> ThetaField:
-    """Switching generator: Pi f - f."""
+    """Switching generator: Pi f - f. Also the potential operator R0."""
     return ThetaField(f.grid, project_pi(f) - f.values)
 
 
-def apply_r0(f: ThetaField) -> ThetaField:
-    """Potential operator: Pi f - f; inverts Q on mean-zero fields."""
-    return ThetaField(f.grid, project_pi(f) - f.values)
+# Potential operator: Pi f - f; inverts Q on mean-zero fields.
+apply_r0 = apply_q
 
 
-def potential_identity_error(f: ThetaField) -> float:
-    """Sup-norm of R0(Q f) - (f - Pi f); zero up to roundoff for any field."""
-    lhs = apply_r0(apply_q(f)).values
+def potential_identity_error(f: ThetaField, q_f: ThetaField | None = None) -> float:
+    """Sup-norm of R0(Q f) - (f - Pi f); zero up to roundoff for any field.
+
+    q_f, when given, must be apply_q(f); a caller that already holds Q f
+    passes it so that Q is not applied twice.
+    """
+    if q_f is None:
+        q_f = apply_q(f)
+    lhs = apply_r0(q_f).values
     rhs = f.values - project_pi(f)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -280,7 +294,9 @@ class _Jet:
     coeffs[k] has shape (M, n, ..., n) with k trailing direction axes; the
     represented field at node m is sum_k coeffs[k][m] . (k-th derivative of
     phi at x). A None entry is identically zero. Constant-in-theta jets are
-    stored with leading axis 1 and broadcast.
+    stored with leading axis 1 and broadcast. Jets are stored up to second
+    order, at most (M, n, n); the transport of a second-order jet is only
+    needed at x and is contracted there by transported_values.
     """
 
     __slots__ = ("n_nodes", "dim", "coeffs")
@@ -307,8 +323,11 @@ class _Jet:
         """(s, grad): raises each order k to k+1 with a leading s factor."""
         out = {}
         for k, arr in self.coeffs.items():
-            if k + 1 > 3:
-                raise ValueError("jet order above 3 is not supported")
+            if k + 1 > 2:
+                raise ValueError(
+                    "jets are stored up to second order; evaluate the transport "
+                    "of a second-order jet with transported_values"
+                )
             if arr.shape[0] == 1:
                 arr = np.broadcast_to(arr, (directions.shape[0],) + arr.shape[1:])
             out[k + 1] = np.einsum("mi,m...->mi...", directions, arr)
@@ -349,15 +368,34 @@ class _Jet:
         """Field values at every node for the spatial point x."""
         x = np.asarray(x, dtype=float)
         total = np.zeros(self.n_nodes)
-        derivs = {0: None, 1: None, 2: None, 3: None}
         for k, arr in sorted(self.coeffs.items()):
             if k == 0:
-                d = phi.value(x)
-                term = arr * d
+                term = arr * phi.value(x)
             elif k == 1:
                 term = arr @ phi.gradient(x)
-            elif k == 2:
+            else:
                 term = np.einsum("mij,ij->m", arr, phi.hessian(x))
+            if term.shape[0] == 1:
+                term = np.broadcast_to(term, (self.n_nodes,))
+            total = total + term
+        return total
+
+    def transported_values(
+        self, directions: np.ndarray, phi: TestFunction, x: np.ndarray
+    ) -> np.ndarray:
+        """Values at x of self.transport(directions), without building it.
+
+        The outer s is contracted into the (k+1)-th derivative of phi at x
+        first (s . grad, s . hess, s . third, each at most (M, n, n)) and the
+        result is then contracted with coeffs[k].
+        """
+        x = np.asarray(x, dtype=float)
+        total = np.zeros(self.n_nodes)
+        for k, arr in sorted(self.coeffs.items()):
+            if k == 0:
+                s_deriv = directions @ phi.gradient(x)
+            elif k == 1:
+                s_deriv = directions @ phi.hessian(x)
             else:
                 if phi.third is None:
                     raise ValueError(
@@ -365,10 +403,10 @@ class _Jet:
                         "for residual evaluation; construct it with an "
                         "analytic third-derivative tensor"
                     )
-                term = np.einsum("mijk,ijk->m", arr, phi.third(x))
-            if term.shape[0] == 1:
-                term = np.broadcast_to(term, (self.n_nodes,))
-            total = total + term
+                s_deriv = np.einsum("mi,ijk->mjk", directions, phi.third(x))
+            arr = np.broadcast_to(arr, s_deriv.shape).reshape(self.n_nodes, -1)
+            s_deriv = s_deriv.reshape(self.n_nodes, -1)
+            total = total + np.einsum("mi,mi->m", arr, s_deriv)
         return total
 
 
@@ -461,13 +499,13 @@ def solve_perturbation(
     jet_phi = _Jet.identity(m, grid.dimension)
     c_t_phi = jet_phi.transport(s).scaled(c)
     phi1 = c_t_phi - c_t_phi.pi(w)              # -R0 [c T phi]
-    c_t_phi1 = phi1.transport(s).scaled(c)
-    c1_t_phi = jet_phi.transport(s).scaled(c1)
-    order_zero = c_t_phi1 + c1_t_phi
+    order_zero = phi1.transport(s).scaled(c) + jet_phi.transport(s).scaled(c1)
     l0 = order_zero.pi(w)
     phi2 = order_zero - l0                       # -R0 [c T phi1 + c1 T phi]
-    r1 = phi2.transport(s).scaled(c) + phi1.transport(s).scaled(c1)
-    r2 = phi2.transport(s).scaled(c1)
+    del order_zero
+    # r1 = c T phi2 + c1 T phi1 and r2 = c1 T phi2, evaluated at x only
+    t_phi1 = phi1.transported_values(s, phi, x)
+    t_phi2 = phi2.transported_values(s, phi, x)
 
     drift = l0.coefficient(1)[0]
     diffusion = l0.coefficient(2)[0]
@@ -482,8 +520,8 @@ def solve_perturbation(
         limit_value=limit_value,
         drift=drift,
         diffusion=diffusion,
-        _r1_values=r1.evaluate(phi, x),
-        _r2_values=r2.evaluate(phi, x),
+        _r1_values=c * t_phi2 + c1 * t_phi1,
+        _r2_values=c1 * t_phi2,
     )
     object.__setattr__(solution, "_jets", (jet_phi, phi1, phi2))
     object.__setattr__(solution, "_speeds", (c, c1))
@@ -505,11 +543,11 @@ def assembled_generator_residual(solution: PerturbationSolution, eps: float) -> 
     w = grid.weights
     s = grid.directions
 
+    x = solution.point
     phi_eps = jet_phi + jet_phi1.scaled(np.asarray(eps)) + jet_phi2.scaled(np.asarray(eps**2))
     q_part = (phi_eps.pi(w) - phi_eps).scaled(np.asarray(eps**-2))
-    transport = phi_eps.transport(s)
-    l_eps = q_part + transport.scaled(c / eps) + transport.scaled(c1)
-    values = l_eps.evaluate(phi, solution.point)
+    transport = phi_eps.transported_values(s, phi, x)
+    values = q_part.evaluate(phi, x) + (c / eps) * transport + c1 * transport
     return float(np.max(np.abs(values - solution.limit_value)))
 
 

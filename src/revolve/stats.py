@@ -29,6 +29,7 @@ from .limits import (
     gaussian_law_at,
     limit_coefficients,
 )
+from .rates import RateFit, fit_loglog
 from .simulator import (
     DiscreteSwitching,
     EndpointEnsemble,
@@ -162,52 +163,6 @@ def noise_floor(summary: MomentSummary) -> float:
     )
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Log-log fit of a metric against epsilon."""
-
-    eps_values: np.ndarray
-    metric_values: np.ndarray
-    slope: float
-    intercept: float
-    r_squared: float
-    exact: bool = False       # all metric values below 1e-14
-    plateau: bool = False     # some points excluded as noise-floor plateau
-    n_used: int = 0
-
-
-def fit_loglog(
-    eps_values: np.ndarray, metric_values: np.ndarray, used: np.ndarray | None = None
-) -> RateFit:
-    """Least-squares slope of log(metric) vs log(eps) over the used points."""
-    eps_values = np.asarray(eps_values, dtype=float)
-    metric_values = np.asarray(metric_values, dtype=float)
-    if used is None:
-        used = np.ones(eps_values.shape, dtype=bool)
-    if np.all(metric_values < 1e-14):
-        return RateFit(
-            eps_values, metric_values, float("nan"), float("nan"), float("nan"),
-            exact=True, n_used=0,
-        )
-    used = used & (metric_values > 0.0)
-    plateau = bool(np.any(~used))
-    x = np.log(eps_values[used])
-    y = np.log(metric_values[used])
-    if np.unique(x).size < 2:
-        return RateFit(
-            eps_values, metric_values, float("nan"), float("nan"), float("nan"),
-            plateau=plateau, n_used=int(used.sum()),
-        )
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 1.0
-    return RateFit(
-        eps_values, metric_values, float(slope), float(intercept), r2,
-        plateau=plateau, n_used=int(used.sum()),
-    )
-
-
 def limit_for_config(config: EvolutionConfig, grid_resolution: int = 32) -> DiffusionLimit:
     """Limit coefficients matching the config's switching law.
 
@@ -248,10 +203,10 @@ def run_sweep(
 ) -> SweepResult:
     """Simulate the config across epsilon values and fit the deviation rate.
 
-    Uses a fixed seed schedule (base seed + sweep position) so reruns are
-    bit-identical; points whose metric falls below floor_factor times the
-    estimated Monte-Carlo noise floor are flagged as plateau and excluded
-    from the fit.
+    Uses a fixed seed schedule (base seed + sweep position, modulo 2**64,
+    so every u64 base seed is accepted) so reruns are bit-identical; points
+    whose metric falls below floor_factor times the estimated Monte-Carlo
+    noise floor are flagged as plateau and excluded from the fit.
     """
     eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if eps.size < 4:
@@ -266,7 +221,7 @@ def run_sweep(
     floors = np.zeros(eps.size)
     pvals = np.zeros((eps.size, base_config.dimension))
     for k, e in enumerate(eps):
-        cfg = with_epsilon(base_config, float(e), seed=base_config.seed + k)
+        cfg = with_epsilon(base_config, float(e), seed=(base_config.seed + k) % 2**64)
         ensemble = simulate_ensemble(cfg, workers=workers)
         summary = summarize(ensemble)
         metrics[k] = deviation_metric(summary, target)

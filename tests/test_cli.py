@@ -161,6 +161,27 @@ class TestVerifyOperators:
         np.testing.assert_allclose(diag, 1.0 / 3.0, atol=1e-8)
         assert 0.9 <= report["residual_scaling"]["slope"] <= 1.1
 
+    def test_identity_residuals_pinned(self, tmp_path):
+        # values of the loop that applied Q and R0 through fresh constant
+        # fields for every check; reusing Pi f and Q f must not move a bit
+        evo = dict(
+            BASE_EVOLUTION,
+            dimension=3,
+            x0=[0.1, -0.2, 0.3],
+            seed=11,
+            profile={"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
+        )
+        path = write_config(tmp_path, {"evolution": evo, "grid_resolution": 8})
+        out = tmp_path / "out"
+        assert main(["verify-operators", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "operator_report.json").read_text())
+        assert report["identity_residuals"] == {
+            "pi_idempotent": 2.7755575615628914e-17,
+            "pi_q": 6.938893903907228e-17,
+            "q_pi": 2.7755575615628914e-17,
+            "r0_q_identity": 1.1102230246251565e-16,
+        }
+
 
 class TestSimulate:
     def test_endpoints_csv_shape_and_reproducibility(self, tmp_path):
@@ -241,6 +262,18 @@ class TestConvergeAndReport:
         assert main(["converge", "--config", path, "--out", str(out2)]) == 0
         for name in ("sweep.json", "sweep.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_converge_top_seed_wraps(self, tmp_path):
+        # sweep point k runs at seed (seed + k) mod 2**64
+        doc = {
+            "evolution": dict(BASE_EVOLUTION, n_paths=200, seed=2**64 - 1),
+            "eps_sweep": [0.5, 0.2, 0.1, 0.05],
+            "grid_resolution": 16,
+        }
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "c"
+        assert main(["converge", "--config", path, "--out", str(out)]) == 0
+        assert len(json.loads((out / "sweep.json").read_text())["eps"]) == 4
 
     def test_report_artifacts(self, tmp_path):
         path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION, n_paths=500)})

@@ -1,6 +1,8 @@
 """Tests of the discretized generator algebra and the perturbation solver."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,18 +248,89 @@ class TestPerturbationSolve:
         assert abs(fine - coarse) <= 1e-8 * max(1.0, abs(fine))
 
 
+# (profile, n, profile kwargs, bump center, point x, residual(eps) for
+# eps in EPS_LIST, limit_value, sha256 of the bytes of drift, diffusion,
+# phi1 and phi2), recorded with the solver that stored the remainder as
+# third-order jets on the grid_for(n) grids
+PINNED_SOLUTIONS = [
+    (
+        "step_half_sphere", 3, {"c": 1.0, "c1": 1.0}, [0.1, -0.1, 0.2], [0.25, 0.0, -0.3],
+        [0.19807911318117707, 0.06039704285738174, 0.01887511467696322,
+         0.005946424621622725, 0.001878183501284777],
+        -0.8950439431834304,
+        "f2b4080c2454c367a47d3304463bd0301ea741c673ea6c2aa3805ab735ba9f5d",
+    ),
+    (
+        "sin_theta1", 4, {}, [0.0, 0.1, -0.2, 0.1], [0.2, -0.1, 0.3, 0.0],
+        [0.06985318065617976, 0.02208951526807432, 0.006985318065617976,
+         0.002208951526807432, 0.0006985318065617976],
+        -0.5758012373742215,
+        "5b5cbebf4f606ba7285ee15489e727d4af24921d93bef2018de1c42110eea1e3",
+    ),
+    (
+        "msre_const", 5, {"c": 1.0}, [0.1, 0.0, -0.1, 0.2, 0.0], [0.3, 0.1, -0.2, 0.0, 0.15],
+        [0.04822743449469855, 0.015250853870981912, 0.004822743449469855,
+         0.0015250853870981912, 0.0004822743449469855],
+        -0.9175434047515562,
+        "8f47118d4c46c84e4b19aef5ed3f0452d7b16715ab3c88e02316b50d29a5db25",
+    ),
+]
+
+
+class TestPinnedSolutions:
+    @pytest.mark.parametrize(
+        "name, n, kwargs, center, x, residuals, limit_value, digest",
+        PINNED_SOLUTIONS,
+        ids=[case[0] for case in PINNED_SOLUTIONS],
+    )
+    def test_matches_third_order_jet_solver(
+        self, name, n, kwargs, center, x, residuals, limit_value, digest
+    ):
+        # contracting the outer transport at x reorders the remainder sums
+        # (a few ulps); the hierarchy itself must not move by a bit
+        sol = solve_perturbation(
+            builtin_profile(name, n, **kwargs),
+            gaussian_bump(np.array(center), 1.0),
+            np.array(x),
+            grid_for(n),
+        )
+        for eps, expected in zip(EPS_LIST, residuals):
+            assert abs(sol.residual(eps) - expected) <= 1e-13 * expected
+        assert sol.limit_value == limit_value
+        arrays = (sol.drift, sol.diffusion, sol.phi1.values, sol.phi2.values)
+        assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
+
+    def test_memory_scales_as_m_n_squared(self):
+        # storing the remainder as (M, n, n, n) jets peaked at about 22 M n^2 doubles
+        g = build_grid(5, 8)
+        n, m = 5, g.size
+        p = builtin_profile("step_half_sphere", 5, c=1.0, c1=1.0)
+        phi = gaussian_bump(np.zeros(5), 1.0)
+        tracemalloc.start()
+        try:
+            solve_perturbation(p, phi, 0.25 * np.ones(5), g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * m * n**2 * 8
+
+
 class TestResidual:
     def test_assembled_generator_matches_closed_form(self):
         # applying eps^-2 Q + eps^-1 c T + c1 T directly to phi + eps phi1
         # + eps^2 phi2 reproduces the closed-form remainder
-        g = grid_for(3)
-        p = builtin_profile("step_half_sphere", 3, c=1.0, c1=1.0)
-        phi = gaussian_bump(np.array([0.1, -0.1, 0.2]), 1.0)
-        sol = solve_perturbation(p, phi, np.array([0.25, 0.0, -0.3]), g)
-        for eps in (0.5, 0.1, 0.02):
-            direct = assembled_generator_residual(sol, eps)
-            closed = sol.residual(eps)
-            assert abs(direct - closed) <= 1e-9 / eps**2 + 1e-12
+        for n, center, x in [
+            (3, [0.1, -0.1, 0.2], [0.25, 0.0, -0.3]),
+            (5, [0.1, -0.1, 0.2, 0.0, 0.1], [0.25, 0.0, -0.3, 0.1, 0.2]),
+        ]:
+            g = grid_for(n)
+            p = builtin_profile("step_half_sphere", n, c=1.0, c1=1.0)
+            phi = gaussian_bump(np.array(center), 1.0)
+            sol = solve_perturbation(p, phi, np.array(x), g)
+            for eps in (0.5, 0.1, 0.02):
+                direct = assembled_generator_residual(sol, eps)
+                closed = sol.residual(eps)
+                assert abs(direct - closed) <= 1e-9 / eps**2 + 1e-12
 
     def test_msre_slope_linear(self):
         g = grid_for(2)
