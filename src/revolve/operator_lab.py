@@ -126,15 +126,9 @@ def apply_q(f: ThetaField) -> ThetaField:
 apply_r0 = apply_q
 
 
-def potential_identity_error(f: ThetaField, q_f: ThetaField | None = None) -> float:
-    """Sup-norm of R0(Q f) - (f - Pi f); zero up to roundoff for any field.
-
-    q_f, when given, must be apply_q(f); a caller that already holds Q f
-    passes it so that Q is not applied twice.
-    """
-    if q_f is None:
-        q_f = apply_q(f)
-    lhs = apply_r0(q_f).values
+def potential_identity_error(f: ThetaField) -> float:
+    """Sup-norm of R0(Q f) - (f - Pi f); zero up to roundoff for any field."""
+    lhs = apply_r0(apply_q(f)).values
     rhs = f.values - project_pi(f)
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -302,6 +302,8 @@ class TestPinnedSolutions:
 
     def test_memory_scales_as_m_n_squared(self):
         # storing the remainder as (M, n, n, n) jets peaked at about 22 M n^2 doubles
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this solve's alone")
         g = build_grid(5, 8)
         n, m = 5, g.size
         p = builtin_profile("step_half_sphere", 5, c=1.0, c1=1.0)
