@@ -118,6 +118,114 @@ class TestExitCodes:
         assert abs(payload["error"]["residual"][0] - 1.0 / (2.0 * math.pi)) < 1e-10
 
 
+def two_point_law(probabilities):
+    return {"kind": "discrete", "angles": [[0.0], [math.pi]], "probabilities": probabilities}
+
+
+# (id, subcommand, config document, extra arguments, exit code, error.path)
+INVALID_CONFIGS = [
+    (
+        "dimension_1",
+        "simulate",
+        {"evolution": dict(BASE_EVOLUTION, dimension=1, x0=[0.0])},
+        [],
+        2,
+        "config.evolution.dimension",
+    ),
+    ("epsilon_0", "simulate", {"evolution": dict(BASE_EVOLUTION, epsilon=0)}, [], 2,
+     "config.evolution.epsilon"),
+    ("epsilon_1.5", "simulate", {"evolution": dict(BASE_EVOLUTION, epsilon=1.5)}, [], 2,
+     "config.evolution.epsilon"),
+    ("epsilon_-1", "simulate", {"evolution": dict(BASE_EVOLUTION, epsilon=-1)}, [], 2,
+     "config.evolution.epsilon"),
+    ("horizon_0", "simulate", {"evolution": dict(BASE_EVOLUTION, horizon=0)}, [], 2,
+     "config.evolution.horizon"),
+    ("n_paths_0", "simulate", {"evolution": dict(BASE_EVOLUTION, n_paths=0)}, [], 2,
+     "config.evolution.n_paths"),
+    ("seed_-1", "simulate", {"evolution": dict(BASE_EVOLUTION, seed=-1)}, [], 2,
+     "config.evolution.seed"),
+    ("seed_2**64", "simulate", {"evolution": dict(BASE_EVOLUTION, seed=2**64)}, [], 2,
+     "config.evolution.seed"),
+    ("seed_option_-1", "simulate", {"evolution": dict(BASE_EVOLUTION)}, ["--seed", "-1"], 2,
+     "config.evolution.seed"),
+    ("x0_length", "simulate", {"evolution": dict(BASE_EVOLUTION, x0=[0.0, 0.0, 0.0])}, [], 2,
+     "config.evolution.x0"),
+    (
+        "initial_direction_length",
+        "simulate",
+        {"evolution": dict(BASE_EVOLUTION, initial_direction=[0.0, 1.0])},
+        [],
+        2,
+        "config.evolution.initial_direction",
+    ),
+    (
+        "probabilities_negative",
+        "simulate",
+        {"evolution": dict(BASE_EVOLUTION, switching=two_point_law([-0.5, 1.5]))},
+        [],
+        2,
+        "config.evolution.switching.probabilities",
+    ),
+    (
+        "probabilities_sum",
+        "simulate",
+        {"evolution": dict(BASE_EVOLUTION, switching=two_point_law([0.6, 0.5]))},
+        [],
+        2,
+        "config.evolution.switching.probabilities",
+    ),
+    (
+        "atom_weight_0",
+        "limit-coeffs",
+        {
+            "evolution": dict(
+                BASE_EVOLUTION,
+                profile={"atoms": [{"angles": [0.0], "weight": 0, "c": 1.0, "c1": 0.0}]},
+            )
+        },
+        [],
+        2,
+        "config.evolution.profile.atoms[0].weight",
+    ),
+    (
+        "eps_sweep_nonpositive_simulate",
+        "simulate",
+        {"evolution": dict(BASE_EVOLUTION), "eps_sweep": [0.1, 0.01, 0.001, 0.0]},
+        [],
+        2,
+        "config.eps_sweep",
+    ),
+    (
+        "eps_sweep_nonpositive_converge",
+        "converge",
+        {"evolution": dict(BASE_EVOLUTION), "eps_sweep": [0.1, 0.01, -0.001, 0.0001]},
+        [],
+        2,
+        "config.eps_sweep",
+    ),
+]
+
+
+def run_cli(tmp_path, capsys, mode, document, extra=()):
+    """Exit code and the last printed JSON line (None when nothing is printed)."""
+    path = write_config(tmp_path, document)
+    code = main([mode, "--config", path, "--out", str(tmp_path / "out"), *extra])
+    lines = capsys.readouterr().out.strip().splitlines()
+    return code, json.loads(lines[-1]) if lines else None
+
+
+class TestInvalidConfigPaths:
+    @pytest.mark.parametrize(
+        "mode, document, extra, code, path",
+        [case[1:] for case in INVALID_CONFIGS],
+        ids=[case[0] for case in INVALID_CONFIGS],
+    )
+    def test_exit_code_and_error_path(self, tmp_path, capsys, mode, document, extra, code, path):
+        exit_code, payload = run_cli(tmp_path, capsys, mode, document, extra)
+        assert (exit_code, payload["error"]["path"]) == (code, path)
+        assert payload["error"]["kind"] == "schema"
+
+
 class TestLimitCoeffs:
     def test_example3_values(self, tmp_path, capsys):
         evo = dict(BASE_EVOLUTION, profile={"name": "example3_atoms"})
