@@ -2,9 +2,9 @@
 
 Subcommands: verify-operators, limit-coeffs, simulate, converge, report.
 Experiments are described by a strict JSON config (unknown keys are
-rejected, numeric constraints re-checked on load, errors carry the dotted
-field path). Every run writes a manifest.json echoing the parsed config,
-the seed and the package version; the manifest timestamp is the only
+rejected, the dataclasses a config builds range-check its values, errors
+carry the dotted field path). Every run writes a manifest.json echoing the
+parsed config, the seed and the package version; the manifest timestamp is the only
 non-reproducible byte in any artifact. Floats in CSV files are written
 with 17 significant digits so reruns are byte-identical.
 
@@ -19,7 +19,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +36,13 @@ from .operator_lab import (
     project_pi,
     residual_scaling,
 )
-from .profiles import Atom, BUILTIN_NAMES, ProfileError, VelocityProfile, builtin_profile
+from .profiles import Atom, FieldError, VelocityProfile, builtin_profile
+from .rates import check_eps_sweep
 from .simulator import (
     DiscreteSwitching,
     EvolutionConfig,
     UniformSphere,
+    check_dimension,
     simulate_ensemble,
     simulate_path,
 )
@@ -79,37 +82,36 @@ def _require_keys(obj: dict, path: str, required: tuple, optional: tuple) -> Non
             raise SchemaError(f"{path}.{key}", "missing required key")
 
 
-def _number(obj: dict, path: str, key: str, default=None) -> float:
-    if key not in obj:
-        if default is None:
-            raise SchemaError(f"{path}.{key}", "missing required key")
-        return default
-    v = obj[key]
+def _number(obj: dict, path: str, key: str) -> float:
+    v = obj[key]  # the caller checked that the key is present
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
         raise SchemaError(f"{path}.{key}", f"expected a finite number, got {v!r}")
     return float(v)
 
 
 def _integer(obj: dict, path: str, key: str, default=None) -> int:
-    if key not in obj:
-        if default is None:
-            raise SchemaError(f"{path}.{key}", "missing required key")
-        return default
-    v = obj[key]
+    v = obj.get(key, default)  # a required key is present: _require_keys checked it
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(f"{path}.{key}", f"expected an integer, got {v!r}")
     return v
 
 
-def _vector(obj: dict, path: str, key: str, length: int | None = None) -> np.ndarray:
+def _vector(obj: dict, path: str, key: str) -> np.ndarray:
     v = obj.get(key)
     if not isinstance(v, list) or not all(
-        isinstance(e, (int, float)) and not isinstance(e, bool) for e in v
+        isinstance(e, (int, float)) and not isinstance(e, bool) and math.isfinite(e) for e in v
     ):
-        raise SchemaError(f"{path}.{key}", "expected a list of numbers")
-    if length is not None and len(v) != length:
-        raise SchemaError(f"{path}.{key}", f"expected exactly {length} entries, got {len(v)}")
+        raise SchemaError(f"{path}.{key}", "expected a list of finite numbers")
     return np.asarray(v, dtype=float)
+
+
+@contextmanager
+def _fields_under(path: str):
+    """Report a FieldError raised inside as a SchemaError at path.field."""
+    try:
+        yield
+    except FieldError as exc:
+        raise SchemaError(path if exc.field is None else f"{path}.{exc.field}", str(exc)) from exc
 
 
 def _parse_profile(obj, path: str, dimension: int) -> VelocityProfile:
@@ -123,33 +125,19 @@ def _parse_profile(obj, path: str, dimension: int) -> VelocityProfile:
         for k, entry in enumerate(obj["atoms"]):
             apath = f"{path}.atoms[{k}]"
             _require_keys(entry, apath, ("angles", "weight", "c", "c1"), ())
-            angles = _vector(entry, apath, "angles", length=dimension - 1)
-            weight = _number(entry, apath, "weight")
-            if weight <= 0.0:
-                raise SchemaError(f"{apath}.weight", "must be positive")
-            try:
-                atoms.append(
-                    Atom(angles, weight, _number(entry, apath, "c"), _number(entry, apath, "c1"))
-                )
-            except (ProfileError, ValueError) as exc:
-                raise SchemaError(apath, str(exc)) from exc
-        return VelocityProfile(dimension, atoms=tuple(atoms), name="custom_atoms")
+            angles = _vector(entry, apath, "angles")
+            weight, c, c1 = (_number(entry, apath, key) for key in ("weight", "c", "c1"))
+            with _fields_under(apath):
+                atoms.append(Atom(angles, weight, c, c1))
+        with _fields_under(path):
+            return VelocityProfile(dimension, atoms=tuple(atoms), name="custom_atoms")
     _require_keys(obj, path, ("name",), ("c", "c1"))
-    name = obj["name"]
-    if name not in BUILTIN_NAMES:
-        raise SchemaError(f"{path}.name", f"unknown profile; known: {list(BUILTIN_NAMES)}")
-    kwargs = {}
-    if "c" in obj:
-        kwargs["c"] = _number(obj, path, "c")
-    if "c1" in obj:
-        kwargs["c1"] = _number(obj, path, "c1")
-    try:
-        return builtin_profile(name, dimension, **kwargs)
-    except ProfileError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    kwargs = {key: _number(obj, path, key) for key in ("c", "c1") if key in obj}
+    with _fields_under(path):
+        return builtin_profile(obj["name"], dimension, **kwargs)
 
 
-def _parse_switching(obj, path: str, dimension: int):
+def _parse_switching(obj, path: str):
     if obj is None:
         return UniformSphere()
     _require_keys(obj, path, ("kind",), ("angles", "probabilities"))
@@ -165,15 +153,10 @@ def _parse_switching(obj, path: str, dimension: int):
     rows = obj["angles"]
     if not isinstance(rows, list) or not rows:
         raise SchemaError(f"{path}.angles", "expected a non-empty list of angle rows")
-    angles = []
-    for k, row in enumerate(rows):
-        angles.append(_vector({"row": row}, f"{path}.angles[{k}]", "row", length=dimension - 1))
-    probs = _vector(obj, path, "probabilities", length=len(rows))
-    if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
-        raise SchemaError(
-            f"{path}.probabilities", "must be nonnegative and sum to 1 within 1e-12"
-        )
-    return DiscreteSwitching(np.asarray(angles), probs)
+    angles = [_vector({"row": row}, f"{path}.angles[{k}]", "row") for k, row in enumerate(rows)]
+    probs = _vector(obj, path, "probabilities")
+    with _fields_under(path):
+        return DiscreteSwitching(angles, probs)
 
 
 def _parse_evolution(obj, path: str) -> EvolutionConfig:
@@ -184,40 +167,24 @@ def _parse_evolution(obj, path: str) -> EvolutionConfig:
         ("seed", "switching", "initial_direction"),
     )
     dimension = _integer(obj, path, "dimension")
-    if dimension < 2:
-        raise SchemaError(f"{path}.dimension", "must be >= 2")
-    epsilon = _number(obj, path, "epsilon")
-    if not (0.0 < epsilon <= 1.0):
-        raise SchemaError(f"{path}.epsilon", "must lie in (0, 1]")
-    horizon = _number(obj, path, "horizon")
-    if horizon <= 0.0:
-        raise SchemaError(f"{path}.horizon", "must be positive")
-    x0 = _vector(obj, path, "x0", length=dimension)
-    n_paths = _integer(obj, path, "n_paths")
-    if n_paths < 1:
-        raise SchemaError(f"{path}.n_paths", "must be >= 1")
-    seed = _integer(obj, path, "seed", default=0)
-    if not (0 <= seed < 2**64):
-        raise SchemaError(f"{path}.seed", "must be an unsigned 64-bit integer")
+    with _fields_under(path):
+        check_dimension(dimension)  # the profile parser needs a valid dimension
     profile = _parse_profile(obj["profile"], f"{path}.profile", dimension)
-    switching = _parse_switching(obj.get("switching"), f"{path}.switching", dimension)
     initial = None
     if obj.get("initial_direction") is not None:
-        initial = _vector(obj, path, "initial_direction", length=dimension - 1)
-    try:
+        initial = _vector(obj, path, "initial_direction")
+    with _fields_under(path):
         return EvolutionConfig(
             dimension=dimension,
-            epsilon=epsilon,
+            epsilon=_number(obj, path, "epsilon"),
             profile=profile,
-            horizon=horizon,
-            x0=x0,
-            n_paths=n_paths,
-            seed=seed,
-            switching=switching,
+            horizon=_number(obj, path, "horizon"),
+            x0=_vector(obj, path, "x0"),
+            n_paths=_integer(obj, path, "n_paths"),
+            seed=_integer(obj, path, "seed", default=0),
+            switching=_parse_switching(obj.get("switching"), f"{path}.switching"),
             initial_direction=initial,
         )
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -228,7 +195,6 @@ class ExperimentConfig:
     evolution: EvolutionConfig
     grid_resolution: int = 32
     eps_sweep: tuple[float, ...] = DEFAULT_EPS_SWEEP
-    replicates: int = 20
     output_dir: str | None = None
 
     def describe(self) -> dict:
@@ -237,7 +203,6 @@ class ExperimentConfig:
             "evolution": self.evolution.describe(),
             "grid_resolution": self.grid_resolution,
             "eps_sweep": list(self.eps_sweep),
-            "replicates": self.replicates,
             "output_dir": self.output_dir,
         }
 
@@ -248,7 +213,7 @@ def load_config(document: dict, mode: str, seed_override: int | None = None) -> 
         document,
         "config",
         ("evolution",),
-        ("mode", "grid_resolution", "eps_sweep", "replicates", "output_dir"),
+        ("mode", "grid_resolution", "eps_sweep", "output_dir"),
     )
     if "mode" in document:
         if document["mode"] not in MODES:
@@ -259,28 +224,22 @@ def load_config(document: dict, mode: str, seed_override: int | None = None) -> 
             )
     evolution = _parse_evolution(document["evolution"], "config.evolution")
     if seed_override is not None:
-        if not (0 <= seed_override < 2**64):
-            raise SchemaError("config.evolution.seed", "seed override out of u64 range")
-        from dataclasses import replace
-
-        evolution = replace(evolution, seed=seed_override)
+        with _fields_under("config.evolution"):
+            evolution = replace(evolution, seed=seed_override)
     grid_resolution = _integer(document, "config", "grid_resolution", default=32)
     if grid_resolution < 2:
         raise SchemaError("config.grid_resolution", "must be >= 2")
+    eps_sweep = DEFAULT_EPS_SWEEP
     if "eps_sweep" in document:
-        sweep = _vector(document, "config", "eps_sweep")
-        if np.any(sweep <= 0.0):
-            raise SchemaError("config.eps_sweep", "entries must be positive")
-        eps_sweep = tuple(float(e) for e in sweep)
-    else:
-        eps_sweep = DEFAULT_EPS_SWEEP
-    replicates = _integer(document, "config", "replicates", default=20)
-    if replicates < 1:
-        raise SchemaError("config.replicates", "must be >= 1")
+        eps_sweep = tuple(float(e) for e in _vector(document, "config", "eps_sweep"))
+        try:
+            check_eps_sweep(eps_sweep, decades=1)  # the sweep `converge` runs
+        except ValueError as exc:
+            raise SchemaError("config.eps_sweep", str(exc)) from exc
     output_dir = document.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise SchemaError("config.output_dir", "expected a string path")
-    return ExperimentConfig(mode, evolution, grid_resolution, eps_sweep, replicates, output_dir)
+    return ExperimentConfig(mode, evolution, grid_resolution, eps_sweep, output_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +320,12 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
             )
         )
         phi = gaussian_bump(evo.x0, 1.0)
-        # residual scaling needs >= 4 epsilons over >= 2 decades; a sweep
-        # tuned for `converge` may be narrower, so fall back to the default
-        sweep = np.asarray(config.eps_sweep, dtype=float)
-        if sweep.size < 4 or sweep.max() / sweep.min() < 100.0:
-            sweep = np.asarray(DEFAULT_EPS_SWEEP)
+        # residual scaling needs a sweep over two decades; a sweep tuned for
+        # `converge` may span only one, so fall back to the default
+        try:
+            sweep = check_eps_sweep(config.eps_sweep, decades=2)
+        except ValueError:
+            sweep = DEFAULT_EPS_SWEEP
         fit = residual_scaling(evo.profile, phi, evo.x0 + 0.25, grid, sweep)
         report["residual_scaling"] = {
             "eps": fit.eps_values.tolist(),
@@ -567,7 +527,7 @@ def main(argv=None) -> int:
             )
         )
         return 3
-    except (ProfileError, ValueError) as exc:
+    except ValueError as exc:
         print(_error_json("invalid", str(exc)))
         return 1
 

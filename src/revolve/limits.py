@@ -26,13 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import BalanceReport, VelocityProfile, check_balance
-from .sphere import QuadratureGrid, directions_from_angles, normalization_constant
+from .profiles import (
+    BALANCE_TOLERANCE,
+    BalanceReport,
+    FieldError,
+    VelocityProfile,
+    atom_terms,
+    check_balance,
+    check_nonsymmetry,
+)
+from .sphere import QuadratureGrid, directions_from_angles
 
 __all__ = [
     "BalanceError",
     "DiffusionLimit",
     "GaussianSpec",
+    "check_probabilities",
     "limit_coefficients",
     "discrete_limit_coefficients",
     "gaussian_law_at",
@@ -97,32 +106,35 @@ class GaussianSpec:
             raise ValueError("covariance must be positive semidefinite within 1e-10")
 
 
-def limit_coefficients(
-    profile: VelocityProfile,
-    grid: QuadratureGrid,
-    balance_tolerance: float = 1e-8,
-) -> DiffusionLimit:
+def check_probabilities(probabilities: np.ndarray) -> None:
+    """Raise FieldError unless the values are a finite, nonnegative vector
+    that sums to 1 within 1e-12."""
+    p = np.asarray(probabilities, dtype=float)
+    # written so that NaN and infinite entries fail
+    if not (np.all(p >= 0.0) and abs(float(p.sum()) - 1.0) <= 1e-12):
+        raise FieldError(
+            "probabilities must be finite, nonnegative and sum to 1 within 1e-12",
+            "probabilities",
+        )
+
+
+def limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> DiffusionLimit:
     """Compute (d, A) by quadrature over the grid plus atomic terms.
 
     Raises BalanceError when the fast speed fails the balance condition (the
     1/eps term then survives and no diffusion limit exists).
     """
-    report = check_balance(profile, grid, tolerance=balance_tolerance)
+    report = check_balance(profile, grid)
     if not report.satisfied:
         raise BalanceError(report)
 
     s = grid.directions
     c = profile.c_values(grid.nodes)
-    c1 = profile.c1_values(grid.nodes)
     a = np.einsum("m,m,mi,mj->ij", grid.weights, c * c, s, s)
-    drift = np.einsum("m,m,mi->i", grid.weights, c1, s)
-    if profile.atoms:
-        inv_n = 1.0 / normalization_constant(profile.dimension)
-        for atom in profile.atoms:
-            s_atom = directions_from_angles(atom.angles)
-            a = a + atom.weight * atom.c_value**2 * inv_n * np.outer(s_atom, s_atom)
-            drift = drift + atom.weight * atom.c1_value * inv_n * s_atom
+    for factor, s_atom in atom_terms(profile, [atom.c_value**2 for atom in profile.atoms]):
+        a = a + factor * np.outer(s_atom, s_atom)
     a = 0.5 * (a + a.T)
+    drift = check_nonsymmetry(profile, grid).residual_vector
     return DiffusionLimit(profile.dimension, drift, a)
 
 
@@ -132,7 +144,6 @@ def discrete_limit_coefficients(
     probabilities: np.ndarray,
     c_values: np.ndarray,
     c1_values: np.ndarray,
-    balance_tolerance: float = 1e-8,
 ) -> DiffusionLimit:
     """Count-normalized analog of limit_coefficients for a finite switching law.
 
@@ -146,14 +157,13 @@ def discrete_limit_coefficients(
     c1 = np.asarray(c1_values, dtype=float)
     if not (angles.shape[0] == p.size == c.size == c1.size):
         raise ValueError("angles, probabilities, c_values, c1_values must align")
-    if abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0.0):
-        raise ValueError("probabilities must be nonnegative and sum to 1 within 1e-12")
+    check_probabilities(p)
     s = directions_from_angles(angles)
 
     residual = np.einsum("k,k,ki->i", p, c, s)
     norm = float(np.linalg.norm(residual))
-    if norm > balance_tolerance:
-        raise BalanceError(BalanceReport(residual, norm, False, balance_tolerance))
+    if norm > BALANCE_TOLERANCE:
+        raise BalanceError(BalanceReport(residual, norm, False, BALANCE_TOLERANCE))
 
     a = np.einsum("k,k,ki,kj->ij", p, c * c, s, s)
     drift = np.einsum("k,k,ki->i", p, c1, s)

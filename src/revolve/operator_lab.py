@@ -60,7 +60,7 @@ import numpy as np
 from .limits import BalanceError
 from .profiles import ProfileError, VelocityProfile, check_balance
 from .sphere import AngleVector, QuadratureGrid, directions_from_angles
-from .rates import RateFit, fit_loglog
+from .rates import RateFit, check_eps_sweep, fit_loglog
 
 __all__ = [
     "ThetaField",
@@ -287,31 +287,27 @@ class _Jet:
 
     coeffs[k] has shape (M, n, ..., n) with k trailing direction axes; the
     represented field at node m is sum_k coeffs[k][m] . (k-th derivative of
-    phi at x). A None entry is identically zero. Constant-in-theta jets are
-    stored with leading axis 1 and broadcast. Jets are stored up to second
-    order, at most (M, n, n); the transport of a second-order jet is only
-    needed at x and is contracted there by transported_values.
+    phi at x). A None entry is identically zero. pi returns a jet with leading
+    axis 1, which + and - broadcast against per-node jets. Jets are stored up
+    to second order, at most (M, n, n); the transport of a second-order jet
+    is only needed at x and is contracted there by transported_values.
     """
 
-    __slots__ = ("n_nodes", "dim", "coeffs")
+    __slots__ = ("n_nodes", "coeffs")
 
-    def __init__(self, n_nodes: int, dim: int, coeffs: dict[int, np.ndarray]):
+    def __init__(self, n_nodes: int, coeffs: dict[int, np.ndarray]):
         self.n_nodes = n_nodes
-        self.dim = dim
         self.coeffs = coeffs
 
     @classmethod
-    def identity(cls, n_nodes: int, dim: int) -> "_Jet":
-        return cls(n_nodes, dim, {0: np.ones((n_nodes,))})
+    def identity(cls, n_nodes: int) -> "_Jet":
+        return cls(n_nodes, {0: np.ones((n_nodes,))})
 
     def pi(self, weights: np.ndarray) -> "_Jet":
         out = {}
         for k, arr in self.coeffs.items():
-            if arr.shape[0] == 1:
-                out[k] = arr.copy()
-            else:
-                out[k] = np.einsum("m...,m->...", arr, weights)[None, ...]
-        return _Jet(self.n_nodes, self.dim, out)
+            out[k] = np.einsum("m...,m->...", arr, weights)[None, ...]
+        return _Jet(self.n_nodes, out)
 
     def transport(self, directions: np.ndarray) -> "_Jet":
         """(s, grad): raises each order k to k+1 with a leading s factor."""
@@ -322,19 +318,15 @@ class _Jet:
                     "jets are stored up to second order; evaluate the transport "
                     "of a second-order jet with transported_values"
                 )
-            if arr.shape[0] == 1:
-                arr = np.broadcast_to(arr, (directions.shape[0],) + arr.shape[1:])
             out[k + 1] = np.einsum("mi,m...->mi...", directions, arr)
-        return _Jet(self.n_nodes, self.dim, out)
+        return _Jet(self.n_nodes, out)
 
     def scaled(self, factor: np.ndarray) -> "_Jet":
         factor = np.asarray(factor, dtype=float)
         out = {}
         for k, arr in self.coeffs.items():
-            if arr.shape[0] == 1 and factor.ndim > 0:
-                arr = np.broadcast_to(arr, (factor.shape[0],) + arr.shape[1:])
             out[k] = arr * factor.reshape(factor.shape + (1,) * k)
-        return _Jet(self.n_nodes, self.dim, out)
+        return _Jet(self.n_nodes, out)
 
     def __add__(self, other: "_Jet") -> "_Jet":
         out = dict()
@@ -347,16 +339,10 @@ class _Jet:
                 out[k] = a.copy()
             else:
                 out[k] = a + b
-        return _Jet(self.n_nodes, self.dim, out)
+        return _Jet(self.n_nodes, out)
 
     def __sub__(self, other: "_Jet") -> "_Jet":
         return self + other.scaled(np.asarray(-1.0))
-
-    def coefficient(self, order: int) -> np.ndarray:
-        arr = self.coeffs.get(order)
-        if arr is None:
-            return np.zeros((1,) + (self.dim,) * order)
-        return arr
 
     def evaluate(self, phi: TestFunction, x: np.ndarray) -> np.ndarray:
         """Field values at every node for the spatial point x."""
@@ -369,8 +355,6 @@ class _Jet:
                 term = arr @ phi.gradient(x)
             else:
                 term = np.einsum("mij,ij->m", arr, phi.hessian(x))
-            if term.shape[0] == 1:
-                term = np.broadcast_to(term, (self.n_nodes,))
             total = total + term
         return total
 
@@ -398,7 +382,7 @@ class _Jet:
                         "analytic third-derivative tensor"
                     )
                 s_deriv = np.einsum("mi,ijk->mjk", directions, phi.third(x))
-            arr = np.broadcast_to(arr, s_deriv.shape).reshape(self.n_nodes, -1)
+            arr = arr.reshape(self.n_nodes, -1)
             s_deriv = s_deriv.reshape(self.n_nodes, -1)
             total = total + np.einsum("mi,mi->m", arr, s_deriv)
         return total
@@ -469,7 +453,6 @@ def solve_perturbation(
     phi: TestFunction,
     x: np.ndarray,
     grid: QuadratureGrid,
-    balance_tolerance: float = 1e-8,
 ) -> PerturbationSolution:
     """Solve the corrector hierarchy for the given profile and test function.
 
@@ -477,7 +460,7 @@ def solve_perturbation(
     the residual vector. The correctors are exact on the grid, so the
     assembled remainder is identically eps * r1 + eps^2 * r2.
     """
-    report = check_balance(profile, grid, tolerance=balance_tolerance)
+    report = check_balance(profile, grid)
     if not report.satisfied:
         raise SolvabilityError(report)
     if phi.dimension != grid.dimension:
@@ -490,7 +473,7 @@ def solve_perturbation(
     w = grid.weights
     m = grid.size
 
-    jet_phi = _Jet.identity(m, grid.dimension)
+    jet_phi = _Jet.identity(m)
     c_t_phi = jet_phi.transport(s).scaled(c)
     phi1 = c_t_phi - c_t_phi.pi(w)              # -R0 [c T phi]
     order_zero = phi1.transport(s).scaled(c) + jet_phi.transport(s).scaled(c1)
@@ -501,8 +484,8 @@ def solve_perturbation(
     t_phi1 = phi1.transported_values(s, phi, x)
     t_phi2 = phi2.transported_values(s, phi, x)
 
-    drift = l0.coefficient(1)[0]
-    diffusion = l0.coefficient(2)[0]
+    drift = l0.coeffs[1][0]
+    diffusion = l0.coeffs[2][0]
     diffusion = 0.5 * (diffusion + diffusion.T)
     limit_value = float(drift @ phi.gradient(x) + np.sum(diffusion * phi.hessian(x)))
 
@@ -554,17 +537,11 @@ def residual_scaling(
 ) -> RateFit:
     """Log-log slope of the perturbation remainder across epsilon values.
 
-    Requires at least 4 positive epsilons spanning two decades. When every
+    Requires a sweep that meets check_eps_sweep over two decades. When every
     residual is below 1e-14 the fit is reported as exact (this happens for
     test functions whose relevant derivatives vanish identically).
     """
-    eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    if eps.size < 4:
-        raise ValueError("need at least 4 epsilon values")
-    if np.any(eps <= 0.0):
-        raise ValueError("epsilon values must be positive")
-    if eps.max() / eps.min() < 100.0:
-        raise ValueError("epsilon values must span at least two decades")
+    eps = check_eps_sweep(eps_list, decades=2)
     solution = solve_perturbation(profile, phi, x, grid)
     residuals = np.array([solution.residual(float(e)) for e in eps])
     return fit_loglog(eps, residuals)

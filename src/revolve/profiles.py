@@ -29,6 +29,8 @@ import numpy as np
 from .sphere import QuadratureGrid, directions_from_angles, normalization_constant
 
 __all__ = [
+    "BALANCE_TOLERANCE",
+    "FieldError",
     "ProfileError",
     "Atom",
     "VelocityProfile",
@@ -36,15 +38,34 @@ __all__ = [
     "ConstantSpeed",
     "FirstAngleSine",
     "LowerHalfStep",
+    "atom_terms",
     "builtin_profile",
     "check_balance",
     "check_nonsymmetry",
 ]
 
-BUILTIN_NAMES = ("msre_const", "sin_theta1", "step_half_sphere", "example3_atoms")
+# The keyword parameters each built-in profile takes.
+BUILTIN_PARAMETERS = {
+    "msre_const": ("c",),
+    "sin_theta1": (),
+    "step_half_sphere": ("c", "c1"),
+    "example3_atoms": (),
+}
+BUILTIN_NAMES = tuple(BUILTIN_PARAMETERS)
+
+# Largest norm of the balance residual <c s> that counts as balanced.
+BALANCE_TOLERANCE = 1e-8
 
 
-class ProfileError(ValueError):
+class FieldError(ValueError):
+    """Invalid value; field, when known, names the offending field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
+
+
+class ProfileError(FieldError):
     """Invalid profile construction or use."""
 
 
@@ -119,8 +140,8 @@ class Atom:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "angles", np.atleast_1d(np.asarray(self.angles, dtype=float)))
-        if self.weight <= 0.0:
-            raise ProfileError(f"atom weight must be positive, got {self.weight}")
+        if not self.weight > 0.0:
+            raise ProfileError(f"atom weight must be positive, got {self.weight}", "weight")
 
 
 # Callables whose row-by-row fallback was reported, kept alive so that their
@@ -284,7 +305,7 @@ class VelocityProfile:
         }
 
 
-def builtin_profile(name: str, dimension: int, *, c: float = 1.0, c1: float = 1.0) -> VelocityProfile:
+def builtin_profile(name: str, dimension: int, **parameters: float) -> VelocityProfile:
     """Construct one of the built-in profiles.
 
     msre_const:       c = const, c1 = 0 (the symmetric model)
@@ -292,7 +313,16 @@ def builtin_profile(name: str, dimension: int, *, c: float = 1.0, c1: float = 1.
     step_half_sphere: c = const with c1 on the half-sphere theta_{n-1} >= pi
     example3_atoms:   n = 2 atomic profile with unit atoms at angles 0 and pi
                       carrying c = 1, and at pi/2 carrying c1 = 1
+
+    The keywords c and c1 default to 1. A keyword the profile does not take
+    (see BUILTIN_PARAMETERS) raises ProfileError naming it.
     """
+    if name not in BUILTIN_NAMES:
+        raise ProfileError(f"unknown builtin profile {name!r}; known: {BUILTIN_NAMES}", "name")
+    ignored = sorted(set(parameters) - set(BUILTIN_PARAMETERS[name]))
+    if ignored:
+        raise ProfileError(f"{name} takes only {list(BUILTIN_PARAMETERS[name])}", ignored[0])
+    c, c1 = parameters.get("c", 1.0), parameters.get("c1", 1.0)
     n = int(dimension)
     if name == "msre_const":
         return VelocityProfile(n, continuous_c=ConstantSpeed(c), name=name)
@@ -310,16 +340,14 @@ def builtin_profile(name: str, dimension: int, *, c: float = 1.0, c1: float = 1.
             continuous_c1=LowerHalfStep(c1),
             name=name,
         )
-    if name == "example3_atoms":
-        if n != 2:
-            raise ProfileError(f"example3_atoms is a planar profile (n=2), got n={n}")
-        atoms = (
-            Atom(np.array([0.0]), 1.0, 1.0, 0.0),
-            Atom(np.array([math.pi]), 1.0, 1.0, 0.0),
-            Atom(np.array([math.pi / 2.0]), 1.0, 0.0, 1.0),
-        )
-        return VelocityProfile(n, atoms=atoms, name=name)
-    raise ProfileError(f"unknown builtin profile {name!r}; known: {BUILTIN_NAMES}")
+    if n != 2:
+        raise ProfileError(f"example3_atoms is a planar profile (n=2), got n={n}")
+    atoms = (
+        Atom(np.array([0.0]), 1.0, 1.0, 0.0),
+        Atom(np.array([math.pi]), 1.0, 1.0, 0.0),
+        Atom(np.array([math.pi / 2.0]), 1.0, 0.0, 1.0),
+    )
+    return VelocityProfile(n, atoms=atoms, name=name)
 
 
 @dataclass(frozen=True)
@@ -332,6 +360,19 @@ class BalanceReport:
     tolerance: float
 
 
+def atom_terms(
+    profile: VelocityProfile, atom_values: Sequence[float]
+) -> list[tuple[float, np.ndarray]]:
+    """(weight * f(theta_atom) / N, s(theta_atom)) for each atom: its term in a
+    normalized sphere average. The factor is always weight * f * (1/N), so
+    sums of these terms agree bit for bit."""
+    inv_n = 1.0 / normalization_constant(profile.dimension)
+    return [
+        (atom.weight * fval * inv_n, directions_from_angles(atom.angles))
+        for atom, fval in zip(profile.atoms, atom_values)
+    ]
+
+
 def _first_moment(
     values: np.ndarray,
     atom_values: Sequence[float],
@@ -340,16 +381,13 @@ def _first_moment(
 ) -> np.ndarray:
     """<f * s> over the grid plus atomic contributions weight*f*s(theta)/N."""
     residual = np.einsum("m,m,mi->i", grid.weights, values, grid.directions)
-    if profile.atoms:
-        inv_n = 1.0 / normalization_constant(profile.dimension)
-        for atom, fval in zip(profile.atoms, atom_values):
-            s_atom = directions_from_angles(atom.angles)
-            residual = residual + atom.weight * fval * inv_n * s_atom
+    for factor, s_atom in atom_terms(profile, atom_values):
+        residual = residual + factor * s_atom
     return residual
 
 
 def check_balance(
-    profile: VelocityProfile, grid: QuadratureGrid, tolerance: float = 1e-10
+    profile: VelocityProfile, grid: QuadratureGrid, tolerance: float = BALANCE_TOLERANCE
 ) -> BalanceReport:
     """First moment of the fast speed; satisfied iff its norm is <= tolerance."""
     if grid.dimension != profile.dimension:
@@ -369,7 +407,7 @@ def check_balance(
 
 
 def check_nonsymmetry(
-    profile: VelocityProfile, grid: QuadratureGrid, tolerance: float = 1e-10
+    profile: VelocityProfile, grid: QuadratureGrid, tolerance: float = BALANCE_TOLERANCE
 ) -> BalanceReport:
     """First moment of the slow speed (the drift vector E[c1*s]).
 

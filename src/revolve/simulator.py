@@ -40,13 +40,15 @@ from typing import Iterator, Union
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .profiles import VelocityProfile
+from .limits import check_probabilities
+from .profiles import FieldError, VelocityProfile
 from .sphere import angles_from_directions, directions_from_angles
 
 __all__ = [
     "UniformSphere",
     "DiscreteSwitching",
     "EvolutionConfig",
+    "check_dimension",
     "Trajectory",
     "EndpointEnsemble",
     "simulate_path",
@@ -71,22 +73,31 @@ class DiscreteSwitching:
     probabilities: np.ndarray  # (K,), sums to 1
 
     def __post_init__(self) -> None:
-        angles = np.atleast_2d(np.asarray(self.angles, dtype=float))
+        try:
+            angles = np.atleast_2d(np.asarray(self.angles, dtype=float))
+        except ValueError as exc:
+            raise FieldError("angle rows must all have the same length", "angles") from exc
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "probabilities", p)
         if p.ndim != 1 or p.size != angles.shape[0]:
-            raise ValueError("need one probability per direction")
-        if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1 within 1e-12")
+            raise FieldError("need one probability per direction", "probabilities")
+        check_probabilities(p)
 
 
 SwitchingLaw = Union[UniformSphere, DiscreteSwitching]
 
 
+def check_dimension(dimension: int) -> None:
+    """The dimension rule of EvolutionConfig, for parsers that need the
+    dimension before they can build the rest of a config."""
+    if not dimension >= 2:
+        raise FieldError(f"dimension must be >= 2, got {dimension}", "dimension")
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Full description of one simulation experiment."""
+    """Full description of one simulation experiment; its range checks raise FieldError."""
 
     dimension: int
     epsilon: float
@@ -100,29 +111,26 @@ class EvolutionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        if self.dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
+        check_dimension(self.dimension)
         if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+            raise FieldError(f"epsilon must lie in (0, 1], got {self.epsilon}", "epsilon")
+        if not (0.0 < self.horizon < math.inf):
+            raise FieldError(f"horizon must be positive and finite, got {self.horizon}", "horizon")
+        if not self.n_paths >= 1:
+            raise FieldError(f"n_paths must be >= 1, got {self.n_paths}", "n_paths")
         if not (0 <= int(self.seed) < _MAX_SEED):
-            raise ValueError("seed must be an unsigned 64-bit integer")
+            raise FieldError(f"seed must be an unsigned 64-bit integer, got {self.seed}", "seed")
         if self.x0.shape != (self.dimension,):
-            raise ValueError(f"x0 must have shape ({self.dimension},), got {self.x0.shape}")
+            raise FieldError(f"x0 must have shape ({self.dimension},), got {self.x0.shape}", "x0")
         if self.profile.dimension != self.dimension:
-            raise ValueError(
-                f"profile dimension {self.profile.dimension} != config dimension {self.dimension}"
-            )
+            raise FieldError(f"dimension {self.profile.dimension} != {self.dimension}", "profile")
         if isinstance(self.switching, DiscreteSwitching):
             if self.switching.angles.shape[1] != self.dimension - 1:
-                raise ValueError("discrete switching angles do not match the dimension")
+                raise FieldError("switching angles do not match the dimension", "switching.angles")
         if self.initial_direction is not None:
             init = np.atleast_1d(np.asarray(self.initial_direction, dtype=float))
             if init.shape != (self.dimension - 1,):
-                raise ValueError("initial_direction must be an angle vector of length n-1")
+                raise FieldError("initial_direction must have n-1 angles", "initial_direction")
             object.__setattr__(self, "initial_direction", init)
 
     def describe(self) -> dict:

@@ -29,7 +29,7 @@ from .limits import (
     gaussian_law_at,
     limit_coefficients,
 )
-from .rates import RateFit, fit_loglog
+from .rates import RateFit, check_eps_sweep, fit_loglog
 from .simulator import (
     DiscreteSwitching,
     EndpointEnsemble,
@@ -51,7 +51,6 @@ __all__ = [
     "fit_loglog",
     "limit_for_config",
     "run_sweep",
-    "convergence_sweep",
 ]
 
 
@@ -203,18 +202,13 @@ def run_sweep(
 ) -> SweepResult:
     """Simulate the config across epsilon values and fit the deviation rate.
 
-    Uses a fixed seed schedule (base seed + sweep position, modulo 2**64,
+    The epsilon values must meet check_eps_sweep over one decade. Uses a
+    fixed seed schedule (base seed + sweep position, modulo 2**64,
     so every u64 base seed is accepted) so reruns are bit-identical; points
     whose metric falls below floor_factor times the estimated Monte-Carlo
     noise floor are flagged as plateau and excluded from the fit.
     """
-    eps = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    if eps.size < 4:
-        raise ValueError("need at least 4 epsilon values")
-    if np.any(eps <= 0.0):
-        raise ValueError("epsilon values must be positive")
-    if eps.max() / eps.min() < 10.0:
-        raise ValueError("epsilon values must span at least one decade")
+    eps = check_eps_sweep(eps_list, decades=1)
     limit = limit_for_config(base_config, grid_resolution)
     target = gaussian_law_at(limit, base_config.horizon, base_config.x0)
     metrics = np.zeros(eps.size)
@@ -231,14 +225,3 @@ def run_sweep(
     fit = fit_loglog(eps, metrics, used)
     return SweepResult(eps, metrics, floors, pvals, fit, target)
 
-
-def convergence_sweep(
-    base_config: EvolutionConfig,
-    eps_list,
-    grid_resolution: int = 32,
-    workers: int | None = None,
-) -> RateFit:
-    """Log-log rate fit of the moment deviation across an epsilon sweep."""
-    return run_sweep(
-        base_config, eps_list, grid_resolution=grid_resolution, workers=workers
-    ).fit

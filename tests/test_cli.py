@@ -226,6 +226,114 @@ class TestInvalidConfigPaths:
         assert payload["error"]["kind"] == "schema"
 
 
+# Configs that ran (exit 0) or exited 1 when each rule had several copies
+# (id, subcommand, config document, error.path); each now exits 2.
+NEW_REJECTIONS = [
+    ("x0_nan", "simulate", {"evolution": dict(BASE_EVOLUTION, x0=[math.nan, 0.0])},
+     "config.evolution.x0"),
+    (
+        "initial_direction_infinity",
+        "simulate",
+        {"evolution": dict(BASE_EVOLUTION, initial_direction=[math.inf])},
+        "config.evolution.initial_direction",
+    ),
+    (
+        "probabilities_nan",
+        "simulate",
+        {"evolution": dict(BASE_EVOLUTION, switching=two_point_law([math.nan, 1.0]))},
+        "config.evolution.switching.probabilities",
+    ),
+    (
+        "msre_const_c1",
+        "limit-coeffs",
+        {"evolution": dict(BASE_EVOLUTION, profile={"name": "msre_const", "c1": 2.0})},
+        "config.evolution.profile.c1",
+    ),
+    (
+        "sin_theta1_c",
+        "limit-coeffs",
+        {"evolution": dict(BASE_EVOLUTION, dimension=3, x0=[0.0] * 3,
+                           profile={"name": "sin_theta1", "c": 7.0})},
+        "config.evolution.profile.c",
+    ),
+    (
+        "sin_theta1_c1",
+        "limit-coeffs",
+        {"evolution": dict(BASE_EVOLUTION, dimension=3, x0=[0.0] * 3,
+                           profile={"name": "sin_theta1", "c1": 7.0})},
+        "config.evolution.profile.c1",
+    ),
+    (
+        "example3_atoms_c",
+        "limit-coeffs",
+        {"evolution": dict(BASE_EVOLUTION, profile={"name": "example3_atoms", "c": 2.0})},
+        "config.evolution.profile.c",
+    ),
+    (
+        "example3_atoms_c1",
+        "limit-coeffs",
+        {"evolution": dict(BASE_EVOLUTION, profile={"name": "example3_atoms", "c1": 2.0})},
+        "config.evolution.profile.c1",
+    ),
+    ("replicates", "simulate", {"evolution": dict(BASE_EVOLUTION), "replicates": 20},
+     "config.replicates"),
+    (
+        "converge_three_eps",
+        "converge",
+        {"evolution": dict(BASE_EVOLUTION), "eps_sweep": [0.5, 0.1, 0.05]},
+        "config.eps_sweep",
+    ),
+    (
+        "converge_under_a_decade",
+        "converge",
+        {"evolution": dict(BASE_EVOLUTION), "eps_sweep": [0.5, 0.4, 0.3, 0.2]},
+        "config.eps_sweep",
+    ),
+    (
+        "converge_eps_above_1",
+        "converge",
+        {"evolution": dict(BASE_EVOLUTION), "eps_sweep": [1.5, 0.5, 0.1, 0.05]},
+        "config.eps_sweep",
+    ),
+    (
+        "switching_ragged_rows",
+        "simulate",
+        {
+            "evolution": dict(
+                BASE_EVOLUTION,
+                dimension=3,
+                x0=[0.0] * 3,
+                switching={"kind": "discrete", "angles": [[0.0, 1.0], [1.0]],
+                           "probabilities": [0.5, 0.5]},
+            )
+        },
+        "config.evolution.switching.angles",
+    ),
+]
+
+
+class TestNewRejections:
+    @pytest.mark.parametrize(
+        "mode, document, path",
+        [case[1:] for case in NEW_REJECTIONS],
+        ids=[case[0] for case in NEW_REJECTIONS],
+    )
+    def test_exit_2_at_path(self, tmp_path, capsys, mode, document, path):
+        exit_code, payload = run_cli(tmp_path, capsys, mode, document)
+        assert (exit_code, payload["error"]["path"]) == (2, path)
+
+    def test_atom_speed_type_error_names_the_key(self):
+        atom = {"angles": [0.0], "weight": 1.0, "c": "fast", "c1": 0.0}
+        with pytest.raises(SchemaError) as err:
+            load_config({"evolution": dict(BASE_EVOLUTION, profile={"atoms": [atom]})}, "simulate")
+        assert err.value.path == "config.evolution.profile.atoms[0].c"
+
+    def test_builtin_keys_that_are_used_still_parse(self):
+        evo = dict(BASE_EVOLUTION, profile={"name": "step_half_sphere", "c": 2.0, "c1": 3.0})
+        profile = load_config({"evolution": evo}, "simulate").evolution.profile
+        assert (profile.continuous_c.value, profile.continuous_c1.height) == (2.0, 3.0)
+
+
 class TestLimitCoeffs:
     def test_example3_values(self, tmp_path, capsys):
         evo = dict(BASE_EVOLUTION, profile={"name": "example3_atoms"})
@@ -289,6 +397,15 @@ class TestVerifyOperators:
             "q_pi": 2.7755575615628914e-17,
             "r0_q_identity": 1.1102230246251565e-16,
         }
+
+
+    def test_sweep_under_two_decades_falls_back_to_default(self, tmp_path):
+        evo = dict(BASE_EVOLUTION, dimension=3, x0=[0.0] * 3)
+        doc = {"evolution": evo, "grid_resolution": 8, "eps_sweep": [0.5, 0.2, 0.1, 0.05]}
+        path, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["verify-operators", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "operator_report.json").read_text())
+        assert report["residual_scaling"]["eps"] == [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
 
 
 class TestSimulate:

@@ -9,13 +9,20 @@ from revolve.limits import (
     BalanceError,
     DiffusionLimit,
     GaussianSpec,
+    check_probabilities,
     discrete_limit_coefficients,
     gaussian_law_at,
     limit_coefficients,
 )
 from revolve.operator_lab import lab_limit_coefficients, solve_perturbation, gaussian_bump
-from revolve.profiles import Atom, FirstAngleSine, VelocityProfile, builtin_profile
-from revolve.sphere import build_grid
+from revolve.profiles import (
+    Atom,
+    FirstAngleSine,
+    VelocityProfile,
+    builtin_profile,
+    check_nonsymmetry,
+)
+from revolve.sphere import build_grid, directions_from_angles, normalization_constant
 
 RES = {2: 32, 3: 24, 4: 16, 5: 12, 6: 14}
 
@@ -64,6 +71,27 @@ class TestExampleProfiles:
         assert abs(abs(limit.drift[2]) - 0.25) <= 1e-8
         assert limit.drift[2] < 0.0
         np.testing.assert_allclose(limit.diffusion, np.eye(3) / 3.0, atol=1e-8)
+
+    def test_atom_terms_keep_the_bits_of_the_per_atom_loop(self):
+        # antipodal pairs with equal weight and c keep the balance; weights
+        # and speeds that are not powers of two expose the product order
+        pairs = [(0.3, 0.7, 1.3, -0.4), (1.1, 0.9, 0.6, 2.3), (2.0, 1.7, 0.45, 0.15)]
+        atoms = []
+        for theta, weight, c, c1 in pairs:
+            atoms.append(Atom(np.array([theta]), weight, c, c1))
+            atoms.append(Atom(np.array([theta + math.pi]), weight, c, 0.37 * c1))
+        profile = VelocityProfile(2, atoms=tuple(atoms))
+        grid = grid_for(2)
+        inv_n = 1.0 / normalization_constant(2)
+        a, drift = np.zeros((2, 2)), np.zeros(2)
+        for atom in atoms:
+            s_atom = directions_from_angles(atom.angles)
+            a = a + atom.weight * atom.c_value**2 * inv_n * np.outer(s_atom, s_atom)
+            drift = drift + atom.weight * atom.c1_value * inv_n * s_atom
+        limit = limit_coefficients(profile, grid)
+        np.testing.assert_array_equal(limit.drift, drift)
+        np.testing.assert_array_equal(limit.diffusion, 0.5 * (a + a.T))
+        np.testing.assert_array_equal(check_nonsymmetry(profile, grid).residual_vector, drift)
 
     def test_paper_sign_recorded(self):
         limit = limit_coefficients(builtin_profile("example3_atoms", 2), grid_for(2))
@@ -171,6 +199,24 @@ class TestDiscreteLaw:
                 2, np.array([[0.0], [1.0]]), np.array([0.7, 0.7]),
                 np.zeros(2), np.zeros(2),
             )
+        with pytest.raises(ValueError):
+            discrete_limit_coefficients(
+                2, np.array([[0.0], [1.0]]), np.array([math.nan, 1.0]),
+                np.zeros(2), np.zeros(2),
+            )
+
+    @pytest.mark.parametrize(
+        "p",
+        [[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0], [-0.5, 1.5], [0.6, 0.5], [1, 1e-11]],
+    )
+    def test_probability_law_rejects(self, p):
+        with pytest.raises(ValueError) as err:
+            check_probabilities(np.array(p))
+        assert err.value.field == "probabilities"
+
+    def test_probability_law_accepts_roundoff(self):
+        check_probabilities(np.full(3, 1.0 / 3.0))
+        check_probabilities(np.array([1.0, 0.0, 1e-13]))
 
 
 class TestGaussianLaw:

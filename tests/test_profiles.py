@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from revolve.profiles import (
+    BALANCE_TOLERANCE,
     Atom,
     ConstantSpeed,
     FirstAngleSine,
@@ -52,6 +53,22 @@ class TestBuiltins:
         with pytest.raises(ProfileError):
             builtin_profile("whirl", 2)
 
+    @pytest.mark.parametrize(
+        "name, n, keyword",
+        [
+            ("msre_const", 2, "c1"),
+            ("sin_theta1", 3, "c"),
+            ("sin_theta1", 3, "c1"),
+            ("example3_atoms", 2, "c"),
+            ("example3_atoms", 2, "c1"),
+            ("step_half_sphere", 2, "height"),
+        ],
+    )
+    def test_keyword_the_profile_does_not_take_is_named(self, name, n, keyword):
+        with pytest.raises(ProfileError) as err:
+            builtin_profile(name, n, **{keyword: 7.0})
+        assert err.value.field == keyword
+
 
 class TestProfileType:
     def test_mixed_requires_flag(self):
@@ -64,6 +81,9 @@ class TestProfileType:
     def test_atom_validation(self):
         with pytest.raises(ProfileError):
             Atom(np.array([0.0]), -1.0, 1.0, 0.0)
+        with pytest.raises(ProfileError) as err:
+            Atom(np.array([0.0]), math.nan, 1.0, 0.0)
+        assert err.value.field == "weight"
         with pytest.raises(ProfileError):
             VelocityProfile(3, atoms=(Atom(np.array([0.0]), 1.0, 1.0, 0.0),))
 
@@ -204,6 +224,11 @@ class TestBalance:
     def test_dimension_mismatch(self):
         with pytest.raises(ProfileError):
             check_balance(builtin_profile("msre_const", 3), grid_for(2))
+
+    def test_default_tolerance_is_the_shared_constant(self):
+        p = builtin_profile("msre_const", 2)
+        assert check_balance(p, grid_for(2)).tolerance == BALANCE_TOLERANCE == 1e-8
+        assert check_nonsymmetry(p, grid_for(2)).tolerance == BALANCE_TOLERANCE
 
 
 class TestNonsymmetry:

@@ -52,9 +52,29 @@ class TestConfig:
         with pytest.raises(ValueError):
             msre_config(seed=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dimension", 1),
+            ("epsilon", math.nan),
+            ("horizon", math.nan),
+            ("horizon", math.inf),
+            ("n_paths", 0),
+            ("seed", 2**64),
+            ("x0", np.zeros(3)),
+            ("initial_direction", np.zeros(2)),
+        ],
+    )
+    def test_range_error_names_the_field(self, field, value):
+        with pytest.raises(ValueError) as err:
+            msre_config(**{field: value})
+        assert err.value.field == field
+
     def test_discrete_probabilities_validated(self):
         with pytest.raises(ValueError):
             DiscreteSwitching(np.array([[0.0], [1.0]]), np.array([0.6, 0.5]))
+        with pytest.raises(ValueError):
+            DiscreteSwitching(np.array([[0.0], [1.0]]), np.array([math.nan, 1.0]))
 
     def test_fingerprint_distinguishes_configs(self):
         a = config_fingerprint(msre_config())

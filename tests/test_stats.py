@@ -5,6 +5,7 @@ import pytest
 
 from revolve.limits import gaussian_law_at, limit_coefficients
 from revolve.profiles import VelocityProfile, builtin_profile
+from revolve.rates import check_eps_sweep
 from revolve.simulator import EndpointEnsemble, EvolutionConfig, simulate_ensemble
 from revolve.sphere import build_grid
 from revolve.stats import (
@@ -15,7 +16,6 @@ from revolve.stats import (
     limit_for_config,
     noise_floor,
     run_sweep,
-    convergence_sweep,
     summarize,
 )
 
@@ -191,12 +191,23 @@ class TestSweep:
         limit = limit_for_config(cfg)
         np.testing.assert_allclose(limit.diffusion, 0.5 * np.eye(2), atol=1e-14)
 
+    def test_eps_sweep_rule(self):
+        np.testing.assert_array_equal(
+            check_eps_sweep([0.01, 1.0, 0.1, 0.001], decades=3), [1.0, 0.1, 0.01, 0.001]
+        )
+        for bad in ([0.1, 0.01, 0.001], [0.1, 0.01, 0.001, 0.0], [1.5, 0.1, 0.01, 0.001],
+                    [0.1, 0.01, 0.001, np.nan]):
+            with pytest.raises(ValueError):
+                check_eps_sweep(bad, decades=1)
+        with pytest.raises(ValueError):
+            check_eps_sweep([0.1, 0.05, 0.02, 0.01], decades=2)  # one decade only
+
     def test_sweep_validation(self):
         cfg = msre_config(n_paths=50)
         with pytest.raises(ValueError):
-            convergence_sweep(cfg, [0.1, 0.05, 0.02])  # too few
+            run_sweep(cfg, [0.1, 0.05, 0.02])  # too few
         with pytest.raises(ValueError):
-            convergence_sweep(cfg, [0.1, 0.09, 0.08, 0.07])  # < 1 decade
+            run_sweep(cfg, [0.1, 0.09, 0.08, 0.07])  # < 1 decade
 
     def test_msre_sweep_decreases_then_fits(self):
         cfg = msre_config(n_paths=3000, seed=2025)
