@@ -292,8 +292,9 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
     grid = build_grid(evo.dimension, config.grid_resolution)
     rng = np.random.default_rng(evo.seed)
     worst = {"pi_idempotent": 0.0, "q_pi": 0.0, "pi_q": 0.0, "r0_q_identity": 0.0}
+    values = np.empty(grid.size)  # one buffer for all fields: the same draws
     for _ in range(100):
-        f = ThetaField(grid, rng.standard_normal(grid.size))
+        f = ThetaField(grid, rng.standard_normal(out=values))
         pi_f = project_pi(f)
         pi_pi_f = project_pi(ThetaField(grid, np.full(grid.size, pi_f)))
         idempotence = abs(pi_pi_f - pi_f)
@@ -324,8 +325,13 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
         # `converge` may span only one, so fall back to the default
         try:
             sweep = check_eps_sweep(config.eps_sweep, decades=2)
-        except ValueError:
+        except ValueError as exc:
             sweep = DEFAULT_EPS_SWEEP
+            print(
+                f"warning: eps_sweep {list(config.eps_sweep)} is not a residual-scaling "
+                f"sweep ({exc}); residual_scaling uses the default sweep {list(sweep)}",
+                file=sys.stderr,
+            )
         fit = residual_scaling(evo.profile, phi, evo.x0 + 0.25, grid, sweep)
         report["residual_scaling"] = {
             "eps": fit.eps_values.tolist(),

@@ -17,7 +17,7 @@ can exclude the plateau where sampling error dominates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -35,7 +35,6 @@ from .simulator import (
     EndpointEnsemble,
     EvolutionConfig,
     simulate_ensemble,
-    with_epsilon,
 )
 from .sphere import build_grid
 
@@ -215,7 +214,7 @@ def run_sweep(
     floors = np.zeros(eps.size)
     pvals = np.zeros((eps.size, base_config.dimension))
     for k, e in enumerate(eps):
-        cfg = with_epsilon(base_config, float(e), seed=(base_config.seed + k) % 2**64)
+        cfg = replace(base_config, epsilon=float(e), seed=(base_config.seed + k) % 2**64)
         ensemble = simulate_ensemble(cfg, workers=workers)
         summary = summarize(ensemble)
         metrics[k] = deviation_metric(summary, target)

@@ -399,13 +399,25 @@ class TestVerifyOperators:
         }
 
 
-    def test_sweep_under_two_decades_falls_back_to_default(self, tmp_path):
+    def test_sweep_under_two_decades_falls_back_to_default(self, tmp_path, capsys):
         evo = dict(BASE_EVOLUTION, dimension=3, x0=[0.0] * 3)
         doc = {"evolution": evo, "grid_resolution": 8, "eps_sweep": [0.5, 0.2, 0.1, 0.05]}
         path, out = write_config(tmp_path, doc), tmp_path / "out"
         assert main(["verify-operators", "--config", path, "--out", str(out)]) == 0
         report = json.loads((out / "operator_report.json").read_text())
-        assert report["residual_scaling"]["eps"] == [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
+        default = [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
+        assert report["residual_scaling"]["eps"] == default
+        warning = capsys.readouterr().err
+        assert "[0.5, 0.2, 0.1, 0.05]" in warning and str(default) in warning
+
+    def test_two_decade_sweep_runs_without_warning(self, tmp_path, capsys):
+        evo = dict(BASE_EVOLUTION, dimension=3, x0=[0.0] * 3)
+        doc = {"evolution": evo, "grid_resolution": 8, "eps_sweep": [0.5, 0.1, 0.02, 0.005]}
+        path, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["verify-operators", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "operator_report.json").read_text())
+        assert report["residual_scaling"]["eps"] == [0.5, 0.1, 0.02, 0.005]
+        assert capsys.readouterr().err == ""
 
 
 class TestSimulate:

@@ -15,12 +15,14 @@ from revolve.simulator import (
     DiscreteSwitching,
     EvolutionConfig,
     UniformSphere,
+    _PathKernel,
     _PathStreams,
+    _unit_columns,
     config_fingerprint,
     simulate_ensemble,
     simulate_path,
 )
-from revolve.sphere import directions_from_angles
+from revolve.sphere import angles_from_directions, directions_from_angles
 
 
 def msre_config(**overrides):
@@ -264,6 +266,11 @@ class TestPathStreams:
             assert a.tobytes() == b.tobytes()
 
 
+def tilted_speed(angles):
+    """A user speed function of the angles, with no direction form."""
+    return 1.0 + 0.5 * np.cos(angles[..., 0]) * np.sin(angles[..., -1])
+
+
 def _pinned_configs():
     step = builtin_profile("step_half_sphere", 3)
     atoms = builtin_profile("example3_atoms", 2)
@@ -275,6 +282,10 @@ def _pinned_configs():
     base = dict(dimension=3, epsilon=0.3, profile=step, horizon=1.0,
                 x0=np.array([0.1, -0.2, 0.3]), n_paths=64, seed=2024)
     planar = dict(base, dimension=2, x0=np.zeros(2))
+    long_n5 = dict(base, dimension=5, epsilon=0.05, profile=builtin_profile("sin_theta1", 5),
+                   x0=np.array([0.1, -0.2, 0.3, 0.0, 1.0]), n_paths=120, seed=5)
+    msre_n8 = dict(base, dimension=8, profile=builtin_profile("msre_const", 8, c=1.5),
+                   x0=np.linspace(-1.0, 1.0, 8), seed=8)
     return {
         "uniform_step_n3": EvolutionConfig(**base),
         "uniform_initial": EvolutionConfig(
@@ -286,19 +297,40 @@ def _pinned_configs():
             switching=compass,
             initial_direction=np.array([math.pi / 2]),
         ),
+        # ~400 rows per path: several row-budget batches, arccos direction form
+        "uniform_sine_n5_long": EvolutionConfig(**long_n5),
+        # the first dimension where numpy's row norm sums pairwise
+        "uniform_msre_n8": EvolutionConfig(**msre_n8),
+        # a user angle callable: the inverse-chart route
+        "uniform_user_callable": EvolutionConfig(
+            **dict(base, profile=VelocityProfile(3, continuous_c=tilted_speed), seed=9)
+        ),
+        # the last row-budget batch holds only the last path
+        "discrete_batch_edge": EvolutionConfig(
+            **dict(planar, epsilon=0.1, profile=builtin_profile("msre_const", 2, c=2.0),
+                   x0=np.array([0.5, -0.25]), n_paths=162, seed=77),
+            switching=compass,
+            initial_direction=np.array([math.pi]),
+        ),
     }
 
 
 class TestPinnedStreams:
-    """Endpoint bytes of four small configs, recorded before the per-block
-    kernel replaced the per-path set-up (x86-64, numpy 2.4). A change of the
-    stream layout or of the path arithmetic changes these digests."""
+    """Endpoint bytes of small configs (x86-64, numpy 2.4). The first four
+    were recorded before the per-block kernel replaced the per-path set-up,
+    the other four before the column-major batched kernel replaced the
+    per-path arithmetic. A change of the stream layout or of the path
+    arithmetic changes these digests."""
 
     DIGESTS = {
         "uniform_step_n3": "03b81ac96611c4861a57a145422f00fd9536021ea9bd62d45852d957041d363e",
         "uniform_initial": "f675ccceb073907838b10540080f85e047dc9abec3a3a5be4cf60ee5b8d59076",
         "discrete_atoms": "2629dd45923708de708fcc909c25e122d52a20b9ed207ff43047098b30452e61",
         "discrete_initial": "5048537a99a6460ddb514f0161c1045926d2db6f802d3b642a291145ed9e0555",
+        "uniform_sine_n5_long": "f61053fa2abe291db41d79dbba6e66b6524c063a3a86e9eb9faeb5cc32025479",
+        "uniform_msre_n8": "f27d35d925522013d6542a975abef44aacd5d407bdbc86d9946730e41d62c2b8",
+        "uniform_user_callable": "36730d70fea85251253e31572a40377db9ff0f7755db2172c15d0459e8e3e1a7",
+        "discrete_batch_edge": "c340548ead1d86b76d5f0c76568d9b58108711982551a34d3dabd9371c5b5409",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -308,6 +340,94 @@ class TestPinnedStreams:
         assert hashlib.sha256(points.tobytes()).hexdigest() == self.DIGESTS[name]
         for i in range(cfg.n_paths):
             assert simulate_path(cfg, i).endpoint.tobytes() == points[i].tobytes()
+
+
+    def test_pins_span_batches(self):
+        configs = _pinned_configs()
+        long_n5, edge = configs["uniform_sine_n5_long"], configs["discrete_batch_edge"]
+        assert len(list(_PathKernel(long_n5).batches(0, long_n5.n_paths))) >= 3
+        last = list(_PathKernel(edge).batches(0, edge.n_paths))[-1]
+        assert last[0] == edge.n_paths - 1 and last[1].size == 1
+
+
+def _per_path_reference(config, block, path_index):
+    """One path by the per-path formulas of the kernel before the batched
+    one: (switch_times, directions, displacements, endpoint)."""
+    eps, horizon, n = config.epsilon, config.horizon, config.dimension
+    init = config.initial_direction
+    rng = Generator(Philox(key=(int(config.seed) << 64) + path_index))
+    waits = rng.exponential(eps * eps, size=block)
+    total = float(waits.sum())
+    while total < horizon:
+        more = rng.exponential(eps * eps, size=block)
+        waits = np.concatenate([waits, more])
+        total += float(more.sum())
+    epochs = np.cumsum(waits)
+    switch_times = epochs[: int(np.searchsorted(epochs, horizon))]
+    n_draw = switch_times.size + (init is None)
+    law = config.switching
+    if isinstance(law, UniformSphere):
+        g = rng.standard_normal((n_draw, n))
+        dirs = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        if config.profile.direction_form:
+            c, c1 = config.profile.values_on_directions(dirs)
+        else:
+            c, c1 = config.profile.values_at(angles_from_directions(dirs))
+        speeds = c / eps + c1
+        if init is not None:
+            first = directions_from_angles(init)[None, :]
+            c, c1 = config.profile.values_at(angles_from_directions(first))
+            dirs = np.vstack([first, dirs])
+            speeds = np.concatenate([c / eps + c1, speeds])
+    else:
+        angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
+        cdf = law.probabilities.cumsum()
+        cdf /= cdf[-1]
+        idx = cdf.searchsorted(rng.random(n_draw), side="right")
+        if init is not None:
+            idx = np.concatenate([[law.angles.shape[0]], idx])
+        c, c1 = config.profile.values_at(angles)
+        dirs, speeds = directions_from_angles(angles)[idx], (c / eps + c1)[idx]
+    durations = np.diff(np.concatenate(([0.0], switch_times, [horizon])))
+    displacements = (speeds * durations)[:, None] * dirs
+    return switch_times, dirs, displacements, config.x0 + displacements.sum(axis=0)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("name", sorted(TestPinnedStreams.DIGESTS))
+    def test_small_block_matches_per_path_formulas(self, name):
+        # a block of 2 waits runs the extra-exponential branch of
+        # _draw_switch_times several times per path
+        cfg = _pinned_configs()[name]
+        kernel = _PathKernel(cfg)
+        kernel._block = 2
+        endpoints = np.concatenate(
+            [kernel.endpoints(counts, times, draws) for _, counts, times, draws in kernel.batches(0, 9)]
+        )
+        for i in range(9):
+            want = _per_path_reference(cfg, 2, i)
+            got = (*kernel.path(i), endpoints[i])
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_fixed_direction_on_the_step_boundary_keeps_its_chart_speed(self):
+        # theta_2 = pi: s_3 = sin(pi) > 0, but the chart maps it back to pi,
+        # so the step's direction form and its angle form disagree there
+        cfg = EvolutionConfig(
+            dimension=3, epsilon=0.3, profile=builtin_profile("step_half_sphere", 3),
+            horizon=1.0, x0=np.zeros(3), n_paths=5, seed=3,
+            initial_direction=np.array([1.0, math.pi]),
+        )
+        kernel = _PathKernel(cfg)
+        for i in range(cfg.n_paths):
+            for a, b in zip(kernel.path(i), _per_path_reference(cfg, kernel._block, i)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_unit_columns_match_row_norms(self, n):
+        g = Generator(Philox(key=n)).standard_normal((100_000, n))
+        want = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        assert _unit_columns(g).T.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class RaisingSpeed:
