@@ -10,6 +10,9 @@ with 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 success, 2 config/schema violation, 3 balance or solvability
 failure (the error JSON names the residual vector), 1 anything else.
+converge and report run KS tests and load scipy.stats before they read
+their config; without it they exit 1 before writing anything. The other
+subcommands never load scipy.
 """
 
 from __future__ import annotations
@@ -44,14 +47,15 @@ from .simulator import (
     UniformSphere,
     check_dimension,
     simulate_ensemble,
-    simulate_path,
+    simulate_paths,
 )
-from .sphere import build_grid
-from .stats import ks_marginals, limit_for_config, run_sweep, summarize
+from .sphere import build_grid, check_resolution
+from .stats import import_scipy_stats, ks_marginals, limit_for_config, run_sweep, summarize
 
 __all__ = ["SchemaError", "ExperimentConfig", "load_config", "run", "main"]
 
 MODES = ("verify-operators", "limit-coeffs", "simulate", "converge", "report")
+KS_MODES = frozenset({"converge", "report"})  # the subcommands that need scipy.stats
 DEFAULT_EPS_SWEEP = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 
 
@@ -227,8 +231,10 @@ def load_config(document: dict, mode: str, seed_override: int | None = None) -> 
         with _fields_under("config.evolution"):
             evolution = replace(evolution, seed=seed_override)
     grid_resolution = _integer(document, "config", "grid_resolution", default=32)
-    if grid_resolution < 2:
-        raise SchemaError("config.grid_resolution", "must be >= 2")
+    try:
+        check_resolution(grid_resolution)
+    except ValueError as exc:
+        raise SchemaError("config.grid_resolution", str(exc)) from exc
     eps_sweep = DEFAULT_EPS_SWEEP
     if "eps_sweep" in document:
         eps_sweep = tuple(float(e) for e in _vector(document, "config", "eps_sweep"))
@@ -276,8 +282,7 @@ def _write_trajectories_csv(path: Path, config: EvolutionConfig) -> None:
     n = config.dimension
     header = "path_index,t," + ",".join(f"x{i + 1}" for i in range(n))
     lines = [header]
-    for idx in range(config.n_paths):
-        trajectory = simulate_path(config, idx)
+    for idx, trajectory in enumerate(simulate_paths(config)):
         for t, pos in zip(trajectory.times, trajectory.positions):
             lines.append(f"{idx},{_fmt(t)}," + ",".join(_fmt(v) for v in pos))
     path.write_text("\n".join(lines) + "\n")
@@ -506,6 +511,14 @@ def _error_json(kind: str, message: str, **extra) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.mode in KS_MODES:
+        # load scipy before the config is read, so that a run without it
+        # fails before it writes anything
+        try:
+            import_scipy_stats()
+        except ImportError as exc:
+            print(_error_json("dependency", f"{args.mode} needs scipy.stats: {exc}"))
+            return 1
     try:
         try:
             document = json.loads(Path(args.config).read_text())

@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .limits import BalanceError
-from .profiles import ProfileError, VelocityProfile, check_balance
+from .profiles import ProfileError, VelocityProfile, check_balance, check_grid_dimension
 from .sphere import AngleVector, QuadratureGrid, directions_from_angles
 from .rates import RateFit, check_eps_sweep, fit_loglog
 
@@ -395,10 +395,7 @@ def _node_speeds(profile: VelocityProfile, grid: QuadratureGrid) -> tuple[np.nda
             "use limits.limit_coefficients / discrete_limit_coefficients for "
             "their closed-form coefficients"
         )
-    if profile.dimension != grid.dimension:
-        raise ProfileError(
-            f"profile dimension {profile.dimension} != grid dimension {grid.dimension}"
-        )
+    check_grid_dimension(profile, grid)
     return profile.c_values(grid.nodes), profile.c1_values(grid.nodes)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "atom_terms",
     "builtin_profile",
     "check_balance",
+    "check_grid_dimension",
     "check_nonsymmetry",
 ]
 
@@ -386,15 +387,20 @@ def _first_moment(
     return residual
 
 
-def check_balance(
-    profile: VelocityProfile, grid: QuadratureGrid, tolerance: float = BALANCE_TOLERANCE
-) -> BalanceReport:
-    """First moment of the fast speed; satisfied iff its norm is <= tolerance."""
+def check_grid_dimension(profile: VelocityProfile, grid: QuadratureGrid) -> None:
+    """ProfileError unless the profile and the grid live on the same sphere."""
     if grid.dimension != profile.dimension:
         raise ProfileError(
             f"grid dimension {grid.dimension} does not match profile dimension "
             f"{profile.dimension}"
         )
+
+
+def check_balance(
+    profile: VelocityProfile, grid: QuadratureGrid, tolerance: float = BALANCE_TOLERANCE
+) -> BalanceReport:
+    """First moment of the fast speed; satisfied iff its norm is <= tolerance."""
+    check_grid_dimension(profile, grid)
     profile.bounds(grid)
     residual = _first_moment(
         profile.c_values(grid.nodes),
@@ -413,11 +419,7 @@ def check_nonsymmetry(
 
     satisfied means a drift was detected, i.e. the norm EXCEEDS the tolerance.
     """
-    if grid.dimension != profile.dimension:
-        raise ProfileError(
-            f"grid dimension {grid.dimension} does not match profile dimension "
-            f"{profile.dimension}"
-        )
+    check_grid_dimension(profile, grid)
     residual = _first_moment(
         profile.c1_values(grid.nodes),
         [atom.c1_value for atom in profile.atoms],

@@ -67,6 +67,7 @@ __all__ = [
     "Trajectory",
     "EndpointEnsemble",
     "simulate_path",
+    "simulate_paths",
     "simulate_ensemble",
     "config_fingerprint",
     "resolve_workers",
@@ -396,18 +397,36 @@ class _PathKernel:
             sums[:, j] = np.bincount(path_of_row, weights=column, minlength=counts.size)
         return self.config.x0 + sums
 
-    def path(self, path_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(switch_times, directions (m+1, n), displacements (m+1, n)) of one path."""
-        ((_, counts, times, draws),) = self.batches(path_index, path_index + 1)
-        dirs, displacements = self.arrange(counts, times, draws)
-        return times[:-1].copy(), dirs.T.copy(), displacements.T.copy()
+    def paths(
+        self, start: int, stop: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(switch_times, directions (m+1, n), displacements (m+1, n)) of each
+        path in [start, stop), in order; the arrays are the caller's own."""
+        for _, counts, times, draws in self.batches(start, stop):
+            dirs, displacements = self.arrange(counts, times, draws)
+            ends = np.cumsum(counts)
+            for a, b in zip(ends - counts, ends):
+                yield (
+                    times[a : b - 1].copy(),
+                    dirs[:, a:b].T.copy(),
+                    displacements[:, a:b].T.copy(),
+                )
+
+
+def simulate_paths(
+    config: EvolutionConfig, start: int = 0, stop: int | None = None
+) -> Iterator[Trajectory]:
+    """Simulate paths [start, stop) exactly, in order, with one set-up for all
+    of them; path i is simulate_path(config, i). stop defaults to n_paths."""
+    stop = config.n_paths if stop is None else stop
+    for switch_times, dirs, displacements in _PathKernel(config).paths(start, stop):
+        positions = np.vstack([config.x0[None, :], config.x0 + np.cumsum(displacements, axis=0)])
+        yield Trajectory(config.horizon, switch_times, dirs, positions)
 
 
 def simulate_path(config: EvolutionConfig, path_index: int) -> Trajectory:
     """Simulate one path exactly; deterministic in (config.seed, path_index)."""
-    switch_times, dirs, displacements = _PathKernel(config).path(path_index)
-    positions = np.vstack([config.x0[None, :], config.x0 + np.cumsum(displacements, axis=0)])
-    return Trajectory(config.horizon, switch_times, dirs, positions)
+    return next(simulate_paths(config, path_index, path_index + 1))
 
 
 def _endpoint_block(config: EvolutionConfig, start: int, stop: int) -> np.ndarray:

@@ -44,6 +44,7 @@ __all__ = [
     "normalization_constant",
     "wallis_integral",
     "sin_power_integral",
+    "check_resolution",
     "build_grid",
     "sample_direction",
     "sample_directions",
@@ -236,6 +237,14 @@ class QuadratureGrid:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
+def check_resolution(resolution: int) -> int:
+    """A grid needs at least 2 nodes per axis; returns the resolution as int."""
+    resolution = int(resolution)
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    return resolution
+
+
 def build_grid(n: int, resolution: int) -> QuadratureGrid:
     """Build a Gauss-Legendre product grid on S_{n-1}.
 
@@ -248,9 +257,7 @@ def build_grid(n: int, resolution: int) -> QuadratureGrid:
     renormalized to sum to 1.
     """
     n = _check_dimension(n)
-    resolution = int(resolution)
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    resolution = check_resolution(resolution)
 
     axis_nodes: list[np.ndarray] = []
     axis_weights: list[np.ndarray] = []

@@ -12,6 +12,11 @@ values. The deviation metric per epsilon is
 
 compared against an estimated Monte-Carlo noise floor so that the rate fit
 can exclude the plateau where sampling error dominates.
+
+scipy is needed only by the two kstest calls of ks_marginals, which imports
+scipy.stats when it runs; importing this module loads no scipy module. The
+CLI subcommands that run KS tests (report and converge) call
+import_scipy_stats before they read their config; the others never load it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .limits import (
     DiffusionLimit,
@@ -46,6 +50,7 @@ __all__ = [
     "SweepResult",
     "summarize",
     "ks_marginals",
+    "import_scipy_stats",
     "deviation_metric",
     "fit_loglog",
     "limit_for_config",
@@ -99,6 +104,11 @@ class KsReport:
         return float(vals.min()) if vals.size else float("nan")
 
 
+def import_scipy_stats() -> None:
+    """Load scipy.stats, which ks_marginals uses; ImportError if it cannot."""
+    import scipy.stats  # noqa: F401
+
+
 def ks_marginals(
     ensemble: EndpointEnsemble,
     target: GaussianSpec,
@@ -112,6 +122,8 @@ def ks_marginals(
     failure (statistic 1, p-value 0). Additionally tests n_projections random
     unit-vector projections u against N(u.mean, u'Cu).
     """
+    from scipy import stats as scipy_stats
+
     x = ensemble.points
     n = ensemble.dimension
     stats_ = np.zeros(n)

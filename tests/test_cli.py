@@ -1,5 +1,6 @@
 """Tests of the CLI: schema validation, artifacts, exit codes, reproducibility."""
 
+import hashlib
 import json
 import math
 
@@ -224,6 +225,17 @@ class TestInvalidConfigPaths:
         exit_code, payload = run_cli(tmp_path, capsys, mode, document, extra)
         assert (exit_code, payload["error"]["path"]) == (code, path)
         assert payload["error"]["kind"] == "schema"
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -3])
+def test_grid_resolution_below_two_exit_2(tmp_path, capsys, resolution):
+    document = {"evolution": dict(BASE_EVOLUTION), "grid_resolution": resolution}
+    exit_code, payload = run_cli(tmp_path, capsys, "limit-coeffs", document)
+    assert (exit_code, payload["error"]["path"]) == (2, "config.grid_resolution")
+    assert payload["error"]["message"] == (
+        f"config.grid_resolution: resolution must be >= 2, got {resolution}"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 # Configs that ran (exit 0) or exited 1 when each rule had several copies
@@ -459,6 +471,41 @@ class TestSimulate:
         lines = (out / "trajectories.csv").read_text().strip().splitlines()
         assert lines[0] == "path_index,t,x1,x2"
         assert len(lines) > 3
+
+    # sha256 of trajectories.csv from one fresh simulate_path per path, the
+    # way the dump was written before it shared one kernel across paths;
+    # about 10300 segments each, so the paths span two batches
+    TRAJECTORY_DIGESTS = {
+        "uniform_initial_direction": (
+            dict(
+                BASE_EVOLUTION, dimension=3, epsilon=0.2, x0=[0.5, -0.25, 1.0], seed=11,
+                profile={"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
+                initial_direction=[1.0, math.pi],
+            ),
+            "358b1aca71d901bbb96b86bdcd4402f0e91fb76242deb6d2e2af3671964100ca",
+        ),
+        "discrete": (
+            dict(
+                BASE_EVOLUTION, epsilon=0.2, seed=12,
+                switching={
+                    "kind": "discrete",
+                    "angles": [[0.0], [0.5 * math.pi], [math.pi], [1.5 * math.pi]],
+                    "probabilities": [0.1, 0.2, 0.3, 0.4],
+                },
+            ),
+            "a4139fabef45680fe193d1a28a0435f46468dab8b544e78e0f7a6cdb20e52173",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRAJECTORY_DIGESTS))
+    def test_full_trajectories_keep_their_bytes(self, tmp_path, name):
+        evolution, digest = self.TRAJECTORY_DIGESTS[name]
+        path = write_config(tmp_path, {"evolution": evolution})
+        out = tmp_path / "t"
+        assert main(
+            ["simulate", "--config", path, "--out", str(out), "--full-trajectories"]
+        ) == 0
+        assert hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest() == digest
 
     def test_manifest_written(self, tmp_path):
         path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION)})

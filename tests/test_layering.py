@@ -1,6 +1,11 @@
-"""The deterministic layers do not depend on the simulator or scipy."""
+"""The deterministic layers do not depend on the simulator or scipy, and
+only the subcommands that run KS tests load scipy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +65,78 @@ def test_deterministic_layer_imports(module):
     source = (PACKAGE / f"{module}.py").read_text()
     assert imported_names(source) & FORBIDDEN == set()
 
+
+
+# The checks below run in a fresh interpreter: the test modules load scipy
+# themselves, so this process cannot tell what revolve loads.
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+LOADED_SCIPY_MODULES = """
+import sys
+import {module}
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+@pytest.mark.parametrize("module", ["revolve", "revolve.cli"])
+def test_import_loads_no_scipy(module):
+    result = run_python(LOADED_SCIPY_MODULES.format(module=module))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+# revolve.cli.main with every import of scipy or scipy.* failing
+MAIN_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from revolve.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+SMALL_CONFIG = {
+    "grid_resolution": 8,
+    "eps_sweep": [0.5, 0.1, 0.02, 0.005],
+    "evolution": {
+        "dimension": 2,
+        "epsilon": 0.2,
+        "horizon": 1.0,
+        "x0": [0.0, 0.0],
+        "n_paths": 50,
+        "seed": 3,
+        "profile": {"name": "msre_const", "c": 1.0},
+    },
+}
+
+
+def run_without_scipy(tmp_path, mode):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    out = tmp_path / "out"
+    return run_python(MAIN_WITHOUT_SCIPY, mode, "--config", str(config), "--out", str(out)), out
+
+
+@pytest.mark.parametrize("mode", ["simulate", "limit-coeffs", "verify-operators"])
+def test_subcommands_without_ks_tests_run_without_scipy(tmp_path, mode):
+    result, out = run_without_scipy(tmp_path, mode)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["report", "converge"])
+def test_ks_subcommands_fail_without_scipy_before_any_output(tmp_path, mode):
+    result, out = run_without_scipy(tmp_path, mode)
+    assert result.returncode == 1, result.stdout + result.stderr
+    error = json.loads(result.stdout.strip().splitlines()[-1])["error"]
+    assert error["kind"] == "dependency" and "scipy" in error["message"]
+    assert not out.exists()

@@ -18,6 +18,7 @@ from revolve.profiles import (
     check_balance,
     check_nonsymmetry,
 )
+from revolve.operator_lab import lab_limit_coefficients
 from revolve.sphere import angles_from_directions, build_grid, sample_directions
 
 RES = {2: 32, 3: 24, 4: 16, 5: 16, 6: 12}
@@ -220,6 +221,15 @@ class TestBalance:
             check_nonsymmetry(doubled, g).residual_vector,
             2.0 * check_nonsymmetry(p, g).residual_vector,
         )
+
+    @pytest.mark.parametrize(
+        "check", [check_balance, check_nonsymmetry, lab_limit_coefficients],
+        ids=lambda f: f.__name__,
+    )
+    def test_grid_dimension_mismatch_message(self, check):
+        with pytest.raises(ProfileError) as err:
+            check(builtin_profile("msre_const", 3), grid_for(2))
+        assert str(err.value) == "grid dimension 2 does not match profile dimension 3"
 
     def test_dimension_mismatch(self):
         with pytest.raises(ProfileError):

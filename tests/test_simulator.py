@@ -21,6 +21,7 @@ from revolve.simulator import (
     config_fingerprint,
     simulate_ensemble,
     simulate_path,
+    simulate_paths,
 )
 from revolve.sphere import angles_from_directions, directions_from_angles
 
@@ -341,6 +342,19 @@ class TestPinnedStreams:
         for i in range(cfg.n_paths):
             assert simulate_path(cfg, i).endpoint.tobytes() == points[i].tobytes()
 
+    @pytest.mark.parametrize("name", ["uniform_sine_n5_long", "discrete_batch_edge"])
+    def test_simulate_paths_match_simulate_path(self, name):
+        # the trajectories are kept across batches, so each must own its arrays
+        cfg = _pinned_configs()[name]
+        trajectories = list(simulate_paths(cfg))
+        assert len(trajectories) == cfg.n_paths
+        assert [t.endpoint.tobytes() for t in simulate_paths(cfg, 5, 9)] == [
+            t.endpoint.tobytes() for t in trajectories[5:9]
+        ]
+        for i, got in enumerate(trajectories):
+            want = simulate_path(cfg, i)
+            for field in ("switch_times", "directions", "positions"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
     def test_pins_span_batches(self):
         configs = _pinned_configs()
@@ -404,9 +418,11 @@ class TestBatchedKernel:
         endpoints = np.concatenate(
             [kernel.endpoints(counts, times, draws) for _, counts, times, draws in kernel.batches(0, 9)]
         )
-        for i in range(9):
+        paths = list(kernel.paths(0, 9))
+        assert len(paths) == 9
+        for i, path in enumerate(paths):
             want = _per_path_reference(cfg, 2, i)
-            got = (*kernel.path(i), endpoints[i])
+            got = (*path, endpoints[i])
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -419,8 +435,8 @@ class TestBatchedKernel:
             initial_direction=np.array([1.0, math.pi]),
         )
         kernel = _PathKernel(cfg)
-        for i in range(cfg.n_paths):
-            for a, b in zip(kernel.path(i), _per_path_reference(cfg, kernel._block, i)):
+        for i, path in enumerate(kernel.paths(0, cfg.n_paths)):
+            for a, b in zip(path, _per_path_reference(cfg, kernel._block, i)):
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 11))
