@@ -10,9 +10,10 @@ with
     d_i  = <c1(theta) * s_i(theta)>          (mean slow velocity),
     A_ij = <c(theta)^2 * s_i(theta) * s_j(theta)>,
 
-angle brackets denoting the normalized sphere average; profile atoms add
-weight * f(theta) / N terms. For c = const the matrix is (c^2/n) * I and the
-limit is a scaled Wiener process.
+angle brackets denoting the average over the switching law's stationary
+measure, on its grid: the sphere grid under uniform switching, where profile
+atoms add weight * f(theta) / N terms, or finite_law_grid. For c = const
+under uniform switching A = (c^2/n) * I and the limit is a Wiener process.
 
 Sign convention: d is the physical drift E[c1 * s], the direction the
 simulated particle actually trends in. The same functional with opposite
@@ -27,21 +28,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import (
-    BALANCE_TOLERANCE,
+    Atom,
     BalanceReport,
     FieldError,
     VelocityProfile,
     atom_terms,
     check_balance,
     check_nonsymmetry,
+    grid_speeds,
 )
-from .sphere import QuadratureGrid, directions_from_angles
+from .sphere import FiniteLawGrid, QuadratureGrid
 
 __all__ = [
     "BalanceError",
     "DiffusionLimit",
     "GaussianSpec",
     "check_probabilities",
+    "finite_law_grid",
     "limit_coefficients",
     "discrete_limit_coefficients",
     "gaussian_law_at",
@@ -118,8 +121,26 @@ def check_probabilities(probabilities: np.ndarray) -> None:
         )
 
 
+def finite_law_grid(angles: np.ndarray, probabilities: np.ndarray) -> FiniteLawGrid:
+    """The grid of a finite switching law: its (K, n-1) angle rows of positive
+    probability, weighted by it. A row of probability 0 carries no stationary
+    mass; it matters only as an initial direction."""
+    angles = np.atleast_2d(np.asarray(angles, dtype=float))
+    p = np.asarray(probabilities, dtype=float)
+    check_probabilities(p)
+    if p.shape != angles.shape[:1]:
+        raise FieldError("need one probability per direction", "probabilities")
+    if angles.shape[1] == 0:
+        raise FieldError("angle rows need at least one angle", "angles")
+    keep = p > 0.0
+    return FiniteLawGrid(
+        dimension=angles.shape[1] + 1, nodes=angles[keep], weights=p[keep], raw_total=1.0
+    )
+
+
 def limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> DiffusionLimit:
-    """Compute (d, A) by quadrature over the grid plus atomic terms.
+    """Compute (d, A) by quadrature over the grid, plus atomic terms on a
+    sphere grid: the one formula for both switching laws.
 
     Raises BalanceError when the fast speed fails the balance condition (the
     1/eps term then survives and no diffusion limit exists).
@@ -129,9 +150,9 @@ def limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> Diffus
         raise BalanceError(report)
 
     s = grid.directions
-    c = profile.c_values(grid.nodes)
+    c, _, atoms = grid_speeds(profile, grid)
     a = np.einsum("m,m,mi,mj->ij", grid.weights, c * c, s, s)
-    for factor, s_atom in atom_terms(profile, [atom.c_value**2 for atom in profile.atoms]):
+    for factor, s_atom in atom_terms(grid.dimension, atoms, [atom.c_value**2 for atom in atoms]):
         a = a + factor * np.outer(s_atom, s_atom)
     a = 0.5 * (a + a.T)
     drift = check_nonsymmetry(profile, grid).residual_vector
@@ -145,30 +166,16 @@ def discrete_limit_coefficients(
     c_values: np.ndarray,
     c1_values: np.ndarray,
 ) -> DiffusionLimit:
-    """Count-normalized analog of limit_coefficients for a finite switching law.
-
-    The switching chain resamples directions from the given finite set with
-    the given probabilities, so sphere averages become probability-weighted
-    sums: d = sum_k p_k c1_k s_k and A = sum_k p_k c_k^2 s_k s_k^T.
-    """
+    """d = sum_k p_k c1_k s_k and A = sum_k p_k c_k^2 s_k s_k^T: limit_coefficients
+    on finite_law_grid for speeds given at the angles, as atoms there (rows
+    within values_at's tolerance of each other take the last row's speeds)."""
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    p = np.asarray(probabilities, dtype=float)
-    c = np.asarray(c_values, dtype=float)
-    c1 = np.asarray(c1_values, dtype=float)
-    if not (angles.shape[0] == p.size == c.size == c1.size):
+    c, c1 = np.asarray(c_values, dtype=float), np.asarray(c1_values, dtype=float)
+    if not (angles.shape[0] == np.size(probabilities) == c.size == c1.size):
         raise ValueError("angles, probabilities, c_values, c1_values must align")
-    check_probabilities(p)
-    s = directions_from_angles(angles)
-
-    residual = np.einsum("k,k,ki->i", p, c, s)
-    norm = float(np.linalg.norm(residual))
-    if norm > BALANCE_TOLERANCE:
-        raise BalanceError(BalanceReport(residual, norm, False, BALANCE_TOLERANCE))
-
-    a = np.einsum("k,k,ki,kj->ij", p, c * c, s, s)
-    drift = np.einsum("k,k,ki->i", p, c1, s)
-    a = 0.5 * (a + a.T)
-    return DiffusionLimit(int(dimension), drift, a)
+    atoms = tuple(Atom(row, 1.0, ck, c1k) for row, ck, c1k in zip(angles, c, c1))
+    profile = VelocityProfile(int(dimension), atoms=atoms, name="law")
+    return limit_coefficients(profile, finite_law_grid(angles, probabilities))
 
 
 def gaussian_law_at(limit: DiffusionLimit, t: float, x0: np.ndarray | None = None) -> GaussianSpec:

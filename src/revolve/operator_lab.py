@@ -1,7 +1,9 @@
 """Discretized generator algebra of the switching evolution.
 
-On a quadrature grid the averaging projector, the switching generator and
-the potential operator act on direction-dependent fields f(theta) as
+The algebra needs only the switching law's stationary measure, which its
+grid carries: a sphere grid under uniform switching, limits.finite_law_grid
+under a finite law. On it the averaging projector, the switching generator
+and the potential operator act on direction-dependent fields f(theta) as
 
     Pi f  = sum_m w_m f_m          (projects onto constants),
     Q f   = Pi f - f               (null-space: constants),
@@ -51,15 +53,14 @@ outer transport s is contracted into the derivatives of phi at x first
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .limits import BalanceError
-from .profiles import ProfileError, VelocityProfile, check_balance, check_grid_dimension
-from .sphere import AngleVector, QuadratureGrid, directions_from_angles
+from .profiles import ProfileError, VelocityProfile, check_balance, grid_speeds
+from .sphere import AngleVector, QuadratureGrid, directions_from_angles, sin_power_integral
 from .rates import RateFit, check_eps_sweep, fit_loglog
 
 __all__ = [
@@ -71,6 +72,7 @@ __all__ = [
     "apply_q",
     "apply_r0",
     "potential_identity_error",
+    "quadrature_residuals",
     "apply_s",
     "gaussian_bump",
     "gaussian_monomial",
@@ -108,12 +110,9 @@ class ThetaField:
 
 
 def project_pi(f: ThetaField) -> float:
-    """Average of the field over the sphere (the projector onto constants).
-
-    Grids here carry the continuous surface measure only; atomic speed
-    profiles never alter the measure and are handled in closed form by the
-    limits module.
-    """
+    """Average of the field over the grid's measure (the projector onto
+    constants): the sphere average on a sphere grid, the expectation under
+    the law on a finite-law grid. Profile atoms never alter the measure."""
     return f.grid.average(f.values)
 
 
@@ -133,6 +132,29 @@ def potential_identity_error(f: ThetaField) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def quadrature_residuals(grid: QuadratureGrid) -> dict[str, float]:
+    """Errors of a sphere grid's Pi against closed forms of the uniform measure:
+    pi_s = max |Pi s_i|, pi_ss = max |Pi s_i s_j - delta_ij/n| and, for
+    n >= 3, sin_powers = max |Pi sin^k theta_i - I(e+k)/I(e)| over k = 1, 2
+    and the polar angles theta_i (density sin^e, e = n-1-i; I is
+    sin_power_integral). Unlike the identities of Pi, Q and R0, which hold to
+    roundoff for any weights summing to 1, these show a coarse grid."""
+    n, w, s = grid.dimension, grid.weights, grid.directions
+    report = {
+        "pi_s": float(np.max(np.abs(w @ s))),
+        "pi_ss": float(np.max(np.abs((s.T * w) @ s - np.eye(n) / n))),
+    }
+    errors = [
+        abs(float(w @ np.sin(grid.nodes[:, i - 1]) ** k)
+            - sin_power_integral(n - 1 - i + k) / sin_power_integral(n - 1 - i))
+        for i in range(1, n - 1)
+        for k in (1, 2)
+    ]
+    if errors:
+        report["sin_powers"] = max(errors)
+    return report
+
+
 # ---------------------------------------------------------------------------
 # smooth test functions with analytic derivatives
 
@@ -141,9 +163,7 @@ def potential_identity_error(f: ThetaField) -> float:
 class TestFunction:
     """Smooth function on R^n with analytic derivatives up to third order.
 
-    third may be None when the residual machinery is not needed;
-    third_deriv_bound records a sup-norm bound on the third derivatives used
-    in remainder estimates.
+    third may be None when the residual machinery is not needed.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -153,7 +173,6 @@ class TestFunction:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray] | None = None
-    third_deriv_bound: float = math.inf
 
 
 def gaussian_bump(center: np.ndarray, width: float) -> TestFunction:
@@ -189,7 +208,7 @@ def gaussian_bump(center: np.ndarray, width: float) -> TestFunction:
         ) / w2**2
         return t * value(x)
 
-    return TestFunction(n, value, gradient, hessian, third, 3.0 / float(width) ** 3)
+    return TestFunction(n, value, gradient, hessian, third)
 
 
 def gaussian_monomial(center: np.ndarray, width: float, axis: int) -> TestFunction:
@@ -227,7 +246,7 @@ def gaussian_monomial(center: np.ndarray, width: float, axis: int) -> TestFuncti
         t[:, :, axis] += gh
         return t
 
-    return TestFunction(n, value, gradient, hessian, third, 8.0 / float(width) ** 2)
+    return TestFunction(n, value, gradient, hessian, third)
 
 
 def linear_function(coefficients: np.ndarray, constant: float = 0.0) -> TestFunction:
@@ -241,7 +260,6 @@ def linear_function(coefficients: np.ndarray, constant: float = 0.0) -> TestFunc
         gradient=lambda x: a.copy(),
         hessian=lambda x: np.zeros((n, n)),
         third=lambda x: np.zeros((n, n, n)),
-        third_deriv_bound=0.0,
     )
 
 
@@ -389,14 +407,11 @@ class _Jet:
 
 
 def _node_speeds(profile: VelocityProfile, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
-    if profile.atoms:
-        raise ProfileError(
-            "atomic profiles are invisible to a continuous quadrature grid; "
-            "use limits.limit_coefficients / discrete_limit_coefficients for "
-            "their closed-form coefficients"
-        )
-    check_grid_dimension(profile, grid)
-    return profile.c_values(grid.nodes), profile.c1_values(grid.nodes)
+    c, c1, atoms = grid_speeds(profile, grid)
+    if atoms:
+        raise ProfileError("atoms are point masses that no node of a sphere grid carries; "
+                           "the hierarchy takes them on a finite law's grid only")
+    return c, c1
 
 
 def lab_limit_coefficients(

@@ -12,9 +12,9 @@ Two functionals decide the model class:
   drift functional   b_i = <c1 * s_i>     (nonzero b breaks symmetry and
                                            produces deterministic drift),
 
-where <.> is the normalized sphere average, and atoms contribute
-f(theta_atom) * weight / N. Signs follow the transport convention: b is the
-mean velocity E[c1 * s] of the slow component.
+where <.> is the average over a quadrature grid, read as grid_speeds says.
+Signs follow the transport convention: b is the mean velocity E[c1 * s] of
+the slow component.
 """
 
 from __future__ import annotations
@@ -26,7 +26,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sphere import QuadratureGrid, directions_from_angles, normalization_constant
+from .sphere import (
+    FieldError,
+    FiniteLawGrid,
+    QuadratureGrid,
+    check_dimension,
+    directions_from_angles,
+    normalization_constant,
+)
 
 __all__ = [
     "BALANCE_TOLERANCE",
@@ -41,8 +48,8 @@ __all__ = [
     "atom_terms",
     "builtin_profile",
     "check_balance",
-    "check_grid_dimension",
     "check_nonsymmetry",
+    "grid_speeds",
 ]
 
 # The keyword parameters each built-in profile takes.
@@ -56,14 +63,6 @@ BUILTIN_NAMES = tuple(BUILTIN_PARAMETERS)
 
 # Largest norm of the balance residual <c s> that counts as balanced.
 BALANCE_TOLERANCE = 1e-8
-
-
-class FieldError(ValueError):
-    """Invalid value; field, when known, names the offending field."""
-
-    def __init__(self, message: str, field: str | None = None):
-        self.field = field
-        super().__init__(message)
 
 
 class ProfileError(FieldError):
@@ -150,14 +149,17 @@ class Atom:
 _reported_fallbacks: dict[int, Callable] = {}
 
 
-def _evaluate(fn: Callable, angles: np.ndarray) -> np.ndarray:
-    """Evaluate a speed function on rows of angles, vectorized when possible.
+def _evaluate(fn: Callable | None, angles: np.ndarray) -> np.ndarray:
+    """Evaluate a speed function (None is zero) on rows of angles, vectorized
+    when possible.
 
     A callable that fails on the whole array, or returns the wrong shape, is
     called once per row instead; that fallback is logged once per callable.
     """
     angles = np.asarray(angles, dtype=float)
     want = angles.shape[:-1]
+    if fn is None:
+        return np.zeros(want)
     try:
         out = np.asarray(fn(angles), dtype=float)
         if out.shape == want:
@@ -194,8 +196,7 @@ class VelocityProfile:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.dimension < 2:
-            raise ProfileError(f"profile dimension must be >= 2, got {self.dimension}")
+        check_dimension(self.dimension)
         object.__setattr__(self, "atoms", tuple(self.atoms))
         for atom in self.atoms:
             if atom.angles.size != self.dimension - 1:
@@ -218,16 +219,10 @@ class VelocityProfile:
 
     def c_values(self, angles: np.ndarray) -> np.ndarray:
         """Fast-speed values of the continuous part at the given angle rows."""
-        angles = np.asarray(angles, dtype=float)
-        if self.continuous_c is None:
-            return np.zeros(angles.shape[:-1])
         return _evaluate(self.continuous_c, angles)
 
     def c1_values(self, angles: np.ndarray) -> np.ndarray:
         """Slow-speed values of the continuous part at the given angle rows."""
-        angles = np.asarray(angles, dtype=float)
-        if self.continuous_c1 is None:
-            return np.zeros(angles.shape[:-1])
         return _evaluate(self.continuous_c1, angles)
 
     @property
@@ -362,52 +357,53 @@ class BalanceReport:
 
 
 def atom_terms(
-    profile: VelocityProfile, atom_values: Sequence[float]
+    dimension: int, atoms: Sequence[Atom], atom_values: Sequence[float]
 ) -> list[tuple[float, np.ndarray]]:
     """(weight * f(theta_atom) / N, s(theta_atom)) for each atom: its term in a
     normalized sphere average. The factor is always weight * f * (1/N), so
     sums of these terms agree bit for bit."""
-    inv_n = 1.0 / normalization_constant(profile.dimension)
+    inv_n = 1.0 / normalization_constant(dimension)
     return [
         (atom.weight * fval * inv_n, directions_from_angles(atom.angles))
-        for atom, fval in zip(profile.atoms, atom_values)
+        for atom, fval in zip(atoms, atom_values)
     ]
 
 
-def _first_moment(
-    values: np.ndarray,
-    atom_values: Sequence[float],
-    profile: VelocityProfile,
-    grid: QuadratureGrid,
-) -> np.ndarray:
-    """<f * s> over the grid plus atomic contributions weight*f*s(theta)/N."""
-    residual = np.einsum("m,m,mi->i", grid.weights, values, grid.directions)
-    for factor, s_atom in atom_terms(profile, atom_values):
-        residual = residual + factor * s_atom
-    return residual
-
-
-def check_grid_dimension(profile: VelocityProfile, grid: QuadratureGrid) -> None:
-    """ProfileError unless the profile and the grid live on the same sphere."""
+def grid_speeds(
+    profile: VelocityProfile, grid: QuadratureGrid
+) -> tuple[np.ndarray, np.ndarray, tuple[Atom, ...]]:
+    """The one rule for reading a profile on a grid: (c, c1) at the nodes and
+    the atoms that add point masses. On a sphere grid these are the continuous
+    parts, and each atom adds weight * f / N (atom_terms; the paper's Example
+    3). On a FiniteLawGrid they are values_at, atoms included, and no atom."""
     if grid.dimension != profile.dimension:
         raise ProfileError(
             f"grid dimension {grid.dimension} does not match profile dimension "
             f"{profile.dimension}"
         )
+    if isinstance(grid, FiniteLawGrid):
+        c, c1 = profile.values_at(grid.nodes)
+        return c, c1, ()
+    return profile.c_values(grid.nodes), profile.c1_values(grid.nodes), profile.atoms
+
+
+def _first_moment(profile: VelocityProfile, grid: QuadratureGrid, part: int) -> np.ndarray:
+    """<f * s> over the grid plus the atoms' point masses, for f = c (part 0)
+    or f = c1 (part 1)."""
+    *speeds, atoms = grid_speeds(profile, grid)
+    residual = np.einsum("m,m,mi->i", grid.weights, speeds[part], grid.directions)
+    atom_values = [(atom.c_value, atom.c1_value)[part] for atom in atoms]
+    for factor, s_atom in atom_terms(grid.dimension, atoms, atom_values):
+        residual = residual + factor * s_atom
+    return residual
 
 
 def check_balance(
     profile: VelocityProfile, grid: QuadratureGrid, tolerance: float = BALANCE_TOLERANCE
 ) -> BalanceReport:
     """First moment of the fast speed; satisfied iff its norm is <= tolerance."""
-    check_grid_dimension(profile, grid)
+    residual = _first_moment(profile, grid, 0)
     profile.bounds(grid)
-    residual = _first_moment(
-        profile.c_values(grid.nodes),
-        [atom.c_value for atom in profile.atoms],
-        profile,
-        grid,
-    )
     norm = float(np.linalg.norm(residual))
     return BalanceReport(residual, norm, norm <= tolerance, tolerance)
 
@@ -419,12 +415,6 @@ def check_nonsymmetry(
 
     satisfied means a drift was detected, i.e. the norm EXCEEDS the tolerance.
     """
-    check_grid_dimension(profile, grid)
-    residual = _first_moment(
-        profile.c1_values(grid.nodes),
-        [atom.c1_value for atom in profile.atoms],
-        profile,
-        grid,
-    )
+    residual = _first_moment(profile, grid, 1)
     norm = float(np.linalg.norm(residual))
     return BalanceReport(residual, norm, norm > tolerance, tolerance)

@@ -55,15 +55,14 @@ from typing import Iterator, Union
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .limits import check_probabilities
+from .limits import finite_law_grid
 from .profiles import FieldError, VelocityProfile
-from .sphere import angles_from_directions, directions_from_angles
+from .sphere import angles_from_directions, check_dimension, directions_from_angles
 
 __all__ = [
     "UniformSphere",
     "DiscreteSwitching",
     "EvolutionConfig",
-    "check_dimension",
     "Trajectory",
     "EndpointEnsemble",
     "simulate_path",
@@ -96,19 +95,10 @@ class DiscreteSwitching:
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "probabilities", p)
-        if p.ndim != 1 or p.size != angles.shape[0]:
-            raise FieldError("need one probability per direction", "probabilities")
-        check_probabilities(p)
+        finite_law_grid(angles, p)  # FieldError unless the law makes a valid grid
 
 
 SwitchingLaw = Union[UniformSphere, DiscreteSwitching]
-
-
-def check_dimension(dimension: int) -> None:
-    """The dimension rule of EvolutionConfig, for parsers that need the
-    dimension before they can build the rest of a config."""
-    if not dimension >= 2:
-        raise FieldError(f"dimension must be >= 2, got {dimension}", "dimension")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ empty products being 1 (so N = 2*pi for n=2 and N = 4*pi for n=3).
 
 This module provides the chart and its inverse, the normalization constant,
 the classical sin-power integrals, product quadrature grids realizing the
-normalized average (1/N) * integral over the sphere, and exact uniform
-sampling by Gaussian normalization.
+normalized average (1/N) * integral over the sphere, the grid type of a
+finite switching law, and exact uniform sampling by Gaussian normalization.
 """
 
 from __future__ import annotations
@@ -34,16 +34,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "FieldError",
     "InvalidDimensionError",
     "AngleVector",
     "UnitDirection",
     "QuadratureGrid",
+    "FiniteLawGrid",
     "direction_from_angles",
     "directions_from_angles",
     "angles_from_directions",
     "normalization_constant",
     "wallis_integral",
     "sin_power_integral",
+    "check_dimension",
     "check_resolution",
     "build_grid",
     "sample_direction",
@@ -53,15 +56,23 @@ __all__ = [
 _UNIT_NORM_TOL = 1e-12
 
 
-class InvalidDimensionError(ValueError):
+class FieldError(ValueError):
+    """Invalid value; field, when known, names the offending field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
+
+
+class InvalidDimensionError(FieldError):
     """Raised when an operation is requested for dimension n < 2."""
 
 
-def _check_dimension(n: int) -> int:
-    n = int(n)
-    if n < 2:
-        raise InvalidDimensionError(f"sphere geometry requires dimension n >= 2, got {n}")
-    return n
+def check_dimension(n: int) -> int:
+    """n as int; the one home of the rule n >= 2 (written so that NaN fails)."""
+    if not n >= 2:
+        raise InvalidDimensionError(f"dimension must be >= 2, got {n}", "dimension")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -163,7 +174,7 @@ def angles_from_directions(directions: np.ndarray) -> np.ndarray:
 
 def normalization_constant(n: int) -> float:
     """Total surface content N of the unit sphere S_{n-1} in R^n."""
-    n = _check_dimension(n)
+    n = check_dimension(n)
     if n % 2 == 0:
         denom = 1.0
         for k in range(2, n - 1, 2):  # 2*4*...*(n-2)
@@ -237,6 +248,12 @@ class QuadratureGrid:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
+class FiniteLawGrid(QuadratureGrid):
+    """A finite switching law as a grid: its directions of positive probability,
+    weighted by it (raw_total 1). Built by limits.finite_law_grid only; the
+    type tells profiles.grid_speeds how to read a profile on it."""
+
+
 def check_resolution(resolution: int) -> int:
     """A grid needs at least 2 nodes per axis; returns the resolution as int."""
     resolution = int(resolution)
@@ -256,7 +273,7 @@ def build_grid(n: int, resolution: int) -> QuadratureGrid:
     is interior to a panel and never touches the jump. Weights are
     renormalized to sum to 1.
     """
-    n = _check_dimension(n)
+    n = check_dimension(n)
     resolution = check_resolution(resolution)
 
     axis_nodes: list[np.ndarray] = []
@@ -292,7 +309,7 @@ def sample_directions(n: int, size: int, rng: np.random.Generator) -> np.ndarray
     Normalizes i.i.d. standard Gaussian vectors, which is exactly uniform in
     every dimension.
     """
-    n = _check_dimension(n)
+    n = check_dimension(n)
     g = rng.standard_normal((size, n))
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 

@@ -29,7 +29,7 @@ import numpy as np
 from .limits import (
     DiffusionLimit,
     GaussianSpec,
-    discrete_limit_coefficients,
+    finite_law_grid,
     gaussian_law_at,
     limit_coefficients,
 )
@@ -40,7 +40,7 @@ from .simulator import (
     EvolutionConfig,
     simulate_ensemble,
 )
-from .sphere import build_grid
+from .sphere import QuadratureGrid, build_grid
 
 __all__ = [
     "MomentSummary",
@@ -53,6 +53,7 @@ __all__ = [
     "import_scipy_stats",
     "deviation_metric",
     "fit_loglog",
+    "grid_for_config",
     "limit_for_config",
     "run_sweep",
 ]
@@ -173,23 +174,19 @@ def noise_floor(summary: MomentSummary) -> float:
     )
 
 
-def limit_for_config(config: EvolutionConfig, grid_resolution: int = 32) -> DiffusionLimit:
-    """Limit coefficients matching the config's switching law.
+def grid_for_config(config: EvolutionConfig, grid_resolution: int = 32) -> QuadratureGrid:
+    """The one map from a switching law to its grid: build_grid(n,
+    grid_resolution) under uniform switching, finite_law_grid under a finite
+    law (the resolution is then unused)."""
+    law = config.switching
+    if isinstance(law, DiscreteSwitching):
+        return finite_law_grid(law.angles, law.probabilities)
+    return build_grid(config.dimension, grid_resolution)
 
-    Uniform switching uses the sphere-average coefficients; a discrete law
-    uses the count-normalized analog with profile values at the law's angles.
-    """
-    if isinstance(config.switching, DiscreteSwitching):
-        c, c1 = config.profile.values_at(config.switching.angles)
-        return discrete_limit_coefficients(
-            config.dimension,
-            config.switching.angles,
-            config.switching.probabilities,
-            c,
-            c1,
-        )
-    grid = build_grid(config.dimension, grid_resolution)
-    return limit_coefficients(config.profile, grid)
+
+def limit_for_config(config: EvolutionConfig, grid_resolution: int = 32) -> DiffusionLimit:
+    """Limit coefficients under the config's switching law."""
+    return limit_coefficients(config.profile, grid_for_config(config, grid_resolution))
 
 
 @dataclass(frozen=True)

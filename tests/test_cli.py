@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from revolve.cli import SchemaError, load_config, main
+from revolve.stats import limit_for_config
 
 BASE_EVOLUTION = {
     "dimension": 2,
@@ -371,6 +372,57 @@ class TestLimitCoeffs:
         )
 
 
+EXAMPLE3_LAW = {
+    "kind": "discrete",
+    "angles": [[0.0], [math.pi], [math.pi / 2.0]],
+    "probabilities": [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+}
+
+
+class TestFiniteLawSubcommands:
+    """limit-coeffs and verify-operators follow evolution.switching."""
+
+    def test_limit_coeffs_uses_the_law(self, tmp_path):
+        evo = dict(BASE_EVOLUTION, profile={"name": "example3_atoms"}, switching=EXAMPLE3_LAW)
+        document = {"evolution": evo}
+        out = tmp_path / "out"
+        assert main(["limit-coeffs", "--config", write_config(tmp_path, document),
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "limit_coeffs.json").read_text())
+        np.testing.assert_allclose(payload["drift"], [0.0, 1.0 / 3.0], atol=1e-15)
+        np.testing.assert_allclose(payload["A"], np.diag([2.0 / 3.0, 0.0]), atol=1e-15)
+        # the limit report and converge test against
+        limit = limit_for_config(load_config(document, "report").evolution)
+        assert payload == {"drift": limit.drift.tolist(), "A": limit.diffusion.tolist()}
+
+    def test_verify_operators_runs_the_hierarchy_on_the_law(self, tmp_path):
+        evo = dict(BASE_EVOLUTION, profile={"name": "example3_atoms"}, switching=EXAMPLE3_LAW)
+        out = tmp_path / "out"
+        assert main(["verify-operators", "--config", write_config(tmp_path, {"evolution": evo}),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "operator_report.json").read_text())
+        assert 0.9 <= report["residual_scaling"]["slope"] <= 1.1
+        assert report["limit_coefficients"]["lab_vs_quadrature_max_diff"] <= 1e-12
+        for value in report["identity_residuals"].values():
+            assert value <= 1e-12
+        assert "quadrature_residuals" not in report
+
+    def test_atoms_on_the_sphere_are_still_skipped(self, tmp_path):
+        evo = dict(BASE_EVOLUTION, profile={"name": "example3_atoms"})
+        out = tmp_path / "out"
+        assert main(["verify-operators", "--config", write_config(tmp_path, {"evolution": evo}),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "operator_report.json").read_text())
+        assert "point masses" in report["residual_scaling"]["skipped"]
+        assert set(report["quadrature_residuals"]) == {"pi_s", "pi_ss"}
+
+    def test_unbalanced_law_exits_3_in_limit_coeffs(self, tmp_path, capsys):
+        evo = dict(BASE_EVOLUTION, switching=two_point_law([0.6, 0.4]))
+        exit_code, payload = run_cli(tmp_path, capsys, "limit-coeffs", {"evolution": evo})
+        assert exit_code == 3
+        assert payload["error"]["residual"][0] == pytest.approx(0.2, abs=1e-15)
+
+
 class TestVerifyOperators:
     def test_msre_n3_report(self, tmp_path):
         evo = dict(
@@ -390,8 +442,7 @@ class TestVerifyOperators:
         assert 0.9 <= report["residual_scaling"]["slope"] <= 1.1
 
     def test_identity_residuals_pinned(self, tmp_path):
-        # values of the loop that applied Q and R0 through fresh constant
-        # fields for every check; reusing Pi f and Q f must not move a bit
+        # the identities on the one field drawn from the config's seed
         evo = dict(
             BASE_EVOLUTION,
             dimension=3,
@@ -404,11 +455,26 @@ class TestVerifyOperators:
         assert main(["verify-operators", "--config", path, "--out", str(out)]) == 0
         report = json.loads((out / "operator_report.json").read_text())
         assert report["identity_residuals"] == {
-            "pi_idempotent": 2.7755575615628914e-17,
-            "pi_q": 6.938893903907228e-17,
-            "q_pi": 2.7755575615628914e-17,
-            "r0_q_identity": 1.1102230246251565e-16,
+            "pi_idempotent": 1.3877787807814457e-17,
+            "pi_q": 1.734723475976807e-17,
+            "q_pi": 1.3877787807814457e-17,
+            "r0_q_identity": 2.7755575615628914e-17,
         }
+
+    def test_quadrature_residuals_see_a_coarse_grid(self, tmp_path):
+        evo = dict(BASE_EVOLUTION, dimension=3, x0=[0.0] * 3)
+        reports = []
+        for resolution in (8, 16):
+            out = tmp_path / f"r{resolution}"
+            doc = {"evolution": evo, "grid_resolution": resolution}
+            path = write_config(tmp_path, doc, name=f"r{resolution}.json")
+            assert main(["verify-operators", "--config", path, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "operator_report.json").read_text()))
+        coarse, fine = (r["quadrature_residuals"] for r in reports)
+        assert coarse["pi_ss"] > 1e-9 and coarse["sin_powers"] > 1e-9
+        assert max(fine.values()) <= 1e-14 and coarse["pi_s"] <= 1e-14
+        for report in reports:
+            assert max(report["identity_residuals"].values()) <= 1e-12
 
 
     def test_sweep_under_two_decades_falls_back_to_default(self, tmp_path, capsys):
