@@ -54,7 +54,8 @@ from .stats import grid_for_config, import_scipy_stats, ks_marginals, limit_for_
 from .stats import run_sweep, summarize
 
 # build_grid, reached through grid_for_config, stays importable here for
-# tools that wrap the layer functions this module uses.
+# tools that wrap the layer functions this module uses; the names such a
+# tool looks up are checked by tests/test_bench_lookups.py.
 
 __all__ = ["SchemaError", "ExperimentConfig", "load_config", "run", "main"]
 

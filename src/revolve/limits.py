@@ -71,15 +71,12 @@ class DiffusionLimit:
     dimension: int
     drift: np.ndarray          # (n,), physical sign E[c1 * s]
     diffusion: np.ndarray      # (n, n), symmetric PSD
-    drift_paper_sign: np.ndarray = None  # (n,), the opposite-sign functional
 
     def __post_init__(self) -> None:
         drift = np.asarray(self.drift, dtype=float)
         a = np.asarray(self.diffusion, dtype=float)
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "diffusion", a)
-        if self.drift_paper_sign is None:
-            object.__setattr__(self, "drift_paper_sign", -drift)
         if drift.shape != (self.dimension,) or a.shape != (self.dimension, self.dimension):
             raise ValueError("coefficient shapes do not match the dimension")
         if np.max(np.abs(a - a.T)) > 1e-12:
@@ -89,6 +86,11 @@ class DiffusionLimit:
             raise ValueError(
                 f"diffusion matrix must be positive semidefinite, min eig {eigenvalues.min():.3e}"
             )
+
+    @property
+    def drift_paper_sign(self) -> np.ndarray:
+        """The opposite-sign functional -E[c1 * s]."""
+        return -self.drift
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,8 @@ def discrete_limit_coefficients(
 ) -> DiffusionLimit:
     """d = sum_k p_k c1_k s_k and A = sum_k p_k c_k^2 s_k s_k^T: limit_coefficients
     on finite_law_grid for speeds given at the angles, as atoms there (rows
-    within values_at's tolerance of each other take the last row's speeds)."""
+    whose directions lie within values_at's tolerance of each other take the
+    last row's speeds)."""
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     c, c1 = np.asarray(c_values, dtype=float), np.asarray(c1_values, dtype=float)
     if not (angles.shape[0] == np.size(probabilities) == c.size == c1.size):

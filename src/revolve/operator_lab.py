@@ -41,14 +41,20 @@ so that L_eps (phi + eps phi1 + eps^2 phi2) - L0 phi
       = eps * (c T phi2 + c1 T phi1) + eps^2 * c1 T phi2
 
 identically; the remainder is linear in eps up to the eps^2 tail, which
-residual_scaling verifies empirically. Fields entering the hierarchy are
-represented by their derivative coefficients ("jets"), so all operator
-applications are exact contractions, not finite differences. phi, phi1 and
-phi2 are jets of order at most two. The remainder terms c T phi2, c1 T phi1
-and c1 T phi2 would be third-order jets of shape (M, n, n, n), but they are
-only ever evaluated at the spatial point x, never averaged by Pi; so the
-outer transport s is contracted into the derivatives of phi at x first
-(_Jet.transported_values) and no third-order jet is ever built.
+residual_scaling verifies empirically. The correctors are held as their
+derivative coefficients at the nodes, so every operator application is an
+exact contraction, not a finite difference. With s = grid.directions,
+
+    a1 = c s - Pi[c s]                  (M, n):    phi1 = a1 . grad phi
+    b1 = c1 s - Pi[c1 s]                (M, n)
+    b2 = c s (x) a1 - Pi[c s (x) a1]    (M, n, n): phi2 = b1 . grad phi + b2 : hess phi
+
+and L0 phi = drift . grad phi + diffusion : hess phi with drift = Pi[c1 s]
+and diffusion the symmetric part of Pi[c s (x) a1]. The remainder terms
+c T phi2, c1 T phi1 and c1 T phi2 would need (M, n, n, n) coefficients, but
+they are only evaluated at the spatial point x, never averaged by Pi; so s
+is contracted into the derivatives of phi at x first and no such array is
+built.
 """
 
 from __future__ import annotations
@@ -161,10 +167,7 @@ def quadrature_residuals(grid: QuadratureGrid) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth function on R^n with analytic derivatives up to third order.
-
-    third may be None when the residual machinery is not needed.
-    """
+    """Smooth function on R^n with analytic derivatives up to third order."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -172,7 +175,7 @@ class TestFunction:
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    third: Callable[[np.ndarray], np.ndarray] | None = None
+    third: Callable[[np.ndarray], np.ndarray]
 
 
 def gaussian_bump(center: np.ndarray, width: float) -> TestFunction:
@@ -297,113 +300,33 @@ def apply_s(theta: AngleVector, phi: TestFunction, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# derivative-coefficient fields (jets) over the grid
+# fields of derivative coefficients over the grid
 
 
-class _Jet:
-    """Per-node coefficient tensors of a differential operator applied to phi.
+def _derivative_values(
+    phi: TestFunction, x: np.ndarray, d1: np.ndarray, d2: np.ndarray | None = None
+) -> np.ndarray:
+    """d1 . grad phi(x) + d2 : hess phi(x) at every node, for d1 (M, n) and d2 (M, n, n)."""
+    values = np.zeros(d1.shape[0]) + d1 @ phi.gradient(x)
+    if d2 is not None:
+        values = values + np.einsum("mij,ij->m", d2, phi.hessian(x))
+    return values
 
-    coeffs[k] has shape (M, n, ..., n) with k trailing direction axes; the
-    represented field at node m is sum_k coeffs[k][m] . (k-th derivative of
-    phi at x). A None entry is identically zero. pi returns a jet with leading
-    axis 1, which + and - broadcast against per-node jets. Jets are stored up
-    to second order, at most (M, n, n); the transport of a second-order jet
-    is only needed at x and is contracted there by transported_values.
+
+def _transported_values(
+    phi: TestFunction, x: np.ndarray, s: np.ndarray, d1: np.ndarray, d2: np.ndarray | None = None
+) -> np.ndarray:
+    """(s, grad)(d1 . grad phi + d2 : hess phi) at x, at every node.
+
+    s is contracted into the derivatives of phi first (s . hess and s . third,
+    (M, n) and (M, n, n)), so no (M, n, n, n) array is built.
     """
-
-    __slots__ = ("n_nodes", "coeffs")
-
-    def __init__(self, n_nodes: int, coeffs: dict[int, np.ndarray]):
-        self.n_nodes = n_nodes
-        self.coeffs = coeffs
-
-    @classmethod
-    def identity(cls, n_nodes: int) -> "_Jet":
-        return cls(n_nodes, {0: np.ones((n_nodes,))})
-
-    def pi(self, weights: np.ndarray) -> "_Jet":
-        out = {}
-        for k, arr in self.coeffs.items():
-            out[k] = np.einsum("m...,m->...", arr, weights)[None, ...]
-        return _Jet(self.n_nodes, out)
-
-    def transport(self, directions: np.ndarray) -> "_Jet":
-        """(s, grad): raises each order k to k+1 with a leading s factor."""
-        out = {}
-        for k, arr in self.coeffs.items():
-            if k + 1 > 2:
-                raise ValueError(
-                    "jets are stored up to second order; evaluate the transport "
-                    "of a second-order jet with transported_values"
-                )
-            out[k + 1] = np.einsum("mi,m...->mi...", directions, arr)
-        return _Jet(self.n_nodes, out)
-
-    def scaled(self, factor: np.ndarray) -> "_Jet":
-        factor = np.asarray(factor, dtype=float)
-        out = {}
-        for k, arr in self.coeffs.items():
-            out[k] = arr * factor.reshape(factor.shape + (1,) * k)
-        return _Jet(self.n_nodes, out)
-
-    def __add__(self, other: "_Jet") -> "_Jet":
-        out = dict()
-        for k in set(self.coeffs) | set(other.coeffs):
-            a = self.coeffs.get(k)
-            b = other.coeffs.get(k)
-            if a is None:
-                out[k] = b.copy()
-            elif b is None:
-                out[k] = a.copy()
-            else:
-                out[k] = a + b
-        return _Jet(self.n_nodes, out)
-
-    def __sub__(self, other: "_Jet") -> "_Jet":
-        return self + other.scaled(np.asarray(-1.0))
-
-    def evaluate(self, phi: TestFunction, x: np.ndarray) -> np.ndarray:
-        """Field values at every node for the spatial point x."""
-        x = np.asarray(x, dtype=float)
-        total = np.zeros(self.n_nodes)
-        for k, arr in sorted(self.coeffs.items()):
-            if k == 0:
-                term = arr * phi.value(x)
-            elif k == 1:
-                term = arr @ phi.gradient(x)
-            else:
-                term = np.einsum("mij,ij->m", arr, phi.hessian(x))
-            total = total + term
-        return total
-
-    def transported_values(
-        self, directions: np.ndarray, phi: TestFunction, x: np.ndarray
-    ) -> np.ndarray:
-        """Values at x of self.transport(directions), without building it.
-
-        The outer s is contracted into the (k+1)-th derivative of phi at x
-        first (s . grad, s . hess, s . third, each at most (M, n, n)) and the
-        result is then contracted with coeffs[k].
-        """
-        x = np.asarray(x, dtype=float)
-        total = np.zeros(self.n_nodes)
-        for k, arr in sorted(self.coeffs.items()):
-            if k == 0:
-                s_deriv = directions @ phi.gradient(x)
-            elif k == 1:
-                s_deriv = directions @ phi.hessian(x)
-            else:
-                if phi.third is None:
-                    raise ValueError(
-                        "third derivatives of the test function are required "
-                        "for residual evaluation; construct it with an "
-                        "analytic third-derivative tensor"
-                    )
-                s_deriv = np.einsum("mi,ijk->mjk", directions, phi.third(x))
-            arr = arr.reshape(self.n_nodes, -1)
-            s_deriv = s_deriv.reshape(self.n_nodes, -1)
-            total = total + np.einsum("mi,mi->m", arr, s_deriv)
-        return total
+    m = d1.shape[0]
+    values = np.zeros(m) + np.einsum("mi,mi->m", d1, s @ phi.hessian(x))
+    if d2 is not None:
+        s_third = np.einsum("mi,ijk->mjk", s, phi.third(x))
+        values = values + np.einsum("mi,mi->m", d2.reshape(m, -1), s_third.reshape(m, -1))
+    return values
 
 
 def _node_speeds(profile: VelocityProfile, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -442,29 +365,38 @@ class PerturbationSolution:
 
     phi1 and phi2 are the corrector fields evaluated at x; limit_value is
     L0 phi(x); drift and diffusion are the assembled generator coefficients
-    (physical sign). residual(eps) returns the sup over nodes of the exact
-    remainder eps * r1 + eps^2 * r2.
+    (physical sign). c and c1 are the node speeds, a1, b1 and b2 the corrector
+    coefficients (module docstring), and residual(eps) the sup over nodes of
+    the exact remainder eps * r1 + eps^2 * r2.
     """
 
     grid: QuadratureGrid
     point: np.ndarray
+    test_function: TestFunction
     phi1: ThetaField
     phi2: ThetaField
     limit_value: float
     drift: np.ndarray
     diffusion: np.ndarray
-    _r1_values: np.ndarray
-    _r2_values: np.ndarray
+    c: np.ndarray
+    c1: np.ndarray
+    a1: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
 
     def residual(self, eps: float) -> float:
-        return float(np.max(np.abs(eps * self._r1_values + eps**2 * self._r2_values)))
+        return float(np.max(np.abs(eps * self.r1 + eps**2 * self.r2)))
+
+
+def _pi(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pi applied to each coefficient of a field of shape (M, ...)."""
+    return np.einsum("m...,m->...", arr, w)
 
 
 def solve_perturbation(
-    profile: VelocityProfile,
-    phi: TestFunction,
-    x: np.ndarray,
-    grid: QuadratureGrid,
+    profile: VelocityProfile, phi: TestFunction, x: np.ndarray, grid: QuadratureGrid
 ) -> PerturbationSolution:
     """Solve the corrector hierarchy for the given profile and test function.
 
@@ -481,41 +413,39 @@ def solve_perturbation(
         )
     x = np.asarray(x, dtype=float)
     c, c1 = _node_speeds(profile, grid)
-    s = grid.directions
-    w = grid.weights
-    m = grid.size
-
-    jet_phi = _Jet.identity(m)
-    c_t_phi = jet_phi.transport(s).scaled(c)
-    phi1 = c_t_phi - c_t_phi.pi(w)              # -R0 [c T phi]
-    order_zero = phi1.transport(s).scaled(c) + jet_phi.transport(s).scaled(c1)
-    l0 = order_zero.pi(w)
-    phi2 = order_zero - l0                       # -R0 [c T phi1 + c1 T phi]
-    del order_zero
-    # r1 = c T phi2 + c1 T phi1 and r2 = c1 T phi2, evaluated at x only
-    t_phi1 = phi1.transported_values(s, phi, x)
-    t_phi2 = phi2.transported_values(s, phi, x)
-
-    drift = l0.coeffs[1][0]
-    diffusion = l0.coeffs[2][0]
+    s, w = grid.directions, grid.weights
+    c_s = s * c[:, None]
+    a1 = c_s - _pi(c_s, w)                      # phi1 = -R0 [c T phi]
+    c1_s = s * c1[:, None]
+    b2 = np.einsum("mi,mj->mij", s, a1)
+    b2 *= c[:, None, None]                      # c T phi1
+    drift = _pi(c1_s, w)                        # L0 = Pi [c T phi1 + c1 T phi]
+    diffusion = _pi(b2, w)
+    b1 = c1_s - drift                           # phi2 = -R0 [c T phi1 + c1 T phi]
+    b2 -= diffusion
     diffusion = 0.5 * (diffusion + diffusion.T)
     limit_value = float(drift @ phi.gradient(x) + np.sum(diffusion * phi.hessian(x)))
+    # r1 = c T phi2 + c1 T phi1 and r2 = c1 T phi2, evaluated at x only
+    t_phi1 = _transported_values(phi, x, s, a1)
+    t_phi2 = _transported_values(phi, x, s, b1, b2)
 
-    solution = PerturbationSolution(
+    return PerturbationSolution(
         grid=grid,
         point=x,
-        phi1=ThetaField(grid, phi1.evaluate(phi, x)),
-        phi2=ThetaField(grid, phi2.evaluate(phi, x)),
+        test_function=phi,
+        phi1=ThetaField(grid, _derivative_values(phi, x, a1)),
+        phi2=ThetaField(grid, _derivative_values(phi, x, b1, b2)),
         limit_value=limit_value,
         drift=drift,
         diffusion=diffusion,
-        _r1_values=c * t_phi2 + c1 * t_phi1,
-        _r2_values=c1 * t_phi2,
+        c=c,
+        c1=c1,
+        a1=a1,
+        b1=b1,
+        b2=b2,
+        r1=c * t_phi2 + c1 * t_phi1,
+        r2=c1 * t_phi2,
     )
-    object.__setattr__(solution, "_jets", (jet_phi, phi1, phi2))
-    object.__setattr__(solution, "_speeds", (c, c1))
-    object.__setattr__(solution, "_phi", phi)
-    return solution
 
 
 def assembled_generator_residual(solution: PerturbationSolution, eps: float) -> float:
@@ -525,19 +455,17 @@ def assembled_generator_residual(solution: PerturbationSolution, eps: float) -> 
     directly, without using the closed-form remainder; agreement with
     solution.residual(eps) certifies the hierarchy solve.
     """
-    grid = solution.grid
-    jet_phi, jet_phi1, jet_phi2 = solution._jets
-    c, c1 = solution._speeds
-    phi = solution._phi
-    w = grid.weights
-    s = grid.directions
-
-    x = solution.point
-    phi_eps = jet_phi + jet_phi1.scaled(np.asarray(eps)) + jet_phi2.scaled(np.asarray(eps**2))
-    q_part = (phi_eps.pi(w) - phi_eps).scaled(np.asarray(eps**-2))
-    transport = phi_eps.transported_values(s, phi, x)
-    values = q_part.evaluate(phi, x) + (c / eps) * transport + c1 * transport
-    return float(np.max(np.abs(values - solution.limit_value)))
+    sol, phi, x = solution, solution.test_function, solution.point
+    w, s = sol.grid.weights, sol.grid.directions
+    # phi_eps = phi + d1 . grad phi + d2 : hess phi
+    d1 = sol.a1 * eps + sol.b1 * eps**2
+    d2 = sol.b2 * eps**2
+    q_part = ((np.sum(w) - 1.0) * eps**-2 * phi.value(x)
+              + _derivative_values(phi, x, (_pi(d1, w) - d1) * eps**-2,
+                                   (_pi(d2, w) - d2) * eps**-2))
+    transport = s @ phi.gradient(x) + _transported_values(phi, x, s, d1, d2)
+    values = q_part + (sol.c / eps) * transport + sol.c1 * transport
+    return float(np.max(np.abs(values - sol.limit_value)))
 
 
 def residual_scaling(

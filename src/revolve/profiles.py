@@ -250,14 +250,19 @@ class VelocityProfile:
         return part(self.continuous_c), part(self.continuous_c1)
 
     def values_at(self, angles: np.ndarray, atol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-        """(c, c1) at angle rows, with atom values overriding at matching angles."""
+        """(c, c1) at angle rows, with atom values overriding at rows whose
+        direction lies within atol of the atom's in every component: the
+        angles 0 and 2 pi, or any azimuth at a pole, name one direction."""
         angles = np.asarray(angles, dtype=float)
         c = self.c_values(angles)
         c1 = self.c1_values(angles)
-        for atom in self.atoms:
-            hit = np.max(np.abs(angles - atom.angles), axis=-1) <= atol
-            c = np.where(hit, atom.c_value, c)
-            c1 = np.where(hit, atom.c1_value, c1)
+        if self.atoms:
+            directions = directions_from_angles(angles)
+            for atom in self.atoms:
+                hit = np.max(np.abs(directions - directions_from_angles(atom.angles)),
+                             axis=-1) <= atol
+                c = np.where(hit, atom.c_value, c)
+                c1 = np.where(hit, atom.c1_value, c1)
         return c, c1
 
     def bounds(self, grid: QuadratureGrid) -> tuple[float, float]:

@@ -29,6 +29,7 @@ from revolve.operator_lab import (
 from revolve.profiles import (
     BALANCE_TOLERANCE,
     BUILTIN_NAMES,
+    Atom,
     ProfileError,
     VelocityProfile,
     builtin_profile,
@@ -198,6 +199,24 @@ class TestGridRule:
         c, c1, atoms = grid_speeds(profile, sphere)
         np.testing.assert_array_equal(c, np.zeros(sphere.size))
         assert atoms == profile.atoms
+
+    @pytest.mark.parametrize(
+        "profile, angles, c, c1",
+        [
+            # the plane's atom at 0 named by 2 pi
+            (builtin_profile("example3_atoms", 2), [[2.0 * math.pi], [math.pi], [math.pi / 2.0]],
+             [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]),
+            # the north pole: any azimuth names it
+            (VelocityProfile(3, atoms=(Atom([0.0, 0.0], 1.0, 2.0, 3.0),)), [[0.0, 1.0]],
+             [2.0], [3.0]),
+        ],
+        ids=["plane_2pi", "north_pole"],
+    )
+    def test_atoms_are_matched_by_direction(self, profile, angles, c, c1):
+        grid = finite_law_grid(np.array(angles), np.full(len(angles), 1.0 / len(angles)))
+        got_c, got_c1, _ = grid_speeds(profile, grid)
+        np.testing.assert_array_equal(got_c, c)
+        np.testing.assert_array_equal(got_c1, c1)
 
     def test_lab_takes_atoms_on_a_law_grid_only(self):
         profile = builtin_profile("example3_atoms", 2)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revolve.limits import limit_coefficients
 from revolve.operator_lab import (
@@ -106,6 +108,19 @@ class TestQAndPotential:
             assert np.max(np.abs(apply_q(const).values)) <= 1e-12
             assert abs(project_pi(apply_q(f))) <= 1e-12
             assert potential_identity_error(f) <= 1e-12
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_identities_on_random_sphere_grids(self, n, resolution, seed):
+        # Pi Pi = Pi, Pi Q = 0 and R0 Q = I - Pi for any field on any grid
+        g = build_grid(n, resolution)
+        f = ThetaField(g, np.random.default_rng(seed).standard_normal(g.size))
+        pi_f = project_pi(f)
+        assert abs(project_pi(ThetaField(g, np.full(g.size, pi_f))) - pi_f) <= 1e-12
+        assert abs(project_pi(apply_q(f))) <= 1e-12
+        r0_q = apply_r0(apply_q(f)).values
+        assert np.max(np.abs(r0_q - (f.values - pi_f))) <= 1e-12
 
 
 class TestTransportOperator:

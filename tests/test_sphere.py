@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from revolve.sphere import (
@@ -58,6 +60,22 @@ class TestChart:
         dirs = sample_directions(n, 500, rng)
         back = directions_from_angles(angles_from_directions(dirs))
         np.testing.assert_allclose(back, dirs, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_chart_roundtrip_on_angles(self, data):
+        # inside the open domain (0, pi)^(n-2) x [0, 2 pi), 0.1 away from the
+        # poles, where arccos of the deflated components is well conditioned;
+        # the azimuth is compared modulo 2 pi
+        n = data.draw(st.integers(2, 6))
+        polar = st.floats(0.1, math.pi - 0.1)
+        azimuth = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+        angles = np.array([data.draw(polar) for _ in range(n - 2)] + [data.draw(azimuth)])
+        back = angles_from_directions(directions_from_angles(angles))
+        assert 0.0 <= back[-1] < 2.0 * math.pi
+        np.testing.assert_allclose(back[:-1], angles[:-1], rtol=0.0, atol=1e-9)
+        turn = abs(back[-1] - angles[-1]) % (2.0 * math.pi)
+        assert min(turn, 2.0 * math.pi - turn) <= 1e-9
 
     def test_angle_validation(self):
         with pytest.raises(ValueError):
