@@ -10,7 +10,7 @@ form, and tests the convergence statistically.
 
 __version__ = "0.1.0"
 
-from . import cli, limits, operator_lab, profiles, rates, simulator, sphere, stats
+from . import cli, ks, limits, operator_lab, profiles, rates, simulator, sphere, stats
 
 __all__ = [
     "__version__",
@@ -20,6 +20,7 @@ __all__ = [
     "limits",
     "rates",
     "simulator",
+    "ks",
     "stats",
     "cli",
 ]

@@ -10,9 +10,8 @@ with 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 success, 2 config/schema violation, 3 balance or solvability
 failure (the error JSON names the residual vector), 1 anything else.
-converge and report run KS tests and load scipy.stats before they read
-their config; without it they exit 1 before writing anything. The other
-subcommands never load scipy.
+The package needs numpy only: the KS tests of converge and report are
+revolve.ks.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .simulator import (
     simulate_paths,
 )
 from .sphere import FiniteLawGrid, build_grid, check_dimension, check_resolution
-from .stats import grid_for_config, import_scipy_stats, ks_marginals, limit_for_config
+from .stats import grid_for_config, ks_marginals, limit_for_config
 from .stats import run_sweep, summarize
 
 # build_grid, reached through grid_for_config, stays importable here for
@@ -60,7 +60,6 @@ from .stats import run_sweep, summarize
 __all__ = ["SchemaError", "ExperimentConfig", "load_config", "run", "main"]
 
 MODES = ("verify-operators", "limit-coeffs", "simulate", "converge", "report")
-KS_MODES = frozenset({"converge", "report"})  # the subcommands that need scipy.stats
 DEFAULT_EPS_SWEEP = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 
 
@@ -70,10 +69,6 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +269,39 @@ def _write_manifest(out: Path, config: ExperimentConfig) -> None:
     )
 
 
+_CSV_CHUNK_ROWS = 4096  # rows formatted at once: the Python floats of a chunk stay small
+
+
+def _write_csv(path: Path, header: str, blocks: Iterable[np.ndarray], label: str = "") -> None:
+    """Write the header line, then one line per row of each 2-D block.
+
+    With a label such as "%d,", a row's first entry is written through it.
+    Every other entry is written as "%.17g", the text of format(x, ".17g"):
+    17 significant digits, so reruns are byte-identical.
+    """
+    with path.open("w") as handle:
+        handle.write(header + "\n")
+        for block in blocks:
+            fmt = label + ",".join(["%.17g"] * (block.shape[1] - bool(label))) + "\n"
+            for start in range(0, block.shape[0], _CSV_CHUNK_ROWS):
+                rows = block[start : start + _CSV_CHUNK_ROWS].tolist()
+                handle.write("".join([fmt % tuple(row) for row in rows]))
+
+
 def _write_endpoints_csv(path: Path, points: np.ndarray) -> None:
-    n = points.shape[1]
+    n_paths, n = points.shape
     header = "path_index," + ",".join(f"x{i + 1}" for i in range(n))
-    lines = [header]
-    for idx, row in enumerate(points):
-        lines.append(str(idx) + "," + ",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, header, [np.column_stack([np.arange(n_paths), points])], "%d,")
 
 
 def _write_trajectories_csv(path: Path, config: EvolutionConfig) -> None:
-    n = config.dimension
-    header = "path_index,t," + ",".join(f"x{i + 1}" for i in range(n))
-    lines = [header]
-    for idx, trajectory in enumerate(simulate_paths(config)):
-        for t, pos in zip(trajectory.times, trajectory.positions):
-            lines.append(f"{idx},{_fmt(t)}," + ",".join(_fmt(v) for v in pos))
-    path.write_text("\n".join(lines) + "\n")
+    header = "path_index,t," + ",".join(f"x{i + 1}" for i in range(config.dimension))
+    blocks = (
+        np.column_stack([np.full(trajectory.positions.shape[0], idx), trajectory.times,
+                         trajectory.positions])
+        for idx, trajectory in enumerate(simulate_paths(config))
+    )
+    _write_csv(path, header, blocks, "%d,")
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +408,8 @@ def _run_converge(config: ExperimentConfig, out: Path) -> dict:
     _write_json(out / "sweep.json", payload)
     columns = (result.eps_values, result.metric_values, result.noise_floors,
                result.ks_pvalues.min(axis=1))
-    lines = ["epsilon,metric,noise_floor,min_ks_pvalue"]
-    lines += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "sweep.csv", "epsilon,metric,noise_floor,min_ks_pvalue",
+               [np.column_stack(columns)])
     return payload
 
 
@@ -411,11 +421,11 @@ def _run_report(config: ExperimentConfig, out: Path) -> dict:
     summary = summarize(ensemble)
     ks = ks_marginals(ensemble, target)
 
-    columns = (summary.mean, summary.se_mean, target.mean, np.diag(summary.covariance),
-               np.diag(target.covariance), ks.pvalues)
-    lines = ["coordinate,mean,se_mean,target_mean,variance,target_variance,ks_pvalue"]
-    lines += [f"x{i + 1}," + ",".join(_fmt(v) for v in row) for i, row in enumerate(zip(*columns))]
-    (out / "moments.csv").write_text("\n".join(lines) + "\n")
+    columns = (np.arange(1, evo.dimension + 1), summary.mean, summary.se_mean, target.mean,
+               np.diag(summary.covariance), np.diag(target.covariance), ks.pvalues)
+    _write_csv(out / "moments.csv",
+               "coordinate,mean,se_mean,target_mean,variance,target_variance,ks_pvalue",
+               [np.column_stack(columns)], "x%d,")
 
     text = [
         f"random evolution report (n={evo.dimension}, eps={evo.epsilon}, "
@@ -493,14 +503,6 @@ def _error_json(kind: str, message: str, **extra) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.mode in KS_MODES:
-        # load scipy before the config is read, so that a run without it
-        # fails before it writes anything
-        try:
-            import_scipy_stats()
-        except ImportError as exc:
-            print(_error_json("dependency", f"{args.mode} needs scipy.stats: {exc}"))
-            return 1
     try:
         try:
             document = json.loads(Path(args.config).read_text())

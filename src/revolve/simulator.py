@@ -246,8 +246,23 @@ def _draw_switch_times(rng: Generator, mean: float, block: int, horizon: float) 
 # (n, rows) one. Measured at eps 0.02 (n = 3, 4000 paths, 2-CPU Xeon, glibc
 # malloc): 2^13 rows holds three paths per batch and took about 10% less CPU
 # time than 2^12, which holds one; at 2^14 every batch mapped and unmapped
-# its arrays afresh, about 190k page faults and 0.3 s of system time.
+# its arrays afresh, about 190k page faults and 0.3 s of system time. These
+# runs had scipy loaded, whose import raised the allocator's thresholds as
+# _keep_batch_memory now does in every process.
 _BATCH_ROWS = 1 << 13
+
+
+def _keep_batch_memory() -> None:
+    """Allocate and free one 4 MiB array, which the allocator maps on its own.
+
+    Under glibc this raises the dynamic mmap threshold to 4 MiB and the heap
+    trim threshold to 8 MiB (see mallopt(3)). At the start-up values the
+    heap top is handed back to the system after each batch, whose
+    temporaries take about 1.4 MiB at n = 3, and the next batch faults the
+    pages in again: 160k page faults and 0.3 s of system time for 4000
+    paths at eps 0.02. Elsewhere it costs one allocation.
+    """
+    np.empty(1 << 19)
 
 
 def _unit_columns(g: np.ndarray) -> np.ndarray:
@@ -289,6 +304,7 @@ class _PathKernel:
         # 1 when the first segment of each path has the fixed initial
         # direction: that row holds no draw.
         self._fixed_rows = int(init is not None)
+        _keep_batch_memory()
         law = config.switching
         if isinstance(law, DiscreteSwitching):
             # Columns: the law's directions, then the initial direction.

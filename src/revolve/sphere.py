@@ -141,6 +141,13 @@ def direction_from_angles(theta: AngleVector) -> UnitDirection:
     return UnitDirection(directions_from_angles(theta.angles))
 
 
+def _azimuth(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """atan2(y, x) wrapped into [0, 2*pi). np.mod rounds a negative angle
+    smaller than half an ulp of 2*pi up to 2*pi itself; that is mapped to 0."""
+    a = np.mod(np.arctan2(y, x), 2.0 * math.pi)
+    return np.where(a >= 2.0 * math.pi, 0.0, a)
+
+
 def angles_from_directions(directions: np.ndarray) -> np.ndarray:
     """Inverse chart: (..., n) unit vectors -> (..., n-1) angles.
 
@@ -155,7 +162,7 @@ def angles_from_directions(directions: np.ndarray) -> np.ndarray:
         raise InvalidDimensionError("directions need at least 2 components")
     out = np.empty(u.shape[:-1] + (n - 1,), dtype=float)
     if n == 2:
-        out[..., 0] = np.mod(np.arctan2(u[..., 1], u[..., 0]), 2.0 * math.pi)
+        out[..., 0] = _azimuth(u[..., 0], u[..., 1])
         return out
     sin_prod = np.ones(u.shape[:-1], dtype=float)
     for k in range(n - 2):
@@ -168,7 +175,7 @@ def angles_from_directions(directions: np.ndarray) -> np.ndarray:
         theta = np.arccos(np.clip(ratio, -1.0, 1.0))
         out[..., k] = theta
         sin_prod = sin_prod * np.sin(theta)
-    out[..., n - 2] = np.mod(np.arctan2(u[..., n - 1], u[..., n - 2]), 2.0 * math.pi)
+    out[..., n - 2] = _azimuth(u[..., n - 2], u[..., n - 1])
     return out
 
 

@@ -13,10 +13,7 @@ values. The deviation metric per epsilon is
 compared against an estimated Monte-Carlo noise floor so that the rate fit
 can exclude the plateau where sampling error dominates.
 
-scipy is needed only by the two kstest calls of ks_marginals, which imports
-scipy.stats when it runs; importing this module loads no scipy module. The
-CLI subcommands that run KS tests (report and converge) call
-import_scipy_stats before they read their config; the others never load it.
+The KS tests are those of revolve.ks: numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .ks import ks_normal
 from .limits import (
     DiffusionLimit,
     GaussianSpec,
@@ -50,7 +48,6 @@ __all__ = [
     "SweepResult",
     "summarize",
     "ks_marginals",
-    "import_scipy_stats",
     "deviation_metric",
     "fit_loglog",
     "grid_for_config",
@@ -105,11 +102,6 @@ class KsReport:
         return float(vals.min()) if vals.size else float("nan")
 
 
-def import_scipy_stats() -> None:
-    """Load scipy.stats, which ks_marginals uses; ImportError if it cannot."""
-    import scipy.stats  # noqa: F401
-
-
 def ks_marginals(
     ensemble: EndpointEnsemble,
     target: GaussianSpec,
@@ -123,8 +115,6 @@ def ks_marginals(
     failure (statistic 1, p-value 0). Additionally tests n_projections random
     unit-vector projections u against N(u.mean, u'Cu).
     """
-    from scipy import stats as scipy_stats
-
     x = ensemble.points
     n = ensemble.dimension
     stats_ = np.zeros(n)
@@ -141,8 +131,7 @@ def ks_marginals(
             failed[i] = True
             stats_[i], pvals[i] = 1.0, 0.0
             continue
-        res = scipy_stats.kstest(x[:, i], "norm", args=(target.mean[i], sigma))
-        stats_[i], pvals[i] = float(res.statistic), float(res.pvalue)
+        stats_[i], pvals[i] = ks_normal(x[:, i], target.mean[i], sigma)
 
     rng = np.random.default_rng(projection_seed)
     vecs = rng.standard_normal((n_projections, n))
@@ -155,8 +144,7 @@ def ks_marginals(
         if var <= 0.0:
             proj_stats[k], proj_pvals[k] = 0.0, 1.0
             continue
-        res = scipy_stats.kstest(x @ u, "norm", args=(mu, math.sqrt(var)))
-        proj_stats[k], proj_pvals[k] = float(res.statistic), float(res.pvalue)
+        proj_stats[k], proj_pvals[k] = ks_normal(x @ u, mu, math.sqrt(var))
     return KsReport(stats_, pvals, failed, tested, vecs, proj_stats, proj_pvals)
 
 

@@ -573,6 +573,29 @@ class TestSimulate:
         ) == 0
         assert hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest() == digest
 
+    # sha256 of endpoints.csv as written by format(x, ".17g") per value
+    ENDPOINT_DIGESTS = {
+        "msre": (
+            dict(BASE_EVOLUTION),
+            "e46db1cb30359ae4060cd0f46968909aa7e8dc6b2b865b802d4def5c0d7ebb71",
+        ),
+        "step_n3": (
+            dict(
+                BASE_EVOLUTION, dimension=3, x0=[0.5, -0.25, 1e-7], seed=11,
+                profile={"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
+            ),
+            "168b42d0b5f73ec478f2f5ab0851ee8c2e3ce1a625921106206e907fc6104f10",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENDPOINT_DIGESTS))
+    def test_endpoints_csv_keeps_its_bytes(self, tmp_path, name):
+        evolution, digest = self.ENDPOINT_DIGESTS[name]
+        path = write_config(tmp_path, {"evolution": evolution})
+        out = tmp_path / "e"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "endpoints.csv").read_bytes()).hexdigest() == digest
+
     def test_manifest_written(self, tmp_path):
         path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION)})
         out = tmp_path / "m"

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats as scipy_stats
 
@@ -362,6 +364,41 @@ class TestPinnedStreams:
         assert len(list(_PathKernel(long_n5).batches(0, long_n5.n_paths))) >= 3
         last = list(_PathKernel(edge).batches(0, edge.n_paths))[-1]
         assert last[0] == edge.n_paths - 1 and last[1].size == 1
+
+
+@st.composite
+def small_configs(draw):
+    """A config of 1..300 paths, n = 2..4, under the uniform law or a finite
+    law of 1..4 directions; a batch holds about 20 paths at eps 0.05 and
+    about 180 at eps 0.15."""
+    n = draw(st.integers(2, 4))
+    profile = builtin_profile(draw(st.sampled_from(["msre_const", "step_half_sphere"])), n)
+    switching = UniformSphere()
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        polar = st.floats(0.0, math.pi, exclude_max=True)
+        azimuth = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+        rows = [[draw(polar) for _ in range(n - 2)] + [draw(azimuth)] for _ in range(k)]
+        mass = np.array([draw(st.floats(0.05, 1.0)) for _ in range(k)])
+        switching = DiscreteSwitching(np.array(rows), mass / mass.sum())
+    return EvolutionConfig(
+        dimension=n, epsilon=draw(st.floats(0.05, 0.15)), profile=profile, horizon=1.0,
+        x0=np.array([draw(st.floats(-2.0, 2.0)) for _ in range(n)]),
+        n_paths=draw(st.integers(1, 40) | st.integers(100, 300)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        switching=switching,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs())
+def test_simulate_path_replays_the_ensemble_row(cfg):
+    # the first and last path and the paths on each side of every batch edge
+    points = simulate_ensemble(cfg, workers=1).points
+    firsts = [first for first, *_ in _PathKernel(cfg).batches(0, cfg.n_paths)]
+    indices = {0, cfg.n_paths - 1} | {i for first in firsts[1:] for i in (first - 1, first)}
+    for i in sorted(indices):
+        assert simulate_path(cfg, i).endpoint.tobytes() == points[i].tobytes()
 
 
 def _per_path_reference(config, block, path_index):

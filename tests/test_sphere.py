@@ -77,6 +77,13 @@ class TestChart:
         turn = abs(back[-1] - angles[-1]) % (2.0 * math.pi)
         assert min(turn, 2.0 * math.pi - turn) <= 1e-9
 
+    @pytest.mark.parametrize("direction", [[1.0, -1e-17], [0.0, 1.0, -1e-17]])
+    def test_azimuth_just_below_zero_wraps_to_zero(self, direction):
+        # np.mod(-1e-17, 2 pi) rounds up to 2 pi itself
+        angles = angles_from_directions(np.array(direction))
+        assert 0.0 <= angles[-1] < 2.0 * math.pi
+        AngleVector(angles)
+
     def test_angle_validation(self):
         with pytest.raises(ValueError):
             AngleVector(np.array([-0.1, 0.0]))
