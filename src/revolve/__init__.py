@@ -10,7 +10,9 @@ form, and tests the convergence statistically.
 
 __version__ = "0.1.0"
 
-from . import cli, ks, limits, operator_lab, profiles, rates, simulator, sphere, stats
+# cli is left out: importing it here would load it before
+# `python -m revolve.cli` runs it as __main__, and runpy warns about that.
+from . import ks, limits, operator_lab, profiles, rates, simulator, sphere, stats
 
 __all__ = [
     "__version__",
@@ -22,5 +24,4 @@ __all__ = [
     "simulator",
     "ks",
     "stats",
-    "cli",
 ]

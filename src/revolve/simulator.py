@@ -24,12 +24,25 @@ chart angles_from_directions is still used for profiles with atoms or with
 user-supplied angle callables, and, once per block, for the speed of a fixed
 initial direction.
 
-Batched arithmetic: only the draws are made path by path. A block's paths
-are drawn into batches of at most _BATCH_ROWS segments (a longer path is a
-batch of its own), so transient memory does not grow with the number of
-paths. Each batch is then handled at once on column-major arrays: one
-(n, rows) array per quantity, one column per segment, path after path. The
-results keep the bits of the per-path arithmetic because every operation is
+Batched arithmetic: the loop over a batch's paths does only what has to
+follow each path's stream. It re-keys the generator, draws a block of
+standard exponentials into the path's row of a padded (paths, block)
+buffer, then draws the path's direction variates. A finite law's uniforms
+fill the whole row: a stream's draws are consecutive and nothing is drawn
+after them, so the row's used prefix holds the numbers a draw sized to the
+path would give. Under uniform switching the path first counts its switches
+in its own row, so that it draws exactly n normals per segment. The rest
+runs once per batch: the waits (the exponentials times eps^2, the bits of
+Generator.exponential(eps^2)), their cumulative sums row by row, the switch
+counts, and a mask that turns the padded rows into one row per segment,
+path after path. A path whose block of waits ends before the horizon draws
+more waits before its directions, so it is replayed alone through
+_draw_switch_times; with a block of T/eps^2 + 6 sqrt(T/eps^2) + 16 waits
+that is rarer than one path in 10^9. A batch holds about _BATCH_ROWS
+segments, so transient memory does not grow with the number of paths.
+Each batch is handled at once on column-major arrays: one (n, rows) array
+per quantity, one column per segment, path after path. The results keep
+the bits of the per-path arithmetic because every operation is
 either elementwise or sums in the same order:
   - a direction's norm adds the squared coordinates in order, as
     np.linalg.norm does for fewer than 8 of them (from 8 on, numpy sums
@@ -230,7 +243,10 @@ class _PathStreams:
 
 
 def _draw_switch_times(rng: Generator, mean: float, block: int, horizon: float) -> np.ndarray:
-    """Event epochs of the Poisson clock inside (0, horizon)."""
+    """Event epochs of the Poisson clock inside (0, horizon): blocks of waits
+    until their sum passes the horizon. _PathKernel.batches draws the first
+    block of every path itself and replays here only the paths that need
+    more."""
     waits = rng.exponential(mean, size=block)
     total = float(waits.sum())
     while total < horizon:
@@ -242,8 +258,10 @@ def _draw_switch_times(rng: Generator, mean: float, block: int, horizon: float) 
     return epochs[:m]
 
 
-# Segments per batch: 64 KiB per (rows,) float64 array, n * 64 KiB per
-# (n, rows) one. Measured at eps 0.02 (n = 3, 4000 paths, 2-CPU Xeon, glibc
+# Segments per batch, on average: a batch takes _BATCH_ROWS / (T/eps^2 + 1)
+# paths. 64 KiB per (rows,) float64 array, n * 64 KiB per (n, rows) one;
+# the padded buffers of the draws hold a block of rows per path, at most 16
+# times as many. Measured at eps 0.02 (n = 3, 4000 paths, 2-CPU Xeon, glibc
 # malloc): 2^13 rows holds three paths per batch and took about 10% less CPU
 # time than 2^12, which holds one; at 2^14 every batch mapped and unmapped
 # its arrays afresh, about 190k page faults and 0.3 s of system time. These
@@ -301,11 +319,15 @@ class _PathKernel:
         self._mean = eps * eps
         expected = config.horizon / self._mean
         self._block = max(16, int(expected + 6.0 * math.sqrt(expected) + 16.0))
+        self._batch_paths = max(1, int(_BATCH_ROWS / (expected + 1.0)))
         # 1 when the first segment of each path has the fixed initial
         # direction: that row holds no draw.
         self._fixed_rows = int(init is not None)
         _keep_batch_memory()
         law = config.switching
+        # A uniform direction is drawn as n normals, an index into a finite
+        # law's table as one uniform.
+        self._row_shape = () if isinstance(law, DiscreteSwitching) else (config.dimension,)
         if isinstance(law, DiscreteSwitching):
             # Columns: the law's directions, then the initial direction.
             angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
@@ -328,41 +350,83 @@ class _PathKernel:
     def batches(
         self, start: int, stop: int
     ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """Draw paths [start, stop) in batches of at most _BATCH_ROWS rows.
+        """Draw paths [start, stop) in batches of _batch_paths paths, about
+        _BATCH_ROWS segments.
 
         Yields (first path, rows per path, times, draws) with one row per
         segment, path after path. times holds the segment end times: the
         switch times, then the horizon. draws holds (rows, n) normals under
         uniform switching and (rows,) uniforms under a finite law; with a
         fixed initial direction, the first row of each path is a
-        placeholder. The arrays are views of buffers the next batch reuses.
+        placeholder. The arrays are the batch's own.
         """
-        horizon, fixed = self.config.horizon, self._fixed_rows
-        shape = () if self._cdf is not None else (self.config.dimension,)
-        times = draws = np.empty(0)
-        counts: list[int] = []
-        used, first = 0, start
-        for i in range(start, stop):
-            rng = self._streams.rekey(i)
-            switch_times = _draw_switch_times(rng, self._mean, self._block, horizon)
-            rows = switch_times.size + 1
-            if counts and used + rows > _BATCH_ROWS:
-                yield first, np.array(counts), times[:used], draws[:used]
-                counts, used, first = [], 0, i
-            if used + rows > times.size:
-                times = np.empty(max(_BATCH_ROWS, rows))
-                draws = np.empty(times.shape + shape)
-            times[used : used + rows - 1] = switch_times
-            times[used + rows - 1] = horizon
-            draws[used : used + fixed] = 1.0  # nonzero, so its norm is finite
-            if self._cdf is None:
-                rng.standard_normal(out=draws[used + fixed : used + rows])
-            else:
-                rng.random(out=draws[used + fixed : used + rows])
-            counts.append(rows)
-            used += rows
-        if counts:
-            yield first, np.array(counts), times[:used], draws[:used]
+        horizon, fixed, block = self.config.horizon, self._fixed_rows, self._block
+        uniform, shape, per_batch = self._cdf is None, self._row_shape, self._batch_paths
+        waits, switches = np.empty((per_batch, block)), np.empty(per_batch, dtype=np.intp)
+        # A spare column: the horizon follows a path's last epoch below it.
+        epochs = np.empty((per_batch, block + 1))
+        # Row j: path j's placeholder, if any, then its directions' draws.
+        padded = np.empty((per_batch, block + 1) + shape)
+        padded[:, :fixed] = 1.0  # nonzero, so its norm is finite
+        # The same buffer with one record per row of draws: a boolean mask
+        # copies records many times faster than the (n,) rows of a 3-d array.
+        records = padded.view(np.dtype((np.void, 8 * math.prod(shape)))).reshape(padded.shape[:2])
+        paths, columns = np.arange(per_batch), np.arange(block + 1)
+        for first in range(start, stop, per_batch):
+            size = min(per_batch, stop - first)
+            w, t, m, d = waits[:size], epochs[:size], switches[:size], padded[:size]
+            for j in range(size):
+                rng = self._streams.rekey(first + j)
+                rng.standard_exponential(out=w[j])
+                if uniform:  # its normals follow: count its switches first
+                    self._count_switches(w[j : j + 1], t[j : j + 1], m[j : j + 1])
+                    rng.standard_normal(out=d[j, fixed : m[j] + 1])
+                else:  # its uniforms are a prefix of these
+                    rng.random(out=d[j, fixed:])
+            if not uniform:
+                self._count_switches(w, t, m)
+            t[paths[:size], m] = horizon
+            # A path tops up its waits, before its directions, when their
+            # pairwise sum falls short of the horizon (as in
+            # _draw_switch_times); one whose epochs all do has more rows
+            # than its padded row. The replay below draws both kinds alone.
+            short = (w.sum(axis=1) < horizon) | (m == block)
+            counts = np.where(short, 0, m + 1)
+            taken = columns < counts[:, None]
+            times = t[taken]
+            draws = records[:size][taken].view(np.float64).reshape((-1,) + shape)
+            replay = np.flatnonzero(short)
+            if replay.size:
+                at = np.cumsum(counts)[replay]  # where each replayed path's rows go
+                replayed = [self._replay(first + j) for j in replay]
+                counts[replay] = [path_times.size for path_times, _ in replayed]
+                at = np.repeat(at, counts[replay])
+                times = np.insert(times, at, np.concatenate([r[0] for r in replayed]))
+                draws = np.insert(draws, at, np.concatenate([r[1] for r in replayed]), axis=0)
+            yield first, counts, times, draws
+
+    def _count_switches(self, waits: np.ndarray, epochs: np.ndarray, m: np.ndarray) -> None:
+        """Scale the rows of standard exponentials in waits to waits, in
+        place, with the bits of Generator.exponential(eps^2); their
+        cumulative sums go to epochs[:, :-1] and the number of epochs before
+        the horizon to m."""
+        waits *= self._mean
+        np.cumsum(waits, axis=1, out=epochs[:, :-1])
+        np.sum(epochs[:, :-1] < self.config.horizon, axis=1, out=m)
+
+    def _replay(self, path_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """(times, draws) of one path whose first block of waits ends before
+        the horizon, drawn alone with as many more blocks as it needs."""
+        rng = self._streams.rekey(path_index)
+        horizon = self.config.horizon
+        times = np.append(_draw_switch_times(rng, self._mean, self._block, horizon), horizon)
+        draws = np.empty(times.shape + self._row_shape)
+        draws[: self._fixed_rows] = 1.0
+        if self._cdf is None:
+            rng.standard_normal(out=draws[self._fixed_rows :])
+        else:
+            rng.random(out=draws[self._fixed_rows :])
+        return times, draws
 
     def arrange(
         self, counts: np.ndarray, times: np.ndarray, draws: np.ndarray

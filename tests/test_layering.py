@@ -75,10 +75,10 @@ def test_no_module_imports_scipy(module):
 # themselves, so this process cannot tell what revolve loads.
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -95,9 +95,16 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 @pytest.mark.parametrize("module", ["revolve", "revolve.cli"])
 def test_import_loads_no_scipy(module):
-    result = run_python(LOADED_SCIPY_MODULES.format(module=module))
+    result = run_python("-c", LOADED_SCIPY_MODULES.format(module=module))
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_runs_as_a_module_without_warnings():
+    # runpy warns when the package's import has already loaded revolve.cli
+    result = run_python("-W", "default", "-m", "revolve.cli", "--help")
+    assert result.returncode == 0, result.stderr
+    assert "Warning" not in result.stderr, result.stderr
 
 
 # revolve.cli.main with every import of scipy or scipy.* failing
@@ -127,7 +134,7 @@ def run_without_scipy(tmp_path, mode):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SMALL_CONFIG))
     out = tmp_path / "out"
-    return run_python(MAIN_WITHOUT_SCIPY, mode, "--config", str(config), "--out", str(out)), out
+    return run_python("-c", MAIN_WITHOUT_SCIPY, mode, "--config", str(config), "--out", str(out)), out
 
 
 ARTIFACTS = {

@@ -289,6 +289,9 @@ def _pinned_configs():
                    x0=np.array([0.1, -0.2, 0.3, 0.0, 1.0]), n_paths=120, seed=5)
     msre_n8 = dict(base, dimension=8, profile=builtin_profile("msre_const", 8, c=1.5),
                    x0=np.linspace(-1.0, 1.0, 8), seed=8)
+    edge = dict(planar, epsilon=0.1, profile=builtin_profile("msre_const", 2, c=2.0),
+                x0=np.array([0.5, -0.25]), n_paths=162, seed=77,
+                switching=compass, initial_direction=np.array([math.pi]))
     return {
         "uniform_step_n3": EvolutionConfig(**base),
         "uniform_initial": EvolutionConfig(
@@ -308,22 +311,20 @@ def _pinned_configs():
         "uniform_user_callable": EvolutionConfig(
             **dict(base, profile=VelocityProfile(3, continuous_c=tilted_speed), seed=9)
         ),
-        # the last row-budget batch holds only the last path
-        "discrete_batch_edge": EvolutionConfig(
-            **dict(planar, epsilon=0.1, profile=builtin_profile("msre_const", 2, c=2.0),
-                   x0=np.array([0.5, -0.25]), n_paths=162, seed=77),
-            switching=compass,
-            initial_direction=np.array([math.pi]),
-        ),
+        # several batches of a finite law with a fixed initial direction
+        "discrete_batch_edge": EvolutionConfig(**edge),
+        # the last batch holds only the last path
+        "discrete_last_single": EvolutionConfig(**dict(edge, n_paths=163, seed=78)),
     }
 
 
 class TestPinnedStreams:
     """Endpoint bytes of small configs (x86-64, numpy 2.4). The first four
     were recorded before the per-block kernel replaced the per-path set-up,
-    the other four before the column-major batched kernel replaced the
-    per-path arithmetic. A change of the stream layout or of the path
-    arithmetic changes these digests."""
+    the next four before the column-major batched kernel replaced the
+    per-path arithmetic, and discrete_last_single before padded batches
+    replaced the per-path switch clock. A change of the stream layout or of
+    the path arithmetic changes these digests."""
 
     DIGESTS = {
         "uniform_step_n3": "03b81ac96611c4861a57a145422f00fd9536021ea9bd62d45852d957041d363e",
@@ -334,6 +335,7 @@ class TestPinnedStreams:
         "uniform_msre_n8": "f27d35d925522013d6542a975abef44aacd5d407bdbc86d9946730e41d62c2b8",
         "uniform_user_callable": "36730d70fea85251253e31572a40377db9ff0f7755db2172c15d0459e8e3e1a7",
         "discrete_batch_edge": "c340548ead1d86b76d5f0c76568d9b58108711982551a34d3dabd9371c5b5409",
+        "discrete_last_single": "d182b21adb736726cadcdb06ebf80857c0ce8fa7e6a150032f0482b320632af1",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -360,10 +362,17 @@ class TestPinnedStreams:
 
     def test_pins_span_batches(self):
         configs = _pinned_configs()
-        long_n5, edge = configs["uniform_sine_n5_long"], configs["discrete_batch_edge"]
+        long_n5, edge = configs["uniform_sine_n5_long"], configs["discrete_last_single"]
         assert len(list(_PathKernel(long_n5).batches(0, long_n5.n_paths))) >= 3
         last = list(_PathKernel(edge).batches(0, edge.n_paths))[-1]
         assert last[0] == edge.n_paths - 1 and last[1].size == 1
+
+    @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "discrete_batch_edge"])
+    def test_worker_count_keeps_the_bytes(self, name):
+        cfg = _pinned_configs()[name]
+        serial = simulate_ensemble(cfg, workers=1).points.tobytes()
+        for workers in (2, 4):
+            assert simulate_ensemble(cfg, workers=workers).points.tobytes() == serial
 
 
 @st.composite
@@ -461,6 +470,21 @@ class TestBatchedKernel:
             want = _per_path_reference(cfg, 2, i)
             got = (*path, endpoints[i])
             for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "uniform_step_n3"])
+    def test_mixed_batch_replays_only_the_short_paths(self, name):
+        # a block of about T/eps^2 waits: some paths of the one batch pass
+        # the horizon within it, the others take the replay route
+        cfg = _pinned_configs()[name]
+        kernel = _PathKernel(cfg)
+        kernel._block = block = int(cfg.horizon / cfg.epsilon**2)
+        (_, counts, times, draws), = kernel.batches(0, 24)
+        assert (counts > block).any() and (counts <= block).any()
+        endpoints = kernel.endpoints(counts, times, draws)
+        for i, path in enumerate(kernel.paths(0, 24)):
+            want = _per_path_reference(cfg, block, i)
+            for a, b in zip((*path, endpoints[i]), want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_fixed_direction_on_the_step_boundary_keeps_its_chart_speed(self):
