@@ -28,17 +28,18 @@ Batched arithmetic: the loop over a batch's paths does only what has to
 follow each path's stream. It re-keys the generator, draws a block of
 standard exponentials into the path's row of a padded (paths, block)
 buffer, then draws the path's direction variates. A finite law's uniforms
-fill the whole row: a stream's draws are consecutive and nothing is drawn
-after them, so the row's used prefix holds the numbers a draw sized to the
-path would give. Under uniform switching the path first counts its switches
-in its own row, so that it draws exactly n normals per segment. The rest
-runs once per batch: the waits (the exponentials times eps^2, the bits of
-Generator.exponential(eps^2)), their cumulative sums row by row, the switch
-counts, and a mask that turns the padded rows into one row per segment,
-path after path. A path whose block of waits ends before the horizon draws
-more waits before its directions, so it is replayed alone through
-_draw_switch_times; with a block of T/eps^2 + 6 sqrt(T/eps^2) + 16 waits
-that is rarer than one path in 10^9. A batch holds about _BATCH_ROWS
+fill a padded row too: a stream's draws are consecutive and nothing is
+drawn after them, so the row's used prefix holds the numbers a draw sized
+to the path would give. Under uniform switching the path counts its
+switches in its own row first, then draws exactly n normals per segment
+straight into the batch's rows. The rest runs once per batch: the waits
+(the exponentials times eps^2, the bits of Generator.exponential(eps^2)),
+their cumulative sums row by row and the switch counts under a finite law,
+and, for both laws, a mask that cuts the padded rows into one row per
+segment, path after path. A path whose block of waits ends before the
+horizon draws more waits before its directions, so it is replayed alone
+through _draw_switch_times; with a block of T/eps^2 + 6 sqrt(T/eps^2) + 16
+waits that is rarer than one path in 10^9. A batch holds about _BATCH_ROWS
 segments, so transient memory does not grow with the number of paths.
 Each batch is handled at once on column-major arrays: one (n, rows) array
 per quantity, one column per segment, path after path. The results keep
@@ -260,8 +261,7 @@ def _draw_switch_times(rng: Generator, mean: float, block: int, horizon: float) 
 
 # Segments per batch, on average: a batch takes _BATCH_ROWS / (T/eps^2 + 1)
 # paths. 64 KiB per (rows,) float64 array, n * 64 KiB per (n, rows) one;
-# the padded buffers of the draws hold a block of rows per path, at most 16
-# times as many. Measured at eps 0.02 (n = 3, 4000 paths, 2-CPU Xeon, glibc
+# a padded buffer holds a block per path, at most 16 times as many entries. Measured at eps 0.02 (n = 3, 4000 paths, 2-CPU Xeon, glibc
 # malloc): 2^13 rows holds three paths per batch and took about 10% less CPU
 # time than 2^12, which holds one; at 2^14 every batch mapped and unmapped
 # its arrays afresh, about 190k page faults and 0.3 s of system time. These
@@ -325,9 +325,6 @@ class _PathKernel:
         self._fixed_rows = int(init is not None)
         _keep_batch_memory()
         law = config.switching
-        # A uniform direction is drawn as n normals, an index into a finite
-        # law's table as one uniform.
-        self._row_shape = () if isinstance(law, DiscreteSwitching) else (config.dimension,)
         if isinstance(law, DiscreteSwitching):
             # Columns: the law's directions, then the initial direction.
             angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
@@ -358,43 +355,54 @@ class _PathKernel:
         switch times, then the horizon. draws holds (rows, n) normals under
         uniform switching and (rows,) uniforms under a finite law; with a
         fixed initial direction, the first row of each path is a
-        placeholder. The arrays are the batch's own.
+        placeholder. Uniform switching's draws are a view of a buffer that
+        the next batch reuses.
         """
-        horizon, fixed, block = self.config.horizon, self._fixed_rows, self._block
-        uniform, shape, per_batch = self._cdf is None, self._row_shape, self._batch_paths
+        horizon, fixed, block, mean = self.config.horizon, self._fixed_rows, self._block, self._mean
+        uniform, per_batch = self._cdf is None, self._batch_paths
         waits, switches = np.empty((per_batch, block)), np.empty(per_batch, dtype=np.intp)
         # A spare column: the horizon follows a path's last epoch below it.
         epochs = np.empty((per_batch, block + 1))
-        # Row j: path j's placeholder, if any, then its directions' draws.
-        padded = np.empty((per_batch, block + 1) + shape)
-        padded[:, :fixed] = 1.0  # nonzero, so its norm is finite
-        # The same buffer with one record per row of draws: a boolean mask
-        # copies records many times faster than the (n,) rows of a 3-d array.
-        records = padded.view(np.dtype((np.void, 8 * math.prod(shape)))).reshape(padded.shape[:2])
+        # Path j is short when the pairwise sum of its waits falls short of
+        # the horizon, so that it tops them up before its directions (the
+        # test of _draw_switch_times), or when all its epochs do, so that it
+        # has more rows than a block. Short paths are replayed alone.
+        shorts = np.empty(per_batch, dtype=bool)
+        if uniform:  # the batch's rows of normals, path after path
+            normals = np.empty((per_batch * block, self.config.dimension))
+        else:  # row j: path j's placeholder, if any, then its uniforms
+            padded = np.empty((per_batch, block + 1))
+            padded[:, :fixed] = 1.0
         paths, columns = np.arange(per_batch), np.arange(block + 1)
         for first in range(start, stop, per_batch):
             size = min(per_batch, stop - first)
-            w, t, m, d = waits[:size], epochs[:size], switches[:size], padded[:size]
+            w, t, m, short = waits[:size], epochs[:size], switches[:size], shorts[:size]
+            used = 0
             for j in range(size):
                 rng = self._streams.rekey(first + j)
                 rng.standard_exponential(out=w[j])
-                if uniform:  # its normals follow: count its switches first
-                    self._count_switches(w[j : j + 1], t[j : j + 1], m[j : j + 1])
-                    rng.standard_normal(out=d[j, fixed : m[j] + 1])
-                else:  # its uniforms are a prefix of these
-                    rng.random(out=d[j, fixed:])
-            if not uniform:
-                self._count_switches(w, t, m)
-            t[paths[:size], m] = horizon
-            # A path tops up its waits, before its directions, when their
-            # pairwise sum falls short of the horizon (as in
-            # _draw_switch_times); one whose epochs all do has more rows
-            # than its padded row. The replay below draws both kinds alone.
-            short = (w.sum(axis=1) < horizon) | (m == block)
+                if not uniform:  # its uniforms are a prefix of these
+                    rng.random(out=padded[j, fixed:])
+                    continue
+                # Its normals follow, n per segment: run its clock first.
+                w[j] *= mean
+                m[j] = np.cumsum(w[j], out=t[j, :block]).searchsorted(horizon)
+                short[j] = w[j].sum() < horizon or m[j] == block
+                if not short[j]:
+                    rows = m[j] + 1
+                    normals[used : used + fixed] = 1.0  # nonzero, so its norm is finite
+                    rng.standard_normal(out=normals[used + fixed : used + rows])
+                    used += rows
+            if not uniform:  # the same arithmetic, once for the whole batch
+                w *= mean  # the bits of rng.exponential(mean, size=block)
+                np.cumsum(w, axis=1, out=t[:, :block])
+                np.sum(t[:, :block] < horizon, axis=1, out=m)
+                short[:] = (w.sum(axis=1) < horizon) | (m == block)
+            t[paths[:size], m] = horizon  # the end of each path's last segment
             counts = np.where(short, 0, m + 1)
             taken = columns < counts[:, None]
             times = t[taken]
-            draws = records[:size][taken].view(np.float64).reshape((-1,) + shape)
+            draws = normals[:used] if uniform else padded[:size][taken]
             replay = np.flatnonzero(short)
             if replay.size:
                 at = np.cumsum(counts)[replay]  # where each replayed path's rows go
@@ -405,28 +413,15 @@ class _PathKernel:
                 draws = np.insert(draws, at, np.concatenate([r[1] for r in replayed]), axis=0)
             yield first, counts, times, draws
 
-    def _count_switches(self, waits: np.ndarray, epochs: np.ndarray, m: np.ndarray) -> None:
-        """Scale the rows of standard exponentials in waits to waits, in
-        place, with the bits of Generator.exponential(eps^2); their
-        cumulative sums go to epochs[:, :-1] and the number of epochs before
-        the horizon to m."""
-        waits *= self._mean
-        np.cumsum(waits, axis=1, out=epochs[:, :-1])
-        np.sum(epochs[:, :-1] < self.config.horizon, axis=1, out=m)
-
     def _replay(self, path_index: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, draws) of one path whose first block of waits ends before
         the horizon, drawn alone with as many more blocks as it needs."""
         rng = self._streams.rekey(path_index)
-        horizon = self.config.horizon
+        horizon, fixed = self.config.horizon, self._fixed_rows
         times = np.append(_draw_switch_times(rng, self._mean, self._block, horizon), horizon)
-        draws = np.empty(times.shape + self._row_shape)
-        draws[: self._fixed_rows] = 1.0
-        if self._cdf is None:
-            rng.standard_normal(out=draws[self._fixed_rows :])
-        else:
-            rng.random(out=draws[self._fixed_rows :])
-        return times, draws
+        k = times.size - fixed
+        draws = rng.standard_normal((k, self.config.dimension)) if self._cdf is None else rng.random(k)
+        return times, np.concatenate([np.ones((fixed,) + draws.shape[1:]), draws])
 
     def arrange(
         self, counts: np.ndarray, times: np.ndarray, draws: np.ndarray
