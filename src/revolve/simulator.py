@@ -306,10 +306,12 @@ class _PathKernel:
     """The per-config work of a block of paths, done once, and the path
     arithmetic, done once per batch of paths.
 
-    Each path draws from its own stream: the draws, their order and their
-    count are those of one fresh stream per path. Everything after the
-    draws runs on a whole batch at once, on column-major arrays (n, rows)
-    with one column per segment, with the bits of the per-path arithmetic.
+    Each path draws from its own stream: the draws it uses, and their
+    order, are those of one fresh stream per path (a finite law draws a
+    block of uniforms, of which the path uses a prefix). Everything after
+    the draws runs on a whole batch at once, on column-major arrays
+    (n, rows) with one column per segment, with the bits of the per-path
+    arithmetic.
     """
 
     def __init__(self, config: EvolutionConfig):
@@ -414,8 +416,8 @@ class _PathKernel:
             yield first, counts, times, draws
 
     def _replay(self, path_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """(times, draws) of one path whose first block of waits ends before
-        the horizon, drawn alone with as many more blocks as it needs."""
+        """(times, draws) of one short path, drawn alone with as many blocks
+        of waits as it needs."""
         rng = self._streams.rekey(path_index)
         horizon, fixed = self.config.horizon, self._fixed_rows
         times = np.append(_draw_switch_times(rng, self._mean, self._block, horizon), horizon)

@@ -311,7 +311,7 @@ def _pinned_configs():
         "uniform_user_callable": EvolutionConfig(
             **dict(base, profile=VelocityProfile(3, continuous_c=tilted_speed), seed=9)
         ),
-        # several batches of a finite law with a fixed initial direction
+        # two full batches of a finite law with a fixed initial direction
         "discrete_batch_edge": EvolutionConfig(**edge),
         # the last batch holds only the last path
         "discrete_last_single": EvolutionConfig(**dict(edge, n_paths=163, seed=78)),
