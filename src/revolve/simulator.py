@@ -15,14 +15,14 @@ bit-identical for any number of workers, and any single path can be
 replayed in isolation.
 
 Per-block set-up: a block of paths shares one Philox generator, re-keyed
-for each path, and everything that does not change from path to path. A
-finite switching law becomes a table of directions and speeds, evaluated
-once, with the initial direction as one extra column; a path draws indices
-into it. Under uniform switching, a profile whose parts all have a direction
-form (the built-ins) is evaluated on the drawn unit vectors. The inverse
-chart angles_from_directions is still used for profiles with atoms or with
-user-supplied angle callables, and, once per block, for the speed of a fixed
-initial direction.
+for each path, the padded buffers its batches reuse, and everything that
+does not change from path to path. A finite switching law becomes a table
+of directions and speeds, evaluated once, with the initial direction as one
+extra column; a path draws indices into it. Under uniform switching, a
+profile whose parts all have a direction form (the built-ins) is evaluated
+on the drawn unit vectors. The inverse chart angles_from_directions is
+still used for profiles with atoms or with user-supplied angle callables,
+and, once per block, for the speed of a fixed initial direction.
 
 Batched arithmetic: the loop over a batch's paths does only what has to
 follow each path's stream. It re-keys the generator, draws a block of
