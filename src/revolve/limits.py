@@ -153,7 +153,9 @@ def limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> Diffus
 
     s = grid.directions
     c, _, atoms = grid_speeds(profile, grid)
-    a = np.einsum("m,m,mi,mj->ij", grid.weights, c * c, s, s)
+    # one (M,) factor, then a two-operand sum over nodes: numpy fixes its
+    # order, whatever the number of BLAS threads
+    a = np.einsum("mi,mj->ij", (grid.weights * (c * c))[:, None] * s, s)
     for factor, s_atom in atom_terms(grid.dimension, atoms, [atom.c_value**2 for atom in atoms]):
         a = a + factor * np.outer(s_atom, s_atom)
     a = 0.5 * (a + a.T)

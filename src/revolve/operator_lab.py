@@ -81,9 +81,6 @@ __all__ = [
     "quadrature_residuals",
     "apply_s",
     "gaussian_bump",
-    "gaussian_monomial",
-    "linear_function",
-    "finite_difference_check",
     "lab_limit_coefficients",
     "solve_perturbation",
     "assembled_generator_residual",
@@ -147,15 +144,17 @@ def quadrature_residuals(grid: QuadratureGrid) -> dict[str, float]:
     roundoff for any weights summing to 1, these show a coarse grid."""
     n, w, s = grid.dimension, grid.weights, grid.directions
     report = {
-        "pi_s": float(np.max(np.abs(w @ s))),
+        "pi_s": float(np.max(np.abs(np.einsum("m,mi->i", w, s)))),
         "pi_ss": float(np.max(np.abs((s.T * w) @ s - np.eye(n) / n))),
     }
-    errors = [
-        abs(float(w @ np.sin(grid.nodes[:, i - 1]) ** k)
-            - sin_power_integral(n - 1 - i + k) / sin_power_integral(n - 1 - i))
-        for i in range(1, n - 1)
-        for k in (1, 2)
-    ]
+    errors = []
+    for i in range(1, n - 1):
+        sin_i = np.sin(grid.nodes[:, i - 1])
+        errors += [
+            abs(grid.average(sin_i**k)
+                - sin_power_integral(n - 1 - i + k) / sin_power_integral(n - 1 - i))
+            for k in (1, 2)
+        ]
     if errors:
         report["sin_powers"] = max(errors)
     return report
@@ -214,81 +213,6 @@ def gaussian_bump(center: np.ndarray, width: float) -> TestFunction:
     return TestFunction(n, value, gradient, hessian, third)
 
 
-def gaussian_monomial(center: np.ndarray, width: float, axis: int) -> TestFunction:
-    """(x_axis - center_axis) * gaussian_bump(center, width)."""
-    g = gaussian_bump(center, width)
-    center = np.asarray(center, dtype=float)
-    n = center.size
-    if not 0 <= axis < n:
-        raise ValueError(f"axis must lie in [0, {n}), got {axis}")
-
-    def value(x):
-        u = np.asarray(x, dtype=float) - center
-        return float(u[axis]) * g.value(x)
-
-    def gradient(x):
-        u = np.asarray(x, dtype=float) - center
-        grad = u[axis] * g.gradient(x)
-        grad[axis] += g.value(x)
-        return grad
-
-    def hessian(x):
-        u = np.asarray(x, dtype=float) - center
-        gg = g.gradient(x)
-        h = u[axis] * g.hessian(x)
-        h[axis, :] += gg
-        h[:, axis] += gg
-        return h
-
-    def third(x):
-        u = np.asarray(x, dtype=float) - center
-        gh = g.hessian(x)
-        t = u[axis] * g.third(x)
-        t[axis, :, :] += gh
-        t[:, axis, :] += gh
-        t[:, :, axis] += gh
-        return t
-
-    return TestFunction(n, value, gradient, hessian, third)
-
-
-def linear_function(coefficients: np.ndarray, constant: float = 0.0) -> TestFunction:
-    """a . x + b; zero Hessian and third derivatives."""
-    a = np.asarray(coefficients, dtype=float)
-    n = a.size
-
-    return TestFunction(
-        n,
-        value=lambda x: float(np.dot(a, np.asarray(x, dtype=float)) + constant),
-        gradient=lambda x: a.copy(),
-        hessian=lambda x: np.zeros((n, n)),
-        third=lambda x: np.zeros((n, n, n)),
-    )
-
-
-def finite_difference_check(
-    phi: TestFunction, rng: np.random.Generator, n_points: int = 100, h: float = 1e-5
-) -> tuple[float, float]:
-    """Max relative error of (gradient vs FD of value, hessian vs FD of gradient)."""
-    n = phi.dimension
-    worst_g = 0.0
-    worst_h = 0.0
-    for _ in range(n_points):
-        x = rng.uniform(-1.5, 1.5, size=n)
-        grad = phi.gradient(x)
-        hess = phi.hessian(x)
-        scale_g = max(1.0, float(np.max(np.abs(grad))))
-        scale_h = max(1.0, float(np.max(np.abs(hess))))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            fd_g = (phi.value(x + e) - phi.value(x - e)) / (2 * h)
-            worst_g = max(worst_g, abs(fd_g - grad[i]) / scale_g)
-            fd_h = (phi.gradient(x + e) - phi.gradient(x - e)) / (2 * h)
-            worst_h = max(worst_h, float(np.max(np.abs(fd_h - hess[i]))) / scale_h)
-    return worst_g, worst_h
-
-
 def apply_s(theta: AngleVector, phi: TestFunction, x: np.ndarray) -> float:
     """Directional transport in generator notation: -(s(theta), grad phi(x))."""
     if theta.dimension != phi.dimension:
@@ -324,7 +248,7 @@ def _transported_values(
     m = d1.shape[0]
     values = np.zeros(m) + np.einsum("mi,mi->m", d1, s @ phi.hessian(x))
     if d2 is not None:
-        s_third = np.einsum("mi,ijk->mjk", s, phi.third(x))
+        s_third = s @ phi.third(x).reshape(s.shape[1], -1)  # n terms per entry
         values = values + np.einsum("mi,mi->m", d2.reshape(m, -1), s_third.reshape(m, -1))
     return values
 
@@ -351,11 +275,10 @@ def lab_limit_coefficients(
     s = grid.directions
     w = grid.weights
     b = c[:, None] * s
-    mean_b = w @ b
-    centered = b - mean_b
-    diffusion = np.einsum("m,mk,mi->ki", w * c, s, centered)
+    centered = b - np.einsum("m,mi->i", w, b)
+    diffusion = np.einsum("mk,mi->ki", (w * c)[:, None] * s, centered)
     diffusion = 0.5 * (diffusion + diffusion.T)
-    drift = w @ (c1[:, None] * s)
+    drift = np.einsum("m,mi->i", w, c1[:, None] * s)
     return drift, diffusion
 
 

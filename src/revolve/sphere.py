@@ -252,7 +252,9 @@ class QuadratureGrid:
 
     def average(self, values: np.ndarray) -> float:
         """Normalized sphere average (1/N) * integral of a node-sampled function."""
-        return float(np.dot(self.weights, np.asarray(values, dtype=float)))
+        # numpy's pairwise sum: its order is fixed (np.dot would let BLAS
+        # threads split the nodes) and its error grows as log M, not M
+        return float(np.sum(self.weights * np.asarray(values, dtype=float)))
 
 
 class FiniteLawGrid(QuadratureGrid):
@@ -279,6 +281,14 @@ def build_grid(n: int, resolution: int) -> QuadratureGrid:
     for speeds that step between the azimuthal half-spheres, since every node
     is interior to a panel and never touches the jump. Weights are
     renormalized to sum to 1.
+
+    Nodes, weights and directions are built per axis: each axis's nodes,
+    weights, and cos and sin of its nodes, broadcast over the product in the
+    chart's order (the sine products sin t1 * ... * sin tk accumulate one axis
+    at a time, as the chart's cumprod does). So every node gets the same
+    elementwise products, in the same order, as on a full mesh, and the
+    directions equal directions_from_angles(nodes) bit for bit without
+    evaluating the chart at every node.
     """
     n = check_dimension(n)
     resolution = check_resolution(resolution)
@@ -295,18 +305,26 @@ def build_grid(n: int, resolution: int) -> QuadratureGrid:
     axis_nodes.append(np.concatenate([theta_polar, theta_polar + math.pi]))
     axis_weights.append(np.concatenate([w_polar, w_polar]))
 
-    mesh = np.meshgrid(*axis_nodes, indexing="ij")
-    nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*axis_weights, indexing="ij")
-    raw = np.ones(nodes.shape[0], dtype=float)
-    for wm in wmesh:
-        raw = raw * wm.reshape(-1)
+    shape = tuple(theta.size for theta in axis_nodes)
+    nodes = np.empty(shape + (n - 1,))
+    directions = np.empty(shape + (n,))
+    raw = sin_prod = 1.0  # exact: 1.0 * x == x
+    for axis, (theta, weight) in enumerate(zip(axis_nodes, axis_weights)):
+        along = [1] * (n - 1)
+        along[axis] = theta.size
+        nodes[..., axis] = theta.reshape(along)
+        raw = raw * weight.reshape(along)
+        directions[..., axis] = sin_prod * np.cos(theta).reshape(along)
+        sin_prod = sin_prod * np.sin(theta).reshape(along)
+    directions[..., n - 1] = sin_prod
+    raw = raw.reshape(-1)
     raw_total = float(raw.sum())
     return QuadratureGrid(
         dimension=n,
-        nodes=nodes,
+        nodes=nodes.reshape(-1, n - 1),
         weights=raw / raw_total,
         raw_total=raw_total,
+        directions=directions.reshape(-1, n),
     )
 
 

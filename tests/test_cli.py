@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import revolve
 from revolve.cli import SchemaError, load_config, main
 from revolve.stats import limit_for_config
 
@@ -456,10 +461,36 @@ class TestVerifyOperators:
         report = json.loads((out / "operator_report.json").read_text())
         assert report["identity_residuals"] == {
             "pi_idempotent": 1.3877787807814457e-17,
-            "pi_q": 1.734723475976807e-17,
+            "pi_q": 6.938893903907228e-18,
             "q_pi": 1.3877787807814457e-17,
-            "r0_q_identity": 2.7755575615628914e-17,
+            "r0_q_identity": 1.3877787807814457e-17,
         }
+
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 20000 nodes: enough for OpenBLAS to split a dot product over the
+        # nodes across threads, which would reorder the sum
+        evo = dict(
+            BASE_EVOLUTION,
+            dimension=5,
+            x0=[0.1, -0.2, 0.3, 0.0, 0.2],
+            seed=11,
+            profile={"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
+        )
+        path = write_config(tmp_path, {"evolution": evo, "grid_resolution": 10})
+        src = str(Path(revolve.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            result = subprocess.run(
+                [sys.executable, "-m", "revolve.cli", "verify-operators", "--config", path,
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            reports.append((out / "operator_report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_quadrature_residuals_see_a_coarse_grid(self, tmp_path):
         evo = dict(BASE_EVOLUTION, dimension=3, x0=[0.0] * 3)

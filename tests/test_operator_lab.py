@@ -9,26 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revolve.limits import limit_coefficients
+from revolve.limits import finite_law_grid, limit_coefficients
 from revolve.operator_lab import (
     SolvabilityError,
+    TestFunction,
     ThetaField,
+    _transported_values,
     apply_q,
     apply_r0,
     apply_s,
     assembled_generator_residual,
-    finite_difference_check,
     gaussian_bump,
-    gaussian_monomial,
     lab_limit_coefficients,
-    linear_function,
     potential_identity_error,
     project_pi,
     residual_scaling,
     solve_perturbation,
 )
-from revolve.profiles import ProfileError, VelocityProfile, builtin_profile
-from revolve.sphere import AngleVector, build_grid
+from revolve.profiles import ProfileError, VelocityProfile, builtin_profile, grid_speeds
+from revolve.sphere import AngleVector, angles_from_directions, build_grid, directions_from_angles
 
 RES = {2: 32, 3: 24, 4: 12, 5: 8}
 COEF_RES = {2: 32, 3: 24, 4: 16, 5: 12}  # coefficient tolerances need finer polar rules
@@ -37,6 +36,81 @@ EPS_LIST = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 
 def grid_for(n):
     return build_grid(n, RES[n])
+
+
+def gaussian_monomial(center: np.ndarray, width: float, axis: int) -> TestFunction:
+    """(x_axis - center_axis) * gaussian_bump(center, width)."""
+    g = gaussian_bump(center, width)
+    center = np.asarray(center, dtype=float)
+    n = center.size
+    if not 0 <= axis < n:
+        raise ValueError(f"axis must lie in [0, {n}), got {axis}")
+
+    def value(x):
+        u = np.asarray(x, dtype=float) - center
+        return float(u[axis]) * g.value(x)
+
+    def gradient(x):
+        u = np.asarray(x, dtype=float) - center
+        grad = u[axis] * g.gradient(x)
+        grad[axis] += g.value(x)
+        return grad
+
+    def hessian(x):
+        u = np.asarray(x, dtype=float) - center
+        gg = g.gradient(x)
+        h = u[axis] * g.hessian(x)
+        h[axis, :] += gg
+        h[:, axis] += gg
+        return h
+
+    def third(x):
+        u = np.asarray(x, dtype=float) - center
+        gh = g.hessian(x)
+        t = u[axis] * g.third(x)
+        t[axis, :, :] += gh
+        t[:, axis, :] += gh
+        t[:, :, axis] += gh
+        return t
+
+    return TestFunction(n, value, gradient, hessian, third)
+
+
+def linear_function(coefficients: np.ndarray, constant: float = 0.0) -> TestFunction:
+    """a . x + b; zero Hessian and third derivatives."""
+    a = np.asarray(coefficients, dtype=float)
+    n = a.size
+
+    return TestFunction(
+        n,
+        value=lambda x: float(np.dot(a, np.asarray(x, dtype=float)) + constant),
+        gradient=lambda x: a.copy(),
+        hessian=lambda x: np.zeros((n, n)),
+        third=lambda x: np.zeros((n, n, n)),
+    )
+
+
+def finite_difference_check(
+    phi: TestFunction, rng: np.random.Generator, n_points: int = 100, h: float = 1e-5
+) -> tuple[float, float]:
+    """Max relative error of (gradient vs FD of value, hessian vs FD of gradient)."""
+    n = phi.dimension
+    worst_g = 0.0
+    worst_h = 0.0
+    for _ in range(n_points):
+        x = rng.uniform(-1.5, 1.5, size=n)
+        grad = phi.gradient(x)
+        hess = phi.hessian(x)
+        scale_g = max(1.0, float(np.max(np.abs(grad))))
+        scale_h = max(1.0, float(np.max(np.abs(hess))))
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            fd_g = (phi.value(x + e) - phi.value(x - e)) / (2 * h)
+            worst_g = max(worst_g, abs(fd_g - grad[i]) / scale_g)
+            fd_h = (phi.gradient(x + e) - phi.gradient(x - e)) / (2 * h)
+            worst_h = max(worst_h, float(np.max(np.abs(fd_h - hess[i]))) / scale_h)
+    return worst_g, worst_h
 
 
 class TestProjector:
@@ -261,6 +335,83 @@ class TestPerturbationSolve:
         coarse = solve_perturbation(p, phi, x, build_grid(3, 16)).limit_value
         fine = solve_perturbation(p, phi, x, build_grid(3, 32)).limit_value
         assert abs(fine - coarse) <= 1e-8 * max(1.0, abs(fine))
+
+
+# The grid-wide contractions against the einsum forms they replaced, kept
+# here as references. Summed in another order, they may differ by a few ulps
+# of the sum of the terms' magnitudes.
+ULPS = 8 * np.finfo(float).eps
+
+
+def contraction_grids():
+    grids = [build_grid(n, RES[n]) for n in (2, 3, 4, 5)]
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4):
+        # antipodal pairs of equal mass balance every profile used below
+        rows = np.column_stack(
+            [rng.uniform(0.05, math.pi - 0.05, (5, n - 2)), rng.uniform(0.0, 2 * math.pi, 5)]
+        )
+        rows = np.vstack([rows, angles_from_directions(-directions_from_angles(rows))])
+        mass = np.tile(rng.uniform(0.05, 1.0, 5), 2)
+        grids.append(finite_law_grid(rows, mass / mass.sum()))
+    return grids
+
+
+def contraction_profiles(n):
+    profiles = [builtin_profile("step_half_sphere", n, c=1.3, c1=0.7)]
+    return profiles + ([builtin_profile("sin_theta1", n)] if n >= 3 else [])
+
+
+@pytest.mark.parametrize(
+    "grid", contraction_grids(), ids=[f"sphere{n}" for n in (2, 3, 4, 5)] + ["law2", "law3", "law4"]
+)
+class TestContractions:
+    def test_average(self, grid):
+        f = np.random.default_rng(grid.size).standard_normal(grid.size)
+        reference = np.dot(grid.weights, f)
+        assert abs(grid.average(f) - reference) <= ULPS * np.dot(grid.weights, np.abs(f))
+
+    def test_limit_diffusion(self, grid):
+        w, s = grid.weights, grid.directions
+        for profile in contraction_profiles(grid.dimension):
+            c, _, _ = grid_speeds(profile, grid)
+            reference = np.einsum("m,m,mi,mj->ij", w, c * c, s, s)
+            reference = 0.5 * (reference + reference.T)
+            got = limit_coefficients(profile, grid).diffusion
+            assert np.max(np.abs(got - reference)) <= ULPS * np.dot(w, c * c)
+
+    def test_lab_limit_coefficients(self, grid):
+        w, s = grid.weights, grid.directions
+        for profile in contraction_profiles(grid.dimension):
+            c, c1, _ = grid_speeds(profile, grid)
+            b = c[:, None] * s
+            mean_b = w @ b
+            diffusion = np.einsum("m,mk,mi->ki", w * c, s, b - mean_b)
+            diffusion = 0.5 * (diffusion + diffusion.T)
+            drift = w @ (c1[:, None] * s)
+            got_drift, got_diffusion = lab_limit_coefficients(profile, grid)
+            scale = np.dot(w, np.abs(c) * (np.abs(c) + np.max(np.abs(mean_b))))
+            assert np.max(np.abs(got_diffusion - diffusion)) <= ULPS * scale
+            assert np.max(np.abs(got_drift - drift)) <= ULPS * np.dot(w, np.abs(c1))
+
+    def test_transported_values(self, grid):
+        n, m, s = grid.dimension, grid.size, grid.directions
+        rng = np.random.default_rng(m)
+        d1, d2 = rng.standard_normal((m, n)), rng.standard_normal((m, n, n))
+        phi = gaussian_bump(0.1 * np.arange(n), 1.0)
+        x = np.full(n, 0.2)
+        hessian, third = phi.hessian(x), phi.third(x)
+
+        def transported(s, d1, d2, hessian, third):
+            s_third = np.einsum("mi,ijk->mjk", s, third)
+            return np.einsum("mi,mi->m", d1, s @ hessian) + np.einsum(
+                "mi,mi->m", d2.reshape(m, -1), s_third.reshape(m, -1)
+            )
+
+        reference = transported(s, d1, d2, hessian, third)
+        scale = transported(*(np.abs(a) for a in (s, d1, d2, hessian, third)))
+        got = _transported_values(phi, x, s, d1, d2)
+        assert np.all(np.abs(got - reference) <= ULPS * scale)
 
 
 # (profile, n, profile kwargs, bump center, point x, residual(eps) for

@@ -163,6 +163,15 @@ class TestGrid:
                 target = (1.0 / n) if i == j else 0.0
                 assert abs(grid.average(s[:, i] * s[:, j]) - target) <= 1e-8
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_directions_built_per_axis_are_the_chart_bit_for_bit(self, n):
+        # up to the benchmark's grid, n = 5 at resolution 16
+        for resolution in (2, 3, 5) + ((16,) if n <= 5 else ()):
+            grid = build_grid(n, resolution)
+            chart = directions_from_angles(grid.nodes)
+            assert grid.directions.shape == chart.shape
+            assert grid.directions.tobytes() == chart.tobytes()
+
     def test_nodes_inside_ranges(self):
         grid = build_grid(4, 8)
         polar = grid.nodes[:, :-1]
