@@ -29,7 +29,13 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .limits import BalanceError, gaussian_law_at, limit_coefficients
+from .limits import (
+    BalanceError,
+    DiscreteSwitching,
+    UniformSphere,
+    gaussian_law_at,
+    limit_coefficients,
+)
 from .operator_lab import (
     ThetaField,
     apply_q,
@@ -42,19 +48,12 @@ from .operator_lab import (
 )
 from .profiles import Atom, FieldError, ProfileError, VelocityProfile, builtin_profile
 from .rates import check_eps_sweep
-from .simulator import (
-    DiscreteSwitching,
-    EvolutionConfig,
-    UniformSphere,
-    simulate_ensemble,
-    simulate_paths,
-)
-from .sphere import FiniteLawGrid, build_grid, check_dimension, check_resolution
-from .stats import grid_for_config, ks_marginals, limit_for_config
-from .stats import run_sweep, summarize
+from .simulator import EvolutionConfig, simulate_ensemble, simulate_paths
+from .sphere import build_grid, check_dimension, check_resolution
+from .stats import ks_marginals, limit_for_config, run_sweep, summarize
 
-# build_grid, reached through grid_for_config, stays importable here for
-# tools that wrap the layer functions this module uses; the names such a
+# build_grid, reached through the uniform law's grid, stays importable here
+# for tools that wrap the layer functions this module uses; the names such a
 # tool looks up are checked by tests/test_bench_lookups.py.
 
 __all__ = ["SchemaError", "ExperimentConfig", "load_config", "run", "main"]
@@ -310,7 +309,7 @@ def _write_trajectories_csv(path: Path, config: EvolutionConfig) -> None:
 
 def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
     evo = config.evolution
-    grid = grid_for_config(evo, config.grid_resolution)
+    grid = evo.switching.grid(evo.dimension, config.grid_resolution)
     # the identities hold to roundoff for any weights summing to 1: one field
     f = ThetaField(grid, np.random.default_rng(evo.seed).standard_normal(grid.size))
     pi_f = project_pi(f)
@@ -326,7 +325,7 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
             "r0_q_identity": potential_identity_error(f),
         },
     }
-    if not isinstance(grid, FiniteLawGrid):
+    if isinstance(evo.switching, UniformSphere):  # closed forms of the uniform measure
         report["quadrature_residuals"] = quadrature_residuals(grid)
     limit = limit_coefficients(evo.profile, grid)
     report["limit_coefficients"] = {

@@ -11,9 +11,12 @@ with
     A_ij = <c(theta)^2 * s_i(theta) * s_j(theta)>,
 
 angle brackets denoting the average over the switching law's stationary
-measure, on its grid: the sphere grid under uniform switching, where profile
-atoms add weight * f(theta) / N terms, or finite_law_grid. For c = const
-under uniform switching A = (c^2/n) * I and the limit is a Wiener process.
+measure, on its grid. The two switching laws live here, each with its grid:
+UniformSphere's is the sphere grid, where profile atoms add
+weight * f(theta) / N terms; DiscreteSwitching's is its directions weighted
+by their probabilities, built once when the law validates itself. For
+c = const under uniform switching A = (c^2/n) * I and the limit is a Wiener
+process.
 
 Sign convention: d is the physical drift E[c1 * s], the direction the
 simulated particle actually trends in. The same functional with opposite
@@ -23,7 +26,8 @@ on the result as drift_paper_sign for traceability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -33,18 +37,19 @@ from .profiles import (
     FieldError,
     VelocityProfile,
     atom_terms,
-    check_balance,
-    check_nonsymmetry,
+    balance_report,
+    first_moment,
     grid_speeds,
 )
-from .sphere import FiniteLawGrid, QuadratureGrid
+from .sphere import FiniteLawGrid, QuadratureGrid, build_grid
 
 __all__ = [
     "BalanceError",
     "DiffusionLimit",
     "GaussianSpec",
-    "check_probabilities",
-    "finite_law_grid",
+    "UniformSphere",
+    "DiscreteSwitching",
+    "SwitchingLaw",
     "limit_coefficients",
     "discrete_limit_coefficients",
     "gaussian_law_at",
@@ -111,33 +116,71 @@ class GaussianSpec:
             raise ValueError("covariance must be positive semidefinite within 1e-10")
 
 
-def check_probabilities(probabilities: np.ndarray) -> None:
-    """Raise FieldError unless the values are a finite, nonnegative vector
-    that sums to 1 within 1e-12."""
-    p = np.asarray(probabilities, dtype=float)
-    # written so that NaN and infinite entries fail
-    if not (np.all(p >= 0.0) and abs(float(p.sum()) - 1.0) <= 1e-12):
-        raise FieldError(
-            "probabilities must be finite, nonnegative and sum to 1 within 1e-12",
-            "probabilities",
+@dataclass(frozen=True)
+class UniformSphere:
+    """Switching law: fresh uniform direction on S_{n-1} at every event."""
+
+    def grid(self, dimension: int, resolution: int) -> QuadratureGrid:
+        """The sphere grid build_grid(dimension, resolution)."""
+        return build_grid(dimension, resolution)
+
+    def describe(self) -> dict:
+        return {"kind": "uniform_sphere"}
+
+
+@dataclass(frozen=True)
+class DiscreteSwitching:
+    """Switching law over a finite direction set with fixed probabilities.
+
+    Raises FieldError unless the probabilities are finite, nonnegative, one
+    per angle row, and sum to 1 within 1e-12. Its grid holds the rows of
+    positive probability, weighted by it: a row of probability 0 carries no
+    stationary mass and matters only as an initial direction.
+    """
+
+    angles: np.ndarray         # (K, n-1)
+    probabilities: np.ndarray  # (K,), sums to 1
+    _grid: FiniteLawGrid = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            angles = np.atleast_2d(np.asarray(self.angles, dtype=float))
+        except ValueError as exc:
+            raise FieldError("angle rows must all have the same length", "angles") from exc
+        p = np.asarray(self.probabilities, dtype=float)
+        # written so that NaN and infinite entries fail
+        if not (np.all(p >= 0.0) and abs(float(p.sum()) - 1.0) <= 1e-12):
+            raise FieldError(
+                "probabilities must be finite, nonnegative and sum to 1 within 1e-12",
+                "probabilities",
+            )
+        if p.shape != angles.shape[:1]:
+            raise FieldError("need one probability per direction", "probabilities")
+        if angles.shape[1] == 0:
+            raise FieldError("angle rows need at least one angle", "angles")
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "probabilities", p)
+        keep = p > 0.0
+        grid = FiniteLawGrid(
+            dimension=angles.shape[1] + 1, nodes=angles[keep], weights=p[keep], raw_total=1.0
         )
+        object.__setattr__(self, "_grid", grid)
+
+    def grid(self, dimension: int | None = None, resolution: int | None = None) -> FiniteLawGrid:
+        """The law's own grid, the same object on every call. Its dimension is
+        that of the angle rows; the arguments, which the uniform law's grid
+        needs, are unused."""
+        return self._grid
+
+    def describe(self) -> dict:
+        return {
+            "kind": "discrete",
+            "angles": self.angles.tolist(),
+            "probabilities": self.probabilities.tolist(),
+        }
 
 
-def finite_law_grid(angles: np.ndarray, probabilities: np.ndarray) -> FiniteLawGrid:
-    """The grid of a finite switching law: its (K, n-1) angle rows of positive
-    probability, weighted by it. A row of probability 0 carries no stationary
-    mass; it matters only as an initial direction."""
-    angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    p = np.asarray(probabilities, dtype=float)
-    check_probabilities(p)
-    if p.shape != angles.shape[:1]:
-        raise FieldError("need one probability per direction", "probabilities")
-    if angles.shape[1] == 0:
-        raise FieldError("angle rows need at least one angle", "angles")
-    keep = p > 0.0
-    return FiniteLawGrid(
-        dimension=angles.shape[1] + 1, nodes=angles[keep], weights=p[keep], raw_total=1.0
-    )
+SwitchingLaw = Union[UniformSphere, DiscreteSwitching]
 
 
 def limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> DiffusionLimit:
@@ -147,19 +190,20 @@ def limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> Diffus
     Raises BalanceError when the fast speed fails the balance condition (the
     1/eps term then survives and no diffusion limit exists).
     """
-    report = check_balance(profile, grid)
+    speeds = grid_speeds(profile, grid)  # the one reading of the profile
+    report = balance_report(first_moment(grid, speeds, 0))
     if not report.satisfied:
         raise BalanceError(report)
 
     s = grid.directions
-    c, _, atoms = grid_speeds(profile, grid)
+    c, _, atoms = speeds
     # one (M,) factor, then a two-operand sum over nodes: numpy fixes its
     # order, whatever the number of BLAS threads
     a = np.einsum("mi,mj->ij", (grid.weights * (c * c))[:, None] * s, s)
     for factor, s_atom in atom_terms(grid.dimension, atoms, [atom.c_value**2 for atom in atoms]):
         a = a + factor * np.outer(s_atom, s_atom)
     a = 0.5 * (a + a.T)
-    drift = check_nonsymmetry(profile, grid).residual_vector
+    drift = first_moment(grid, speeds, 1)
     return DiffusionLimit(profile.dimension, drift, a)
 
 
@@ -171,16 +215,16 @@ def discrete_limit_coefficients(
     c1_values: np.ndarray,
 ) -> DiffusionLimit:
     """d = sum_k p_k c1_k s_k and A = sum_k p_k c_k^2 s_k s_k^T: limit_coefficients
-    on finite_law_grid for speeds given at the angles, as atoms there (rows
-    whose directions lie within values_at's tolerance of each other take the
-    last row's speeds)."""
+    on the grid of DiscreteSwitching(angles, probabilities) for speeds given
+    at the angles, as atoms there (rows whose directions lie within
+    values_at's tolerance of each other take the last row's speeds)."""
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     c, c1 = np.asarray(c_values, dtype=float), np.asarray(c1_values, dtype=float)
     if not (angles.shape[0] == np.size(probabilities) == c.size == c1.size):
         raise ValueError("angles, probabilities, c_values, c1_values must align")
     atoms = tuple(Atom(row, 1.0, ck, c1k) for row, ck, c1k in zip(angles, c, c1))
     profile = VelocityProfile(int(dimension), atoms=atoms, name="law")
-    return limit_coefficients(profile, finite_law_grid(angles, probabilities))
+    return limit_coefficients(profile, DiscreteSwitching(angles, probabilities).grid())
 
 
 def gaussian_law_at(limit: DiffusionLimit, t: float, x0: np.ndarray | None = None) -> GaussianSpec:

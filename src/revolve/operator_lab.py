@@ -1,9 +1,10 @@
 """Discretized generator algebra of the switching evolution.
 
 The algebra needs only the switching law's stationary measure, which its
-grid carries: a sphere grid under uniform switching, limits.finite_law_grid
-under a finite law. On it the averaging projector, the switching generator
-and the potential operator act on direction-dependent fields f(theta) as
+grid carries (law.grid in limits): a sphere grid under uniform switching,
+the law's own directions under a finite law. On it the averaging projector,
+the switching generator and the potential operator act on
+direction-dependent fields f(theta) as
 
     Pi f  = sum_m w_m f_m          (projects onto constants),
     Q f   = Pi f - f               (null-space: constants),
@@ -12,15 +13,13 @@ and the potential operator act on direction-dependent fields f(theta) as
 
 satisfying Pi Pi = Pi, Q Pi = Pi Q = 0 and R0 Q = Q R0 = I - Pi exactly up
 to roundoff. Q = Pi - I is minus the projection onto mean-zero fields, so
-it is its own inverse there: R0 and Q share one formula, and apply_r0 is an
-alias of apply_q kept under the paper's name.
+it is its own inverse there: R0 and Q share one formula, apply_q.
 
 The transport operator couples the direction to a smooth test function phi
-on R^n. apply_s keeps the customary generator notation
-S(theta) phi = -(s(theta), grad phi); everything in the perturbation solver
-below instead uses the transport sign +(s, grad), the operator that actually
-generates the simulated motion dx/dt = v * s(theta). This is the single
-point where the two conventions meet: as a consequence all assembled limit
+on R^n. The customary generator notation writes it
+S(theta) phi = -(s(theta), grad phi); the perturbation solver below instead
+uses the transport sign +(s, grad), the operator that actually generates the
+simulated motion dx/dt = v * s(theta). As a consequence all assembled limit
 coefficients carry the physical drift E[c1 * s] and agree with the limits
 module, while the opposite-sign functional stays available there as
 drift_paper_sign.
@@ -65,8 +64,8 @@ from typing import Callable
 import numpy as np
 
 from .limits import BalanceError
-from .profiles import ProfileError, VelocityProfile, check_balance, grid_speeds
-from .sphere import AngleVector, QuadratureGrid, directions_from_angles, sin_power_integral
+from .profiles import ProfileError, VelocityProfile, balance_report, first_moment, grid_speeds
+from .sphere import QuadratureGrid, sin_power_integral
 from .rates import RateFit, check_eps_sweep, fit_loglog
 
 __all__ = [
@@ -76,10 +75,8 @@ __all__ = [
     "SolvabilityError",
     "project_pi",
     "apply_q",
-    "apply_r0",
     "potential_identity_error",
     "quadrature_residuals",
-    "apply_s",
     "gaussian_bump",
     "lab_limit_coefficients",
     "solve_perturbation",
@@ -124,13 +121,9 @@ def apply_q(f: ThetaField) -> ThetaField:
     return ThetaField(f.grid, project_pi(f) - f.values)
 
 
-# Potential operator: Pi f - f; inverts Q on mean-zero fields.
-apply_r0 = apply_q
-
-
 def potential_identity_error(f: ThetaField) -> float:
     """Sup-norm of R0(Q f) - (f - Pi f); zero up to roundoff for any field."""
-    lhs = apply_r0(apply_q(f)).values
+    lhs = apply_q(apply_q(f)).values  # R0 = Q
     rhs = f.values - project_pi(f)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -213,16 +206,6 @@ def gaussian_bump(center: np.ndarray, width: float) -> TestFunction:
     return TestFunction(n, value, gradient, hessian, third)
 
 
-def apply_s(theta: AngleVector, phi: TestFunction, x: np.ndarray) -> float:
-    """Directional transport in generator notation: -(s(theta), grad phi(x))."""
-    if theta.dimension != phi.dimension:
-        raise ValueError(
-            f"angle dimension {theta.dimension} != test function dimension {phi.dimension}"
-        )
-    s = directions_from_angles(theta.angles)
-    return -float(np.dot(s, phi.gradient(np.asarray(x, dtype=float))))
-
-
 # ---------------------------------------------------------------------------
 # fields of derivative coefficients over the grid
 
@@ -253,8 +236,9 @@ def _transported_values(
     return values
 
 
-def _node_speeds(profile: VelocityProfile, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
-    c, c1, atoms = grid_speeds(profile, grid)
+def _node_speeds(speeds: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(c, c1) of a grid_speeds reading that has no point-mass atoms."""
+    c, c1, atoms = speeds
     if atoms:
         raise ProfileError("atoms are point masses that no node of a sphere grid carries; "
                            "the hierarchy takes them on a finite law's grid only")
@@ -271,7 +255,7 @@ def lab_limit_coefficients(
     correction E[c s_i] E[c s_j] (zero under exact balance). Works directly
     with (M, n) contractions so it scales to fine grids in high dimension.
     """
-    c, c1 = _node_speeds(profile, grid)
+    c, c1 = _node_speeds(grid_speeds(profile, grid))
     s = grid.directions
     w = grid.weights
     b = c[:, None] * s
@@ -327,7 +311,8 @@ def solve_perturbation(
     the residual vector. The correctors are exact on the grid, so the
     assembled remainder is identically eps * r1 + eps^2 * r2.
     """
-    report = check_balance(profile, grid)
+    speeds = grid_speeds(profile, grid)  # the one reading of the profile
+    report = balance_report(first_moment(grid, speeds, 0))
     if not report.satisfied:
         raise SolvabilityError(report)
     if phi.dimension != grid.dimension:
@@ -335,7 +320,7 @@ def solve_perturbation(
             f"test function dimension {phi.dimension} != grid dimension {grid.dimension}"
         )
     x = np.asarray(x, dtype=float)
-    c, c1 = _node_speeds(profile, grid)
+    c, c1 = _node_speeds(speeds)
     s, w = grid.directions, grid.weights
     c_s = s * c[:, None]
     a1 = c_s - _pi(c_s, w)                      # phi1 = -R0 [c T phi]

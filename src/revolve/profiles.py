@@ -46,9 +46,11 @@ __all__ = [
     "FirstAngleSine",
     "LowerHalfStep",
     "atom_terms",
+    "balance_report",
     "builtin_profile",
     "check_balance",
     "check_nonsymmetry",
+    "first_moment",
     "grid_speeds",
 ]
 
@@ -254,8 +256,13 @@ class VelocityProfile:
         direction lies within atol of the atom's in every component: the
         angles 0 and 2 pi, or any azimuth at a pole, name one direction."""
         angles = np.asarray(angles, dtype=float)
-        c = self.c_values(angles)
-        c1 = self.c1_values(angles)
+        return self._with_atoms(angles, self.c_values(angles), self.c1_values(angles), atol)
+
+    def _with_atoms(
+        self, angles: np.ndarray, c: np.ndarray, c1: np.ndarray, atol: float = 1e-9
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The continuous parts' values c, c1 at the angle rows, with the
+        atoms' values where values_at puts them."""
         if self.atoms:
             directions = directions_from_angles(angles)
             for atom in self.atoms:
@@ -267,8 +274,10 @@ class VelocityProfile:
 
     def bounds(self, grid: QuadratureGrid) -> tuple[float, float]:
         """Sup of |c| and |c1| over grid nodes and atoms; raises if not finite."""
-        c = self.c_values(grid.nodes)
-        c1 = self.c1_values(grid.nodes)
+        return self._bounds(self.c_values(grid.nodes), self.c1_values(grid.nodes))
+
+    def _bounds(self, c: np.ndarray, c1: np.ndarray) -> tuple[float, float]:
+        """bounds for the continuous parts' values c, c1 at the nodes."""
         sup_c = float(np.max(np.abs(c))) if c.size else 0.0
         sup_c1 = float(np.max(np.abs(c1))) if c1.size else 0.0
         for atom in self.atoms:
@@ -380,37 +389,48 @@ def grid_speeds(
     """The one rule for reading a profile on a grid: (c, c1) at the nodes and
     the atoms that add point masses. On a sphere grid these are the continuous
     parts, and each atom adds weight * f / N (atom_terms; the paper's Example
-    3). On a FiniteLawGrid they are values_at, atoms included, and no atom."""
+    3). On a FiniteLawGrid they are values_at, atoms included, and no atom.
+
+    Each part is evaluated once. Raises ProfileError where profile.bounds
+    does: unless the continuous parts at the nodes and the atoms are bounded.
+    """
     if grid.dimension != profile.dimension:
         raise ProfileError(
             f"grid dimension {grid.dimension} does not match profile dimension "
             f"{profile.dimension}"
         )
+    c, c1 = profile.c_values(grid.nodes), profile.c1_values(grid.nodes)
+    profile._bounds(c, c1)
     if isinstance(grid, FiniteLawGrid):
-        c, c1 = profile.values_at(grid.nodes)
-        return c, c1, ()
-    return profile.c_values(grid.nodes), profile.c1_values(grid.nodes), profile.atoms
+        return (*profile._with_atoms(grid.nodes, c, c1), ())
+    return c, c1, profile.atoms
 
 
-def _first_moment(profile: VelocityProfile, grid: QuadratureGrid, part: int) -> np.ndarray:
+def first_moment(
+    grid: QuadratureGrid, speeds: tuple[np.ndarray, np.ndarray, tuple[Atom, ...]], part: int
+) -> np.ndarray:
     """<f * s> over the grid plus the atoms' point masses, for f = c (part 0)
-    or f = c1 (part 1)."""
-    *speeds, atoms = grid_speeds(profile, grid)
-    residual = np.einsum("m,m,mi->i", grid.weights, speeds[part], grid.directions)
+    or f = c1 (part 1), from the speeds grid_speeds read on the grid."""
+    *values, atoms = speeds
+    residual = np.einsum("m,m,mi->i", grid.weights, values[part], grid.directions)
     atom_values = [(atom.c_value, atom.c1_value)[part] for atom in atoms]
     for factor, s_atom in atom_terms(grid.dimension, atoms, atom_values):
         residual = residual + factor * s_atom
     return residual
 
 
+def balance_report(residual: np.ndarray, tolerance: float = BALANCE_TOLERANCE) -> BalanceReport:
+    """The balance verdict on the residual <c s>: satisfied iff its norm is
+    <= tolerance."""
+    norm = float(np.linalg.norm(residual))
+    return BalanceReport(residual, norm, norm <= tolerance, tolerance)
+
+
 def check_balance(
     profile: VelocityProfile, grid: QuadratureGrid, tolerance: float = BALANCE_TOLERANCE
 ) -> BalanceReport:
     """First moment of the fast speed; satisfied iff its norm is <= tolerance."""
-    residual = _first_moment(profile, grid, 0)
-    profile.bounds(grid)
-    norm = float(np.linalg.norm(residual))
-    return BalanceReport(residual, norm, norm <= tolerance, tolerance)
+    return balance_report(first_moment(grid, grid_speeds(profile, grid), 0), tolerance)
 
 
 def check_nonsymmetry(
@@ -420,6 +440,6 @@ def check_nonsymmetry(
 
     satisfied means a drift was detected, i.e. the norm EXCEEDS the tolerance.
     """
-    residual = _first_moment(profile, grid, 1)
+    residual = first_moment(grid, grid_speeds(profile, grid), 1)
     norm = float(np.linalg.norm(residual))
     return BalanceReport(residual, norm, norm > tolerance, tolerance)

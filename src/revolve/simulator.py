@@ -64,18 +64,16 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .limits import finite_law_grid
+from .limits import DiscreteSwitching, SwitchingLaw, UniformSphere
 from .profiles import FieldError, VelocityProfile
 from .sphere import angles_from_directions, check_dimension, directions_from_angles
 
 __all__ = [
-    "UniformSphere",
-    "DiscreteSwitching",
     "EvolutionConfig",
     "Trajectory",
     "EndpointEnsemble",
@@ -87,32 +85,6 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64
-
-
-@dataclass(frozen=True)
-class UniformSphere:
-    """Switching law: fresh uniform direction on S_{n-1} at every event."""
-
-
-@dataclass(frozen=True)
-class DiscreteSwitching:
-    """Switching law over a finite direction set with fixed probabilities."""
-
-    angles: np.ndarray         # (K, n-1)
-    probabilities: np.ndarray  # (K,), sums to 1
-
-    def __post_init__(self) -> None:
-        try:
-            angles = np.atleast_2d(np.asarray(self.angles, dtype=float))
-        except ValueError as exc:
-            raise FieldError("angle rows must all have the same length", "angles") from exc
-        p = np.asarray(self.probabilities, dtype=float)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "probabilities", p)
-        finite_law_grid(angles, p)  # FieldError unless the law makes a valid grid
-
-
-SwitchingLaw = Union[UniformSphere, DiscreteSwitching]
 
 
 @dataclass(frozen=True)
@@ -155,15 +127,6 @@ class EvolutionConfig:
 
     def describe(self) -> dict:
         """Canonical JSON-friendly form, used for fingerprints and manifests."""
-        switching: dict
-        if isinstance(self.switching, UniformSphere):
-            switching = {"kind": "uniform_sphere"}
-        else:
-            switching = {
-                "kind": "discrete",
-                "angles": self.switching.angles.tolist(),
-                "probabilities": self.switching.probabilities.tolist(),
-            }
         return {
             "dimension": self.dimension,
             "epsilon": self.epsilon,
@@ -172,7 +135,7 @@ class EvolutionConfig:
             "n_paths": self.n_paths,
             "seed": int(self.seed),
             "profile": self.profile.describe(),
-            "switching": switching,
+            "switching": self.switching.describe(),
             "initial_direction": (
                 None if self.initial_direction is None else self.initial_direction.tolist()
             ),
@@ -569,16 +532,19 @@ def simulate_ensemble(config: EvolutionConfig, workers: int | None = None) -> En
     The result is bit-identical for any worker count: each path is computed
     from its own (seed, path_index) stream and written at its own row.
     """
-    if (
-        config.profile.atoms
-        and not config.profile.has_continuous
-        and isinstance(config.switching, UniformSphere)
-    ):
-        warnings.warn(
-            "purely atomic profile under uniform switching: the sampled "
-            "directions miss the atoms almost surely, so the particle never "
-            "moves; use discrete switching over the atom angles instead"
-        )
+    if config.profile.atoms and isinstance(config.switching, UniformSphere):
+        if config.profile.has_continuous:
+            warnings.warn(
+                "mixed profile under uniform switching: the sampled directions "
+                "miss the atoms almost surely, so the simulation leaves out the "
+                "atom terms that the limit coefficients include"
+            )
+        else:
+            warnings.warn(
+                "purely atomic profile under uniform switching: the sampled "
+                "directions miss the atoms almost surely, so the particle never "
+                "moves; use discrete switching over the atom angles instead"
+            )
     workers = resolve_workers(workers)
     points = np.empty((config.n_paths, config.dimension))
     if workers == 1 or config.n_paths < 4 * workers:

@@ -22,8 +22,8 @@ empty products being 1 (so N = 2*pi for n=2 and N = 4*pi for n=3).
 
 This module provides the chart and its inverse, the normalization constant,
 the classical sin-power integrals, product quadrature grids realizing the
-normalized average (1/N) * integral over the sphere, the grid type of a
-finite switching law, and exact uniform sampling by Gaussian normalization.
+normalized average (1/N) * integral over the sphere, and the grid type of a
+finite switching law (built by limits.DiscreteSwitching).
 """
 
 from __future__ import annotations
@@ -36,11 +36,8 @@ import numpy as np
 __all__ = [
     "FieldError",
     "InvalidDimensionError",
-    "AngleVector",
-    "UnitDirection",
     "QuadratureGrid",
     "FiniteLawGrid",
-    "direction_from_angles",
     "directions_from_angles",
     "angles_from_directions",
     "normalization_constant",
@@ -49,12 +46,7 @@ __all__ = [
     "check_dimension",
     "check_resolution",
     "build_grid",
-    "sample_direction",
-    "sample_directions",
 ]
-
-_UNIT_NORM_TOL = 1e-12
-
 
 class FieldError(ValueError):
     """Invalid value; field, when known, names the offending field."""
@@ -75,51 +67,6 @@ def check_dimension(n: int) -> int:
     return int(n)
 
 
-@dataclass(frozen=True)
-class AngleVector:
-    """Spherical angles of a point on S_{n-1}.
-
-    Holds n-1 angles; the first n-2 lie in [0, pi), the last in [0, 2*pi).
-    """
-
-    angles: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.atleast_1d(np.asarray(self.angles, dtype=float))
-        if a.ndim != 1 or a.size < 1:
-            raise InvalidDimensionError("angle vector needs at least one angle (n >= 2)")
-        object.__setattr__(self, "angles", a)
-        polar = a[:-1]
-        if np.any(polar < 0.0) or np.any(polar >= math.pi):
-            raise ValueError(f"polar angles must lie in [0, pi), got {polar}")
-        if not (0.0 <= a[-1] < 2.0 * math.pi):
-            raise ValueError(f"azimuthal angle must lie in [0, 2*pi), got {a[-1]}")
-
-    @property
-    def dimension(self) -> int:
-        return self.angles.size + 1
-
-
-@dataclass(frozen=True)
-class UnitDirection:
-    """A unit vector in R^n (Cartesian components)."""
-
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        u = np.atleast_1d(np.asarray(self.components, dtype=float))
-        if u.size < 2:
-            raise InvalidDimensionError("unit direction needs at least 2 components")
-        object.__setattr__(self, "components", u)
-        norm = float(np.linalg.norm(u))
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError(f"direction norm deviates from 1 by {abs(norm - 1.0):.3e}")
-
-    @property
-    def dimension(self) -> int:
-        return self.components.size
-
-
 def directions_from_angles(angles: np.ndarray) -> np.ndarray:
     """Vectorized spherical chart: (..., n-1) angles -> (..., n) unit vectors."""
     a = np.asarray(angles, dtype=float)
@@ -134,11 +81,6 @@ def directions_from_angles(angles: np.ndarray) -> np.ndarray:
         out[..., k] = sin_prod[..., k - 1] * cos_a[..., k]
     out[..., n - 1] = sin_prod[..., n - 2]
     return out
-
-
-def direction_from_angles(theta: AngleVector) -> UnitDirection:
-    """Map spherical angles to the corresponding unit direction."""
-    return UnitDirection(directions_from_angles(theta.angles))
 
 
 def _azimuth(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -259,7 +201,7 @@ class QuadratureGrid:
 
 class FiniteLawGrid(QuadratureGrid):
     """A finite switching law as a grid: its directions of positive probability,
-    weighted by it (raw_total 1). Built by limits.finite_law_grid only; the
+    weighted by it (raw_total 1). Built by limits.DiscreteSwitching only; the
     type tells profiles.grid_speeds how to read a profile on it."""
 
 
@@ -327,18 +269,3 @@ def build_grid(n: int, resolution: int) -> QuadratureGrid:
         directions=directions.reshape(-1, n),
     )
 
-
-def sample_directions(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `size` independent uniform directions on S_{n-1}, shape (size, n).
-
-    Normalizes i.i.d. standard Gaussian vectors, which is exactly uniform in
-    every dimension.
-    """
-    n = check_dimension(n)
-    g = rng.standard_normal((size, n))
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-
-def sample_direction(n: int, rng: np.random.Generator) -> UnitDirection:
-    """Draw one uniform direction on S_{n-1}, advancing `rng` deterministically."""
-    return UnitDirection(sample_directions(n, 1, rng)[0])

@@ -24,21 +24,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ks import ks_normal
-from .limits import (
-    DiffusionLimit,
-    GaussianSpec,
-    finite_law_grid,
-    gaussian_law_at,
-    limit_coefficients,
-)
+from .limits import DiffusionLimit, GaussianSpec, gaussian_law_at, limit_coefficients
 from .rates import RateFit, check_eps_sweep, fit_loglog
-from .simulator import (
-    DiscreteSwitching,
-    EndpointEnsemble,
-    EvolutionConfig,
-    simulate_ensemble,
-)
-from .sphere import QuadratureGrid, build_grid
+from .simulator import EndpointEnsemble, EvolutionConfig, simulate_ensemble
+# unused here, importable for tools that look it up (tests/test_bench_lookups.py)
+from .sphere import build_grid
 
 __all__ = [
     "MomentSummary",
@@ -50,7 +40,6 @@ __all__ = [
     "ks_marginals",
     "deviation_metric",
     "fit_loglog",
-    "grid_for_config",
     "limit_for_config",
     "run_sweep",
 ]
@@ -162,19 +151,11 @@ def noise_floor(summary: MomentSummary) -> float:
     )
 
 
-def grid_for_config(config: EvolutionConfig, grid_resolution: int = 32) -> QuadratureGrid:
-    """The one map from a switching law to its grid: build_grid(n,
-    grid_resolution) under uniform switching, finite_law_grid under a finite
-    law (the resolution is then unused)."""
-    law = config.switching
-    if isinstance(law, DiscreteSwitching):
-        return finite_law_grid(law.angles, law.probabilities)
-    return build_grid(config.dimension, grid_resolution)
-
-
 def limit_for_config(config: EvolutionConfig, grid_resolution: int = 32) -> DiffusionLimit:
-    """Limit coefficients under the config's switching law."""
-    return limit_coefficients(config.profile, grid_for_config(config, grid_resolution))
+    """Limit coefficients under the config's switching law, on its grid (a
+    finite law's grid takes no resolution)."""
+    grid = config.switching.grid(config.dimension, grid_resolution)
+    return limit_coefficients(config.profile, grid)
 
 
 @dataclass(frozen=True)

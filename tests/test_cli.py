@@ -428,6 +428,57 @@ class TestFiniteLawSubcommands:
         assert payload["error"]["residual"][0] == pytest.approx(0.2, abs=1e-15)
 
 
+PIN_STEP = {"name": "step_half_sphere", "c": 1.0, "c1": 1.0}
+PIN_EVOLUTION = dict(BASE_EVOLUTION, epsilon=0.2, n_paths=300, seed=4)
+PIN_CONFIGS = {
+    "uniform_n3": dict(PIN_EVOLUTION, dimension=3, x0=[0.0, 0.0, 0.0], profile=PIN_STEP),
+    "discrete_compass": dict(
+        PIN_EVOLUTION, profile=PIN_STEP,
+        switching={"kind": "discrete",
+                   "angles": [[0.0], [0.5 * math.pi], [math.pi], [1.5 * math.pi]],
+                   "probabilities": [0.3, 0.2, 0.3, 0.2]},
+    ),
+    "discrete_atoms": dict(
+        PIN_EVOLUTION, profile={"name": "example3_atoms"},
+        switching={"kind": "discrete", "angles": [[0.0], [math.pi], [0.5 * math.pi]],
+                   "probabilities": [0.25, 0.25, 0.5]},
+    ),
+}
+
+
+class TestArtifactBytes:
+    """sha256 of artifacts under both switching laws, recorded before the laws
+    and their grids moved into revolve.limits (grid_resolution 8)."""
+
+    DIGESTS = {
+        ("uniform_n3", "limit-coeffs", "limit_coeffs.json"):
+            "b34a0edeed0db3ef2ee9054ab090650a5bcc70385133980d98ed166697677335",
+        ("uniform_n3", "verify-operators", "operator_report.json"):
+            "bd6fbe4a962a5459b47c51e37bf7244d2128e5995e26b97d1b105ba641bd4ca3",
+        ("uniform_n3", "report", "moments.csv"):
+            "2b13dcfc3f357ff26015f18b94861289d7b15dc5b1595182e14970bc2e0cb943",
+        ("discrete_compass", "limit-coeffs", "limit_coeffs.json"):
+            "829cbe825187cd55f15bb7818837f8fa263152f8587cf2699816a47b94b23f76",
+        ("discrete_compass", "verify-operators", "operator_report.json"):
+            "c74613044a8ccf444dff1c31b9389d93d7188c5bcb6eeb21918e63dc548e72a3",
+        ("discrete_compass", "report", "moments.csv"):
+            "bd7e58f234768ca01473a1110471f2a03aaf68230a5d40dad2ed1b3ee52afeef",
+        ("discrete_atoms", "limit-coeffs", "limit_coeffs.json"):
+            "95921556a96cc43f52fa84c81ce3b10f6bb66c1c55086c83fac5b933ae93912b",
+        ("discrete_atoms", "verify-operators", "operator_report.json"):
+            "efd14a0832e56cd414e4c24ce17d128650163ea24cc95453363b0fd6391ddc85",
+    }
+
+    @pytest.mark.parametrize("config, mode, artifact", sorted(DIGESTS),
+                             ids=["-".join(key[:2]) for key in sorted(DIGESTS)])
+    def test_artifact_keeps_its_bytes(self, tmp_path, config, mode, artifact):
+        path = write_config(tmp_path, {"grid_resolution": 8, "evolution": PIN_CONFIGS[config]})
+        out = tmp_path / "out"
+        assert main([mode, "--config", path, "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[config, mode, artifact]
+
+
 class TestVerifyOperators:
     def test_msre_n3_report(self, tmp_path):
         evo = dict(

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from revolve.limits import (
     BalanceError,
+    DiscreteSwitching,
+    UniformSphere,
     discrete_limit_coefficients,
-    finite_law_grid,
     limit_coefficients,
 )
 from revolve.operator_lab import (
@@ -35,7 +36,7 @@ from revolve.profiles import (
     builtin_profile,
     grid_speeds,
 )
-from revolve.simulator import DiscreteSwitching, EvolutionConfig, simulate_ensemble
+from revolve.simulator import EvolutionConfig, simulate_ensemble
 from revolve.sphere import (
     FieldError,
     FiniteLawGrid,
@@ -45,7 +46,7 @@ from revolve.sphere import (
     check_dimension,
     directions_from_angles,
 )
-from revolve.stats import grid_for_config, limit_for_config
+from revolve.stats import limit_for_config
 
 EPS_LIST = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 EXAMPLE3_ANGLES = np.array([[0.0], [math.pi], [math.pi / 2.0]])
@@ -117,7 +118,7 @@ class TestOneLimitFormula:
     @given(finite_laws(), st.integers(0, 2**32 - 1))
     def test_operator_identities_on_the_law_grid(self, law, seed):
         _, angles, p = law
-        grid = finite_law_grid(angles, p)
+        grid = DiscreteSwitching(angles, p).grid()
         f = ThetaField(grid, np.random.default_rng(seed).standard_normal(grid.size))
         pi_f = project_pi(f)
         assert abs(project_pi(ThetaField(grid, np.full(grid.size, pi_f))) - pi_f) <= 1e-12
@@ -137,7 +138,7 @@ class TestOneLimitFormula:
         profile = builtin_profile("example3_atoms", 2)
         with_zero = np.array([[0.0], [math.pi], [1.5 * math.pi], [math.pi / 2.0]])
         p_zero = np.array([1.0, 1.0, 0.0, 1.0]) / 3.0
-        grid = finite_law_grid(with_zero, p_zero)
+        grid = DiscreteSwitching(with_zero, p_zero).grid()
         np.testing.assert_array_equal(grid.nodes, EXAMPLE3_ANGLES)
         without = limit_for_config(law_config(profile, EXAMPLE3_ANGLES, np.full(3, 1.0 / 3.0)))
         limit = limit_for_config(law_config(profile, with_zero, p_zero))
@@ -162,36 +163,43 @@ class TestOneLimitFormula:
         assert simulate_ensemble(without, workers=1).points.tobytes() == points.tobytes()
 
     def test_law_grid_rejects_an_invalid_law(self):
-        with pytest.raises(ValueError):
-            finite_law_grid(EXAMPLE3_ANGLES, np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(ValueError):
-            finite_law_grid(EXAMPLE3_ANGLES, np.array([math.nan, 0.5, 0.5]))
-        with pytest.raises(ValueError):
-            finite_law_grid(EXAMPLE3_ANGLES, np.array([0.5, 0.5]))
-        # the switching law validates itself through its grid
+        # the switching law validates itself as it builds its grid
+        for p in ([0.5, 0.5, 0.5], [math.nan, 0.5, 0.5], [0.5, 0.5]):
+            with pytest.raises(FieldError) as err:
+                DiscreteSwitching(EXAMPLE3_ANGLES, np.array(p))
+            assert err.value.field == "probabilities"
         with pytest.raises(FieldError) as err:
             DiscreteSwitching([[]], [1.0])
         assert err.value.field == "angles"
         with pytest.raises(FieldError) as err:
-            DiscreteSwitching(EXAMPLE3_ANGLES, [0.5, 0.5])
-        assert err.value.field == "probabilities"
+            DiscreteSwitching([[0.0], [1.0, 2.0]], [0.5, 0.5])
+        assert err.value.field == "angles"
 
 
 class TestGridRule:
     def test_grid_for_config_follows_the_switching_law(self):
         profile = builtin_profile("example3_atoms", 2)
-        law = law_config(profile, EXAMPLE3_ANGLES, np.full(3, 1.0 / 3.0))
-        grid = grid_for_config(law, 8)
+        config = law_config(profile, EXAMPLE3_ANGLES, np.full(3, 1.0 / 3.0))
+        grid = config.switching.grid(2, 8)
         assert isinstance(grid, FiniteLawGrid)
         np.testing.assert_array_equal(grid.weights, np.full(3, 1.0 / 3.0))
         uniform = EvolutionConfig(2, 0.2, profile, 1.0, np.zeros(2), 10, 0)
-        grid = grid_for_config(uniform, 8)
+        assert isinstance(uniform.switching, UniformSphere)
+        grid = uniform.switching.grid(2, 8)
         assert not isinstance(grid, FiniteLawGrid)
         np.testing.assert_array_equal(grid.nodes, build_grid(2, 8).nodes)
+        np.testing.assert_array_equal(grid.weights, build_grid(2, 8).weights)
+
+    def test_a_finite_law_builds_its_grid_once(self):
+        law = DiscreteSwitching(EXAMPLE3_ANGLES, np.full(3, 1.0 / 3.0))
+        grid = law.grid(2, 8)
+        assert law.grid(2, 8) is grid
+        assert law.grid(2, 32) is grid  # the resolution is unused
+        assert law.grid() is grid
 
     def test_atoms_resolve_at_law_nodes_and_are_point_masses_on_a_sphere(self):
         profile = builtin_profile("example3_atoms", 2)
-        c, c1, atoms = grid_speeds(profile, finite_law_grid(EXAMPLE3_ANGLES, np.full(3, 1 / 3)))
+        c, c1, atoms = grid_speeds(profile, DiscreteSwitching(EXAMPLE3_ANGLES, np.full(3, 1 / 3)).grid())
         np.testing.assert_array_equal(c, [1.0, 1.0, 0.0])
         np.testing.assert_array_equal(c1, [0.0, 0.0, 1.0])
         assert atoms == ()
@@ -213,7 +221,7 @@ class TestGridRule:
         ids=["plane_2pi", "north_pole"],
     )
     def test_atoms_are_matched_by_direction(self, profile, angles, c, c1):
-        grid = finite_law_grid(np.array(angles), np.full(len(angles), 1.0 / len(angles)))
+        grid = DiscreteSwitching(np.array(angles), np.full(len(angles), 1.0 / len(angles))).grid()
         got_c, got_c1, _ = grid_speeds(profile, grid)
         np.testing.assert_array_equal(got_c, c)
         np.testing.assert_array_equal(got_c1, c1)
@@ -223,7 +231,7 @@ class TestGridRule:
         phi = gaussian_bump(np.zeros(2), 1.0)
         with pytest.raises(ProfileError):
             lab_limit_coefficients(profile, build_grid(2, 8))
-        grid = finite_law_grid(EXAMPLE3_ANGLES, np.full(3, 1.0 / 3.0))
+        grid = DiscreteSwitching(EXAMPLE3_ANGLES, np.full(3, 1.0 / 3.0)).grid()
         drift, diffusion = lab_limit_coefficients(profile, grid)
         limit = limit_coefficients(profile, grid)
         assert np.max(np.abs(drift - limit.drift)) <= 1e-12

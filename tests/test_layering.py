@@ -1,7 +1,9 @@
-"""The deterministic layers do not depend on the simulator, no module of
-the package imports scipy, and every subcommand runs without it."""
+"""The deterministic layers do not depend on the simulator, the switching
+laws live in one of them, no module of the package imports scipy, and every
+subcommand runs without it."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -162,3 +164,18 @@ def test_subcommands_without_ks_tests_run_without_scipy(tmp_path, mode):
 def test_ks_subcommands_run_without_scipy(tmp_path, mode):
     # their KS tests are revolve.ks
     check_runs_without_scipy(tmp_path, mode)
+
+
+def test_switching_laws_are_defined_in_limits():
+    # the laws, their validation and their grids live in the deterministic
+    # layer; the simulator and the CLI use the same classes
+    from revolve import cli, limits, simulator
+
+    for name in ("UniformSphere", "DiscreteSwitching"):
+        law = getattr(limits, name)
+        assert law.__module__ == "revolve.limits"
+        assert callable(law.grid) and callable(law.describe)
+        assert getattr(simulator, name) is law and getattr(cli, name) is law
+    for module, gone in [("limits", "finite_law_grid"), ("limits", "check_probabilities"),
+                         ("stats", "grid_for_config")]:
+        assert not hasattr(importlib.import_module(f"revolve.{module}"), gone)

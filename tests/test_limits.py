@@ -8,8 +8,8 @@ import pytest
 from revolve.limits import (
     BalanceError,
     DiffusionLimit,
+    DiscreteSwitching,
     GaussianSpec,
-    check_probabilities,
     discrete_limit_coefficients,
     gaussian_law_at,
     limit_coefficients,
@@ -211,12 +211,12 @@ class TestDiscreteLaw:
     )
     def test_probability_law_rejects(self, p):
         with pytest.raises(ValueError) as err:
-            check_probabilities(np.array(p))
+            DiscreteSwitching(np.zeros((len(p), 1)), np.array(p))
         assert err.value.field == "probabilities"
 
     def test_probability_law_accepts_roundoff(self):
-        check_probabilities(np.full(3, 1.0 / 3.0))
-        check_probabilities(np.array([1.0, 0.0, 1e-13]))
+        DiscreteSwitching(np.zeros((3, 1)), np.full(3, 1.0 / 3.0))
+        DiscreteSwitching(np.zeros((3, 1)), np.array([1.0, 0.0, 1e-13]))
 
 
 class TestGaussianLaw:

@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revolve.limits import finite_law_grid, limit_coefficients
+from revolve.limits import DiscreteSwitching, limit_coefficients
 from revolve.operator_lab import (
     SolvabilityError,
     TestFunction,
     ThetaField,
     _transported_values,
     apply_q,
-    apply_r0,
-    apply_s,
     assembled_generator_residual,
     gaussian_bump,
     lab_limit_coefficients,
@@ -27,7 +25,7 @@ from revolve.operator_lab import (
     solve_perturbation,
 )
 from revolve.profiles import ProfileError, VelocityProfile, builtin_profile, grid_speeds
-from revolve.sphere import AngleVector, angles_from_directions, build_grid, directions_from_angles
+from revolve.sphere import angles_from_directions, build_grid, directions_from_angles
 
 RES = {2: 32, 3: 24, 4: 12, 5: 8}
 COEF_RES = {2: 32, 3: 24, 4: 16, 5: 12}  # coefficient tolerances need finer polar rules
@@ -152,9 +150,11 @@ class TestQAndPotential:
             f = ThetaField(g, rng.standard_normal(g.size))
             assert abs(project_pi(apply_q(f))) <= 1e-12
 
+    # R0 = Q = Pi - I here: the potential operator is apply_q
+
     def test_r0_annihilates_constants(self):
         g = grid_for(4)
-        out = apply_r0(ThetaField(g, np.full(g.size, -3.0)))
+        out = apply_q(ThetaField(g, np.full(g.size, -3.0)))
         assert np.max(np.abs(out.values)) <= 1e-12
 
     def test_r0_inverts_q_on_range(self):
@@ -167,7 +167,7 @@ class TestQAndPotential:
     def test_r0_negates_mean_zero(self):
         g = grid_for(2)
         f = ThetaField(g, g.directions[:, 0])
-        np.testing.assert_allclose(apply_r0(f).values, -f.values, atol=1e-10)
+        np.testing.assert_allclose(apply_q(f).values, -f.values, atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_identities_batch(self, n):
@@ -193,31 +193,8 @@ class TestQAndPotential:
         pi_f = project_pi(f)
         assert abs(project_pi(ThetaField(g, np.full(g.size, pi_f))) - pi_f) <= 1e-12
         assert abs(project_pi(apply_q(f))) <= 1e-12
-        r0_q = apply_r0(apply_q(f)).values
+        r0_q = apply_q(apply_q(f)).values
         assert np.max(np.abs(r0_q - (f.values - pi_f))) <= 1e-12
-
-
-class TestTransportOperator:
-    def test_coordinate_function_axis(self):
-        phi = linear_function(np.array([1.0, 0.0]))
-        assert apply_s(AngleVector([0.0]), phi, np.zeros(2)) == pytest.approx(-1.0)
-
-    def test_second_axis(self):
-        phi = linear_function(np.array([0.0, 1.0]))
-        assert apply_s(AngleVector([math.pi / 2]), phi, np.zeros(2)) == pytest.approx(-1.0)
-
-    def test_radial_gaussian_center(self):
-        phi = gaussian_bump(np.zeros(3), 1.0)
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            theta = AngleVector(
-                [rng.uniform(0, math.pi - 1e-9), rng.uniform(0, 2 * math.pi - 1e-9)]
-            )
-            assert apply_s(theta, phi, np.zeros(3)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_s(AngleVector([0.0]), gaussian_bump(np.zeros(3), 1.0), np.zeros(3))
 
 
 class TestTestFunctions:
@@ -353,7 +330,7 @@ def contraction_grids():
         )
         rows = np.vstack([rows, angles_from_directions(-directions_from_angles(rows))])
         mass = np.tile(rng.uniform(0.05, 1.0, 5), 2)
-        grids.append(finite_law_grid(rows, mass / mass.sum()))
+        grids.append(DiscreteSwitching(rows, mass / mass.sum()).grid())
     return grids
 
 

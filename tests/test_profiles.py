@@ -18,8 +18,11 @@ from revolve.profiles import (
     check_balance,
     check_nonsymmetry,
 )
-from revolve.operator_lab import lab_limit_coefficients
-from revolve.sphere import angles_from_directions, build_grid, sample_directions
+from revolve import profiles
+from revolve.limits import DiscreteSwitching, limit_coefficients
+from revolve.operator_lab import gaussian_bump, lab_limit_coefficients, solve_perturbation
+from revolve.simulator import _unit_columns
+from revolve.sphere import angles_from_directions, build_grid
 
 RES = {2: 32, 3: 24, 4: 16, 5: 16, 6: 12}
 
@@ -145,7 +148,8 @@ class TestDirectionForms:
         rng = np.random.default_rng(1000 + n)
         return {
             "grid": build_grid(n, 8).directions,
-            "uniform": sample_directions(n, 10_000, rng),
+            # the simulator's uniform draws
+            "uniform": _unit_columns(rng.standard_normal((10_000, n))).T,
         }
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -288,3 +292,48 @@ class TestStepFunction:
         assert d["c"]["value"] == 2.0
         assert d["c1"]["height"] == 0.25
         assert d["name"] == "step_half_sphere"
+
+
+def solve_at_center(profile, grid):
+    n = grid.dimension
+    return solve_perturbation(profile, gaussian_bump(np.zeros(n), 1.0), np.full(n, 0.25), grid)
+
+
+# a balanced law in n = 3, whose second direction lies on the step's lower half
+COMPASS3 = DiscreteSwitching(np.array([[0.5 * math.pi, 0.0], [0.5 * math.pi, math.pi]]),
+                             np.array([0.5, 0.5]))
+
+
+class TestOneReading:
+    """Each function that needs a profile's speeds on a grid reads them once."""
+
+    @pytest.mark.parametrize("grid", [build_grid(3, 8), COMPASS3.grid()], ids=["sphere", "law"])
+    @pytest.mark.parametrize(
+        "run", [limit_coefficients, lab_limit_coefficients, solve_at_center],
+        ids=lambda f: f.__name__,
+    )
+    def test_each_part_is_evaluated_once(self, monkeypatch, grid, run):
+        evaluate, calls = profiles._evaluate, []
+
+        def counting(fn, angles):
+            calls.append(fn)
+            return evaluate(fn, angles)
+
+        monkeypatch.setattr(profiles, "_evaluate", counting)
+        profile = builtin_profile("step_half_sphere", 3)
+        run(profile, grid)
+        assert calls == [profile.continuous_c, profile.continuous_c1]
+
+    @pytest.mark.parametrize("grid", [build_grid(2, 8), DiscreteSwitching(
+        np.array([[0.0], [math.pi]]), np.array([0.5, 0.5])).grid()], ids=["sphere", "law"])
+    def test_the_reading_rejects_what_bounds_rejects(self, grid):
+        # on the law's grid the atoms cover both nodes, so values_at is
+        # finite there; bounds still sees the continuous part
+        atoms = (Atom([0.0], 1.0, 1.0, 0.0), Atom([math.pi], 1.0, 1.0, 0.0))
+        profile = VelocityProfile(2, continuous_c=ConstantSpeed(math.inf), atoms=atoms,
+                                  allow_mixed=True)
+        with pytest.raises(ProfileError, match="bounded"):
+            profile.bounds(grid)
+        for check in (check_balance, limit_coefficients, solve_at_center):
+            with pytest.raises(ProfileError, match="bounded"):
+                check(profile, grid)

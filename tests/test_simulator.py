@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats as scipy_stats
 
-from revolve.limits import discrete_limit_coefficients
-from revolve.profiles import VelocityProfile, builtin_profile
+from revolve.limits import DiscreteSwitching, UniformSphere, discrete_limit_coefficients
+from revolve.profiles import Atom, VelocityProfile, builtin_profile
 from revolve.simulator import (
-    DiscreteSwitching,
     EvolutionConfig,
-    UniformSphere,
     _PathKernel,
     _PathStreams,
     _unit_columns,
@@ -238,6 +236,20 @@ class TestWarnings:
         with pytest.warns(UserWarning, match="atomic profile under uniform switching"):
             ens = simulate_ensemble(cfg)
         np.testing.assert_array_equal(ens.points, np.zeros((3, 2)))
+
+    def test_mixed_profile_under_uniform_switching_warns(self):
+        # the limit drift includes the atom's 1/(2 pi), which the uniform
+        # draws miss almost surely
+        atom = Atom(np.array([math.pi / 2.0]), 1.0, 0.0, 1.0)
+        continuous = builtin_profile("msre_const", 2).continuous_c
+        profile = VelocityProfile(2, continuous_c=continuous, atoms=(atom,), allow_mixed=True)
+        with pytest.warns(UserWarning, match="mixed profile under uniform switching"):
+            simulate_ensemble(msre_config(profile=profile, n_paths=3))
+        law = DiscreteSwitching(np.array([[0.0], [math.pi]]), np.array([0.5, 0.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate_ensemble(msre_config(profile=profile, n_paths=3, switching=law))
+            simulate_ensemble(msre_config(n_paths=3))
 
 
 class TestPathStreams:

@@ -8,22 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from revolve.simulator import _unit_columns
 from revolve.sphere import (
-    AngleVector,
     InvalidDimensionError,
-    UnitDirection,
     angles_from_directions,
     build_grid,
-    direction_from_angles,
     directions_from_angles,
     normalization_constant,
-    sample_direction,
-    sample_directions,
     sin_power_integral,
     wallis_integral,
 )
 
 RES = {2: 32, 3: 24, 4: 16, 5: 16, 6: 12}
+
+
+def sample_directions(n, size, rng):
+    """size uniform directions on S_{n-1}, (size, n), drawn as the simulator
+    draws them: normalized standard Gaussian vectors."""
+    return _unit_columns(rng.standard_normal((size, n))).T
 
 
 def random_angles(rng, n, size):
@@ -34,17 +36,17 @@ def random_angles(rng, n, size):
 
 class TestChart:
     def test_axis_case_n3(self):
-        d = direction_from_angles(AngleVector(np.array([math.pi / 2, 0.0])))
-        np.testing.assert_allclose(d.components, [0.0, 1.0, 0.0], atol=1e-15)
+        d = directions_from_angles(np.array([math.pi / 2, 0.0]))
+        np.testing.assert_allclose(d, [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_antipode_n2(self):
-        d = direction_from_angles(AngleVector(np.array([math.pi])))
-        np.testing.assert_allclose(d.components, [-1.0, 0.0], atol=1e-15)
+        d = directions_from_angles(np.array([math.pi]))
+        np.testing.assert_allclose(d, [-1.0, 0.0], atol=1e-15)
 
     def test_axis_case_n4(self):
         half = math.pi / 2
-        d = direction_from_angles(AngleVector(np.array([half, half, half])))
-        np.testing.assert_allclose(d.components, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
+        d = directions_from_angles(np.array([half, half, half]))
+        np.testing.assert_allclose(d, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_unit_norm_random(self, n):
@@ -82,22 +84,7 @@ class TestChart:
         # np.mod(-1e-17, 2 pi) rounds up to 2 pi itself
         angles = angles_from_directions(np.array(direction))
         assert 0.0 <= angles[-1] < 2.0 * math.pi
-        AngleVector(angles)
-
-    def test_angle_validation(self):
-        with pytest.raises(ValueError):
-            AngleVector(np.array([-0.1, 0.0]))
-        with pytest.raises(ValueError):
-            AngleVector(np.array([math.pi, 0.0]))  # polar angle at pi excluded
-        with pytest.raises(ValueError):
-            AngleVector(np.array([0.5, 2.0 * math.pi]))
-        with pytest.raises(InvalidDimensionError):
-            AngleVector(np.array([]))
-
-    def test_unit_direction_validation(self):
-        with pytest.raises(ValueError):
-            UnitDirection(np.array([1.0, 1.0]))
-        UnitDirection(np.array([0.6, 0.8]))
+        assert np.all((0.0 <= angles[:-1]) & (angles[:-1] < math.pi))
 
 
 class TestNormalization:
@@ -231,8 +218,3 @@ class TestSampling:
                 oracle = grid.average(grid.directions[:, i] * grid.directions[:, j])
                 empirical = float(np.mean(dirs[:, i] * dirs[:, j]))
                 assert abs(empirical - oracle) <= 0.005
-
-    def test_deterministic_given_state(self):
-        a = sample_direction(4, np.random.default_rng(99))
-        b = sample_direction(4, np.random.default_rng(99))
-        np.testing.assert_array_equal(a.components, b.components)

@@ -184,7 +184,7 @@ class TestSweep:
     def test_limit_for_config_discrete(self):
         import math
 
-        from revolve.simulator import DiscreteSwitching
+        from revolve.limits import DiscreteSwitching
 
         angles = np.array([[0.0], [math.pi / 2], [math.pi], [3 * math.pi / 2]])
         cfg = msre_config(switching=DiscreteSwitching(angles, np.full(4, 0.25)))
