@@ -56,149 +56,145 @@ from .stats import ks_marginals, limit_for_config, run_sweep, summarize
 # for tools that wrap the layer functions this module uses; the names such a
 # tool looks up are checked by tests/test_bench_lookups.py.
 
-__all__ = ["SchemaError", "ExperimentConfig", "load_config", "run", "main"]
+__all__ = ["ExperimentConfig", "load_config", "run", "main"]
 
 MODES = ("verify-operators", "limit-coeffs", "simulate", "converge", "report")
 DEFAULT_EPS_SWEEP = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 
 
-class SchemaError(ValueError):
-    """Config violates the schema; path points at the offending field."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
-
 # ---------------------------------------------------------------------------
-# strict config parsing
+# strict config parsing: JSON types and keys here, value ranges in the
+# constructors. A FieldError names the key it checked; each level of the
+# document prepends its own segment as the error passes through it.
 
 
-def _require_keys(obj: dict, path: str, required: tuple, optional: tuple) -> None:
+@contextmanager
+def _fields_under(segment: str):
+    """Prepend segment to the field of a FieldError raised inside."""
+    try:
+        yield
+    except FieldError as exc:
+        exc.field = segment if exc.field is None else f"{segment}.{exc.field}"
+        raise
+
+
+def _require_keys(obj: dict, required: tuple, optional: tuple) -> None:
     if not isinstance(obj, dict):
-        raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
+        raise FieldError(f"expected an object, got {type(obj).__name__}")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
-        raise SchemaError(f"{path}.{sorted(unknown)[0]}", "unknown key")
+        raise FieldError("unknown key", sorted(unknown)[0])
     for key in required:
         if key not in obj:
-            raise SchemaError(f"{path}.{key}", "missing required key")
+            raise FieldError("missing required key", key)
 
 
-def _number(obj: dict, path: str, key: str) -> float:
+def _number(obj: dict, key: str) -> float:
     v = obj[key]  # the caller checked that the key is present
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise SchemaError(f"{path}.{key}", f"expected a finite number, got {v!r}")
+        raise FieldError(f"expected a finite number, got {v!r}", key)
     return float(v)
 
 
-def _integer(obj: dict, path: str, key: str, default=None) -> int:
+def _integer(obj: dict, key: str, default=None) -> int:
     v = obj.get(key, default)  # a required key is present: _require_keys checked it
     if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{path}.{key}", f"expected an integer, got {v!r}")
+        raise FieldError(f"expected an integer, got {v!r}", key)
     return v
 
 
-def _vector(obj: dict, path: str, key: str) -> np.ndarray:
+def _vector(obj: dict, key: str) -> np.ndarray:
     v = obj.get(key)
     if not isinstance(v, list) or not all(
         isinstance(e, (int, float)) and not isinstance(e, bool) and math.isfinite(e) for e in v
     ):
-        raise SchemaError(f"{path}.{key}", "expected a list of finite numbers")
+        raise FieldError("expected a list of finite numbers", key)
     return np.asarray(v, dtype=float)
 
 
-@contextmanager
-def _fields_under(path: str):
-    """Report a FieldError raised inside as a SchemaError at path.field."""
-    try:
-        yield
-    except FieldError as exc:
-        raise SchemaError(path if exc.field is None else f"{path}.{exc.field}", str(exc)) from exc
-
-
-def _parse_profile(obj, path: str, dimension: int) -> VelocityProfile:
+def _parse_profile(obj, dimension: int) -> VelocityProfile:
     if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
+        raise FieldError("expected an object")
     if "atoms" in obj:
-        _require_keys(obj, path, ("atoms",), ())
+        _require_keys(obj, ("atoms",), ())
         if not isinstance(obj["atoms"], list) or not obj["atoms"]:
-            raise SchemaError(f"{path}.atoms", "expected a non-empty list")
+            raise FieldError("expected a non-empty list", "atoms")
         atoms = []
         for k, entry in enumerate(obj["atoms"]):
-            apath = f"{path}.atoms[{k}]"
-            _require_keys(entry, apath, ("angles", "weight", "c", "c1"), ())
-            angles = _vector(entry, apath, "angles")
-            weight, c, c1 = (_number(entry, apath, key) for key in ("weight", "c", "c1"))
-            with _fields_under(apath):
-                atoms.append(Atom(angles, weight, c, c1))
-        with _fields_under(path):
-            return VelocityProfile(dimension, atoms=tuple(atoms), name="custom_atoms")
-    _require_keys(obj, path, ("name",), ("c", "c1"))
-    kwargs = {key: _number(obj, path, key) for key in ("c", "c1") if key in obj}
-    with _fields_under(path):
-        return builtin_profile(obj["name"], dimension, **kwargs)
+            with _fields_under(f"atoms[{k}]"):
+                _require_keys(entry, ("angles", "weight", "c", "c1"), ())
+                angles = _vector(entry, "angles")
+                atoms.append(Atom(angles, *(_number(entry, key) for key in ("weight", "c", "c1"))))
+        return VelocityProfile(dimension, atoms=tuple(atoms), name="custom_atoms")
+    _require_keys(obj, ("name",), ("c", "c1"))
+    kwargs = {key: _number(obj, key) for key in ("c", "c1") if key in obj}
+    return builtin_profile(obj["name"], dimension, **kwargs)
 
 
-def _parse_switching(obj, path: str):
+def _parse_switching(obj):
     if obj is None:
         return UniformSphere()
-    _require_keys(obj, path, ("kind",), ("angles", "probabilities"))
+    _require_keys(obj, ("kind",), ("angles", "probabilities"))
     kind = obj["kind"]
     if kind == "uniform_sphere":
         if "angles" in obj or "probabilities" in obj:
-            raise SchemaError(path, "uniform_sphere takes no angles/probabilities")
+            raise FieldError("uniform_sphere takes no angles/probabilities")
         return UniformSphere()
     if kind != "discrete":
-        raise SchemaError(f"{path}.kind", "must be 'uniform_sphere' or 'discrete'")
+        raise FieldError("must be 'uniform_sphere' or 'discrete'", "kind")
     if "angles" not in obj or "probabilities" not in obj:
-        raise SchemaError(path, "discrete switching needs angles and probabilities")
+        raise FieldError("discrete switching needs angles and probabilities")
     rows = obj["angles"]
     if not isinstance(rows, list) or not rows:
-        raise SchemaError(f"{path}.angles", "expected a non-empty list of angle rows")
-    angles = [_vector({"row": row}, f"{path}.angles[{k}]", "row") for k, row in enumerate(rows)]
-    probs = _vector(obj, path, "probabilities")
-    with _fields_under(path):
-        return DiscreteSwitching(angles, probs)
+        raise FieldError("expected a non-empty list of angle rows", "angles")
+    angles = []
+    for k, row in enumerate(rows):
+        with _fields_under(f"angles[{k}]"):
+            angles.append(_vector({"row": row}, "row"))
+    return DiscreteSwitching(angles, _vector(obj, "probabilities"))
 
 
-def _parse_evolution(obj, path: str) -> EvolutionConfig:
+def _parse_evolution(obj) -> EvolutionConfig:
     _require_keys(
         obj,
-        path,
         ("dimension", "epsilon", "horizon", "x0", "n_paths", "profile"),
         ("seed", "switching", "initial_direction"),
     )
-    dimension = _integer(obj, path, "dimension")
-    with _fields_under(path):
-        check_dimension(dimension)  # the profile parser needs a valid dimension
-    profile = _parse_profile(obj["profile"], f"{path}.profile", dimension)
+    dimension = check_dimension(_integer(obj, "dimension"))  # the profile parser needs it
+    with _fields_under("profile"):
+        profile = _parse_profile(obj["profile"], dimension)
     initial = None
     if obj.get("initial_direction") is not None:
-        initial = _vector(obj, path, "initial_direction")
-    with _fields_under(path):
-        return EvolutionConfig(
-            dimension=dimension,
-            epsilon=_number(obj, path, "epsilon"),
-            profile=profile,
-            horizon=_number(obj, path, "horizon"),
-            x0=_vector(obj, path, "x0"),
-            n_paths=_integer(obj, path, "n_paths"),
-            seed=_integer(obj, path, "seed", default=0),
-            switching=_parse_switching(obj.get("switching"), f"{path}.switching"),
-            initial_direction=initial,
-        )
+        initial = _vector(obj, "initial_direction")
+    epsilon, horizon, x0 = _number(obj, "epsilon"), _number(obj, "horizon"), _vector(obj, "x0")
+    n_paths, seed = _integer(obj, "n_paths"), _integer(obj, "seed", default=0)
+    with _fields_under("switching"):
+        switching = _parse_switching(obj.get("switching"))
+    return EvolutionConfig(dimension, epsilon, profile, horizon, x0, n_paths, seed, switching,
+                           initial)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed and validated experiment description; its range checks raise
+    FieldError. eps_sweep keeps its given order: the manifest echoes it."""
 
     mode: str
     evolution: EvolutionConfig
     grid_resolution: int = 32
     eps_sweep: tuple[float, ...] = DEFAULT_EPS_SWEEP
     output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise FieldError(f"must be one of {list(MODES)}", "mode")
+        with _fields_under("grid_resolution"):
+            check_resolution(self.grid_resolution)
+        object.__setattr__(self, "eps_sweep", tuple(float(e) for e in self.eps_sweep))
+        with _fields_under("eps_sweep"):
+            check_eps_sweep(self.eps_sweep, decades=1)  # the sweep `converge` runs
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise FieldError("expected a string path", "output_dir")
 
     def describe(self) -> dict:
         return {
@@ -211,40 +207,28 @@ class ExperimentConfig:
 
 
 def load_config(document: dict, mode: str, seed_override: int | None = None) -> ExperimentConfig:
-    """Validate a raw JSON document against the strict schema."""
-    _require_keys(
-        document,
-        "config",
-        ("evolution",),
-        ("mode", "grid_resolution", "eps_sweep", "output_dir"),
-    )
-    if "mode" in document:
-        if document["mode"] not in MODES:
-            raise SchemaError("config.mode", f"must be one of {list(MODES)}")
-        if document["mode"] != mode:
-            raise SchemaError(
-                "config.mode", f"config says {document['mode']!r} but subcommand is {mode!r}"
-            )
-    evolution = _parse_evolution(document["evolution"], "config.evolution")
-    if seed_override is not None:
-        with _fields_under("config.evolution"):
-            evolution = replace(evolution, seed=seed_override)
-    grid_resolution = _integer(document, "config", "grid_resolution", default=32)
-    try:
-        check_resolution(grid_resolution)
-    except ValueError as exc:
-        raise SchemaError("config.grid_resolution", str(exc)) from exc
-    eps_sweep = DEFAULT_EPS_SWEEP
-    if "eps_sweep" in document:
-        eps_sweep = tuple(float(e) for e in _vector(document, "config", "eps_sweep"))
-        try:
-            check_eps_sweep(eps_sweep, decades=1)  # the sweep `converge` runs
-        except ValueError as exc:
-            raise SchemaError("config.eps_sweep", str(exc)) from exc
-    output_dir = document.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise SchemaError("config.output_dir", "expected a string path")
-    return ExperimentConfig(mode, evolution, grid_resolution, eps_sweep, output_dir)
+    """Validate a raw JSON document against the strict schema; a FieldError
+    names the offending field by its dotted path from "config"."""
+    with _fields_under("config"):
+        _require_keys(document, ("evolution",), ("mode", "grid_resolution", "eps_sweep",
+                                                 "output_dir"))
+        if "mode" in document:
+            if document["mode"] not in MODES:
+                raise FieldError(f"must be one of {list(MODES)}", "mode")
+            if document["mode"] != mode:
+                raise FieldError(
+                    f"config says {document['mode']!r} but subcommand is {mode!r}", "mode"
+                )
+        with _fields_under("evolution"):
+            evolution = _parse_evolution(document["evolution"])
+            if seed_override is not None:
+                evolution = replace(evolution, seed=seed_override)
+        grid_resolution = _integer(document, "grid_resolution", default=32)
+        eps_sweep = DEFAULT_EPS_SWEEP
+        if "eps_sweep" in document:
+            eps_sweep = _vector(document, "eps_sweep")
+        return ExperimentConfig(mode, evolution, grid_resolution, eps_sweep,
+                                document.get("output_dir"))
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +442,8 @@ def run(
         _run_simulate(config, out, full_trajectories)
     elif config.mode == "converge":
         _run_converge(config, out)
-    elif config.mode == "report":
+    else:  # "report": ExperimentConfig admits no other mode
         _run_report(config, out)
-    else:
-        raise SchemaError("config.mode", f"unknown mode {config.mode!r}")
     return 0
 
 
@@ -502,13 +484,14 @@ def _error_json(kind: str, message: str, **extra) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    config = None
     try:
         try:
             document = json.loads(Path(args.config).read_text())
         except OSError as exc:
-            raise SchemaError("config", f"cannot read config file: {exc}") from exc
+            raise FieldError(f"cannot read config file: {exc}", "config") from exc
         except json.JSONDecodeError as exc:
-            raise SchemaError("config", f"invalid JSON: {exc}") from exc
+            raise FieldError(f"invalid JSON: {exc}", "config") from exc
         config = load_config(document, args.mode, seed_override=args.seed)
         return run(
             config,
@@ -516,9 +499,6 @@ def main(argv=None) -> int:
             paper_sign=getattr(args, "paper_sign", False),
             full_trajectories=getattr(args, "full_trajectories", False),
         )
-    except SchemaError as exc:
-        print(_error_json("schema", str(exc), path=exc.path))
-        return 2
     except BalanceError as exc:
         print(
             _error_json(
@@ -530,6 +510,9 @@ def main(argv=None) -> int:
         )
         return 3
     except ValueError as exc:
+        if config is None and isinstance(exc, FieldError):  # a bad value in the config
+            print(_error_json("schema", f"{exc.field}: {exc}", path=exc.field))
+            return 2
         print(_error_json("invalid", str(exc)))
         return 1
 

@@ -66,6 +66,10 @@ BUILTIN_NAMES = tuple(BUILTIN_PARAMETERS)
 # Largest norm of the balance residual <c s> that counts as balanced.
 BALANCE_TOLERANCE = 1e-8
 
+# An atom's values hold at the rows whose direction lies within this
+# distance of the atom's in every component.
+_ATOM_ATOL = 1e-9
+
 
 class ProfileError(FieldError):
     """Invalid profile construction or use."""
@@ -133,7 +137,9 @@ class LowerHalfStep:
 
 @dataclass(frozen=True)
 class Atom:
-    """Point mass of a profile: angles (n-1,), positive weight, speeds c and c1."""
+    """Point mass of a profile: angles (n-1,), positive weight, speeds c and c1.
+    Every number is finite; a ProfileError names the config key of one that
+    is not."""
 
     angles: np.ndarray
     weight: float
@@ -144,6 +150,10 @@ class Atom:
         object.__setattr__(self, "angles", np.atleast_1d(np.asarray(self.angles, dtype=float)))
         if not self.weight > 0.0:
             raise ProfileError(f"atom weight must be positive, got {self.weight}", "weight")
+        for key, value in (("angles", self.angles), ("weight", self.weight),
+                           ("c", self.c_value), ("c1", self.c1_value)):
+            if not np.all(np.isfinite(value)):
+                raise ProfileError(f"atom {key} must be finite, got {value}", key)
 
 
 # Callables whose row-by-row fallback was reported, kept alive so that their
@@ -251,15 +261,15 @@ class VelocityProfile:
 
         return part(self.continuous_c), part(self.continuous_c1)
 
-    def values_at(self, angles: np.ndarray, atol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    def values_at(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(c, c1) at angle rows, with atom values overriding at rows whose
-        direction lies within atol of the atom's in every component: the
-        angles 0 and 2 pi, or any azimuth at a pole, name one direction."""
+        direction lies within _ATOM_ATOL of the atom's in every component:
+        the angles 0 and 2 pi, or any azimuth at a pole, name one direction."""
         angles = np.asarray(angles, dtype=float)
-        return self._with_atoms(angles, self.c_values(angles), self.c1_values(angles), atol)
+        return self._with_atoms(angles, self.c_values(angles), self.c1_values(angles))
 
     def _with_atoms(
-        self, angles: np.ndarray, c: np.ndarray, c1: np.ndarray, atol: float = 1e-9
+        self, angles: np.ndarray, c: np.ndarray, c1: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The continuous parts' values c, c1 at the angle rows, with the
         atoms' values where values_at puts them."""
@@ -267,25 +277,10 @@ class VelocityProfile:
             directions = directions_from_angles(angles)
             for atom in self.atoms:
                 hit = np.max(np.abs(directions - directions_from_angles(atom.angles)),
-                             axis=-1) <= atol
+                             axis=-1) <= _ATOM_ATOL
                 c = np.where(hit, atom.c_value, c)
                 c1 = np.where(hit, atom.c1_value, c1)
         return c, c1
-
-    def bounds(self, grid: QuadratureGrid) -> tuple[float, float]:
-        """Sup of |c| and |c1| over grid nodes and atoms; raises if not finite."""
-        return self._bounds(self.c_values(grid.nodes), self.c1_values(grid.nodes))
-
-    def _bounds(self, c: np.ndarray, c1: np.ndarray) -> tuple[float, float]:
-        """bounds for the continuous parts' values c, c1 at the nodes."""
-        sup_c = float(np.max(np.abs(c))) if c.size else 0.0
-        sup_c1 = float(np.max(np.abs(c1))) if c1.size else 0.0
-        for atom in self.atoms:
-            sup_c = max(sup_c, abs(atom.c_value))
-            sup_c1 = max(sup_c1, abs(atom.c1_value))
-        if not (math.isfinite(sup_c) and math.isfinite(sup_c1)):
-            raise ProfileError("speed functions must be bounded on the grid")
-        return sup_c, sup_c1
 
     def describe(self) -> dict:
         """JSON-friendly summary used in fingerprints and manifests."""
@@ -391,8 +386,9 @@ def grid_speeds(
     parts, and each atom adds weight * f / N (atom_terms; the paper's Example
     3). On a FiniteLawGrid they are values_at, atoms included, and no atom.
 
-    Each part is evaluated once. Raises ProfileError where profile.bounds
-    does: unless the continuous parts at the nodes and the atoms are bounded.
+    Each part is evaluated once. Raises ProfileError unless the continuous
+    parts are finite at every node, atoms or not; atoms are finite by
+    construction.
     """
     if grid.dimension != profile.dimension:
         raise ProfileError(
@@ -400,7 +396,8 @@ def grid_speeds(
             f"{profile.dimension}"
         )
     c, c1 = profile.c_values(grid.nodes), profile.c1_values(grid.nodes)
-    profile._bounds(c, c1)
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(c1))):
+        raise ProfileError("speed functions must be bounded on the grid")
     if isinstance(grid, FiniteLawGrid):
         return (*profile._with_atoms(grid.nodes, c, c1), ())
     return c, c1, profile.atoms

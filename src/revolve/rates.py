@@ -3,8 +3,8 @@
 Both the convergence sweep (stats) and the perturbation remainder check
 (operator_lab) fit log(metric) against log(eps) over a sweep of epsilon
 values; this module holds the rule such a sweep must meet and that fit,
-with no dependency beyond numpy, so the deterministic layers can use it
-without importing the simulator.
+with no dependency beyond numpy and sphere's FieldError, so the
+deterministic layers can use it without importing the simulator.
 """
 
 from __future__ import annotations
@@ -13,19 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sphere import FieldError
+
 __all__ = ["RateFit", "check_eps_sweep", "fit_loglog"]
 
 
 def check_eps_sweep(eps_values, decades: int) -> np.ndarray:
-    """The sweep sorted by decreasing epsilon; raises ValueError unless it has
+    """The sweep sorted by decreasing epsilon; raises FieldError unless it has
     at least 4 values, each in (0, 1], spanning at least `decades` decades."""
     eps = np.asarray(sorted(eps_values, reverse=True), dtype=float)
     if eps.size < 4:
-        raise ValueError("need at least 4 epsilon values")
+        raise FieldError("need at least 4 epsilon values")
     if not np.all((eps > 0.0) & (eps <= 1.0)):
-        raise ValueError("epsilon values must lie in (0, 1]")
+        raise FieldError("epsilon values must lie in (0, 1]")
     if eps[0] / eps[-1] < 10.0**decades:
-        raise ValueError(f"epsilon values must span at least {decades} decade(s)")
+        raise FieldError(f"epsilon values must span at least {decades} decade(s)")
     return eps
 
 

@@ -108,6 +108,13 @@ class EvolutionConfig:
             raise FieldError(f"epsilon must lie in (0, 1], got {self.epsilon}", "epsilon")
         if not (0.0 < self.horizon < math.inf):
             raise FieldError(f"horizon must be positive and finite, got {self.horizon}", "horizon")
+        mean_wait = self.epsilon * self.epsilon  # horizon / mean_wait switches are expected
+        if not (mean_wait > 0.0 and math.isfinite(self.horizon / mean_wait)):
+            raise FieldError(
+                f"epsilon {self.epsilon} is too small for horizon {self.horizon}: the expected "
+                "switch count horizon / epsilon^2 is not a finite float",
+                "epsilon",
+            )
         if not self.n_paths >= 1:
             raise FieldError(f"n_paths must be >= 1, got {self.n_paths}", "n_paths")
         if not (0 <= int(self.seed) < _MAX_SEED):

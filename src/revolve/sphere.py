@@ -209,7 +209,7 @@ def check_resolution(resolution: int) -> int:
     """A grid needs at least 2 nodes per axis; returns the resolution as int."""
     resolution = int(resolution)
     if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+        raise FieldError(f"resolution must be >= 2, got {resolution}")
     return resolution
 
 

@@ -44,6 +44,14 @@ __all__ = [
     "run_sweep",
 ]
 
+# The random unit-vector projections ks_marginals tests besides the
+# coordinates: how many, and the seed that draws them.
+_N_PROJECTIONS = 5
+_PROJECTION_SEED = 2024
+
+# Sweep points whose metric is at most this many noise floors are plateau.
+_FLOOR_FACTOR = 3.0
+
 
 @dataclass(frozen=True)
 class MomentSummary:
@@ -91,17 +99,12 @@ class KsReport:
         return float(vals.min()) if vals.size else float("nan")
 
 
-def ks_marginals(
-    ensemble: EndpointEnsemble,
-    target: GaussianSpec,
-    n_projections: int = 5,
-    projection_seed: int = 2024,
-) -> KsReport:
+def ks_marginals(ensemble: EndpointEnsemble, target: GaussianSpec) -> KsReport:
     """KS statistic and p-value of each coordinate against its Gaussian marginal.
 
     Coordinates whose target variance is 0 are skipped; a coordinate with
     zero sample variance but positive target variance is reported as a fit
-    failure (statistic 1, p-value 0). Additionally tests n_projections random
+    failure (statistic 1, p-value 0). Additionally tests _N_PROJECTIONS random
     unit-vector projections u against N(u.mean, u'Cu).
     """
     x = ensemble.points
@@ -122,11 +125,11 @@ def ks_marginals(
             continue
         stats_[i], pvals[i] = ks_normal(x[:, i], target.mean[i], sigma)
 
-    rng = np.random.default_rng(projection_seed)
-    vecs = rng.standard_normal((n_projections, n))
+    rng = np.random.default_rng(_PROJECTION_SEED)
+    vecs = rng.standard_normal((_N_PROJECTIONS, n))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    proj_stats = np.zeros(n_projections)
-    proj_pvals = np.zeros(n_projections)
+    proj_stats = np.zeros(_N_PROJECTIONS)
+    proj_pvals = np.zeros(_N_PROJECTIONS)
     for k, u in enumerate(vecs):
         mu = float(u @ target.mean)
         var = float(u @ target.covariance @ u)
@@ -170,19 +173,13 @@ class SweepResult:
     target: GaussianSpec
 
 
-def run_sweep(
-    base_config: EvolutionConfig,
-    eps_list,
-    grid_resolution: int = 32,
-    workers: int | None = None,
-    floor_factor: float = 3.0,
-) -> SweepResult:
+def run_sweep(base_config: EvolutionConfig, eps_list, grid_resolution: int = 32) -> SweepResult:
     """Simulate the config across epsilon values and fit the deviation rate.
 
     The epsilon values must meet check_eps_sweep over one decade. Uses a
     fixed seed schedule (base seed + sweep position, modulo 2**64,
     so every u64 base seed is accepted) so reruns are bit-identical; points
-    whose metric falls below floor_factor times the estimated Monte-Carlo
+    whose metric falls below _FLOOR_FACTOR times the estimated Monte-Carlo
     noise floor are flagged as plateau and excluded from the fit.
     """
     eps = check_eps_sweep(eps_list, decades=1)
@@ -193,12 +190,12 @@ def run_sweep(
     pvals = np.zeros((eps.size, base_config.dimension))
     for k, e in enumerate(eps):
         cfg = replace(base_config, epsilon=float(e), seed=(base_config.seed + k) % 2**64)
-        ensemble = simulate_ensemble(cfg, workers=workers)
+        ensemble = simulate_ensemble(cfg)
         summary = summarize(ensemble)
         metrics[k] = deviation_metric(summary, target)
         floors[k] = noise_floor(summary)
         pvals[k] = ks_marginals(ensemble, target).pvalues
-    used = metrics > floor_factor * floors
+    used = metrics > _FLOOR_FACTOR * floors
     fit = fit_loglog(eps, metrics, used)
     return SweepResult(eps, metrics, floors, pvals, fit, target)
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import revolve
-from revolve.cli import SchemaError, load_config, main
+from revolve.cli import ExperimentConfig, load_config, main
+from revolve.profiles import FieldError
 from revolve.stats import limit_for_config
 
 BASE_EVOLUTION = {
@@ -40,34 +41,34 @@ class TestSchema:
 
     def test_unknown_key_rejected_with_path(self):
         doc = {"evolution": dict(BASE_EVOLUTION), "extra": 1}
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(FieldError) as err:
             load_config(doc, "simulate")
-        assert err.value.path == "config.extra"
+        assert err.value.field == "config.extra"
 
     def test_negative_epsilon_path(self):
         evo = dict(BASE_EVOLUTION, epsilon=-0.5)
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(FieldError) as err:
             load_config({"evolution": evo}, "simulate")
-        assert err.value.path == "config.evolution.epsilon"
+        assert err.value.field == "config.evolution.epsilon"
 
     def test_missing_required_key(self):
         evo = dict(BASE_EVOLUTION)
         del evo["horizon"]
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(FieldError) as err:
             load_config({"evolution": evo}, "simulate")
-        assert err.value.path == "config.evolution.horizon"
+        assert err.value.field == "config.evolution.horizon"
 
     def test_x0_length_checked(self):
         evo = dict(BASE_EVOLUTION, x0=[0.0, 0.0, 0.0])
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(FieldError) as err:
             load_config({"evolution": evo}, "simulate")
-        assert err.value.path == "config.evolution.x0"
+        assert err.value.field == "config.evolution.x0"
 
     def test_mode_mismatch_rejected(self):
         doc = {"mode": "simulate", "evolution": dict(BASE_EVOLUTION)}
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(FieldError) as err:
             load_config(doc, "converge")
-        assert err.value.path == "config.mode"
+        assert err.value.field == "config.mode"
 
     def test_atoms_profile_parses(self):
         evo = dict(
@@ -98,6 +99,20 @@ class TestSchema:
         config = load_config({"evolution": dict(BASE_EVOLUTION)}, "simulate", seed_override=99)
         assert config.evolution.seed == 99
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("grid_resolution", 1), ("eps_sweep", [0.5, 0.4, 0.3, 0.2]), ("output_dir", 3),
+         ("mode", "fly")],
+    )
+    def test_experiment_config_refuses_what_load_config_refuses(self, key, value):
+        evolution = load_config({"evolution": dict(BASE_EVOLUTION)}, "simulate").evolution
+        with pytest.raises(FieldError) as direct:
+            ExperimentConfig(**{"mode": "simulate", "evolution": evolution, key: value})
+        with pytest.raises(FieldError) as loaded:
+            load_config({"evolution": dict(BASE_EVOLUTION), key: value}, "simulate")
+        assert (direct.value.field, loaded.value.field) == (key, f"config.{key}")
+        assert str(direct.value) == str(loaded.value)
+
 
 class TestExitCodes:
     def test_schema_violation_exit_2(self, tmp_path, capsys):
@@ -111,6 +126,20 @@ class TestExitCodes:
     def test_unreadable_config_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2
+        assert capsys.readouterr().out == (
+            '{"error": {"kind": "schema", "message": "config: cannot read config file: [Errno 2] '
+            """No such file or directory: 'TMP/nope.json'", "path": "config"}}\n"""
+        ).replace("TMP", str(tmp_path))
+
+    def test_invalid_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("{not json")
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().out == (
+            '{"error": {"kind": "schema", "message": "config: invalid JSON: Expecting property '
+            'name enclosed in double quotes: line 1 column 2 (char 1)", "path": "config"}}\n'
+        )
 
     def test_balance_failure_exit_3(self, tmp_path, capsys):
         evo = dict(
@@ -214,29 +243,32 @@ INVALID_CONFIGS = [
 
 
 def run_cli(tmp_path, capsys, mode, document, extra=()):
-    """Exit code and the last printed JSON line (None when nothing is printed)."""
+    """Exit code and the last printed line (None when nothing is printed)."""
     path = write_config(tmp_path, document)
     code = main([mode, "--config", path, "--out", str(tmp_path / "out"), *extra])
     lines = capsys.readouterr().out.strip().splitlines()
-    return code, json.loads(lines[-1]) if lines else None
+    return code, lines[-1] if lines else None
 
 
 class TestInvalidConfigPaths:
     @pytest.mark.parametrize(
-        "mode, document, extra, code, path",
-        [case[1:] for case in INVALID_CONFIGS],
+        "case, mode, document, extra, code, path",
+        INVALID_CONFIGS,
         ids=[case[0] for case in INVALID_CONFIGS],
     )
-    def test_exit_code_and_error_path(self, tmp_path, capsys, mode, document, extra, code, path):
-        exit_code, payload = run_cli(tmp_path, capsys, mode, document, extra)
-        assert (exit_code, payload["error"]["path"]) == (code, path)
-        assert payload["error"]["kind"] == "schema"
+    def test_exit_code_and_error_path(
+        self, tmp_path, capsys, case, mode, document, extra, code, path
+    ):
+        exit_code, line = run_cli(tmp_path, capsys, mode, document, extra)
+        assert (exit_code, json.loads(line)["error"]["path"]) == (code, path)
+        assert line == ERROR_LINES[case]
 
 
 @pytest.mark.parametrize("resolution", [1, 0, -3])
 def test_grid_resolution_below_two_exit_2(tmp_path, capsys, resolution):
     document = {"evolution": dict(BASE_EVOLUTION), "grid_resolution": resolution}
-    exit_code, payload = run_cli(tmp_path, capsys, "limit-coeffs", document)
+    exit_code, line = run_cli(tmp_path, capsys, "limit-coeffs", document)
+    payload = json.loads(line)
     assert (exit_code, payload["error"]["path"]) == (2, "config.grid_resolution")
     assert payload["error"]["message"] == (
         f"config.grid_resolution: resolution must be >= 2, got {resolution}"
@@ -327,24 +359,166 @@ NEW_REJECTIONS = [
         },
         "config.evolution.switching.angles",
     ),
+    # horizon / epsilon^2 overflows, or epsilon^2 underflows to 0
+    ("epsilon_1e-160", "simulate", {"evolution": dict(BASE_EVOLUTION, epsilon=1e-160)},
+     "config.evolution.epsilon"),
+    ("epsilon_1e-300", "simulate", {"evolution": dict(BASE_EVOLUTION, epsilon=1e-300)},
+     "config.evolution.epsilon"),
 ]
+
+# The whole stdout line of each case of INVALID_CONFIGS and NEW_REJECTIONS.
+ERROR_LINES = {
+    "dimension_1": (
+        '{"error": {"kind": "schema", "message": "config.evolution.dimension: dimension '
+        'must be >= 2, got 1", "path": "config.evolution.dimension"}}'
+    ),
+    "epsilon_0": (
+        '{"error": {"kind": "schema", "message": "config.evolution.epsilon: epsilon must '
+        'lie in (0, 1], got 0.0", "path": "config.evolution.epsilon"}}'
+    ),
+    "epsilon_1.5": (
+        '{"error": {"kind": "schema", "message": "config.evolution.epsilon: epsilon must '
+        'lie in (0, 1], got 1.5", "path": "config.evolution.epsilon"}}'
+    ),
+    "epsilon_-1": (
+        '{"error": {"kind": "schema", "message": "config.evolution.epsilon: epsilon must '
+        'lie in (0, 1], got -1.0", "path": "config.evolution.epsilon"}}'
+    ),
+    "horizon_0": (
+        '{"error": {"kind": "schema", "message": "config.evolution.horizon: horizon must be '
+        'positive and finite, got 0.0", "path": "config.evolution.horizon"}}'
+    ),
+    "n_paths_0": (
+        '{"error": {"kind": "schema", "message": "config.evolution.n_paths: n_paths must be '
+        '>= 1, got 0", "path": "config.evolution.n_paths"}}'
+    ),
+    "seed_-1": (
+        '{"error": {"kind": "schema", "message": "config.evolution.seed: seed must be an '
+        'unsigned 64-bit integer, got -1", "path": "config.evolution.seed"}}'
+    ),
+    "seed_2**64": (
+        '{"error": {"kind": "schema", "message": "config.evolution.seed: seed must be an '
+        'unsigned 64-bit integer, got 18446744073709551616", "path": '
+        '"config.evolution.seed"}}'
+    ),
+    "seed_option_-1": (
+        '{"error": {"kind": "schema", "message": "config.evolution.seed: seed must be an '
+        'unsigned 64-bit integer, got -1", "path": "config.evolution.seed"}}'
+    ),
+    "x0_length": (
+        '{"error": {"kind": "schema", "message": "config.evolution.x0: x0 must have shape '
+        '(2,), got (3,)", "path": "config.evolution.x0"}}'
+    ),
+    "initial_direction_length": (
+        '{"error": {"kind": "schema", "message": "config.evolution.initial_direction: '
+        'initial_direction must have n-1 angles", "path": '
+        '"config.evolution.initial_direction"}}'
+    ),
+    "probabilities_negative": (
+        '{"error": {"kind": "schema", "message": "config.evolution.switching.probabilities: '
+        'probabilities must be finite, nonnegative and sum to 1 within 1e-12", "path": '
+        '"config.evolution.switching.probabilities"}}'
+    ),
+    "probabilities_sum": (
+        '{"error": {"kind": "schema", "message": "config.evolution.switching.probabilities: '
+        'probabilities must be finite, nonnegative and sum to 1 within 1e-12", "path": '
+        '"config.evolution.switching.probabilities"}}'
+    ),
+    "atom_weight_0": (
+        '{"error": {"kind": "schema", "message": "config.evolution.profile.atoms[0].weight: '
+        'atom weight must be positive, got 0.0", "path": '
+        '"config.evolution.profile.atoms[0].weight"}}'
+    ),
+    "eps_sweep_nonpositive_simulate": (
+        '{"error": {"kind": "schema", "message": "config.eps_sweep: epsilon values must lie '
+        'in (0, 1]", "path": "config.eps_sweep"}}'
+    ),
+    "eps_sweep_nonpositive_converge": (
+        '{"error": {"kind": "schema", "message": "config.eps_sweep: epsilon values must lie '
+        'in (0, 1]", "path": "config.eps_sweep"}}'
+    ),
+    "x0_nan": (
+        '{"error": {"kind": "schema", "message": "config.evolution.x0: expected a list of '
+        'finite numbers", "path": "config.evolution.x0"}}'
+    ),
+    "initial_direction_infinity": (
+        '{"error": {"kind": "schema", "message": "config.evolution.initial_direction: '
+        'expected a list of finite numbers", "path": "config.evolution.initial_direction"}}'
+    ),
+    "probabilities_nan": (
+        '{"error": {"kind": "schema", "message": "config.evolution.switching.probabilities: '
+        'expected a list of finite numbers", "path": '
+        '"config.evolution.switching.probabilities"}}'
+    ),
+    "msre_const_c1": (
+        '{"error": {"kind": "schema", "message": "config.evolution.profile.c1: msre_const '
+        'takes only [\'c\']", "path": "config.evolution.profile.c1"}}'
+    ),
+    "sin_theta1_c": (
+        '{"error": {"kind": "schema", "message": "config.evolution.profile.c: sin_theta1 '
+        'takes only []", "path": "config.evolution.profile.c"}}'
+    ),
+    "sin_theta1_c1": (
+        '{"error": {"kind": "schema", "message": "config.evolution.profile.c1: sin_theta1 '
+        'takes only []", "path": "config.evolution.profile.c1"}}'
+    ),
+    "example3_atoms_c": (
+        '{"error": {"kind": "schema", "message": "config.evolution.profile.c: '
+        'example3_atoms takes only []", "path": "config.evolution.profile.c"}}'
+    ),
+    "example3_atoms_c1": (
+        '{"error": {"kind": "schema", "message": "config.evolution.profile.c1: '
+        'example3_atoms takes only []", "path": "config.evolution.profile.c1"}}'
+    ),
+    "replicates": (
+        '{"error": {"kind": "schema", "message": "config.replicates: unknown key", "path": '
+        '"config.replicates"}}'
+    ),
+    "converge_three_eps": (
+        '{"error": {"kind": "schema", "message": "config.eps_sweep: need at least 4 epsilon '
+        'values", "path": "config.eps_sweep"}}'
+    ),
+    "converge_under_a_decade": (
+        '{"error": {"kind": "schema", "message": "config.eps_sweep: epsilon values must '
+        'span at least 1 decade(s)", "path": "config.eps_sweep"}}'
+    ),
+    "converge_eps_above_1": (
+        '{"error": {"kind": "schema", "message": "config.eps_sweep: epsilon values must lie '
+        'in (0, 1]", "path": "config.eps_sweep"}}'
+    ),
+    "switching_ragged_rows": (
+        '{"error": {"kind": "schema", "message": "config.evolution.switching.angles: angle '
+        'rows must all have the same length", "path": "config.evolution.switching.angles"}}'
+    ),
+    "epsilon_1e-160": (
+        '{"error": {"kind": "schema", "message": "config.evolution.epsilon: epsilon 1e-160 '
+        'is too small for horizon 1.0: the expected switch count horizon / epsilon^2 is not '
+        'a finite float", "path": "config.evolution.epsilon"}}'
+    ),
+    "epsilon_1e-300": (
+        '{"error": {"kind": "schema", "message": "config.evolution.epsilon: epsilon 1e-300 '
+        'is too small for horizon 1.0: the expected switch count horizon / epsilon^2 is not '
+        'a finite float", "path": "config.evolution.epsilon"}}'
+    ),
+}
 
 
 class TestNewRejections:
     @pytest.mark.parametrize(
-        "mode, document, path",
-        [case[1:] for case in NEW_REJECTIONS],
+        "case, mode, document, path",
+        NEW_REJECTIONS,
         ids=[case[0] for case in NEW_REJECTIONS],
     )
-    def test_exit_2_at_path(self, tmp_path, capsys, mode, document, path):
-        exit_code, payload = run_cli(tmp_path, capsys, mode, document)
-        assert (exit_code, payload["error"]["path"]) == (2, path)
+    def test_exit_2_at_path(self, tmp_path, capsys, case, mode, document, path):
+        exit_code, line = run_cli(tmp_path, capsys, mode, document)
+        assert (exit_code, json.loads(line)["error"]["path"]) == (2, path)
+        assert line == ERROR_LINES[case]
 
     def test_atom_speed_type_error_names_the_key(self):
         atom = {"angles": [0.0], "weight": 1.0, "c": "fast", "c1": 0.0}
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(FieldError) as err:
             load_config({"evolution": dict(BASE_EVOLUTION, profile={"atoms": [atom]})}, "simulate")
-        assert err.value.path == "config.evolution.profile.atoms[0].c"
+        assert err.value.field == "config.evolution.profile.atoms[0].c"
 
     def test_builtin_keys_that_are_used_still_parse(self):
         evo = dict(BASE_EVOLUTION, profile={"name": "step_half_sphere", "c": 2.0, "c1": 3.0})
@@ -423,9 +597,9 @@ class TestFiniteLawSubcommands:
 
     def test_unbalanced_law_exits_3_in_limit_coeffs(self, tmp_path, capsys):
         evo = dict(BASE_EVOLUTION, switching=two_point_law([0.6, 0.4]))
-        exit_code, payload = run_cli(tmp_path, capsys, "limit-coeffs", {"evolution": evo})
+        exit_code, line = run_cli(tmp_path, capsys, "limit-coeffs", {"evolution": evo})
         assert exit_code == 3
-        assert payload["error"]["residual"][0] == pytest.approx(0.2, abs=1e-15)
+        assert json.loads(line)["error"]["residual"][0] == pytest.approx(0.2, abs=1e-15)
 
 
 PIN_STEP = {"name": "step_half_sphere", "c": 1.0, "c1": 1.0}

@@ -17,6 +17,7 @@ from revolve.profiles import (
     builtin_profile,
     check_balance,
     check_nonsymmetry,
+    grid_speeds,
 )
 from revolve import profiles
 from revolve.limits import DiscreteSwitching, limit_coefficients
@@ -85,22 +86,19 @@ class TestProfileType:
     def test_atom_validation(self):
         with pytest.raises(ProfileError):
             Atom(np.array([0.0]), -1.0, 1.0, 0.0)
-        with pytest.raises(ProfileError) as err:
-            Atom(np.array([0.0]), math.nan, 1.0, 0.0)
-        assert err.value.field == "weight"
+        for bad in (math.nan, math.inf, -math.inf):
+            for key, args in (("angles", ([bad], 1.0, 1.0, 0.0)), ("weight", ([0.0], bad, 1.0, 0.0)),
+                              ("c", ([0.0], 1.0, bad, 0.0)), ("c1", ([0.0], 1.0, 1.0, bad))):
+                with pytest.raises(ProfileError) as err:
+                    Atom(*args)
+                assert err.value.field == key
         with pytest.raises(ProfileError):
             VelocityProfile(3, atoms=(Atom(np.array([0.0]), 1.0, 1.0, 0.0),))
-
-    def test_bounds_recorded(self):
-        p = builtin_profile("step_half_sphere", 2, c=2.0, c1=0.5)
-        sup_c, sup_c1 = p.bounds(grid_for(2))
-        assert sup_c == pytest.approx(2.0)
-        assert sup_c1 == pytest.approx(0.5)
 
     def test_unbounded_profile_rejected(self):
         p = VelocityProfile(2, continuous_c=lambda a: 1.0 / (a[..., 0] - a[..., 0]))
         with pytest.raises(ProfileError):
-            p.bounds(grid_for(2))
+            grid_speeds(p, grid_for(2))
 
     def test_values_at_atom_override(self):
         p = builtin_profile("example3_atoms", 2)
@@ -326,14 +324,12 @@ class TestOneReading:
 
     @pytest.mark.parametrize("grid", [build_grid(2, 8), DiscreteSwitching(
         np.array([[0.0], [math.pi]]), np.array([0.5, 0.5])).grid()], ids=["sphere", "law"])
-    def test_the_reading_rejects_what_bounds_rejects(self, grid):
+    def test_the_reading_rejects_an_unbounded_part(self, grid):
         # on the law's grid the atoms cover both nodes, so values_at is
-        # finite there; bounds still sees the continuous part
+        # finite there; the reading still sees the continuous part
         atoms = (Atom([0.0], 1.0, 1.0, 0.0), Atom([math.pi], 1.0, 1.0, 0.0))
         profile = VelocityProfile(2, continuous_c=ConstantSpeed(math.inf), atoms=atoms,
                                   allow_mixed=True)
-        with pytest.raises(ProfileError, match="bounded"):
-            profile.bounds(grid)
-        for check in (check_balance, limit_coefficients, solve_at_center):
+        for check in (grid_speeds, check_balance, limit_coefficients, solve_at_center):
             with pytest.raises(ProfileError, match="bounded"):
                 check(profile, grid)
