@@ -104,7 +104,10 @@ def _integer(obj: dict, key: str, default=None) -> int:
 
 
 def _vector(obj: dict, key: str) -> np.ndarray:
-    v = obj.get(key)
+    return _finite_list(obj.get(key), key)
+
+
+def _finite_list(v, key: str | None = None) -> np.ndarray:
     if not isinstance(v, list) or not all(
         isinstance(e, (int, float)) and not isinstance(e, bool) and math.isfinite(e) for e in v
     ):
@@ -150,7 +153,7 @@ def _parse_switching(obj):
     angles = []
     for k, row in enumerate(rows):
         with _fields_under(f"angles[{k}]"):
-            angles.append(_vector({"row": row}, "row"))
+            angles.append(_finite_list(row))
     return DiscreteSwitching(angles, _vector(obj, "probabilities"))
 
 
@@ -189,7 +192,7 @@ class ExperimentConfig:
         if self.mode not in MODES:
             raise FieldError(f"must be one of {list(MODES)}", "mode")
         with _fields_under("grid_resolution"):
-            check_resolution(self.grid_resolution)
+            object.__setattr__(self, "grid_resolution", check_resolution(self.grid_resolution))
         object.__setattr__(self, "eps_sweep", tuple(float(e) for e in self.eps_sweep))
         with _fields_under("eps_sweep"):
             check_eps_sweep(self.eps_sweep, decades=1)  # the sweep `converge` runs

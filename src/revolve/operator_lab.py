@@ -54,6 +54,13 @@ c T phi2, c1 T phi1 and c1 T phi2 would need (M, n, n, n) coefficients, but
 they are only evaluated at the spatial point x, never averaged by Pi; so s
 is contracted into the derivatives of phi at x first and no such array is
 built.
+
+Nor is b2 held whole: it is built one slab of _SLAB_NODES nodes at a time,
+twice. The first pass sums Pi[c s (x) a1] node after node, the order in
+which einsum sums a whole (M, n, n) array, so no slab size moves a bit; the
+second rebuilds each slab, subtracts that mean and adds the slab's b2 terms
+to phi2 and to its transport at x. The solve's memory grows as M n, not
+M n^2.
 """
 
 from __future__ import annotations
@@ -210,13 +217,35 @@ def gaussian_bump(center: np.ndarray, width: float) -> TestFunction:
 # fields of derivative coefficients over the grid
 
 
+def _hessian_terms(d2: np.ndarray, hessian: np.ndarray) -> np.ndarray:
+    """d2 : hess phi at every node, for d2 (M, n, n)."""
+    return np.einsum("mij,ij->m", d2, hessian)
+
+
+def _s_dot_third(s: np.ndarray, third: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of s @ third, with third of phi as (n, n*n): n terms per entry.
+
+    numpy hands a one-row product to BLAS gemv, whose sums may differ in the
+    last bit from gemm's, so a lone node is multiplied with a neighbour.
+    """
+    if hi - lo > 1 or s.shape[0] == 1:
+        return s[lo:hi] @ third
+    pair = max(lo - 1, 0)
+    return (s[pair:pair + 2] @ third)[lo - pair:lo - pair + 1]
+
+
+def _transported_hessian_terms(d2: np.ndarray, s_third: np.ndarray) -> np.ndarray:
+    """(s, grad)(d2 : hess phi) at every node, for d2 (M, n, n) and s . third (M, n*n)."""
+    return np.einsum("mi,mi->m", d2.reshape(d2.shape[0], -1), s_third)
+
+
 def _derivative_values(
     phi: TestFunction, x: np.ndarray, d1: np.ndarray, d2: np.ndarray | None = None
 ) -> np.ndarray:
     """d1 . grad phi(x) + d2 : hess phi(x) at every node, for d1 (M, n) and d2 (M, n, n)."""
     values = np.zeros(d1.shape[0]) + d1 @ phi.gradient(x)
     if d2 is not None:
-        values = values + np.einsum("mij,ij->m", d2, phi.hessian(x))
+        values += _hessian_terms(d2, phi.hessian(x))
     return values
 
 
@@ -228,11 +257,10 @@ def _transported_values(
     s is contracted into the derivatives of phi first (s . hess and s . third,
     (M, n) and (M, n, n)), so no (M, n, n, n) array is built.
     """
-    m = d1.shape[0]
+    m, n = s.shape
     values = np.zeros(m) + np.einsum("mi,mi->m", d1, s @ phi.hessian(x))
     if d2 is not None:
-        s_third = s @ phi.third(x).reshape(s.shape[1], -1)  # n terms per entry
-        values = values + np.einsum("mi,mi->m", d2.reshape(m, -1), s_third.reshape(m, -1))
+        values += _transported_hessian_terms(d2, s @ phi.third(x).reshape(n, -1))
     return values
 
 
@@ -272,9 +300,11 @@ class PerturbationSolution:
 
     phi1 and phi2 are the corrector fields evaluated at x; limit_value is
     L0 phi(x); drift and diffusion are the assembled generator coefficients
-    (physical sign). c and c1 are the node speeds, a1, b1 and b2 the corrector
-    coefficients (module docstring), and residual(eps) the sup over nodes of
-    the exact remainder eps * r1 + eps^2 * r2.
+    (physical sign). c and c1 are the node speeds, a1 and b1 the (M, n)
+    corrector coefficients (module docstring), and residual(eps) the sup over
+    nodes of the exact remainder eps * r1 + eps^2 * r2. The (M, n, n)
+    coefficient b2 is not held: the solve builds it one slab of nodes at a
+    time, and it follows from c, a1 and the grid.
     """
 
     grid: QuadratureGrid
@@ -289,7 +319,6 @@ class PerturbationSolution:
     c1: np.ndarray
     a1: np.ndarray
     b1: np.ndarray
-    b2: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
 
@@ -300,6 +329,21 @@ class PerturbationSolution:
 def _pi(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pi applied to each coefficient of a field of shape (M, ...)."""
     return np.einsum("m...,m->...", arr, w)
+
+
+# Nodes per slab of b2 = c s (x) a1 - Pi[c s (x) a1]: 1.6 MiB a slab at n = 5.
+_SLAB_NODES = 8192
+
+
+def _c_s_a1_slabs(s: np.ndarray, a1: np.ndarray, c: np.ndarray, rows: np.ndarray):
+    """(lo, hi, block) for consecutive slabs of nodes, block = c s (x) a1 on
+    nodes lo:hi, written into the leading rows of the (slab, n, n) array rows."""
+    m = s.shape[0]
+    for lo in range(0, m, rows.shape[0]):
+        hi = min(lo + rows.shape[0], m)
+        block = np.einsum("mi,mj->mij", s[lo:hi], a1[lo:hi], out=rows[: hi - lo])
+        block *= c[lo:hi, None, None]
+        yield lo, hi, block
 
 
 def solve_perturbation(
@@ -322,27 +366,38 @@ def solve_perturbation(
     x = np.asarray(x, dtype=float)
     c, c1 = _node_speeds(speeds)
     s, w = grid.directions, grid.weights
-    c_s = s * c[:, None]
-    a1 = c_s - _pi(c_s, w)                      # phi1 = -R0 [c T phi]
-    c1_s = s * c1[:, None]
-    b2 = np.einsum("mi,mj->mij", s, a1)
-    b2 *= c[:, None, None]                      # c T phi1
-    drift = _pi(c1_s, w)                        # L0 = Pi [c T phi1 + c1 T phi]
-    diffusion = _pi(b2, w)
-    b1 = c1_s - drift                           # phi2 = -R0 [c T phi1 + c1 T phi]
-    b2 -= diffusion
-    diffusion = 0.5 * (diffusion + diffusion.T)
-    limit_value = float(drift @ phi.gradient(x) + np.sum(diffusion * phi.hessian(x)))
+    m, n = s.shape
+    a1 = s * c[:, None]
+    a1 -= _pi(a1, w)                            # phi1 = -R0 [c T phi]
+    b1 = s * c1[:, None]
+    drift = _pi(b1, w)                          # L0 = Pi [c T phi1 + c1 T phi]
+    b1 -= drift                                 # phi2 = -R0 [c T phi1 + c1 T phi]
+    # Pi [c T phi1] node after node: row 0 carries the sum of the earlier slabs
+    buffer = np.empty((min(_SLAB_NODES, m) + 1, n, n))
+    buffer[0] = 0.0
+    diffusion = np.empty((n, n))
+    for lo, hi, block in _c_s_a1_slabs(s, a1, c, buffer[1:]):
+        block *= w[lo:hi, None, None]
+        np.add.reduce(buffer[: hi - lo + 1], axis=0, out=diffusion)
+        buffer[0] = diffusion
     # r1 = c T phi2 + c1 T phi1 and r2 = c1 T phi2, evaluated at x only
+    phi2 = _derivative_values(phi, x, b1)
+    t_phi2 = _transported_values(phi, x, s, b1)
+    hessian, third = phi.hessian(x), phi.third(x).reshape(n, -1)
+    for lo, hi, b2 in _c_s_a1_slabs(s, a1, c, buffer[1:]):
+        b2 -= diffusion
+        phi2[lo:hi] += _hessian_terms(b2, hessian)
+        t_phi2[lo:hi] += _transported_hessian_terms(b2, _s_dot_third(s, third, lo, hi))
+    diffusion = 0.5 * (diffusion + diffusion.T)
+    limit_value = float(drift @ phi.gradient(x) + np.sum(diffusion * hessian))
     t_phi1 = _transported_values(phi, x, s, a1)
-    t_phi2 = _transported_values(phi, x, s, b1, b2)
 
     return PerturbationSolution(
         grid=grid,
         point=x,
         test_function=phi,
         phi1=ThetaField(grid, _derivative_values(phi, x, a1)),
-        phi2=ThetaField(grid, _derivative_values(phi, x, b1, b2)),
+        phi2=ThetaField(grid, phi2),
         limit_value=limit_value,
         drift=drift,
         diffusion=diffusion,
@@ -350,7 +405,6 @@ def solve_perturbation(
         c1=c1,
         a1=a1,
         b1=b1,
-        b2=b2,
         r1=c * t_phi2 + c1 * t_phi1,
         r2=c1 * t_phi2,
     )
@@ -361,13 +415,16 @@ def assembled_generator_residual(solution: PerturbationSolution, eps: float) -> 
 
     Applies eps^-2 Q + eps^-1 c T + c1 T to phi + eps phi1 + eps^2 phi2
     directly, without using the closed-form remainder; agreement with
-    solution.residual(eps) certifies the hierarchy solve.
+    solution.residual(eps) certifies the hierarchy solve. It builds b2 whole
+    from the solution's c, a1 and grid, (M, n, n) doubles.
     """
     sol, phi, x = solution, solution.test_function, solution.point
     w, s = sol.grid.weights, sol.grid.directions
+    c_s_a1 = np.einsum("mi,mj->mij", s, sol.a1) * sol.c[:, None, None]
+    b2 = c_s_a1 - _pi(c_s_a1, w)
     # phi_eps = phi + d1 . grad phi + d2 : hess phi
     d1 = sol.a1 * eps + sol.b1 * eps**2
-    d2 = sol.b2 * eps**2
+    d2 = b2 * eps**2
     q_part = ((np.sum(w) - 1.0) * eps**-2 * phi.value(x)
               + _derivative_values(phi, x, (_pi(d1, w) - d1) * eps**-2,
                                    (_pi(d2, w) - d2) * eps**-2))

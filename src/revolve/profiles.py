@@ -210,10 +210,11 @@ class VelocityProfile:
     def __post_init__(self) -> None:
         check_dimension(self.dimension)
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        for atom in self.atoms:
+        for k, atom in enumerate(self.atoms):
             if atom.angles.size != self.dimension - 1:
                 raise ProfileError(
-                    f"atom has {atom.angles.size} angles, expected {self.dimension - 1}"
+                    f"atom has {atom.angles.size} angles, expected {self.dimension - 1}",
+                    f"atoms[{k}].angles",
                 )
         if self.mixed and not self.allow_mixed:
             raise ProfileError(

@@ -206,11 +206,16 @@ class FiniteLawGrid(QuadratureGrid):
 
 
 def check_resolution(resolution: int) -> int:
-    """A grid needs at least 2 nodes per axis; returns the resolution as int."""
-    resolution = int(resolution)
-    if resolution < 2:
-        raise FieldError(f"resolution must be >= 2, got {resolution}")
-    return resolution
+    """A grid needs a whole number of at least 2 nodes per axis; returns it as int."""
+    try:
+        whole = int(resolution)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != resolution:
+        raise FieldError(f"resolution must be a whole number, got {resolution!r}")
+    if whole < 2:
+        raise FieldError(f"resolution must be >= 2, got {whole}")
+    return whole
 
 
 def build_grid(n: int, resolution: int) -> QuadratureGrid:

@@ -113,6 +113,20 @@ class TestSchema:
         assert (direct.value.field, loaded.value.field) == (key, f"config.{key}")
         assert str(direct.value) == str(loaded.value)
 
+    @pytest.mark.parametrize("resolution", [2.5, math.nan, "8"])
+    def test_experiment_config_refuses_a_resolution_that_is_not_whole(self, resolution):
+        evolution = load_config({"evolution": dict(BASE_EVOLUTION)}, "simulate").evolution
+        with pytest.raises(FieldError) as err:
+            ExperimentConfig("simulate", evolution, grid_resolution=resolution)
+        assert err.value.field == "grid_resolution"
+        assert str(err.value) == f"resolution must be a whole number, got {resolution!r}"
+
+    def test_experiment_config_keeps_a_whole_resolution_as_int(self):
+        evolution = load_config({"evolution": dict(BASE_EVOLUTION)}, "simulate").evolution
+        config = ExperimentConfig("simulate", evolution, grid_resolution=np.float64(6.0))
+        assert type(config.grid_resolution) is int and config.grid_resolution == 6
+        assert config.describe()["grid_resolution"] == 6
+
 
 class TestExitCodes:
     def test_schema_violation_exit_2(self, tmp_path, capsys):
@@ -222,6 +236,34 @@ INVALID_CONFIGS = [
         [],
         2,
         "config.evolution.profile.atoms[0].weight",
+    ),
+    (
+        "atom_angles_count",
+        "limit-coeffs",
+        {
+            "evolution": dict(
+                BASE_EVOLUTION,
+                profile={"atoms": [{"angles": [0.0], "weight": 1.0, "c": 1.0, "c1": 0.0},
+                                   {"angles": [0.0, 1.0], "weight": 1.0, "c": 1.0, "c1": 0.0}]},
+            )
+        },
+        [],
+        2,
+        "config.evolution.profile.atoms[1].angles",
+    ),
+    (
+        "angle_row_not_numeric",
+        "simulate",
+        {
+            "evolution": dict(
+                BASE_EVOLUTION,
+                switching={"kind": "discrete", "angles": [[0.0], ["pi"]],
+                           "probabilities": [0.5, 0.5]},
+            )
+        },
+        [],
+        2,
+        "config.evolution.switching.angles[1]",
     ),
     (
         "eps_sweep_nonpositive_simulate",
@@ -428,6 +470,14 @@ ERROR_LINES = {
         '{"error": {"kind": "schema", "message": "config.evolution.profile.atoms[0].weight: '
         'atom weight must be positive, got 0.0", "path": '
         '"config.evolution.profile.atoms[0].weight"}}'
+    ),
+    "atom_angles_count": (
+        '{"error": {"kind": "schema", "message": "config.evolution.profile.atoms[1].angles: '
+        'atom has 2 angles, expected 1", "path": "config.evolution.profile.atoms[1].angles"}}'
+    ),
+    "angle_row_not_numeric": (
+        '{"error": {"kind": "schema", "message": "config.evolution.switching.angles[1]: '
+        'expected a list of finite numbers", "path": "config.evolution.switching.angles[1]"}}'
     ),
     "eps_sweep_nonpositive_simulate": (
         '{"error": {"kind": "schema", "message": "config.eps_sweep: epsilon values must lie '
@@ -651,6 +701,32 @@ class TestArtifactBytes:
         assert main([mode, "--config", path, "--out", str(out)]) == 0
         digest = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
         assert digest == self.DIGESTS[config, mode, artifact]
+
+
+class TestOperatorReportBytesAcrossSlabs:
+    """sha256 of operator_report.json for the three n = 5 profiles of the
+    operator benchmark at grid_resolution 16: 131072 nodes, 16 slabs of the
+    second-order corrector. Recorded while the solve still held that corrector
+    as one (M, n, n) array."""
+
+    EVOLUTION = dict(BASE_EVOLUTION, dimension=5, x0=[0.1, -0.2, 0.3, 0.0, 0.2], seed=11)
+    DIGESTS = {
+        "msre_const": ({"name": "msre_const", "c": 1.0},
+                       "98081b88f3dba209a994e65340e4bd88289f178a34e3ee97bae0a85779e07f24"),
+        "sin_theta1": ({"name": "sin_theta1"},
+                       "9efd2df711b90c45731356975389156908985aabd234cd6faa5c941b3c9c87b5"),
+        "step_half_sphere": ({"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
+                             "f47c23e556fd8ee6a5a004bd11f9b928fad22f9f7f863eb2b8c25d563604ffbc"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_report_keeps_its_bytes(self, tmp_path, name):
+        profile, digest = self.DIGESTS[name]
+        document = {"grid_resolution": 16, "evolution": dict(self.EVOLUTION, profile=profile)}
+        out = tmp_path / "out"
+        assert main(["verify-operators", "--config", write_config(tmp_path, document),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "operator_report.json").read_bytes()).hexdigest() == digest
 
 
 class TestVerifyOperators:

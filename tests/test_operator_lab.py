@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revolve.limits import DiscreteSwitching, limit_coefficients
+from revolve import operator_lab
 from revolve.operator_lab import (
     SolvabilityError,
     TestFunction,
@@ -371,6 +372,19 @@ class TestContractions:
             assert np.max(np.abs(got_diffusion - diffusion)) <= ULPS * scale
             assert np.max(np.abs(got_drift - drift)) <= ULPS * np.dot(w, np.abs(c1))
 
+    def test_slab_sum_is_the_einsum_over_the_whole_array(self, grid, monkeypatch):
+        monkeypatch.setattr(operator_lab, "_SLAB_NODES", 7)
+        n, w, s = grid.dimension, grid.weights, grid.directions
+        for profile in contraction_profiles(n):
+            c, _, _ = grid_speeds(profile, grid)
+            c_s = s * c[:, None]
+            c_s_a1 = np.einsum("mi,mj->mij", s, c_s - np.einsum("m...,m->...", c_s, w))
+            c_s_a1 *= c[:, None, None]
+            reference = np.einsum("m...,m->...", c_s_a1, w)
+            reference = 0.5 * (reference + reference.T)
+            sol = solve_perturbation(profile, gaussian_bump(np.zeros(n), 1.0), np.zeros(n), grid)
+            assert sol.diffusion.tobytes() == reference.tobytes()
+
     def test_transported_values(self, grid):
         n, m, s = grid.dimension, grid.size, grid.directions
         rng = np.random.default_rng(m)
@@ -458,6 +472,54 @@ class TestPinnedSolutions:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * m * n**2 * 8
+
+    def test_memory_scales_as_m_n(self):
+        # 16 slabs of the second-order corrector. The bound lies between the
+        # peak with the corrector held whole as (M, n, n), 15 M n doubles, and
+        # the peak slab by slab, 4.5 M n doubles
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this solve's alone")
+        g = build_grid(5, 16)
+        n, m = 5, g.size
+        assert m == 16 * operator_lab._SLAB_NODES
+        p = builtin_profile("step_half_sphere", 5, c=1.0, c1=1.0)
+        phi = gaussian_bump(np.zeros(5), 1.0)
+        tracemalloc.start()
+        try:
+            solve_perturbation(p, phi, 0.25 * np.ones(5), g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * m * n * 8
+
+
+# (profile, n, profile kwargs, grid): the pinned solutions' grids and a law
+# of ten directions in R^3
+SLAB_CASES = [(name, n, kwargs, grid_for(n)) for name, n, kwargs, *_ in PINNED_SOLUTIONS] + [
+    ("step_half_sphere", 3, {"c": 1.3, "c1": 0.7}, contraction_grids()[-2])
+]
+
+
+class TestSlabs:
+    """The solve builds b2 one slab of nodes at a time; no slab size may move a bit."""
+
+    @pytest.mark.parametrize(
+        "name, n, kwargs, grid", SLAB_CASES,
+        ids=[f"{name}-n{n}-m{grid.size}" for name, n, _, grid in SLAB_CASES],
+    )
+    @pytest.mark.parametrize("slab", ["1", "7", "M-1"])
+    def test_slabs_match_the_single_slab_solve(self, monkeypatch, name, n, kwargs, grid, slab):
+        profile = builtin_profile(name, n, **kwargs)
+        phi = gaussian_bump(0.1 * np.arange(n), 1.0)
+        x = np.full(n, 0.2)
+        monkeypatch.setattr(operator_lab, "_SLAB_NODES", grid.size)
+        whole = solve_perturbation(profile, phi, x, grid)
+        monkeypatch.setattr(operator_lab, "_SLAB_NODES", {"1": 1, "7": 7, "M-1": grid.size - 1}[slab])
+        sliced = solve_perturbation(profile, phi, x, grid)
+        for a, b in [(sliced.diffusion, whole.diffusion), (sliced.phi1.values, whole.phi1.values),
+                     (sliced.phi2.values, whole.phi2.values), (sliced.r1, whole.r1),
+                     (sliced.r2, whole.r2)]:
+            assert a.tobytes() == b.tobytes()
 
 
 class TestResidual:
