@@ -305,9 +305,6 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
         "dimension": evo.dimension,
         "identity_residuals": {
             "pi_idempotent": idempotence,
-            # Q of the constant field Pi f is Pi(Pi f) - Pi f at every node,
-            # so q_pi is derived from Pi idempotence and does not run apply_q
-            "q_pi": idempotence,
             "pi_q": abs(project_pi(apply_q(f))),
             "r0_q_identity": potential_identity_error(f),
         },
@@ -321,12 +318,12 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
         "drift_paper_sign": limit.drift_paper_sign.tolist(),
     }
     try:
-        drift_lab, diffusion_lab = lab_limit_coefficients(evo.profile, grid)
+        first = lab_limit_coefficients(evo.profile, grid)  # shared with the solve
     except ProfileError as exc:  # an atomic profile on a sphere grid
         report["residual_scaling"] = {"skipped": str(exc)}
     else:
-        gap = max(np.max(np.abs(drift_lab - limit.drift)),
-                  np.max(np.abs(diffusion_lab - limit.diffusion)))
+        gap = max(np.max(np.abs(first.drift - limit.drift)),
+                  np.max(np.abs(first.diffusion - limit.diffusion)))
         report["limit_coefficients"]["lab_vs_quadrature_max_diff"] = float(gap)
         phi = gaussian_bump(evo.x0, 1.0)
         # residual scaling needs a sweep over two decades; a sweep tuned for
@@ -340,7 +337,7 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
                 f"sweep ({exc}); residual_scaling uses the default sweep {list(sweep)}",
                 file=sys.stderr,
             )
-        fit = residual_scaling(evo.profile, phi, evo.x0 + 0.25, grid, sweep)
+        fit = residual_scaling(first, phi, evo.x0 + 0.25, sweep)
         report["residual_scaling"] = {
             "eps": fit.eps_values.tolist(),
             "residual": fit.metric_values.tolist(),

@@ -49,18 +49,25 @@ exact contraction, not a finite difference. With s = grid.directions,
     b2 = c s (x) a1 - Pi[c s (x) a1]    (M, n, n): phi2 = b1 . grad phi + b2 : hess phi
 
 and L0 phi = drift . grad phi + diffusion : hess phi with drift = Pi[c1 s]
-and diffusion the symmetric part of Pi[c s (x) a1]. The remainder terms
-c T phi2, c1 T phi1 and c1 T phi2 would need (M, n, n, n) coefficients, but
-they are only evaluated at the spatial point x, never averaged by Pi; so s
-is contracted into the derivatives of phi at x first and no such array is
-built.
+and D = Pi[c s (x) a1], whose symmetric part is the diffusion.
 
-Nor is b2 held whole: it is built one slab of _SLAB_NODES nodes at a time,
-twice. The first pass sums Pi[c s (x) a1] node after node, the order in
-which einsum sums a whole (M, n, n) array, so no slab size moves a bit; the
-second rebuilds each slab, subtracts that mean and adds the slab's b2 terms
-to phi2 and to its transport at x. The solve's memory grows as M n, not
-M n^2.
+The solve has two halves. The first-order half (lab_limit_coefficients)
+reads the profile once and holds c, c1, a1, the drift and the diffusion:
+the lab route to the limit coefficients, and all the solve needs of the
+grid. The point half (solve_perturbation) takes it as an argument and
+evaluates phi2 and the remainder terms c T phi2, c1 T phi1 and c1 T phi2 at
+the spatial point x only, never averaged by Pi. So b1, b2 and the
+(M, n, n, n) coefficients of T phi2 are never built: s is contracted into
+the derivatives of phi at x, and since hess phi and s . third phi are
+symmetric, D may be replaced by the diffusion,
+
+    b1 . grad phi           = c1 (s . grad phi) - drift . grad phi
+    b2 : hess phi           = c (s . hess phi . a1) - diffusion : hess phi
+    (s, grad)(b2 : hess phi) = c third phi[s, s, a1] - diffusion : (s . third phi)
+
+with third phi[s, s, a1] = sum_j a1_j (s . third_j phi . s), one (M, n)
+product per j. The solve holds (M, n) and (M,) arrays only, so its memory
+grows as M n.
 """
 
 from __future__ import annotations
@@ -71,13 +78,14 @@ from typing import Callable
 import numpy as np
 
 from .limits import BalanceError
-from .profiles import ProfileError, VelocityProfile, balance_report, first_moment, grid_speeds
+from .profiles import BalanceReport, ProfileError, VelocityProfile, balance_report, grid_speeds
 from .sphere import QuadratureGrid, sin_power_integral
 from .rates import RateFit, check_eps_sweep, fit_loglog
 
 __all__ = [
     "ThetaField",
     "TestFunction",
+    "FirstOrderHalf",
     "PerturbationSolution",
     "SolvabilityError",
     "project_pi",
@@ -214,43 +222,18 @@ def gaussian_bump(center: np.ndarray, width: float) -> TestFunction:
 
 
 # ---------------------------------------------------------------------------
-# fields of derivative coefficients over the grid
-
-
-def _hessian_terms(d2: np.ndarray, hessian: np.ndarray) -> np.ndarray:
-    """d2 : hess phi at every node, for d2 (M, n, n)."""
-    return np.einsum("mij,ij->m", d2, hessian)
-
-
-def _s_dot_third(s: np.ndarray, third: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of s @ third, with third of phi as (n, n*n): n terms per entry.
-
-    numpy hands a one-row product to BLAS gemv, whose sums may differ in the
-    last bit from gemm's, so a lone node is multiplied with a neighbour.
-    """
-    if hi - lo > 1 or s.shape[0] == 1:
-        return s[lo:hi] @ third
-    pair = max(lo - 1, 0)
-    return (s[pair:pair + 2] @ third)[lo - pair:lo - pair + 1]
-
-
-def _transported_hessian_terms(d2: np.ndarray, s_third: np.ndarray) -> np.ndarray:
-    """(s, grad)(d2 : hess phi) at every node, for d2 (M, n, n) and s . third (M, n*n)."""
-    return np.einsum("mi,mi->m", d2.reshape(d2.shape[0], -1), s_third)
+# the hierarchy: a first-order half over the grid, a point half at x
 
 
 def _derivative_values(
-    phi: TestFunction, x: np.ndarray, d1: np.ndarray, d2: np.ndarray | None = None
+    phi: TestFunction, x: np.ndarray, d1: np.ndarray, d2: np.ndarray
 ) -> np.ndarray:
     """d1 . grad phi(x) + d2 : hess phi(x) at every node, for d1 (M, n) and d2 (M, n, n)."""
-    values = np.zeros(d1.shape[0]) + d1 @ phi.gradient(x)
-    if d2 is not None:
-        values += _hessian_terms(d2, phi.hessian(x))
-    return values
+    return d1 @ phi.gradient(x) + np.einsum("mij,ij->m", d2, phi.hessian(x))
 
 
 def _transported_values(
-    phi: TestFunction, x: np.ndarray, s: np.ndarray, d1: np.ndarray, d2: np.ndarray | None = None
+    phi: TestFunction, x: np.ndarray, s: np.ndarray, d1: np.ndarray, d2: np.ndarray
 ) -> np.ndarray:
     """(s, grad)(d1 . grad phi + d2 : hess phi) at x, at every node.
 
@@ -258,10 +241,9 @@ def _transported_values(
     (M, n) and (M, n, n)), so no (M, n, n, n) array is built.
     """
     m, n = s.shape
-    values = np.zeros(m) + np.einsum("mi,mi->m", d1, s @ phi.hessian(x))
-    if d2 is not None:
-        values += _transported_hessian_terms(d2, s @ phi.third(x).reshape(n, -1))
-    return values
+    s_third = s @ phi.third(x).reshape(n, -1)
+    return (np.einsum("mi,mi->m", d1, s @ phi.hessian(x))
+            + np.einsum("mi,mi->m", d2.reshape(m, -1), s_third))
 
 
 def _node_speeds(speeds: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -273,25 +255,44 @@ def _node_speeds(speeds: tuple) -> tuple[np.ndarray, np.ndarray]:
     return c, c1
 
 
-def lab_limit_coefficients(
-    profile: VelocityProfile, grid: QuadratureGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """(drift, diffusion) assembled through the operator hierarchy.
+@dataclass(frozen=True)
+class FirstOrderHalf:
+    """The half of the hierarchy that does not depend on the test function.
+
+    c and c1 are the node speeds, a1 = c s - Pi[c s] the first corrector's
+    (M, n) coefficients, drift = Pi[c1 s] and diffusion the symmetric part of
+    Pi[c s (x) a1]. balance is the verdict on Pi[c s], which the solve needs.
+    """
+
+    grid: QuadratureGrid
+    c: np.ndarray
+    c1: np.ndarray
+    a1: np.ndarray
+    drift: np.ndarray
+    diffusion: np.ndarray
+    balance: BalanceReport
+
+
+def lab_limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> FirstOrderHalf:
+    """The first-order half, from one reading of the profile: the drift and
+    diffusion assembled through the operator hierarchy, and the node
+    quantities the solve goes on from.
 
     drift_i = Pi[c1 s_i]; diffusion is Pi[c s ox (-R0 c s)], i.e. the
     second-order coefficient of Pi[c T phi1]: E[c^2 s_i s_j] minus the rank-one
-    correction E[c s_i] E[c s_j] (zero under exact balance). Works directly
-    with (M, n) contractions so it scales to fine grids in high dimension.
+    correction E[c s_i] E[c s_j] (zero under exact balance). Each node sum is
+    a two-operand einsum, whose order numpy fixes whatever the number of BLAS
+    threads.
     """
     c, c1 = _node_speeds(grid_speeds(profile, grid))
-    s = grid.directions
-    w = grid.weights
-    b = c[:, None] * s
-    centered = b - np.einsum("m,mi->i", w, b)
-    diffusion = np.einsum("mk,mi->ki", (w * c)[:, None] * s, centered)
-    diffusion = 0.5 * (diffusion + diffusion.T)
+    s, w = grid.directions, grid.weights
+    a1 = c[:, None] * s
+    fast_mean = np.einsum("m,mi->i", w, a1)
+    a1 -= fast_mean                             # phi1 = -R0 [c T phi]
+    diffusion = np.einsum("mk,mi->ki", (w * c)[:, None] * s, a1)
     drift = np.einsum("m,mi->i", w, c1[:, None] * s)
-    return drift, diffusion
+    return FirstOrderHalf(grid, c, c1, a1, drift, 0.5 * (diffusion + diffusion.T),
+                          balance_report(fast_mean))
 
 
 @dataclass(frozen=True)
@@ -299,26 +300,17 @@ class PerturbationSolution:
     """Solved corrector hierarchy at a fixed spatial point.
 
     phi1 and phi2 are the corrector fields evaluated at x; limit_value is
-    L0 phi(x); drift and diffusion are the assembled generator coefficients
-    (physical sign). c and c1 are the node speeds, a1 and b1 the (M, n)
-    corrector coefficients (module docstring), and residual(eps) the sup over
-    nodes of the exact remainder eps * r1 + eps^2 * r2. The (M, n, n)
-    coefficient b2 is not held: the solve builds it one slab of nodes at a
-    time, and it follows from c, a1 and the grid.
+    L0 phi(x); first is the first-order half the solve went on from, with the
+    assembled generator coefficients (physical sign); residual(eps) is the sup
+    over nodes of the exact remainder eps * r1 + eps^2 * r2.
     """
 
-    grid: QuadratureGrid
+    first: FirstOrderHalf
     point: np.ndarray
     test_function: TestFunction
     phi1: ThetaField
     phi2: ThetaField
     limit_value: float
-    drift: np.ndarray
-    diffusion: np.ndarray
-    c: np.ndarray
-    c1: np.ndarray
-    a1: np.ndarray
-    b1: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
 
@@ -331,82 +323,47 @@ def _pi(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("m...,m->...", arr, w)
 
 
-# Nodes per slab of b2 = c s (x) a1 - Pi[c s (x) a1]: 1.6 MiB a slab at n = 5.
-_SLAB_NODES = 8192
-
-
-def _c_s_a1_slabs(s: np.ndarray, a1: np.ndarray, c: np.ndarray, rows: np.ndarray):
-    """(lo, hi, block) for consecutive slabs of nodes, block = c s (x) a1 on
-    nodes lo:hi, written into the leading rows of the (slab, n, n) array rows."""
-    m = s.shape[0]
-    for lo in range(0, m, rows.shape[0]):
-        hi = min(lo + rows.shape[0], m)
-        block = np.einsum("mi,mj->mij", s[lo:hi], a1[lo:hi], out=rows[: hi - lo])
-        block *= c[lo:hi, None, None]
-        yield lo, hi, block
-
-
 def solve_perturbation(
-    profile: VelocityProfile, phi: TestFunction, x: np.ndarray, grid: QuadratureGrid
+    first: FirstOrderHalf, phi: TestFunction, x: np.ndarray
 ) -> PerturbationSolution:
-    """Solve the corrector hierarchy for the given profile and test function.
+    """The point half: the correctors and the remainder at x.
 
     Requires the balance condition; otherwise raises SolvabilityError naming
     the residual vector. The correctors are exact on the grid, so the
     assembled remainder is identically eps * r1 + eps^2 * r2.
     """
-    speeds = grid_speeds(profile, grid)  # the one reading of the profile
-    report = balance_report(first_moment(grid, speeds, 0))
-    if not report.satisfied:
-        raise SolvabilityError(report)
+    if not first.balance.satisfied:
+        raise SolvabilityError(first.balance)
+    grid = first.grid
     if phi.dimension != grid.dimension:
         raise ValueError(
             f"test function dimension {phi.dimension} != grid dimension {grid.dimension}"
         )
     x = np.asarray(x, dtype=float)
-    c, c1 = _node_speeds(speeds)
-    s, w = grid.directions, grid.weights
-    m, n = s.shape
-    a1 = s * c[:, None]
-    a1 -= _pi(a1, w)                            # phi1 = -R0 [c T phi]
-    b1 = s * c1[:, None]
-    drift = _pi(b1, w)                          # L0 = Pi [c T phi1 + c1 T phi]
-    b1 -= drift                                 # phi2 = -R0 [c T phi1 + c1 T phi]
-    # Pi [c T phi1] node after node: row 0 carries the sum of the earlier slabs
-    buffer = np.empty((min(_SLAB_NODES, m) + 1, n, n))
-    buffer[0] = 0.0
-    diffusion = np.empty((n, n))
-    for lo, hi, block in _c_s_a1_slabs(s, a1, c, buffer[1:]):
-        block *= w[lo:hi, None, None]
-        np.add.reduce(buffer[: hi - lo + 1], axis=0, out=diffusion)
-        buffer[0] = diffusion
-    # r1 = c T phi2 + c1 T phi1 and r2 = c1 T phi2, evaluated at x only
-    phi2 = _derivative_values(phi, x, b1)
-    t_phi2 = _transported_values(phi, x, s, b1)
-    hessian, third = phi.hessian(x), phi.third(x).reshape(n, -1)
-    for lo, hi, b2 in _c_s_a1_slabs(s, a1, c, buffer[1:]):
-        b2 -= diffusion
-        phi2[lo:hi] += _hessian_terms(b2, hessian)
-        t_phi2[lo:hi] += _transported_hessian_terms(b2, _s_dot_third(s, third, lo, hi))
-    diffusion = 0.5 * (diffusion + diffusion.T)
-    limit_value = float(drift @ phi.gradient(x) + np.sum(diffusion * hessian))
-    t_phi1 = _transported_values(phi, x, s, a1)
+    s, c, c1, a1, drift = grid.directions, first.c, first.c1, first.a1, first.drift
+    gradient, hessian, third = phi.gradient(x), phi.hessian(x), phi.third(x)
+    s_hessian = s @ hessian                               # (M, n), as s . third_j below
+    t_phi1 = np.einsum("mi,mi->m", a1, s_hessian)         # (s, grad) phi1 = s . hess . a1
+    # b1 = c1 s - drift enters through b1 . grad phi and b1 . (s . hess) only
+    t_b1 = c1 * np.einsum("mi,mi->m", s_hessian, s) - s_hessian @ drift
+    del s_hessian
+    # phi2 = b1 . grad phi + b2 : hess phi
+    diffusion_hessian = np.sum(first.diffusion * hessian)
+    phi2 = c1 * (s @ gradient) + c * t_phi1 - (drift @ gradient + diffusion_hessian)
+    # (s, grad) phi2 = b1 . (s . hess) + c third[s, s, a1] - diffusion : (s . third)
+    third_s_s_a1 = sum(a1[:, j] * np.einsum("mi,mi->m", s @ third[j], s)
+                       for j in range(grid.dimension))
+    t_phi2 = t_b1 + c * third_s_s_a1 - s @ np.einsum("ijk,jk->i", third, first.diffusion)
 
     return PerturbationSolution(
-        grid=grid,
+        first=first,
         point=x,
         test_function=phi,
-        phi1=ThetaField(grid, _derivative_values(phi, x, a1)),
+        phi1=ThetaField(grid, a1 @ gradient),
         phi2=ThetaField(grid, phi2),
-        limit_value=limit_value,
-        drift=drift,
-        diffusion=diffusion,
-        c=c,
-        c1=c1,
-        a1=a1,
-        b1=b1,
-        r1=c * t_phi2 + c1 * t_phi1,
-        r2=c1 * t_phi2,
+        limit_value=float(drift @ gradient + diffusion_hessian),
+        r1=c * t_phi2 + c1 * t_phi1,    # c T phi2 + c1 T phi1
+        r2=c1 * t_phi2,                 # c1 T phi2
     )
 
 
@@ -415,30 +372,27 @@ def assembled_generator_residual(solution: PerturbationSolution, eps: float) -> 
 
     Applies eps^-2 Q + eps^-1 c T + c1 T to phi + eps phi1 + eps^2 phi2
     directly, without using the closed-form remainder; agreement with
-    solution.residual(eps) certifies the hierarchy solve. It builds b2 whole
-    from the solution's c, a1 and grid, (M, n, n) doubles.
+    solution.residual(eps) certifies the hierarchy solve. It builds b1 and b2
+    whole from the first-order half, b2 as (M, n, n) doubles.
     """
-    sol, phi, x = solution, solution.test_function, solution.point
-    w, s = sol.grid.weights, sol.grid.directions
-    c_s_a1 = np.einsum("mi,mj->mij", s, sol.a1) * sol.c[:, None, None]
+    sol, phi, x, first = solution, solution.test_function, solution.point, solution.first
+    w, s = first.grid.weights, first.grid.directions
+    c_s_a1 = np.einsum("mi,mj->mij", s, first.a1) * first.c[:, None, None]
+    b1 = first.c1[:, None] * s - first.drift
     b2 = c_s_a1 - _pi(c_s_a1, w)
     # phi_eps = phi + d1 . grad phi + d2 : hess phi
-    d1 = sol.a1 * eps + sol.b1 * eps**2
+    d1 = first.a1 * eps + b1 * eps**2
     d2 = b2 * eps**2
     q_part = ((np.sum(w) - 1.0) * eps**-2 * phi.value(x)
               + _derivative_values(phi, x, (_pi(d1, w) - d1) * eps**-2,
                                    (_pi(d2, w) - d2) * eps**-2))
     transport = s @ phi.gradient(x) + _transported_values(phi, x, s, d1, d2)
-    values = q_part + (sol.c / eps) * transport + sol.c1 * transport
+    values = q_part + (first.c / eps) * transport + first.c1 * transport
     return float(np.max(np.abs(values - sol.limit_value)))
 
 
 def residual_scaling(
-    profile: VelocityProfile,
-    phi: TestFunction,
-    x: np.ndarray,
-    grid: QuadratureGrid,
-    eps_list,
+    first: FirstOrderHalf, phi: TestFunction, x: np.ndarray, eps_list
 ) -> RateFit:
     """Log-log slope of the perturbation remainder across epsilon values.
 
@@ -447,6 +401,6 @@ def residual_scaling(
     test functions whose relevant derivatives vanish identically).
     """
     eps = check_eps_sweep(eps_list, decades=2)
-    solution = solve_perturbation(profile, phi, x, grid)
+    solution = solve_perturbation(first, phi, x)
     residuals = np.array([solution.residual(float(e)) for e in eps])
     return fit_loglog(eps, residuals)

@@ -49,7 +49,6 @@ __all__ = [
     "balance_report",
     "builtin_profile",
     "check_balance",
-    "check_nonsymmetry",
     "first_moment",
     "grid_speeds",
 ]
@@ -429,15 +428,3 @@ def check_balance(
 ) -> BalanceReport:
     """First moment of the fast speed; satisfied iff its norm is <= tolerance."""
     return balance_report(first_moment(grid, grid_speeds(profile, grid), 0), tolerance)
-
-
-def check_nonsymmetry(
-    profile: VelocityProfile, grid: QuadratureGrid, tolerance: float = BALANCE_TOLERANCE
-) -> BalanceReport:
-    """First moment of the slow speed (the drift vector E[c1*s]).
-
-    satisfied means a drift was detected, i.e. the norm EXCEEDS the tolerance.
-    """
-    residual = first_moment(grid, grid_speeds(profile, grid), 1)
-    norm = float(np.linalg.norm(residual))
-    return BalanceReport(residual, norm, norm > tolerance, tolerance)

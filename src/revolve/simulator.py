@@ -85,6 +85,13 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64
+# The most float64 values one numpy array can hold: its size in bytes is an intp.
+_MAX_FLOAT64S = np.iinfo(np.intp).max // 8
+
+
+def _switch_block(expected: float) -> int:
+    """Waits a path draws at first when it expects `expected` switches."""
+    return max(16, int(expected + 6.0 * math.sqrt(expected) + 16.0))
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,13 @@ class EvolutionConfig:
             raise FieldError(
                 f"epsilon {self.epsilon} is too small for horizon {self.horizon}: the expected "
                 "switch count horizon / epsilon^2 is not a finite float",
+                "epsilon",
+            )
+        block = _switch_block(self.horizon / mean_wait)
+        if block > _MAX_FLOAT64S:
+            raise FieldError(
+                f"epsilon {self.epsilon} is too small for horizon {self.horizon}: a path's "
+                f"block of {block:.3g} waits is more float64 values than numpy can index",
                 "epsilon",
             )
         if not self.n_paths >= 1:
@@ -290,7 +304,7 @@ class _PathKernel:
         eps, init = config.epsilon, config.initial_direction
         self._mean = eps * eps
         expected = config.horizon / self._mean
-        self._block = max(16, int(expected + 6.0 * math.sqrt(expected) + 16.0))
+        self._block = _switch_block(expected)
         self._batch_paths = max(1, int(_BATCH_ROWS / (expected + 1.0)))
         # 1 when the first segment of each path has the fixed initial
         # direction: that row holds no draw.

@@ -13,6 +13,7 @@ import pytest
 
 import revolve
 from revolve.cli import ExperimentConfig, load_config, main
+from revolve import profiles
 from revolve.profiles import FieldError
 from revolve.stats import limit_for_config
 
@@ -265,6 +266,10 @@ INVALID_CONFIGS = [
         2,
         "config.evolution.switching.angles[1]",
     ),
+    # horizon / epsilon^2 is finite, but a path's first block of waits is
+    # longer than a numpy array can be
+    ("epsilon_1e-100", "simulate", {"evolution": dict(BASE_EVOLUTION, epsilon=1e-100)}, [], 2,
+     "config.evolution.epsilon"),
     (
         "eps_sweep_nonpositive_simulate",
         "simulate",
@@ -540,6 +545,11 @@ ERROR_LINES = {
         '{"error": {"kind": "schema", "message": "config.evolution.switching.angles: angle '
         'rows must all have the same length", "path": "config.evolution.switching.angles"}}'
     ),
+    "epsilon_1e-100": (
+        '{"error": {"kind": "schema", "message": "config.evolution.epsilon: epsilon 1e-100 '
+        'is too small for horizon 1.0: a path\'s block of 1e+200 waits is more float64 '
+        'values than numpy can index", "path": "config.evolution.epsilon"}}'
+    ),
     "epsilon_1e-160": (
         '{"error": {"kind": "schema", "message": "config.evolution.epsilon: epsilon 1e-160 '
         'is too small for horizon 1.0: the expected switch count horizon / epsilon^2 is not '
@@ -671,26 +681,27 @@ PIN_CONFIGS = {
 
 
 class TestArtifactBytes:
-    """sha256 of artifacts under both switching laws, recorded before the laws
-    and their grids moved into revolve.limits (grid_resolution 8)."""
+    """sha256 of artifacts under both switching laws (grid_resolution 8),
+    recorded before the laws and their grids moved into revolve.limits; those
+    of operator_report.json since the solve contracts b2 at x."""
 
     DIGESTS = {
         ("uniform_n3", "limit-coeffs", "limit_coeffs.json"):
             "b34a0edeed0db3ef2ee9054ab090650a5bcc70385133980d98ed166697677335",
         ("uniform_n3", "verify-operators", "operator_report.json"):
-            "bd6fbe4a962a5459b47c51e37bf7244d2128e5995e26b97d1b105ba641bd4ca3",
+            "6170d022842670313f1181d27c0e9cd6226654e855599d5243815a2d6ffe854a",
         ("uniform_n3", "report", "moments.csv"):
             "2b13dcfc3f357ff26015f18b94861289d7b15dc5b1595182e14970bc2e0cb943",
         ("discrete_compass", "limit-coeffs", "limit_coeffs.json"):
             "829cbe825187cd55f15bb7818837f8fa263152f8587cf2699816a47b94b23f76",
         ("discrete_compass", "verify-operators", "operator_report.json"):
-            "c74613044a8ccf444dff1c31b9389d93d7188c5bcb6eeb21918e63dc548e72a3",
+            "4114014ab4815379c9518eb7a0c99f6ac63fef219a96749e2e2d9bfb3d31e5c8",
         ("discrete_compass", "report", "moments.csv"):
             "bd7e58f234768ca01473a1110471f2a03aaf68230a5d40dad2ed1b3ee52afeef",
         ("discrete_atoms", "limit-coeffs", "limit_coeffs.json"):
             "95921556a96cc43f52fa84c81ce3b10f6bb66c1c55086c83fac5b933ae93912b",
         ("discrete_atoms", "verify-operators", "operator_report.json"):
-            "efd14a0832e56cd414e4c24ce17d128650163ea24cc95453363b0fd6391ddc85",
+            "7ae189047d8b3c0cbcdea6bf1916f5bb4dd79eb79cd4f314292369f0a912fdc4",
     }
 
     @pytest.mark.parametrize("config, mode, artifact", sorted(DIGESTS),
@@ -705,18 +716,18 @@ class TestArtifactBytes:
 
 class TestOperatorReportBytesAcrossSlabs:
     """sha256 of operator_report.json for the three n = 5 profiles of the
-    operator benchmark at grid_resolution 16: 131072 nodes, 16 slabs of the
-    second-order corrector. Recorded while the solve still held that corrector
-    as one (M, n, n) array."""
+    operator benchmark at grid_resolution 16: 131072 nodes, as many as 16 of
+    the node slabs in which an earlier solve built the second-order corrector.
+    Recorded since the solve contracts that corrector at x."""
 
     EVOLUTION = dict(BASE_EVOLUTION, dimension=5, x0=[0.1, -0.2, 0.3, 0.0, 0.2], seed=11)
     DIGESTS = {
         "msre_const": ({"name": "msre_const", "c": 1.0},
-                       "98081b88f3dba209a994e65340e4bd88289f178a34e3ee97bae0a85779e07f24"),
+                       "23e456152d7ec88eb398bf70d3670d4894d2df618a0f1fbf8daf328089661313"),
         "sin_theta1": ({"name": "sin_theta1"},
-                       "9efd2df711b90c45731356975389156908985aabd234cd6faa5c941b3c9c87b5"),
+                       "1a863a2bfcbe99cb9b684fa6b8a24e32eb717fee2fa0a1bf81ff791be2093668"),
         "step_half_sphere": ({"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
-                             "f47c23e556fd8ee6a5a004bd11f9b928fad22f9f7f863eb2b8c25d563604ffbc"),
+                             "80aa5d09e614053a752f58001a8ad5fe4a00368fd3d5b7d1b6a3eab97d52b03e"),
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -763,9 +774,24 @@ class TestVerifyOperators:
         assert report["identity_residuals"] == {
             "pi_idempotent": 1.3877787807814457e-17,
             "pi_q": 6.938893903907228e-18,
-            "q_pi": 1.3877787807814457e-17,
             "r0_q_identity": 1.3877787807814457e-17,
         }
+
+    def test_one_reading_for_the_lab_route_and_the_solve(self, tmp_path, monkeypatch):
+        # limit_coefficients reads the profile for the independent check; the
+        # lab route reads it once more and hands the first-order half to the solve
+        evaluate, calls = profiles._evaluate, []
+
+        def counting(fn, angles):
+            calls.append(fn)
+            return evaluate(fn, angles)
+
+        monkeypatch.setattr(profiles, "_evaluate", counting)
+        evo = dict(BASE_EVOLUTION, dimension=3, x0=[0.0] * 3,
+                   profile={"name": "step_half_sphere", "c": 1.0, "c1": 1.0})
+        path = write_config(tmp_path, {"evolution": evo, "grid_resolution": 8})
+        assert main(["verify-operators", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 4 and calls[:2] == calls[2:]  # c and c1, twice
 
     def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # 20000 nodes: enough for OpenBLAS to split a dot product over the

@@ -232,16 +232,16 @@ class TestGridRule:
         with pytest.raises(ProfileError):
             lab_limit_coefficients(profile, build_grid(2, 8))
         grid = DiscreteSwitching(EXAMPLE3_ANGLES, np.full(3, 1.0 / 3.0)).grid()
-        drift, diffusion = lab_limit_coefficients(profile, grid)
+        first = lab_limit_coefficients(profile, grid)
         limit = limit_coefficients(profile, grid)
-        assert np.max(np.abs(drift - limit.drift)) <= 1e-12
-        assert np.max(np.abs(diffusion - limit.diffusion)) <= 1e-12
+        assert np.max(np.abs(first.drift - limit.drift)) <= 1e-12
+        assert np.max(np.abs(first.diffusion - limit.diffusion)) <= 1e-12
         x = np.array([0.25, 0.25])
-        solution = solve_perturbation(profile, phi, x, grid)
+        solution = solve_perturbation(first, phi, x)
         for eps in EPS_LIST:
             gap = abs(assembled_generator_residual(solution, eps) - solution.residual(eps))
             assert gap <= 1e-12 * max(1.0, solution.residual(eps))
-        fit = residual_scaling(profile, phi, x, grid, EPS_LIST)
+        fit = residual_scaling(first, phi, x, EPS_LIST)
         assert fit.slope == pytest.approx(1.0, abs=0.02)
 
 

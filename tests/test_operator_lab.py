@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revolve.limits import DiscreteSwitching, limit_coefficients
-from revolve import operator_lab
 from revolve.operator_lab import (
     SolvabilityError,
     TestFunction,
@@ -241,14 +240,14 @@ class TestPerturbationSolve:
         p = builtin_profile("msre_const", 2, c=1.0)
         phi = gaussian_bump(np.zeros(2), 1.0)
         x = np.array([0.3, -0.2])
-        sol = solve_perturbation(p, phi, x, g)
+        sol = solve_perturbation(lab_limit_coefficients(p, g), phi, x)
         assert abs(sol.limit_value - 0.5 * np.trace(phi.hessian(x))) <= 1e-7
 
     def test_phi1_has_zero_average(self):
         g = grid_for(3)
         p = builtin_profile("msre_const", 3, c=2.0)
         for phi in [gaussian_bump(np.zeros(3), 1.0), gaussian_monomial(np.zeros(3), 1.0, 2)]:
-            sol = solve_perturbation(p, phi, np.array([0.1, 0.2, -0.1]), g)
+            sol = solve_perturbation(lab_limit_coefficients(p, g), phi, np.array([0.1, 0.2, -0.1]))
             assert abs(project_pi(sol.phi1)) <= 1e-10
             assert abs(project_pi(sol.phi2)) <= 1e-10
 
@@ -257,9 +256,9 @@ class TestPerturbationSolve:
         p = builtin_profile("step_half_sphere", 3, c=1.0, c1=1.0)
         phi = gaussian_bump(np.array([0.1, 0.0, -0.1]), 1.2)
         x = np.array([0.3, -0.2, 0.1])
-        sol = solve_perturbation(p, phi, x, g)
-        assert abs(abs(sol.drift[2]) - 0.25) <= 1e-8
-        expected = sol.drift @ phi.gradient(x) + (1.0 / 3.0) * np.trace(phi.hessian(x))
+        sol = solve_perturbation(lab_limit_coefficients(p, g), phi, x)
+        assert abs(abs(sol.first.drift[2]) - 0.25) <= 1e-8
+        expected = sol.first.drift @ phi.gradient(x) + (1.0 / 3.0) * np.trace(phi.hessian(x))
         assert abs(sol.limit_value - expected) <= 1e-7
 
     def test_quadratic_form_matches_limits_module(self):
@@ -271,18 +270,19 @@ class TestPerturbationSolve:
             g = grid_for(n)
             p = builtin_profile(name, n, **kwargs)
             sol = solve_perturbation(
-                p, gaussian_bump(np.zeros(n), 1.0), 0.1 * np.ones(n), g
+                lab_limit_coefficients(p, g), gaussian_bump(np.zeros(n), 1.0), 0.1 * np.ones(n)
             )
             limit = limit_coefficients(p, g)
-            assert np.max(np.abs(sol.diffusion - limit.diffusion)) <= 1e-8
-            assert np.max(np.abs(sol.drift - limit.drift)) <= 1e-8
+            assert np.max(np.abs(sol.first.diffusion - limit.diffusion)) <= 1e-8
+            assert np.max(np.abs(sol.first.drift - limit.drift)) <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_msre_coefficients(self, n, c):
         # cross terms vanish, diagonal is c^2/n
         g = build_grid(n, COEF_RES[n])
-        drift, diffusion = lab_limit_coefficients(builtin_profile("msre_const", n, c=c), g)
+        first = lab_limit_coefficients(builtin_profile("msre_const", n, c=c), g)
+        drift, diffusion = first.drift, first.diffusion
         off = diffusion - np.diag(np.diag(diffusion))
         assert np.max(np.abs(off)) <= 1e-9
         assert np.max(np.abs(np.diag(diffusion) - c * c / n)) <= 1e-8
@@ -293,25 +293,21 @@ class TestPerturbationSolve:
         p = VelocityProfile(2, continuous_c=lambda a: np.sin(a[..., 0]))
         phi = gaussian_bump(np.zeros(2), 1.0)
         with pytest.raises(SolvabilityError) as err:
-            solve_perturbation(p, phi, np.zeros(2), g)
+            solve_perturbation(lab_limit_coefficients(p, g), phi, np.zeros(2))
         assert abs(err.value.report.residual_vector[1] - 0.5) <= 1e-8
 
     def test_atomic_profile_rejected(self):
         g = grid_for(2)
         with pytest.raises(ProfileError):
-            solve_perturbation(
-                builtin_profile("example3_atoms", 2),
-                gaussian_bump(np.zeros(2), 1.0),
-                np.zeros(2),
-                g,
-            )
+            lab_limit_coefficients(builtin_profile("example3_atoms", 2), g)
 
     def test_limit_value_stable_under_grid_refinement(self):
         p = builtin_profile("step_half_sphere", 3, c=1.0, c1=0.5)
         phi = gaussian_bump(np.array([0.0, 0.1, 0.0]), 1.0)
         x = np.array([0.2, -0.1, 0.3])
-        coarse = solve_perturbation(p, phi, x, build_grid(3, 16)).limit_value
-        fine = solve_perturbation(p, phi, x, build_grid(3, 32)).limit_value
+        coarse = solve_perturbation(lab_limit_coefficients(p, build_grid(3, 16)), phi, x)
+        fine = solve_perturbation(lab_limit_coefficients(p, build_grid(3, 32)), phi, x)
+        coarse, fine = coarse.limit_value, fine.limit_value
         assert abs(fine - coarse) <= 1e-8 * max(1.0, abs(fine))
 
 
@@ -338,6 +334,25 @@ def contraction_grids():
 def contraction_profiles(n):
     profiles = [builtin_profile("step_half_sphere", n, c=1.3, c1=0.7)]
     return profiles + ([builtin_profile("sin_theta1", n)] if n >= 3 else [])
+
+
+def whole_array_solve(w, s, c, c1, gradient, hessian, third, sign=-1.0):
+    """(diffusion, phi2, r1, r2) of the hierarchy with b1 and b2 held whole,
+    b2 as (M, n, n), as assembled_generator_residual builds them. With
+    sign = 1 and the absolute value of every input it bounds the magnitude of
+    the terms that each sum adds."""
+    c_s = c[:, None] * s
+    a1 = c_s + sign * np.einsum("m...,m->...", c_s, w)
+    c_s_a1 = np.einsum("mi,mj->mij", s, a1) * c[:, None, None]
+    raw = np.einsum("m...,m->...", c_s_a1, w)
+    b1 = c1[:, None] * s + sign * np.einsum("m...,m->...", c1[:, None] * s, w)
+    b2 = c_s_a1 + sign * raw
+    s_hessian = s @ hessian
+    t_phi1 = np.einsum("mi,mi->m", a1, s_hessian)
+    t_phi2 = np.einsum("mi,mi->m", b1, s_hessian) + np.einsum(
+        "mij,mij->m", b2, np.einsum("mi,ijk->mjk", s, third))
+    phi2 = b1 @ gradient + np.einsum("mij,ij->m", b2, hessian)
+    return 0.5 * (raw + raw.T), phi2, c * t_phi2 + c1 * t_phi1, c1 * t_phi2
 
 
 @pytest.mark.parametrize(
@@ -367,23 +382,24 @@ class TestContractions:
             diffusion = np.einsum("m,mk,mi->ki", w * c, s, b - mean_b)
             diffusion = 0.5 * (diffusion + diffusion.T)
             drift = w @ (c1[:, None] * s)
-            got_drift, got_diffusion = lab_limit_coefficients(profile, grid)
+            first = lab_limit_coefficients(profile, grid)
+            got_drift, got_diffusion = first.drift, first.diffusion
             scale = np.dot(w, np.abs(c) * (np.abs(c) + np.max(np.abs(mean_b))))
             assert np.max(np.abs(got_diffusion - diffusion)) <= ULPS * scale
             assert np.max(np.abs(got_drift - drift)) <= ULPS * np.dot(w, np.abs(c1))
 
-    def test_slab_sum_is_the_einsum_over_the_whole_array(self, grid, monkeypatch):
-        monkeypatch.setattr(operator_lab, "_SLAB_NODES", 7)
+    def test_solve_is_the_whole_array_formula(self, grid):
         n, w, s = grid.dimension, grid.weights, grid.directions
-        for profile in contraction_profiles(n):
-            c, _, _ = grid_speeds(profile, grid)
-            c_s = s * c[:, None]
-            c_s_a1 = np.einsum("mi,mj->mij", s, c_s - np.einsum("m...,m->...", c_s, w))
-            c_s_a1 *= c[:, None, None]
-            reference = np.einsum("m...,m->...", c_s_a1, w)
-            reference = 0.5 * (reference + reference.T)
-            sol = solve_perturbation(profile, gaussian_bump(np.zeros(n), 1.0), np.zeros(n), grid)
-            assert sol.diffusion.tobytes() == reference.tobytes()
+        phi, x = gaussian_bump(0.1 * np.arange(n), 1.0), np.full(n, 0.2)
+        derivatives = phi.gradient(x), phi.hessian(x), phi.third(x)
+        for profile in contraction_profiles(n) + [builtin_profile("msre_const", n, c=1.0)]:
+            c, c1, _ = grid_speeds(profile, grid)
+            sol = solve_perturbation(lab_limit_coefficients(profile, grid), phi, x)
+            reference = whole_array_solve(w, s, c, c1, *derivatives)
+            scale = whole_array_solve(w, *(np.abs(a) for a in (s, c, c1, *derivatives)), sign=1.0)
+            got = (sol.first.diffusion, sol.phi2.values, sol.r1, sol.r2)
+            for a, b, bound in zip(got, reference, scale):
+                assert np.all(np.abs(a - b) <= ULPS * bound)
 
     def test_transported_values(self, grid):
         n, m, s = grid.dimension, grid.size, grid.directions
@@ -407,29 +423,30 @@ class TestContractions:
 
 # (profile, n, profile kwargs, bump center, point x, residual(eps) for
 # eps in EPS_LIST, limit_value, sha256 of the bytes of drift, diffusion,
-# phi1 and phi2), recorded with the solver that stored the remainder as
-# third-order jets on the grid_for(n) grids
+# phi1 and phi2) on the grid_for(n) grids. The residuals were recorded with
+# the solver that stored the remainder as third-order jets; the limit values
+# and digests with the solve that contracts b2 at x
 PINNED_SOLUTIONS = [
     (
         "step_half_sphere", 3, {"c": 1.0, "c1": 1.0}, [0.1, -0.1, 0.2], [0.25, 0.0, -0.3],
         [0.19807911318117707, 0.06039704285738174, 0.01887511467696322,
          0.005946424621622725, 0.001878183501284777],
         -0.8950439431834304,
-        "f2b4080c2454c367a47d3304463bd0301ea741c673ea6c2aa3805ab735ba9f5d",
+        "0ee08ab2a934391463cf5ef10715728304a2c7644755fa4931f8bd47e12b8d76",
     ),
     (
         "sin_theta1", 4, {}, [0.0, 0.1, -0.2, 0.1], [0.2, -0.1, 0.3, 0.0],
         [0.06985318065617976, 0.02208951526807432, 0.006985318065617976,
          0.002208951526807432, 0.0006985318065617976],
-        -0.5758012373742215,
-        "5b5cbebf4f606ba7285ee15489e727d4af24921d93bef2018de1c42110eea1e3",
+        -0.5758012373742216,
+        "deb1cc0bc9c48df193cb806787898947835379692e2ae4c12a7e1896bc440f02",
     ),
     (
         "msre_const", 5, {"c": 1.0}, [0.1, 0.0, -0.1, 0.2, 0.0], [0.3, 0.1, -0.2, 0.0, 0.15],
         [0.04822743449469855, 0.015250853870981912, 0.004822743449469855,
          0.0015250853870981912, 0.0004822743449469855],
         -0.9175434047515562,
-        "8f47118d4c46c84e4b19aef5ed3f0452d7b16715ab3c88e02316b50d29a5db25",
+        "1200b39ae3e36af48c420e45d26d0c5016ed6279ee516ebacba2a54155b62668",
     ),
 ]
 
@@ -443,18 +460,17 @@ class TestPinnedSolutions:
     def test_matches_third_order_jet_solver(
         self, name, n, kwargs, center, x, residuals, limit_value, digest
     ):
-        # contracting the outer transport at x reorders the remainder sums
-        # (a few ulps); the hierarchy itself must not move by a bit
+        # each contraction at x reorders sums (a few ulps of the remainder);
+        # the solve must give the same bits on every run
         sol = solve_perturbation(
-            builtin_profile(name, n, **kwargs),
+            lab_limit_coefficients(builtin_profile(name, n, **kwargs), grid_for(n)),
             gaussian_bump(np.array(center), 1.0),
             np.array(x),
-            grid_for(n),
         )
         for eps, expected in zip(EPS_LIST, residuals):
             assert abs(sol.residual(eps) - expected) <= 1e-13 * expected
         assert sol.limit_value == limit_value
-        arrays = (sol.drift, sol.diffusion, sol.phi1.values, sol.phi2.values)
+        arrays = (sol.first.drift, sol.first.diffusion, sol.phi1.values, sol.phi2.values)
         assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
 
     def test_memory_scales_as_m_n_squared(self):
@@ -467,59 +483,28 @@ class TestPinnedSolutions:
         phi = gaussian_bump(np.zeros(5), 1.0)
         tracemalloc.start()
         try:
-            solve_perturbation(p, phi, 0.25 * np.ones(5), g)
+            solve_perturbation(lab_limit_coefficients(p, g), phi, 0.25 * np.ones(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * m * n**2 * 8
 
     def test_memory_scales_as_m_n(self):
-        # 16 slabs of the second-order corrector. The bound lies between the
-        # peak with the corrector held whole as (M, n, n), 15 M n doubles, and
-        # the peak slab by slab, 4.5 M n doubles
+        # both halves at 131072 nodes peak at about 3.4 M n doubles; one
+        # (M, n, n) or (M, n^2) array alone would take 5 M n
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc already runs: its peak would not be this solve's alone")
         g = build_grid(5, 16)
         n, m = 5, g.size
-        assert m == 16 * operator_lab._SLAB_NODES
         p = builtin_profile("step_half_sphere", 5, c=1.0, c1=1.0)
         phi = gaussian_bump(np.zeros(5), 1.0)
         tracemalloc.start()
         try:
-            solve_perturbation(p, phi, 0.25 * np.ones(5), g)
+            solve_perturbation(lab_limit_coefficients(p, g), phi, 0.25 * np.ones(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * m * n * 8
-
-
-# (profile, n, profile kwargs, grid): the pinned solutions' grids and a law
-# of ten directions in R^3
-SLAB_CASES = [(name, n, kwargs, grid_for(n)) for name, n, kwargs, *_ in PINNED_SOLUTIONS] + [
-    ("step_half_sphere", 3, {"c": 1.3, "c1": 0.7}, contraction_grids()[-2])
-]
-
-
-class TestSlabs:
-    """The solve builds b2 one slab of nodes at a time; no slab size may move a bit."""
-
-    @pytest.mark.parametrize(
-        "name, n, kwargs, grid", SLAB_CASES,
-        ids=[f"{name}-n{n}-m{grid.size}" for name, n, _, grid in SLAB_CASES],
-    )
-    @pytest.mark.parametrize("slab", ["1", "7", "M-1"])
-    def test_slabs_match_the_single_slab_solve(self, monkeypatch, name, n, kwargs, grid, slab):
-        profile = builtin_profile(name, n, **kwargs)
-        phi = gaussian_bump(0.1 * np.arange(n), 1.0)
-        x = np.full(n, 0.2)
-        monkeypatch.setattr(operator_lab, "_SLAB_NODES", grid.size)
-        whole = solve_perturbation(profile, phi, x, grid)
-        monkeypatch.setattr(operator_lab, "_SLAB_NODES", {"1": 1, "7": 7, "M-1": grid.size - 1}[slab])
-        sliced = solve_perturbation(profile, phi, x, grid)
-        for a, b in [(sliced.diffusion, whole.diffusion), (sliced.phi1.values, whole.phi1.values),
-                     (sliced.phi2.values, whole.phi2.values), (sliced.r1, whole.r1),
-                     (sliced.r2, whole.r2)]:
-            assert a.tobytes() == b.tobytes()
+        assert peak <= 4 * m * n * 8
 
 
 class TestResidual:
@@ -533,7 +518,7 @@ class TestResidual:
             g = grid_for(n)
             p = builtin_profile("step_half_sphere", n, c=1.0, c1=1.0)
             phi = gaussian_bump(np.array(center), 1.0)
-            sol = solve_perturbation(p, phi, np.array(x), g)
+            sol = solve_perturbation(lab_limit_coefficients(p, g), phi, np.array(x))
             for eps in (0.5, 0.1, 0.02):
                 direct = assembled_generator_residual(sol, eps)
                 closed = sol.residual(eps)
@@ -543,7 +528,8 @@ class TestResidual:
         g = grid_for(2)
         p = builtin_profile("msre_const", 2, c=1.0)
         fit = residual_scaling(
-            p, gaussian_bump(np.zeros(2), 1.0), np.array([0.3, 0.1]), g, EPS_LIST
+            lab_limit_coefficients(p, g), gaussian_bump(np.zeros(2), 1.0), np.array([0.3, 0.1]),
+            EPS_LIST,
         )
         assert 0.9 <= fit.slope <= 1.1
 
@@ -551,7 +537,8 @@ class TestResidual:
         g = grid_for(3)
         p = builtin_profile("step_half_sphere", 3, c=1.0, c1=1.0)
         fit = residual_scaling(
-            p, gaussian_bump(np.zeros(3), 1.0), np.array([0.1, 0.2, -0.1]), g, EPS_LIST
+            lab_limit_coefficients(p, g), gaussian_bump(np.zeros(3), 1.0),
+            np.array([0.1, 0.2, -0.1]), EPS_LIST,
         )
         assert 0.9 <= fit.slope <= 1.1
 
@@ -561,15 +548,16 @@ class TestResidual:
         g = grid_for(2)
         p = builtin_profile("msre_const", 2, c=1.0)
         fit = residual_scaling(
-            p, linear_function(np.array([1.0, -2.0])), np.zeros(2), g, EPS_LIST
+            lab_limit_coefficients(p, g), linear_function(np.array([1.0, -2.0])), np.zeros(2),
+            EPS_LIST,
         )
         assert fit.exact
 
     def test_eps_list_validation(self):
         g = grid_for(2)
         p = builtin_profile("msre_const", 2)
-        phi = gaussian_bump(np.zeros(2), 1.0)
+        first, phi = lab_limit_coefficients(p, g), gaussian_bump(np.zeros(2), 1.0)
         with pytest.raises(ValueError):
-            residual_scaling(p, phi, np.zeros(2), g, [0.1, 0.05, 0.01])  # too few
+            residual_scaling(first, phi, np.zeros(2), [0.1, 0.05, 0.01])  # too few
         with pytest.raises(ValueError):
-            residual_scaling(p, phi, np.zeros(2), g, [0.1, 0.08, 0.06, 0.04])  # < 2 decades
+            residual_scaling(first, phi, np.zeros(2), [0.1, 0.08, 0.06, 0.04])  # < 2 decades
