@@ -388,7 +388,9 @@ class TestContractions:
             assert np.max(np.abs(got_diffusion - diffusion)) <= ULPS * scale
             assert np.max(np.abs(got_drift - drift)) <= ULPS * np.dot(w, np.abs(c1))
 
-    def test_solve_is_the_whole_array_formula(self, grid):
+    def test_slab_sum_is_the_einsum_over_the_whole_array(self, grid):
+        """The solve's node sums, now taken over the whole grid at x, match
+        the hierarchy with b2 held as one (M, n, n) array."""
         n, w, s = grid.dimension, grid.weights, grid.directions
         phi, x = gaussian_bump(0.1 * np.arange(n), 1.0), np.full(n, 0.2)
         derivatives = phi.gradient(x), phi.hessian(x), phi.third(x)
