@@ -9,7 +9,8 @@ non-reproducible byte in any artifact. Floats in CSV files are written
 with 17 significant digits so reruns are byte-identical.
 
 Exit codes: 0 success, 2 config/schema violation, 3 balance or solvability
-failure (the error JSON names the residual vector), 1 anything else.
+failure (the error JSON names the residual vector), 1 anything else (a run
+out of memory prints an error of kind resource).
 The package needs numpy only: the KS tests of converge and report are
 revolve.ks.
 """
@@ -48,7 +49,7 @@ from .operator_lab import (
 )
 from .profiles import Atom, FieldError, ProfileError, VelocityProfile, builtin_profile
 from .rates import check_eps_sweep
-from .simulator import EvolutionConfig, simulate_ensemble, simulate_paths
+from .simulator import EvolutionConfig, ResourceExhausted, simulate_ensemble, simulate_paths
 from .sphere import build_grid, check_dimension, check_resolution
 from .stats import ks_marginals, limit_for_config, run_sweep, summarize
 
@@ -509,6 +510,9 @@ def main(argv=None) -> int:
             )
         )
         return 3
+    except ResourceExhausted as exc:
+        print(_error_json("resource", str(exc)))
+        return 1
     except ValueError as exc:
         if config is None and isinstance(exc, FieldError):  # a bad value in the config
             print(_error_json("schema", f"{exc.field}: {exc}", path=exc.field))

@@ -216,8 +216,9 @@ def discrete_limit_coefficients(
 ) -> DiffusionLimit:
     """d = sum_k p_k c1_k s_k and A = sum_k p_k c_k^2 s_k s_k^T: limit_coefficients
     on the grid of DiscreteSwitching(angles, probabilities) for speeds given
-    at the angles, as atoms there (rows whose directions lie within
-    values_at's tolerance of each other take the last row's speeds)."""
+    at the angle rows, each row an atom at its chart direction s_k (rows
+    whose directions lie within the atoms' tolerance of each other in
+    VelocityProfile.values_on take the last row's speeds)."""
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     c, c1 = np.asarray(c_values, dtype=float), np.asarray(c1_values, dtype=float)
     if not (angles.shape[0] == np.size(probabilities) == c.size == c1.size):

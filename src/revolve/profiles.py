@@ -1,9 +1,12 @@
 """Velocity profiles (c, c1) of random evolutions and their balance checks.
 
-A profile assigns to each direction theta a fast speed c(theta), scaled by
-1/eps in simulation, and a slow speed c1(theta). Both may be continuous
-functions of the angles, a finite list of atoms (angle, weight, c, c1), or
-a flagged mix. The symmetric model is c = const, c1 = 0.
+A profile assigns to each direction s, a unit vector in R^n, a fast speed
+c(s), scaled by 1/eps in simulation, and a slow speed c1(s). Both may be
+continuous speed parts, callables that map an (..., n) array of unit
+vectors to an (...,) array of speeds; a finite list of atoms (angles,
+weight, c, c1), each at the chart's direction of its angles; or a flagged
+mix. VelocityProfile.values_on is the one evaluator. The symmetric model is
+c = const, c1 = 0.
 
 Two functionals decide the model class:
 
@@ -19,9 +22,9 @@ the slow component.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,43 +77,26 @@ class ProfileError(FieldError):
     """Invalid profile construction or use."""
 
 
-_log = logging.getLogger(__name__)
-
-# Continuous speed functions are plain callables mapping an (..., n-1) array
-# of angles to an (...,) array of speeds. The builtins below are dataclasses
-# so that configs pickle across process workers. They also have a direction
-# form, on_directions, mapping (..., n) unit vectors to the same speeds
-# without the inverse chart: for every unit vector s it equals the angle form
-# at angles_from_directions(s), bit for bit. The one exception is a null set
-# of the step: on the boundary s_n = 0 (theta_{n-1} in {0, pi}) the chart's
-# rounding of the azimuth decides. There theta_{n-1} = pi gives
-# s_n = sin(pi) > 0, but the chart maps it back to pi, which the step counts
-# as the lower half. A uniform draw never lands within rounding of that set.
+# Continuous speed parts map an (..., n) array of unit vectors to an (...,)
+# array of speeds. The builtins below are dataclasses so that configs pickle
+# across process workers.
 
 
 @dataclass(frozen=True)
 class ConstantSpeed:
     value: float
 
-    def __call__(self, angles: np.ndarray) -> np.ndarray:
-        angles = np.asarray(angles, dtype=float)
-        return np.full(angles.shape[:-1], self.value)
-
-    def on_directions(self, directions: np.ndarray) -> np.ndarray:
+    def __call__(self, directions: np.ndarray) -> np.ndarray:
         return np.full(np.shape(directions)[:-1], self.value)
 
 
 @dataclass(frozen=True)
 class FirstAngleSine:
-    """c(theta) = sin(theta_1); symmetric only for n >= 3."""
+    """c(s) = sin(theta_1), the chart's first angle; symmetric only for n >= 3."""
 
     scale: float = 1.0
 
-    def __call__(self, angles: np.ndarray) -> np.ndarray:
-        angles = np.asarray(angles, dtype=float)
-        return self.scale * np.sin(angles[..., 0])
-
-    def on_directions(self, directions: np.ndarray) -> np.ndarray:
+    def __call__(self, directions: np.ndarray) -> np.ndarray:
         # theta_1 by the chart's own expression: a polar angle for n >= 3,
         # the azimuth in the plane.
         if directions.shape[-1] == 2:
@@ -122,16 +108,20 @@ class FirstAngleSine:
 
 @dataclass(frozen=True)
 class LowerHalfStep:
-    """height on the half-sphere theta_{n-1} in [pi, 2*pi), zero elsewhere."""
+    """height on the half-sphere theta_{n-1} in [pi, 2*pi), zero elsewhere.
+
+    That is s_n < 0 off the boundary s_n = 0, where the chart decides. With P
+    the product of the polar sines, theta_{n-1} = pi (the float below pi)
+    gives s_{n-1} = -P and s_n = P sin(pi) = 1.2e-16 P > 0, and
+    theta_{n-1} = 0 gives s_n = 0. So the step takes s_n < -2^-52 s_{n-1}:
+    the half-plane turned by one ulp toward the ray theta_{n-1} = pi.
+    """
 
     height: float
 
-    def __call__(self, angles: np.ndarray) -> np.ndarray:
-        angles = np.asarray(angles, dtype=float)
-        return np.where(angles[..., -1] >= math.pi, self.height, 0.0)
-
-    def on_directions(self, directions: np.ndarray) -> np.ndarray:
-        return np.where(directions[..., -1] < 0.0, self.height, 0.0)
+    def __call__(self, directions: np.ndarray) -> np.ndarray:
+        lower = directions[..., -1] < -2.0**-52 * directions[..., -2]
+        return np.where(lower, self.height, 0.0)
 
 
 @dataclass(frozen=True)
@@ -154,40 +144,24 @@ class Atom:
             if not np.all(np.isfinite(value)):
                 raise ProfileError(f"atom {key} must be finite, got {value}", key)
 
+    @cached_property
+    def direction(self) -> np.ndarray:
+        """s(angles), the unit vector the atom sits at."""
+        return directions_from_angles(self.angles)
 
-# Callables whose row-by-row fallback was reported, kept alive so that their
-# ids are not reused.
-_reported_fallbacks: dict[int, Callable] = {}
 
-
-def _evaluate(fn: Callable | None, angles: np.ndarray) -> np.ndarray:
-    """Evaluate a speed function (None is zero) on rows of angles, vectorized
-    when possible.
-
-    A callable that fails on the whole array, or returns the wrong shape, is
-    called once per row instead; that fallback is logged once per callable.
-    """
-    angles = np.asarray(angles, dtype=float)
-    want = angles.shape[:-1]
+def _part_values(fn: Callable | None, key: str, directions: np.ndarray) -> np.ndarray:
+    """A continuous part (None is zero) at unit-vector rows. Raises ProfileError,
+    naming key, unless it returns one value per row."""
+    want = directions.shape[:-1]
     if fn is None:
         return np.zeros(want)
-    try:
-        out = np.asarray(fn(angles), dtype=float)
-        if out.shape == want:
-            return out
-        reason = f"returned shape {out.shape} for rows {want}"
-    except (TypeError, ValueError, IndexError) as exc:
-        reason = f"raised {exc!r}"
-    if id(fn) not in _reported_fallbacks:
-        _reported_fallbacks[id(fn)] = fn
-        _log.warning(
-            "speed function %r %s on an array of angle rows; calling it once per row",
-            fn,
-            reason,
+    out = np.asarray(fn(directions), dtype=float)
+    if out.shape != want:
+        raise ProfileError(
+            f"speed part {fn!r} returned shape {out.shape} for unit-vector rows {want}", key
         )
-    flat = angles.reshape(-1, angles.shape[-1])
-    out = np.array([float(fn(row)) for row in flat])
-    return out.reshape(want)
+    return out
 
 
 @dataclass(frozen=True)
@@ -229,57 +203,31 @@ class VelocityProfile:
     def mixed(self) -> bool:
         return self.has_continuous and bool(self.atoms)
 
-    def c_values(self, angles: np.ndarray) -> np.ndarray:
-        """Fast-speed values of the continuous part at the given angle rows."""
-        return _evaluate(self.continuous_c, angles)
-
-    def c1_values(self, angles: np.ndarray) -> np.ndarray:
-        """Slow-speed values of the continuous part at the given angle rows."""
-        return _evaluate(self.continuous_c1, angles)
-
-    @property
-    def direction_form(self) -> bool:
-        """True when values_on_directions applies: no atoms, and every
-        continuous part has a direction form."""
-        return not self.atoms and all(
-            part is None or hasattr(part, "on_directions")
-            for part in (self.continuous_c, self.continuous_c1)
-        )
-
-    def values_on_directions(self, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(c, c1) at unit-vector rows, equal to values_at at their chart angles."""
-        if not self.direction_form:
-            raise ProfileError(
-                f"profile {self.name!r} has atoms or a part without a direction form"
-            )
+    def values_on(self, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c, c1) at unit-vector rows (..., n): each continuous part evaluated
+        once, with atom values overriding at rows whose direction lies within
+        _ATOM_ATOL of the atom's in every component."""
         directions = np.asarray(directions, dtype=float)
-
-        def part(fn):
-            if fn is None:
-                return np.zeros(directions.shape[:-1])
-            return np.asarray(fn.on_directions(directions), dtype=float)
-
-        return part(self.continuous_c), part(self.continuous_c1)
+        return self._with_atoms(directions, *self._parts_on(directions))
 
     def values_at(self, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(c, c1) at angle rows, with atom values overriding at rows whose
-        direction lies within _ATOM_ATOL of the atom's in every component:
-        the angles 0 and 2 pi, or any azimuth at a pole, name one direction."""
-        angles = np.asarray(angles, dtype=float)
-        return self._with_atoms(angles, self.c_values(angles), self.c1_values(angles))
+        """values_on at the chart's directions of angle rows (..., n-1)."""
+        return self.values_on(directions_from_angles(angles))
+
+    def _parts_on(self, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The continuous parts (c, c1) at the rows, without the atoms."""
+        return (_part_values(self.continuous_c, "c", directions),
+                _part_values(self.continuous_c1, "c1", directions))
 
     def _with_atoms(
-        self, angles: np.ndarray, c: np.ndarray, c1: np.ndarray
+        self, directions: np.ndarray, c: np.ndarray, c1: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The continuous parts' values c, c1 at the angle rows, with the
-        atoms' values where values_at puts them."""
-        if self.atoms:
-            directions = directions_from_angles(angles)
-            for atom in self.atoms:
-                hit = np.max(np.abs(directions - directions_from_angles(atom.angles)),
-                             axis=-1) <= _ATOM_ATOL
-                c = np.where(hit, atom.c_value, c)
-                c1 = np.where(hit, atom.c1_value, c1)
+        """The continuous parts' values c, c1 at the rows, with the atoms'
+        values where values_on puts them."""
+        for atom in self.atoms:
+            hit = np.max(np.abs(directions - atom.direction), axis=-1) <= _ATOM_ATOL
+            c = np.where(hit, atom.c_value, c)
+            c1 = np.where(hit, atom.c1_value, c1)
         return c, c1
 
     def describe(self) -> dict:
@@ -314,10 +262,14 @@ def builtin_profile(name: str, dimension: int, **parameters: float) -> VelocityP
     """Construct one of the built-in profiles.
 
     msre_const:       c = const, c1 = 0 (the symmetric model)
-    sin_theta1:       c(theta) = sin theta_1, c1 = 0; requires n >= 3
-    step_half_sphere: c = const with c1 on the half-sphere theta_{n-1} >= pi
+    sin_theta1:       c(s) = sin theta_1 = sqrt(1 - s_1^2), c1 = 0; requires
+                      n >= 3
+    step_half_sphere: c = const with c1 on the half-sphere theta_{n-1} in
+                      [pi, 2 pi), the directions with s_n < 0 (LowerHalfStep)
     example3_atoms:   n = 2 atomic profile with unit atoms at angles 0 and pi
                       carrying c = 1, and at pi/2 carrying c1 = 1
+
+    Every continuous part is a function of the unit vector s.
 
     The keywords c and c1 default to 1. A keyword the profile does not take
     (see BUILTIN_PARAMETERS) raises ProfileError naming it.
@@ -373,7 +325,7 @@ def atom_terms(
     sums of these terms agree bit for bit."""
     inv_n = 1.0 / normalization_constant(dimension)
     return [
-        (atom.weight * fval * inv_n, directions_from_angles(atom.angles))
+        (atom.weight * fval * inv_n, atom.direction)
         for atom, fval in zip(atoms, atom_values)
     ]
 
@@ -381,10 +333,11 @@ def atom_terms(
 def grid_speeds(
     profile: VelocityProfile, grid: QuadratureGrid
 ) -> tuple[np.ndarray, np.ndarray, tuple[Atom, ...]]:
-    """The one rule for reading a profile on a grid: (c, c1) at the nodes and
-    the atoms that add point masses. On a sphere grid these are the continuous
-    parts, and each atom adds weight * f / N (atom_terms; the paper's Example
-    3). On a FiniteLawGrid they are values_at, atoms included, and no atom.
+    """The one rule for reading a profile on a grid: (c, c1) at the nodes'
+    directions and the atoms that add point masses. On a sphere grid these
+    are the continuous parts, and each atom adds weight * f / N (atom_terms;
+    the paper's Example 3). On a FiniteLawGrid they are values_on, atoms
+    included, and no atom.
 
     Each part is evaluated once. Raises ProfileError unless the continuous
     parts are finite at every node, atoms or not; atoms are finite by
@@ -395,11 +348,11 @@ def grid_speeds(
             f"grid dimension {grid.dimension} does not match profile dimension "
             f"{profile.dimension}"
         )
-    c, c1 = profile.c_values(grid.nodes), profile.c1_values(grid.nodes)
+    c, c1 = profile._parts_on(grid.directions)
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(c1))):
         raise ProfileError("speed functions must be bounded on the grid")
     if isinstance(grid, FiniteLawGrid):
-        return (*profile._with_atoms(grid.nodes, c, c1), ())
+        return (*profile._with_atoms(grid.directions, c, c1), ())
     return c, c1, profile.atoms
 
 

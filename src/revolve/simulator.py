@@ -18,11 +18,11 @@ Per-block set-up: a block of paths shares one Philox generator, re-keyed
 for each path, the padded buffers its batches reuse, and everything that
 does not change from path to path. A finite switching law becomes a table
 of directions and speeds, evaluated once, with the initial direction as one
-extra column; a path draws indices into it. Under uniform switching, a
-profile whose parts all have a direction form (the built-ins) is evaluated
-on the drawn unit vectors. The inverse chart angles_from_directions is
-still used for profiles with atoms or with user-supplied angle callables,
-and, once per block, for the speed of a fixed initial direction.
+extra column; a path draws indices into it. Every speed, in a table or on
+a batch's rows, comes from the one evaluator VelocityProfile.values_on on
+unit vectors. Under uniform switching it runs on each batch's directions:
+the drawn ones, and a fixed initial direction in the first row of each
+path.
 
 Batched arithmetic: the loop over a batch's paths does only what has to
 follow each path's stream. It re-keys the generator, draws a block of
@@ -71,10 +71,13 @@ from numpy.random import Generator, Philox
 
 from .limits import DiscreteSwitching, SwitchingLaw, UniformSphere
 from .profiles import FieldError, VelocityProfile
-from .sphere import angles_from_directions, check_dimension, directions_from_angles
+from .sphere import check_dimension, directions_from_angles
+# unused here, importable for tools that look it up (tests/test_bench_lookups.py)
+from .sphere import angles_from_directions
 
 __all__ = [
     "EvolutionConfig",
+    "ResourceExhausted",
     "Trajectory",
     "EndpointEnsemble",
     "simulate_path",
@@ -314,8 +317,9 @@ class _PathKernel:
         if isinstance(law, DiscreteSwitching):
             # Columns: the law's directions, then the initial direction.
             angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
-            self._table = directions_from_angles(angles).T.copy()
-            c, c1 = config.profile.values_at(angles)
+            directions = directions_from_angles(angles)
+            self._table = directions.T.copy()
+            c, c1 = config.profile.values_on(directions)
             self._table_speeds = c / eps + c1
             # Generator.choice(K, size, p=p) draws exactly this way.
             self._cdf = law.probabilities.cumsum()
@@ -325,10 +329,6 @@ class _PathKernel:
             self._cdf = None
             if init is not None:
                 self._first = directions_from_angles(init)
-                # The chart route, as for any row: a fixed direction may sit
-                # on the null set where only the chart's rounding decides.
-                c, c1 = config.profile.values_at(angles_from_directions(self._first[None, :]))
-                self._first_speed = c / eps + c1
 
     def batches(
         self, start: int, stop: int
@@ -427,14 +427,8 @@ class _PathKernel:
             dirs = _unit_columns(draws)
             if self._fixed_rows:
                 dirs[:, starts] = self._first[:, None]
-            if config.profile.direction_form:
-                c, c1 = config.profile.values_on_directions(dirs.T)
-            else:
-                rows = np.ascontiguousarray(dirs.T)
-                c, c1 = config.profile.values_at(angles_from_directions(rows))
+            c, c1 = config.profile.values_on(dirs.T)
             speeds = c / config.epsilon + c1
-            if self._fixed_rows:
-                speeds[starts] = self._first_speed
         return dirs, dirs * (speeds * durations)
 
     def endpoints(self, counts: np.ndarray, times: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -480,17 +474,22 @@ def simulate_path(config: EvolutionConfig, path_index: int) -> Trajectory:
     return next(simulate_paths(config, path_index, path_index + 1))
 
 
+class ResourceExhausted(RuntimeError):
+    """A block of paths ran out of memory; the message names the cause and
+    the paths completed before it."""
+
+
 def _endpoint_block(config: EvolutionConfig, start: int, stop: int) -> np.ndarray:
     kernel = _PathKernel(config)
     out = np.empty((stop - start, config.dimension))
     done = start
     try:
         for first, counts, times, draws in kernel.batches(start, stop):
-            done = first
             out[first - start : first - start + counts.size] = kernel.endpoints(counts, times, draws)
+            done = first + counts.size
     except MemoryError as exc:
-        raise RuntimeError(
-            f"resource exhaustion: completed paths [{start}, {done}) of [{start}, {stop})"
+        raise ResourceExhausted(
+            f"resource exhaustion ({exc}): completed paths [{start}, {done}) of [{start}, {stop})"
         ) from exc
     return out
 

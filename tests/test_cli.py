@@ -6,15 +6,16 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import revolve
+from revolve import cli
 from revolve.cli import ExperimentConfig, load_config, main
-from revolve import profiles
-from revolve.profiles import FieldError
+from revolve.profiles import FieldError, builtin_profile
 from revolve.stats import limit_for_config
 
 BASE_EVOLUTION = {
@@ -167,6 +168,20 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["error"]["kind"] == "balance"
         assert abs(payload["error"]["residual"][0] - 1.0 / (2.0 * math.pi)) < 1e-10
+
+    def test_out_of_memory_exit_1_names_the_completed_paths(self, tmp_path, capsys):
+        # a path expects 1e14 switches: its first block of waits, 800 TB,
+        # cannot be allocated
+        evo = dict(BASE_EVOLUTION, epsilon=1e-7, n_paths=4)
+        path = write_config(tmp_path, {"evolution": evo})
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        line, = captured.out.splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] == "resource"
+        assert error["message"].startswith("resource exhaustion (Unable to allocate")
+        assert error["message"].endswith("completed paths [0, 0) of [0, 4)")
+        assert captured.err == ""
 
 
 def two_point_law(probabilities):
@@ -718,14 +733,16 @@ class TestOperatorReportBytesAcrossSlabs:
     """sha256 of operator_report.json for the three n = 5 profiles of the
     operator benchmark at grid_resolution 16: 131072 nodes, as many as 16 of
     the node slabs in which an earlier solve built the second-order corrector.
-    Recorded since the solve contracts that corrector at x."""
+    Recorded since the solve contracts that corrector at x; sin_theta1's since
+    its speed reads the nodes' directions, which moved near-zero off-diagonal
+    diffusion entries by at most 2.4e-24."""
 
     EVOLUTION = dict(BASE_EVOLUTION, dimension=5, x0=[0.1, -0.2, 0.3, 0.0, 0.2], seed=11)
     DIGESTS = {
         "msre_const": ({"name": "msre_const", "c": 1.0},
                        "23e456152d7ec88eb398bf70d3670d4894d2df618a0f1fbf8daf328089661313"),
         "sin_theta1": ({"name": "sin_theta1"},
-                       "1a863a2bfcbe99cb9b684fa6b8a24e32eb717fee2fa0a1bf81ff791be2093668"),
+                       "3b865e44aa2cc2d35143cd3de348b815a50cd0123aeb29b627412dfaa67432d4"),
         "step_half_sphere": ({"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
                              "80aa5d09e614053a752f58001a8ad5fe4a00368fd3d5b7d1b6a3eab97d52b03e"),
     }
@@ -738,6 +755,17 @@ class TestOperatorReportBytesAcrossSlabs:
         assert main(["verify-operators", "--config", write_config(tmp_path, document),
                      "--out", str(out)]) == 0
         assert hashlib.sha256((out / "operator_report.json").read_bytes()).hexdigest() == digest
+
+
+class CountingPart:
+    """A speed part that records each call in calls, then defers to part."""
+
+    def __init__(self, part, calls):
+        self.part, self.calls = part, calls
+
+    def __call__(self, directions):
+        self.calls.append(self)
+        return self.part(directions)
 
 
 class TestVerifyOperators:
@@ -780,13 +808,14 @@ class TestVerifyOperators:
     def test_one_reading_for_the_lab_route_and_the_solve(self, tmp_path, monkeypatch):
         # limit_coefficients reads the profile for the independent check; the
         # lab route reads it once more and hands the first-order half to the solve
-        evaluate, calls = profiles._evaluate, []
+        calls = []
 
-        def counting(fn, angles):
-            calls.append(fn)
-            return evaluate(fn, angles)
+        def counting_profile(*args, **kwargs):
+            profile = builtin_profile(*args, **kwargs)
+            return replace(profile, continuous_c=CountingPart(profile.continuous_c, calls),
+                           continuous_c1=CountingPart(profile.continuous_c1, calls))
 
-        monkeypatch.setattr(profiles, "_evaluate", counting)
+        monkeypatch.setattr(cli, "builtin_profile", counting_profile)
         evo = dict(BASE_EVOLUTION, dimension=3, x0=[0.0] * 3,
                    profile={"name": "step_half_sphere", "c": 1.0, "c1": 1.0})
         path = write_config(tmp_path, {"evolution": evo, "grid_resolution": 8})

@@ -162,9 +162,10 @@ class _PlaneHarmonics:
     def __init__(self, a0, a2, b2):
         self.a0, self.a2, self.b2 = a0, a2, b2
 
-    def __call__(self, angles):
-        t = angles[..., 0]
-        return self.a0 + self.a2 * np.cos(2 * t) + self.b2 * np.sin(2 * t)
+    def __call__(self, directions):
+        # cos(2 theta) and sin(2 theta) of s = (cos theta, sin theta)
+        x, y = directions[..., 0], directions[..., 1]
+        return self.a0 + self.a2 * (x * x - y * y) + self.b2 * (2.0 * x * y)
 
 
 class TestDiscreteLaw:

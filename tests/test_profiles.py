@@ -1,6 +1,5 @@
 """Tests of velocity profiles and the balance / non-symmetry functionals."""
 
-import logging
 import math
 
 import numpy as np
@@ -19,11 +18,10 @@ from revolve.profiles import (
     first_moment,
     grid_speeds,
 )
-from revolve import profiles
 from revolve.limits import DiscreteSwitching, limit_coefficients
 from revolve.operator_lab import gaussian_bump, lab_limit_coefficients, solve_perturbation
 from revolve.simulator import _unit_columns
-from revolve.sphere import angles_from_directions, build_grid
+from revolve.sphere import angles_from_directions, build_grid, directions_from_angles
 
 RES = {2: 32, 3: 24, 4: 16, 5: 16, 6: 12}
 
@@ -36,8 +34,10 @@ class TestBuiltins:
     def test_msre_const(self):
         p = builtin_profile("msre_const", 3, c=1.0)
         assert p.continuous_c1 is None and not p.atoms
-        angles = grid_for(3).nodes
-        np.testing.assert_array_equal(p.c_values(angles), np.ones(angles.shape[0]))
+        directions = grid_for(3).directions
+        c, c1 = p.values_on(directions)
+        np.testing.assert_array_equal(c, np.ones(directions.shape[0]))
+        np.testing.assert_array_equal(c1, np.zeros(directions.shape[0]))
 
     def test_sin_theta1_rejected_in_plane(self):
         with pytest.raises(ProfileError):
@@ -96,7 +96,7 @@ class TestProfileType:
             VelocityProfile(3, atoms=(Atom(np.array([0.0]), 1.0, 1.0, 0.0),))
 
     def test_unbounded_profile_rejected(self):
-        p = VelocityProfile(2, continuous_c=lambda a: 1.0 / (a[..., 0] - a[..., 0]))
+        p = VelocityProfile(2, continuous_c=lambda s: 1.0 / (s[..., 0] - s[..., 0]))
         with pytest.raises(ProfileError):
             grid_speeds(p, grid_for(2))
 
@@ -107,37 +107,33 @@ class TestProfileType:
         np.testing.assert_allclose(c, [1.0, 0.0, 0.0])
         np.testing.assert_allclose(c1, [0.0, 1.0, 0.0])
 
-    def test_scalar_callable_fallback(self):
-        p = VelocityProfile(2, continuous_c=lambda a: float(np.cos(2.0 * a[0])))
-        vals = p.c_values(np.array([[0.0], [math.pi / 4.0]]))
-        np.testing.assert_allclose(vals, [1.0, 0.0], atol=1e-15)
+    @pytest.mark.parametrize("key", ["c", "c1"])
+    def test_part_of_the_wrong_shape_is_named(self, key):
+        # one value per call, not one per unit-vector row
+        part = lambda s: float(s[0, 0])
+        p = VelocityProfile(2, **{"continuous_" + key: part})
+        with pytest.raises(ProfileError, match=r"shape \(\) for unit-vector rows \(2,\)") as err:
+            p.values_on(np.eye(2))
+        assert err.value.field == key
 
-    def test_scalar_callable_fallback_is_logged_once(self, caplog):
-        def scalar_only(a):
-            return math.cos(2.0 * a[0])
 
-        p = VelocityProfile(2, continuous_c=scalar_only)
-        angles = np.array([[0.0], [math.pi / 4.0]])
-        with caplog.at_level(logging.WARNING, logger="revolve.profiles"):
-            p.c_values(angles)
-            p.c_values(angles)
-        records = [r for r in caplog.records if "once per row" in r.getMessage()]
-        assert len(records) == 1
-        assert "scalar_only" in records[0].getMessage()
+# The angle formulas the builtin parts are named by, at the chart's angles.
+ANGLE_FORMULAS = {
+    ConstantSpeed: lambda part, angles: np.full(angles.shape[:-1], part.value),
+    FirstAngleSine: lambda part, angles: part.scale * np.sin(angles[..., 0]),
+    LowerHalfStep: lambda part, angles: np.where(angles[..., -1] >= math.pi, part.height, 0.0),
+}
 
-    def test_vectorized_callable_is_not_logged(self, caplog):
-        p = VelocityProfile(2, continuous_c=lambda a: np.cos(a[..., 0]))
-        with caplog.at_level(logging.WARNING, logger="revolve.profiles"):
-            p.c_values(np.array([[0.0], [1.0]]))
-        assert not caplog.records
+
+def step_formula(height, angles):
+    return ANGLE_FORMULAS[LowerHalfStep](LowerHalfStep(height), angles)
 
 
 class TestDirectionForms:
-    """The direction form of each built-in part equals its angle form at the
-    chart's angles of the same unit vectors, bit for bit. The simulator
-    relies on this to skip the inverse chart. The null set where they may
-    differ, the step's boundary s_n = 0 (theta_{n-1} in {0, pi}), holds no
-    grid node and, almost surely, no uniform draw."""
+    """Every builtin part is a function of the unit vector. At the chart's
+    angles of the same vectors it equals the angle formula it is named by,
+    bit for bit; for the step that is theta_{n-1} in [pi, 2 pi), boundary
+    included, which s_n < -2^-52 s_{n-1} keeps."""
 
     PARTS = (ConstantSpeed(1.7), FirstAngleSine(0.8), LowerHalfStep(2.5))
 
@@ -155,29 +151,62 @@ class TestDirectionForms:
         for label, dirs in self.direction_sets(n).items():
             angles = angles_from_directions(dirs)
             for part in self.PARTS:
-                by_direction = part.on_directions(dirs)
-                by_angle = part(angles)
-                assert by_direction.dtype == by_angle.dtype, (label, part)
-                assert by_direction.tobytes() == by_angle.tobytes(), (label, part)
+                got = part(dirs)
+                want = ANGLE_FORMULAS[type(part)](part, angles)
+                assert got.dtype == want.dtype, (label, part)
+                assert got.tobytes() == want.tobytes(), (label, part)
 
     @pytest.mark.parametrize("name,n", [
         ("msre_const", 2), ("step_half_sphere", 3), ("sin_theta1", 4), ("step_half_sphere", 5),
     ])
     def test_profile_values_match_bit_for_bit(self, name, n):
-        profile = builtin_profile(name, n)
-        assert profile.direction_form
+        # c = 1 and c1 = 1 in every builtin that takes them
         dirs = self.direction_sets(n)["uniform"]
-        for got, want in zip(profile.values_on_directions(dirs),
-                             profile.values_at(angles_from_directions(dirs))):
-            assert got.tobytes() == want.tobytes()
+        angles = angles_from_directions(dirs)
+        ones, zeros = np.ones(dirs.shape[0]), np.zeros(dirs.shape[0])
+        want = {
+            "msre_const": (ones, zeros),
+            "step_half_sphere": (ones, step_formula(1.0, angles)),
+            "sin_theta1": (np.sin(angles[..., 0]), zeros),
+        }[name]
+        for got, expected in zip(builtin_profile(name, n).values_on(dirs), want):
+            assert got.tobytes() == expected.tobytes()
 
-    def test_atoms_and_plain_callables_have_no_direction_form(self):
-        atomic = builtin_profile("example3_atoms", 2)
-        plain = VelocityProfile(3, continuous_c=lambda a: np.cos(a[..., 0]))
-        for profile in (atomic, plain):
-            assert not profile.direction_form
-            with pytest.raises(ProfileError):
-                profile.values_on_directions(np.eye(profile.dimension))
+
+class TestStepConvention:
+    """LowerHalfStep on unit vectors covers theta_{n-1} in [pi, 2 pi) at every
+    chart direction, grid node and uniform draw."""
+
+    AZIMUTHS = [0.0, 1e-15, math.pi - 1e-15, math.pi, math.pi + 1e-15, 1.5 * math.pi,
+                2.0 * math.pi - 1e-15]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_chart_directions_at_the_boundary(self, n):
+        rng = np.random.default_rng(n)
+        polar = rng.uniform(0.0, math.pi, (len(self.AZIMUTHS) * 50, n - 2))
+        angles = np.column_stack([polar, np.repeat(self.AZIMUTHS, 50)])
+        got = LowerHalfStep(2.5)(directions_from_angles(angles))
+        assert got.tobytes() == step_formula(2.5, angles).tobytes()
+
+    @pytest.mark.parametrize("n,resolution", [(2, 7), (2, 8), (3, 5), (3, 6), (4, 3), (5, 4),
+                                              (6, 3)])
+    def test_grid_nodes(self, n, resolution):
+        grid = build_grid(n, resolution)
+        got = LowerHalfStep(2.5)(grid.directions)
+        assert got.tobytes() == step_formula(2.5, grid.nodes).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_uniform_draws_are_the_lower_half(self, n):
+        dirs = _unit_columns(np.random.Generator(np.random.Philox(key=n))
+                             .standard_normal((200_000, n))).T
+        got = LowerHalfStep(2.5)(dirs)
+        assert got.tobytes() == np.where(dirs[:, -1] < 0.0, 2.5, 0.0).tobytes()
+
+    def test_pole_row_gets_zero(self):
+        # every azimuth at theta_1 = 0 names the direction (1, 0, 0), on the
+        # boundary s_3 = 0 outside the step, as every other name of it is
+        _, c1 = builtin_profile("step_half_sphere", 3).values_at(np.array([[0.0, 4.0]]))
+        np.testing.assert_array_equal(c1, [0.0])
 
 
 class TestBalance:
@@ -274,7 +303,7 @@ class TestStepFunction:
     def test_step_values(self):
         step = LowerHalfStep(3.0)
         angles = np.array([[0.5, 0.1], [0.5, math.pi], [0.5, 5.0]])
-        np.testing.assert_array_equal(step(angles), [0.0, 3.0, 3.0])
+        np.testing.assert_array_equal(step(directions_from_angles(angles)), [0.0, 3.0, 3.0])
 
     def test_describe_roundtrips_builtin_parameters(self):
         p = builtin_profile("step_half_sphere", 3, c=2.0, c1=0.25)
@@ -295,6 +324,17 @@ COMPASS3 = DiscreteSwitching(np.array([[0.5 * math.pi, 0.0], [0.5 * math.pi, mat
                              np.array([0.5, 0.5]))
 
 
+class CountingPart:
+    """A speed part that records each call in calls, then defers to part."""
+
+    def __init__(self, part, calls):
+        self.part, self.calls = part, calls
+
+    def __call__(self, directions):
+        self.calls.append(self)
+        return self.part(directions)
+
+
 class TestOneReading:
     """Each function that needs a profile's speeds on a grid reads them once."""
 
@@ -303,22 +343,17 @@ class TestOneReading:
         "run", [limit_coefficients, lab_limit_coefficients, solve_at_center],
         ids=lambda f: f.__name__,
     )
-    def test_each_part_is_evaluated_once(self, monkeypatch, grid, run):
-        evaluate, calls = profiles._evaluate, []
-
-        def counting(fn, angles):
-            calls.append(fn)
-            return evaluate(fn, angles)
-
-        monkeypatch.setattr(profiles, "_evaluate", counting)
-        profile = builtin_profile("step_half_sphere", 3)
+    def test_each_part_is_evaluated_once(self, grid, run):
+        calls = []
+        profile = VelocityProfile(3, continuous_c=CountingPart(ConstantSpeed(1.0), calls),
+                                  continuous_c1=CountingPart(LowerHalfStep(1.0), calls))
         run(profile, grid)
         assert calls == [profile.continuous_c, profile.continuous_c1]
 
     @pytest.mark.parametrize("grid", [build_grid(2, 8), DiscreteSwitching(
         np.array([[0.0], [math.pi]]), np.array([0.5, 0.5])).grid()], ids=["sphere", "law"])
     def test_the_reading_rejects_an_unbounded_part(self, grid):
-        # on the law's grid the atoms cover both nodes, so values_at is
+        # on the law's grid the atoms cover both nodes, so values_on is
         # finite there; the reading still sees the continuous part
         atoms = (Atom([0.0], 1.0, 1.0, 0.0), Atom([math.pi], 1.0, 1.0, 0.0))
         profile = VelocityProfile(2, continuous_c=ConstantSpeed(math.inf), atoms=atoms,

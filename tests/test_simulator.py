@@ -281,8 +281,9 @@ class TestPathStreams:
             assert a.tobytes() == b.tobytes()
 
 
-def tilted_speed(angles):
-    """A user speed function of the angles, with no direction form."""
+def tilted_speed(directions):
+    """A user speed part written in the chart's angles."""
+    angles = angles_from_directions(directions)
     return 1.0 + 0.5 * np.cos(angles[..., 0]) * np.sin(angles[..., -1])
 
 
@@ -319,7 +320,7 @@ def _pinned_configs():
         "uniform_sine_n5_long": EvolutionConfig(**long_n5),
         # the first dimension where numpy's row norm sums pairwise
         "uniform_msre_n8": EvolutionConfig(**msre_n8),
-        # a user angle callable: the inverse-chart route
+        # a user speed part that goes through the inverse chart itself
         "uniform_user_callable": EvolutionConfig(
             **dict(base, profile=VelocityProfile(3, continuous_c=tilted_speed), seed=9)
         ),
@@ -441,16 +442,10 @@ def _per_path_reference(config, block, path_index):
     if isinstance(law, UniformSphere):
         g = rng.standard_normal((n_draw, n))
         dirs = g / np.linalg.norm(g, axis=-1, keepdims=True)
-        if config.profile.direction_form:
-            c, c1 = config.profile.values_on_directions(dirs)
-        else:
-            c, c1 = config.profile.values_at(angles_from_directions(dirs))
-        speeds = c / eps + c1
         if init is not None:
-            first = directions_from_angles(init)[None, :]
-            c, c1 = config.profile.values_at(angles_from_directions(first))
-            dirs = np.vstack([first, dirs])
-            speeds = np.concatenate([c / eps + c1, speeds])
+            dirs = np.vstack([directions_from_angles(init)[None, :], dirs])
+        c, c1 = config.profile.values_on(dirs)
+        speeds = c / eps + c1
     else:
         angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
         cdf = law.probabilities.cumsum()
@@ -500,13 +495,16 @@ class TestBatchedKernel:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_fixed_direction_on_the_step_boundary_keeps_its_chart_speed(self):
-        # theta_2 = pi: s_3 = sin(pi) > 0, but the chart maps it back to pi,
-        # so the step's direction form and its angle form disagree there
+        # theta_2 = pi: s_3 = sin(1) sin(pi) > 0 in floats, yet the direction
+        # gets the step's height, as theta_2 in [pi, 2 pi) says
         cfg = EvolutionConfig(
             dimension=3, epsilon=0.3, profile=builtin_profile("step_half_sphere", 3),
             horizon=1.0, x0=np.zeros(3), n_paths=5, seed=3,
             initial_direction=np.array([1.0, math.pi]),
         )
+        first = directions_from_angles(cfg.initial_direction)
+        assert first[2] > 0.0
+        assert cfg.profile.values_on(first[None, :])[1].tolist() == [1.0]
         kernel = _PathKernel(cfg)
         for i, path in enumerate(kernel.paths(0, cfg.n_paths)):
             for a, b in zip(path, _per_path_reference(cfg, kernel._block, i)):
@@ -522,7 +520,7 @@ class TestBatchedKernel:
 class RaisingSpeed:
     """A picklable speed function that fails inside the path code."""
 
-    def __call__(self, angles):
+    def __call__(self, directions):
         raise RuntimeError("speed function failed")
 
 
@@ -537,7 +535,7 @@ class TestParallelFailures:
         assert not [w for w in caught if "serially" in str(w.message)]
 
     def test_unpicklable_config_runs_serially_and_names_the_cause(self):
-        profile = VelocityProfile(2, continuous_c=lambda a: np.ones(a.shape[:-1]))
+        profile = VelocityProfile(2, continuous_c=lambda s: np.ones(s.shape[:-1]))
         cfg = msre_config(profile=profile, n_paths=40)
         with pytest.warns(UserWarning, match="cannot be pickled.*running serially"):
             parallel = simulate_ensemble(cfg, workers=2)
