@@ -47,7 +47,7 @@ from .operator_lab import (
     quadrature_residuals,
     residual_scaling,
 )
-from .profiles import Atom, FieldError, ProfileError, VelocityProfile, builtin_profile
+from .profiles import Atom, FieldError, VelocityProfile, builtin_profile
 from .rates import check_eps_sweep
 from .simulator import EvolutionConfig, ResourceExhausted, simulate_ensemble, simulate_paths
 from .sphere import build_grid, check_dimension, check_resolution
@@ -297,7 +297,7 @@ def _write_trajectories_csv(path: Path, config: EvolutionConfig) -> None:
 
 def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
     evo = config.evolution
-    grid = evo.switching.grid(evo.dimension, config.grid_resolution)
+    grid = evo.switching.grid(evo.dimension, config.grid_resolution, evo.profile.atoms)
     # the identities hold to roundoff for any weights summing to 1: one field
     f = ThetaField(grid, np.random.default_rng(evo.seed).standard_normal(grid.size))
     pi_f = project_pi(f)
@@ -310,7 +310,8 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
             "r0_q_identity": potential_identity_error(f),
         },
     }
-    if isinstance(evo.switching, UniformSphere):  # closed forms of the uniform measure
+    if isinstance(evo.switching, UniformSphere) and not evo.profile.atoms:
+        # closed forms of the uniform measure, which a mixture with atoms is not
         report["quadrature_residuals"] = quadrature_residuals(grid)
     limit = limit_coefficients(evo.profile, grid)
     report["limit_coefficients"] = {
@@ -318,33 +319,29 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
         "diffusion": limit.diffusion.tolist(),
         "drift_paper_sign": limit.drift_paper_sign.tolist(),
     }
+    first = lab_limit_coefficients(evo.profile, grid)  # shared with the solve
+    gap = max(np.max(np.abs(first.drift - limit.drift)),
+              np.max(np.abs(first.diffusion - limit.diffusion)))
+    report["limit_coefficients"]["lab_vs_quadrature_max_diff"] = float(gap)
+    phi = gaussian_bump(evo.x0, 1.0)
+    # residual scaling needs a sweep over two decades; a sweep tuned for
+    # `converge` may span only one, so fall back to the default
     try:
-        first = lab_limit_coefficients(evo.profile, grid)  # shared with the solve
-    except ProfileError as exc:  # an atomic profile on a sphere grid
-        report["residual_scaling"] = {"skipped": str(exc)}
-    else:
-        gap = max(np.max(np.abs(first.drift - limit.drift)),
-                  np.max(np.abs(first.diffusion - limit.diffusion)))
-        report["limit_coefficients"]["lab_vs_quadrature_max_diff"] = float(gap)
-        phi = gaussian_bump(evo.x0, 1.0)
-        # residual scaling needs a sweep over two decades; a sweep tuned for
-        # `converge` may span only one, so fall back to the default
-        try:
-            sweep = check_eps_sweep(config.eps_sweep, decades=2)
-        except ValueError as exc:
-            sweep = DEFAULT_EPS_SWEEP
-            print(
-                f"warning: eps_sweep {list(config.eps_sweep)} is not a residual-scaling "
-                f"sweep ({exc}); residual_scaling uses the default sweep {list(sweep)}",
-                file=sys.stderr,
-            )
-        fit = residual_scaling(first, phi, evo.x0 + 0.25, sweep)
-        report["residual_scaling"] = {
-            "eps": fit.eps_values.tolist(),
-            "residual": fit.metric_values.tolist(),
-            "slope": fit.slope,
-            "exact": fit.exact,
-        }
+        sweep = check_eps_sweep(config.eps_sweep, decades=2)
+    except ValueError as exc:
+        sweep = DEFAULT_EPS_SWEEP
+        print(
+            f"warning: eps_sweep {list(config.eps_sweep)} is not a residual-scaling "
+            f"sweep ({exc}); residual_scaling uses the default sweep {list(sweep)}",
+            file=sys.stderr,
+        )
+    fit = residual_scaling(first, phi, evo.x0 + 0.25, sweep)
+    report["residual_scaling"] = {
+        "eps": fit.eps_values.tolist(),
+        "residual": fit.metric_values.tolist(),
+        "slope": fit.slope,
+        "exact": fit.exact,
+    }
     _write_json(out / "operator_report.json", report)
     return report
 

@@ -11,12 +11,14 @@ with
     A_ij = <c(theta)^2 * s_i(theta) * s_j(theta)>,
 
 angle brackets denoting the average over the switching law's stationary
-measure, on its grid. The two switching laws live here, each with its grid:
-UniformSphere's is the sphere grid, where profile atoms add
-weight * f(theta) / N terms; DiscreteSwitching's is its directions weighted
-by their probabilities, built once when the law validates itself. For
-c = const under uniform switching A = (c^2/n) * I and the limit is a Wiener
-process.
+measure, on its grid. The two switching laws live here, each with its grid.
+DiscreteSwitching's is its directions weighted by their probabilities,
+built once when the law validates itself. Under UniformSphere a profile
+with atoms (the paper's Example 3) switches by the mixture
+(1 - q) U + sum_k (w_k / N) delta_k, q = sum_k w_k / N: its grid is the
+sphere grid weighted by 1 - q, then one node of weight w_k / N per atom,
+the law the simulator draws from. For c = const under uniform switching
+A = (c^2/n) * I and the limit is a Wiener process.
 
 Sign convention: d is the physical drift E[c1 * s], the direction the
 simulated particle actually trends in. The same functional with opposite
@@ -27,7 +29,7 @@ on the result as drift_paper_sign for traceability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -36,12 +38,11 @@ from .profiles import (
     BalanceReport,
     FieldError,
     VelocityProfile,
-    atom_terms,
     balance_report,
     first_moment,
     grid_speeds,
 )
-from .sphere import FiniteLawGrid, QuadratureGrid, build_grid
+from .sphere import QuadratureGrid, build_grid, normalization_constant
 
 __all__ = [
     "BalanceError",
@@ -118,11 +119,33 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class UniformSphere:
-    """Switching law: fresh uniform direction on S_{n-1} at every event."""
+    """Switching law: fresh uniform direction on S_{n-1} at every event, each
+    atom of the profile taking its mass w_k / N of the draws."""
 
-    def grid(self, dimension: int, resolution: int) -> QuadratureGrid:
-        """The sphere grid build_grid(dimension, resolution)."""
-        return build_grid(dimension, resolution)
+    def atom_masses(self, dimension: int, atoms: Sequence[Atom]) -> np.ndarray:
+        """w_k / N for each atom. Raises FieldError at atoms when they sum to
+        more than 1, which leaves no law."""
+        total = normalization_constant(dimension)
+        masses = np.array([atom.weight for atom in atoms]) / total
+        if masses.sum() > 1.0:
+            raise FieldError(f"the atoms' masses weight / N (N = {total}) sum to "
+                             f"{float(masses.sum())}, more than 1", "atoms")
+        return masses
+
+    def grid(self, dimension: int, resolution: int, atoms: Sequence[Atom] = ()) -> QuadratureGrid:
+        """The sphere grid build_grid(dimension, resolution); with atoms, its
+        nodes weighted by 1 - q, then one point node of weight w_k / N per
+        atom (only these at q = 1)."""
+        sphere = build_grid(dimension, resolution)
+        if not atoms:
+            return sphere
+        masses = self.atom_masses(dimension, atoms)
+        rest = 1.0 - masses.sum()
+        m = sphere.size if rest > 0.0 else 0
+        nodes = np.vstack([sphere.nodes[:m], [atom.angles for atom in atoms]])
+        directions = np.vstack([sphere.directions[:m], [atom.direction for atom in atoms]])
+        weights = np.concatenate([sphere.weights[:m] * rest, masses])
+        return QuadratureGrid(sphere.dimension, nodes, weights, 1.0, directions, point_nodes=m)
 
     def describe(self) -> dict:
         return {"kind": "uniform_sphere"}
@@ -132,15 +155,16 @@ class UniformSphere:
 class DiscreteSwitching:
     """Switching law over a finite direction set with fixed probabilities.
 
-    Raises FieldError unless the probabilities are finite, nonnegative, one
-    per angle row, and sum to 1 within 1e-12. Its grid holds the rows of
-    positive probability, weighted by it: a row of probability 0 carries no
-    stationary mass and matters only as an initial direction.
+    Raises FieldError unless the angles are finite and the probabilities
+    finite, nonnegative, one per angle row, and sum to 1 within 1e-12. Its
+    grid holds the rows of positive probability, weighted by it: a row of
+    probability 0 carries no stationary mass and matters only as an initial
+    direction.
     """
 
     angles: np.ndarray         # (K, n-1)
     probabilities: np.ndarray  # (K,), sums to 1
-    _grid: FiniteLawGrid = field(init=False, repr=False, compare=False)
+    _grid: QuadratureGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -158,18 +182,21 @@ class DiscreteSwitching:
             raise FieldError("need one probability per direction", "probabilities")
         if angles.shape[1] == 0:
             raise FieldError("angle rows need at least one angle", "angles")
+        if not np.all(np.isfinite(angles)):
+            raise FieldError("angles must be finite", "angles")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "probabilities", p)
         keep = p > 0.0
-        grid = FiniteLawGrid(
-            dimension=angles.shape[1] + 1, nodes=angles[keep], weights=p[keep], raw_total=1.0
+        grid = QuadratureGrid(
+            dimension=angles.shape[1] + 1, nodes=angles[keep], weights=p[keep], raw_total=1.0,
+            point_nodes=0,
         )
         object.__setattr__(self, "_grid", grid)
 
-    def grid(self, dimension: int | None = None, resolution: int | None = None) -> FiniteLawGrid:
-        """The law's own grid, the same object on every call. Its dimension is
-        that of the angle rows; the arguments, which the uniform law's grid
-        needs, are unused."""
+    def grid(self, dimension=None, resolution=None, atoms=()) -> QuadratureGrid:
+        """The law's own grid, every node a point node, the same object on
+        every call. Its dimension is that of the angle rows; the arguments,
+        which the uniform law's grid needs, are unused."""
         return self._grid
 
     def describe(self) -> dict:
@@ -184,27 +211,23 @@ SwitchingLaw = Union[UniformSphere, DiscreteSwitching]
 
 
 def limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> DiffusionLimit:
-    """Compute (d, A) by quadrature over the grid, plus atomic terms on a
-    sphere grid: the one formula for both switching laws.
+    """Compute (d, A) by quadrature over the law's grid: the one formula for
+    both switching laws.
 
     Raises BalanceError when the fast speed fails the balance condition (the
     1/eps term then survives and no diffusion limit exists).
     """
-    speeds = grid_speeds(profile, grid)  # the one reading of the profile
-    report = balance_report(first_moment(grid, speeds, 0))
+    c, c1 = grid_speeds(profile, grid)  # the one reading of the profile
+    report = balance_report(first_moment(grid, c))
     if not report.satisfied:
         raise BalanceError(report)
 
     s = grid.directions
-    c, _, atoms = speeds
     # one (M,) factor, then a two-operand sum over nodes: numpy fixes its
     # order, whatever the number of BLAS threads
     a = np.einsum("mi,mj->ij", (grid.weights * (c * c))[:, None] * s, s)
-    for factor, s_atom in atom_terms(grid.dimension, atoms, [atom.c_value**2 for atom in atoms]):
-        a = a + factor * np.outer(s_atom, s_atom)
     a = 0.5 * (a + a.T)
-    drift = first_moment(grid, speeds, 1)
-    return DiffusionLimit(profile.dimension, drift, a)
+    return DiffusionLimit(profile.dimension, first_moment(grid, c1), a)
 
 
 def discrete_limit_coefficients(

@@ -2,7 +2,8 @@
 
 The algebra needs only the switching law's stationary measure, which its
 grid carries (law.grid in limits): a sphere grid under uniform switching,
-the law's own directions under a finite law. On it the averaging projector,
+with a node at each atom of the profile, and the law's own directions under
+a finite law. On it the averaging projector,
 the switching generator and the potential operator act on
 direction-dependent fields f(theta) as
 
@@ -78,7 +79,7 @@ from typing import Callable
 import numpy as np
 
 from .limits import BalanceError
-from .profiles import BalanceReport, ProfileError, VelocityProfile, balance_report, grid_speeds
+from .profiles import BalanceReport, VelocityProfile, balance_report, grid_speeds
 from .sphere import QuadratureGrid, sin_power_integral
 from .rates import RateFit, check_eps_sweep, fit_loglog
 
@@ -126,8 +127,7 @@ class ThetaField:
 
 def project_pi(f: ThetaField) -> float:
     """Average of the field over the grid's measure (the projector onto
-    constants): the sphere average on a sphere grid, the expectation under
-    the law on a finite-law grid. Profile atoms never alter the measure."""
+    constants): the expectation under the switching law whose grid it is."""
     return f.grid.average(f.values)
 
 
@@ -246,15 +246,6 @@ def _transported_values(
             + np.einsum("mi,mi->m", d2.reshape(m, -1), s_third))
 
 
-def _node_speeds(speeds: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(c, c1) of a grid_speeds reading that has no point-mass atoms."""
-    c, c1, atoms = speeds
-    if atoms:
-        raise ProfileError("atoms are point masses that no node of a sphere grid carries; "
-                           "the hierarchy takes them on a finite law's grid only")
-    return c, c1
-
-
 @dataclass(frozen=True)
 class FirstOrderHalf:
     """The half of the hierarchy that does not depend on the test function.
@@ -284,7 +275,7 @@ def lab_limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> Fi
     a two-operand einsum, whose order numpy fixes whatever the number of BLAS
     threads.
     """
-    c, c1 = _node_speeds(grid_speeds(profile, grid))
+    c, c1 = grid_speeds(profile, grid)
     s, w = grid.directions, grid.weights
     a1 = c[:, None] * s
     fast_mean = np.einsum("m,mi->i", w, a1)

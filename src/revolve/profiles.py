@@ -3,10 +3,10 @@
 A profile assigns to each direction s, a unit vector in R^n, a fast speed
 c(s), scaled by 1/eps in simulation, and a slow speed c1(s). Both may be
 continuous speed parts, callables that map an (..., n) array of unit
-vectors to an (...,) array of speeds; a finite list of atoms (angles,
-weight, c, c1), each at the chart's direction of its angles; or a flagged
-mix. VelocityProfile.values_on is the one evaluator. The symmetric model is
-c = const, c1 = 0.
+vectors to an (...,) array of speeds, and a finite list of atoms (angles,
+weight, c, c1), each at the chart's direction of its angles, with speeds
+that hold there. VelocityProfile.values_on is the one evaluator. The
+symmetric model is c = const, c1 = 0.
 
 Two functionals decide the model class:
 
@@ -15,7 +15,9 @@ Two functionals decide the model class:
   drift functional   b_i = <c1 * s_i>     (nonzero b breaks symmetry and
                                            produces deterministic drift),
 
-where <.> is the average over a quadrature grid, read as grid_speeds says.
+where <.> is the average over a switching law's grid, read as grid_speeds
+says: continuous parts at the quadrature nodes, values_on at the law's
+point nodes, which hold a finite law's directions or the atoms' own.
 Signs follow the transport convention: b is the mean velocity E[c1 * s] of
 the slow component.
 """
@@ -25,18 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .sphere import (
-    FieldError,
-    FiniteLawGrid,
-    QuadratureGrid,
-    check_dimension,
-    directions_from_angles,
-    normalization_constant,
-)
+from .sphere import FieldError, QuadratureGrid, check_dimension, directions_from_angles
 
 __all__ = [
     "BALANCE_TOLERANCE",
@@ -48,7 +43,6 @@ __all__ = [
     "ConstantSpeed",
     "FirstAngleSine",
     "LowerHalfStep",
-    "atom_terms",
     "balance_report",
     "builtin_profile",
     "check_balance",
@@ -126,9 +120,9 @@ class LowerHalfStep:
 
 @dataclass(frozen=True)
 class Atom:
-    """Point mass of a profile: angles (n-1,), positive weight, speeds c and c1.
-    Every number is finite; a ProfileError names the config key of one that
-    is not."""
+    """Atom of a profile: angles (n-1,), positive weight, speeds c and c1 at
+    its direction. Every number is finite; a ProfileError names the config
+    key of one that is not."""
 
     angles: np.ndarray
     weight: float
@@ -168,16 +162,15 @@ def _part_values(fn: Callable | None, key: str, directions: np.ndarray) -> np.nd
 class VelocityProfile:
     """Direction-dependent speeds (c, c1) with optional atoms.
 
-    Continuous parts may be None (identically zero). Mixing continuous parts
-    with atoms is legal only when allow_mixed=True; the default profiles are
-    purely continuous or purely atomic.
+    Continuous parts may be None (identically zero). A profile may have
+    continuous parts and atoms both: each atom's speeds hold at its
+    direction, the continuous parts elsewhere.
     """
 
     dimension: int
     continuous_c: Callable | None = None
     continuous_c1: Callable | None = None
     atoms: tuple[Atom, ...] = ()
-    allow_mixed: bool = False
     name: str = "custom"
 
     def __post_init__(self) -> None:
@@ -189,19 +182,6 @@ class VelocityProfile:
                     f"atom has {atom.angles.size} angles, expected {self.dimension - 1}",
                     f"atoms[{k}].angles",
                 )
-        if self.mixed and not self.allow_mixed:
-            raise ProfileError(
-                "profile mixes continuous parts with atoms; pass allow_mixed=True "
-                "if that is intended"
-            )
-
-    @property
-    def has_continuous(self) -> bool:
-        return self.continuous_c is not None or self.continuous_c1 is not None
-
-    @property
-    def mixed(self) -> bool:
-        return self.has_continuous and bool(self.atoms)
 
     def values_on(self, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(c, c1) at unit-vector rows (..., n): each continuous part evaluated
@@ -317,31 +297,14 @@ class BalanceReport:
     tolerance: float
 
 
-def atom_terms(
-    dimension: int, atoms: Sequence[Atom], atom_values: Sequence[float]
-) -> list[tuple[float, np.ndarray]]:
-    """(weight * f(theta_atom) / N, s(theta_atom)) for each atom: its term in a
-    normalized sphere average. The factor is always weight * f * (1/N), so
-    sums of these terms agree bit for bit."""
-    inv_n = 1.0 / normalization_constant(dimension)
-    return [
-        (atom.weight * fval * inv_n, atom.direction)
-        for atom, fval in zip(atoms, atom_values)
-    ]
+def grid_speeds(profile: VelocityProfile, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The one rule for reading a profile on a grid: (c, c1) at the nodes,
+    each part evaluated once. Quadrature nodes, before grid.point_nodes,
+    carry the continuous parts only, even on an atom's direction; the law's
+    point nodes are read by values_on, atoms included.
 
-
-def grid_speeds(
-    profile: VelocityProfile, grid: QuadratureGrid
-) -> tuple[np.ndarray, np.ndarray, tuple[Atom, ...]]:
-    """The one rule for reading a profile on a grid: (c, c1) at the nodes'
-    directions and the atoms that add point masses. On a sphere grid these
-    are the continuous parts, and each atom adds weight * f / N (atom_terms;
-    the paper's Example 3). On a FiniteLawGrid they are values_on, atoms
-    included, and no atom.
-
-    Each part is evaluated once. Raises ProfileError unless the continuous
-    parts are finite at every node, atoms or not; atoms are finite by
-    construction.
+    Raises ProfileError unless the continuous parts are finite at every
+    node, or when the profile has atoms and the grid no point node.
     """
     if grid.dimension != profile.dimension:
         raise ProfileError(
@@ -351,22 +314,18 @@ def grid_speeds(
     c, c1 = profile._parts_on(grid.directions)
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(c1))):
         raise ProfileError("speed functions must be bounded on the grid")
-    if isinstance(grid, FiniteLawGrid):
-        return (*profile._with_atoms(grid.directions, c, c1), ())
-    return c, c1, profile.atoms
+    k = grid.point_nodes
+    if k == grid.size:
+        if profile.atoms:  # UniformSphere.grid takes the atoms
+            raise ProfileError("the profile has atoms and the grid no point node for them")
+        return c, c1
+    c_points, c1_points = profile._with_atoms(grid.directions[k:], c[k:], c1[k:])
+    return np.concatenate([c[:k], c_points]), np.concatenate([c1[:k], c1_points])
 
 
-def first_moment(
-    grid: QuadratureGrid, speeds: tuple[np.ndarray, np.ndarray, tuple[Atom, ...]], part: int
-) -> np.ndarray:
-    """<f * s> over the grid plus the atoms' point masses, for f = c (part 0)
-    or f = c1 (part 1), from the speeds grid_speeds read on the grid."""
-    *values, atoms = speeds
-    residual = np.einsum("m,m,mi->i", grid.weights, values[part], grid.directions)
-    atom_values = [(atom.c_value, atom.c1_value)[part] for atom in atoms]
-    for factor, s_atom in atom_terms(grid.dimension, atoms, atom_values):
-        residual = residual + factor * s_atom
-    return residual
+def first_moment(grid: QuadratureGrid, values: np.ndarray) -> np.ndarray:
+    """<f * s> over the grid, for node values f that grid_speeds read."""
+    return np.einsum("m,m,mi->i", grid.weights, values, grid.directions)
 
 
 def balance_report(residual: np.ndarray, tolerance: float = BALANCE_TOLERANCE) -> BalanceReport:
@@ -380,4 +339,4 @@ def check_balance(
     profile: VelocityProfile, grid: QuadratureGrid, tolerance: float = BALANCE_TOLERANCE
 ) -> BalanceReport:
     """First moment of the fast speed; satisfied iff its norm is <= tolerance."""
-    return balance_report(first_moment(grid, grid_speeds(profile, grid), 0), tolerance)
+    return balance_report(first_moment(grid, grid_speeds(profile, grid)[0]), tolerance)

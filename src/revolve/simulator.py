@@ -4,8 +4,11 @@ A path holds a direction for an exponential time with mean eps^2 (Poisson
 switching with intensity 1/eps^2), moves in a straight line at speed
 v(theta) = c(theta)/eps + c1(theta), then resamples the direction afresh
 from the switching law (uniform on the sphere, or a finite set with given
-probabilities; self-transitions are allowed). Positions are integrated in
-closed form segment by segment, so there is no time-discretization error.
+probabilities; self-transitions are allowed). Under uniform switching a
+profile with atoms switches by the mixture of limits.UniformSphere: atom k
+with probability w_k / N (UniformSphere.atom_masses), else a uniform
+direction. Positions are integrated in closed form segment by segment, so
+there is no time-discretization error.
 
 Reproducibility: every path owns a counter-based Philox stream keyed by
 (seed, path_index): counter 0 and key words [path_index, seed], the stream
@@ -21,8 +24,8 @@ of directions and speeds, evaluated once, with the initial direction as one
 extra column; a path draws indices into it. Every speed, in a table or on
 a batch's rows, comes from the one evaluator VelocityProfile.values_on on
 unit vectors. Under uniform switching it runs on each batch's directions:
-the drawn ones, and a fixed initial direction in the first row of each
-path.
+the drawn ones, the atoms' own where a row picks an atom, and a fixed
+initial direction in the first row of each path.
 
 Batched arithmetic: the loop over a batch's paths does only what has to
 follow each path's stream. It re-keys the generator, draws a block of
@@ -32,15 +35,18 @@ fill a padded row too: a stream's draws are consecutive and nothing is
 drawn after them, so the row's used prefix holds the numbers a draw sized
 to the path would give. Under uniform switching the path counts its
 switches in its own row first, then draws exactly n normals per segment
-straight into the batch's rows. The rest runs once per batch: the waits
-(the exponentials times eps^2, the bits of Generator.exponential(eps^2)),
-their cumulative sums row by row and the switch counts under a finite law,
-and, for both laws, a mask that cuts the padded rows into one row per
-segment, path after path. A path whose block of waits ends before the
-horizon draws more waits before its directions, so it is replayed alone
-through _draw_switch_times; with a block of T/eps^2 + 6 sqrt(T/eps^2) + 16
-waits that is rarer than one path in 10^9. A batch holds about _BATCH_ROWS
-segments, so transient memory does not grow with the number of paths.
+straight into the batch's rows. With atoms, its uniforms come first, one
+per drawn segment: each picks an atom by cumulative mass, as a finite law
+picks a direction, or, at or above q, the segment's normals. The rest runs
+once per batch: the waits (the exponentials times eps^2, the bits of
+Generator.exponential(eps^2)), their cumulative sums row by row and the
+switch counts under a finite law, and, for both laws, a mask that cuts the
+padded rows into one row per segment, path after path. A path whose block
+of waits ends before the horizon draws more waits before its directions,
+so it is replayed alone through _draw_switch_times; with a block of
+T/eps^2 + 6 sqrt(T/eps^2) + 16 waits that is rarer than one path in 10^9.
+A batch holds about _BATCH_ROWS segments, so transient memory does not
+grow with the number of paths.
 Each batch is handled at once on column-major arrays: one (n, rows) array
 per quantity, one column per segment, path after path. The results keep
 the bits of the per-path arithmetic because every operation is
@@ -138,15 +144,26 @@ class EvolutionConfig:
             raise FieldError(f"seed must be an unsigned 64-bit integer, got {self.seed}", "seed")
         if self.x0.shape != (self.dimension,):
             raise FieldError(f"x0 must have shape ({self.dimension},), got {self.x0.shape}", "x0")
+        if not np.all(np.isfinite(self.x0)):
+            raise FieldError(f"x0 must be finite, got {self.x0.tolist()}", "x0")
         if self.profile.dimension != self.dimension:
             raise FieldError(f"dimension {self.profile.dimension} != {self.dimension}", "profile")
         if isinstance(self.switching, DiscreteSwitching):
             if self.switching.angles.shape[1] != self.dimension - 1:
                 raise FieldError("switching angles do not match the dimension", "switching.angles")
+        elif self.profile.atoms:  # the mixture law needs masses that sum to at most 1
+            try:
+                self.switching.atom_masses(self.dimension, self.profile.atoms)
+            except FieldError as exc:
+                exc.field = f"profile.{exc.field}"
+                raise
         if self.initial_direction is not None:
             init = np.atleast_1d(np.asarray(self.initial_direction, dtype=float))
             if init.shape != (self.dimension - 1,):
                 raise FieldError("initial_direction must have n-1 angles", "initial_direction")
+            if not np.all(np.isfinite(init)):
+                raise FieldError(f"initial_direction must be finite, got {init.tolist()}",
+                                 "initial_direction")
             object.__setattr__(self, "initial_direction", init)
 
     def describe(self) -> dict:
@@ -313,7 +330,10 @@ class _PathKernel:
         # direction: that row holds no draw.
         self._fixed_rows = int(init is not None)
         _keep_batch_memory()
-        law = config.switching
+        law, atoms = config.switching, config.profile.atoms
+        # Under uniform switching with atoms: the cumulative atom masses and
+        # the atoms' directions as columns.
+        self._atom_cdf = None
         if isinstance(law, DiscreteSwitching):
             # Columns: the law's directions, then the initial direction.
             angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
@@ -329,6 +349,9 @@ class _PathKernel:
             self._cdf = None
             if init is not None:
                 self._first = directions_from_angles(init)
+            if atoms:
+                self._atom_cdf = law.atom_masses(config.dimension, atoms).cumsum()
+                self._atom_table = np.stack([atom.direction for atom in atoms], axis=1)
 
     def batches(
         self, start: int, stop: int
@@ -339,13 +362,15 @@ class _PathKernel:
         Yields (first path, rows per path, times, draws) with one row per
         segment, path after path. times holds the segment end times: the
         switch times, then the horizon. draws holds (rows, n) normals under
-        uniform switching and (rows,) uniforms under a finite law; with a
-        fixed initial direction, the first row of each path is a
-        placeholder. Uniform switching's draws are a view of a buffer that
+        uniform switching, (rows, 1 + n) with each row's uniform first when
+        the profile has atoms, and (rows,) uniforms under a finite law; with
+        a fixed initial direction, the first row of each path is a
+        placeholder. Uniform switching's normals are a view of a buffer that
         the next batch reuses.
         """
         horizon, fixed, block, mean = self.config.horizon, self._fixed_rows, self._block, self._mean
         uniform, per_batch = self._cdf is None, self._batch_paths
+        mixture = self._atom_cdf is not None
         waits, switches = np.empty((per_batch, block)), np.empty(per_batch, dtype=np.intp)
         # A spare column: the horizon follows a path's last epoch below it.
         epochs = np.empty((per_batch, block + 1))
@@ -356,6 +381,7 @@ class _PathKernel:
         shorts = np.empty(per_batch, dtype=bool)
         if uniform:  # the batch's rows of normals, path after path
             normals = np.empty((per_batch * block, self.config.dimension))
+            picks = np.empty(per_batch * block) if mixture else None  # their uniforms
         else:  # row j: path j's placeholder, if any, then its uniforms
             padded = np.empty((per_batch, block + 1))
             padded[:, :fixed] = 1.0
@@ -377,6 +403,9 @@ class _PathKernel:
                 if not short[j]:
                     rows = m[j] + 1
                     normals[used : used + fixed] = 1.0  # nonzero, so its norm is finite
+                    if mixture:  # the rows' uniforms, then their normals
+                        picks[used : used + fixed] = 1.0  # a placeholder, as above
+                        rng.random(out=picks[used + fixed : used + rows])
                     rng.standard_normal(out=normals[used + fixed : used + rows])
                     used += rows
             if not uniform:  # the same arithmetic, once for the whole batch
@@ -389,6 +418,8 @@ class _PathKernel:
             taken = columns < counts[:, None]
             times = t[taken]
             draws = normals[:used] if uniform else padded[:size][taken]
+            if mixture:
+                draws = np.column_stack([picks[:used], draws])
             replay = np.flatnonzero(short)
             if replay.size:
                 at = np.cumsum(counts)[replay]  # where each replayed path's rows go
@@ -406,7 +437,11 @@ class _PathKernel:
         horizon, fixed = self.config.horizon, self._fixed_rows
         times = np.append(_draw_switch_times(rng, self._mean, self._block, horizon), horizon)
         k = times.size - fixed
-        draws = rng.standard_normal((k, self.config.dimension)) if self._cdf is None else rng.random(k)
+        if self._cdf is not None:
+            draws = rng.random(k)
+        else:  # with atoms, the rows' uniforms, then their normals
+            picks = [rng.random((k, 1))] if self._atom_cdf is not None else []
+            draws = np.hstack(picks + [rng.standard_normal((k, self.config.dimension))])
         return times, np.concatenate([np.ones((fixed,) + draws.shape[1:]), draws])
 
     def arrange(
@@ -424,7 +459,12 @@ class _PathKernel:
                 idx[starts] = self._first_index
             dirs, speeds = self._table[:, idx], self._table_speeds[idx]
         else:
-            dirs = _unit_columns(draws)
+            mixture = self._atom_cdf is not None
+            dirs = _unit_columns(draws[:, 1:] if mixture else draws)
+            if mixture:
+                atom = self._atom_cdf.searchsorted(draws[:, 0], side="right")
+                hit = atom < self._atom_cdf.size
+                dirs[:, hit] = self._atom_table[:, atom[hit]]
             if self._fixed_rows:
                 dirs[:, starts] = self._first[:, None]
             c, c1 = config.profile.values_on(dirs.T)
@@ -552,19 +592,6 @@ def simulate_ensemble(config: EvolutionConfig, workers: int | None = None) -> En
     The result is bit-identical for any worker count: each path is computed
     from its own (seed, path_index) stream and written at its own row.
     """
-    if config.profile.atoms and isinstance(config.switching, UniformSphere):
-        if config.profile.has_continuous:
-            warnings.warn(
-                "mixed profile under uniform switching: the sampled directions "
-                "miss the atoms almost surely, so the simulation leaves out the "
-                "atom terms that the limit coefficients include"
-            )
-        else:
-            warnings.warn(
-                "purely atomic profile under uniform switching: the sampled "
-                "directions miss the atoms almost surely, so the particle never "
-                "moves; use discrete switching over the atom angles instead"
-            )
     workers = resolve_workers(workers)
     points = np.empty((config.n_paths, config.dimension))
     if workers == 1 or config.n_paths < 4 * workers:

@@ -21,9 +21,10 @@ with total mass N (the surface content of the unit sphere):
 empty products being 1 (so N = 2*pi for n=2 and N = 4*pi for n=3).
 
 This module provides the chart and its inverse, the normalization constant,
-the classical sin-power integrals, product quadrature grids realizing the
-normalized average (1/N) * integral over the sphere, and the grid type of a
-finite switching law (built by limits.DiscreteSwitching).
+the classical sin-power integrals, and the one grid type: product
+quadrature grids realizing the normalized average (1/N) * integral over the
+sphere, and the switching laws' grids (limits), whose point nodes carry a
+law's own directions.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "FieldError",
     "InvalidDimensionError",
     "QuadratureGrid",
-    "FiniteLawGrid",
     "directions_from_angles",
     "angles_from_directions",
     "normalization_constant",
@@ -166,11 +166,13 @@ def sin_power_integral(k: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Product quadrature realizing the normalized sphere average.
+    """Nodes and weights realizing the average over a switching law.
 
-    weights sum to 1 and absorb both the angular density and the 1/N
-    normalization; raw_total records the un-normalized mass (equal to N up
-    to quadrature error). directions caches s(theta) at every node.
+    weights sum to 1. On a sphere grid they absorb both the angular density
+    and the 1/N normalization; raw_total records the un-normalized mass
+    (equal to N up to quadrature error). directions caches s(theta) at every
+    node. The nodes from point_nodes on (none by default) are the law's own
+    directions, read with the profile's atoms (profiles.grid_speeds).
     """
 
     dimension: int
@@ -178,10 +180,13 @@ class QuadratureGrid:
     weights: np.ndarray    # (M,), positive, sums to 1
     raw_total: float
     directions: np.ndarray = field(default=None)  # (M, n), filled on build
+    point_nodes: int = field(default=None)  # index of the first point node
 
     def __post_init__(self) -> None:
         if self.directions is None:
             object.__setattr__(self, "directions", directions_from_angles(self.nodes))
+        if self.point_nodes is None:
+            object.__setattr__(self, "point_nodes", self.size)
         if np.any(self.weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
         total = float(self.weights.sum())
@@ -193,16 +198,10 @@ class QuadratureGrid:
         return self.nodes.shape[0]
 
     def average(self, values: np.ndarray) -> float:
-        """Normalized sphere average (1/N) * integral of a node-sampled function."""
+        """Average of a node-sampled function under the grid's weights."""
         # numpy's pairwise sum: its order is fixed (np.dot would let BLAS
         # threads split the nodes) and its error grows as log M, not M
         return float(np.sum(self.weights * np.asarray(values, dtype=float)))
-
-
-class FiniteLawGrid(QuadratureGrid):
-    """A finite switching law as a grid: its directions of positive probability,
-    weighted by it (raw_total 1). Built by limits.DiscreteSwitching only; the
-    type tells profiles.grid_speeds how to read a profile on it."""
 
 
 def check_resolution(resolution: int) -> int:

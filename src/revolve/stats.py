@@ -156,8 +156,9 @@ def noise_floor(summary: MomentSummary) -> float:
 
 def limit_for_config(config: EvolutionConfig, grid_resolution: int = 32) -> DiffusionLimit:
     """Limit coefficients under the config's switching law, on its grid (a
-    finite law's grid takes no resolution)."""
-    grid = config.switching.grid(config.dimension, grid_resolution)
+    finite law's grid takes no resolution, the uniform law's takes the
+    profile's atoms)."""
+    grid = config.switching.grid(config.dimension, grid_resolution, config.profile.atoms)
     return limit_coefficients(config.profile, grid)
 
 

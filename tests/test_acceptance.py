@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from revolve.cli import load_config, main
-from revolve.limits import gaussian_law_at, limit_coefficients
+from revolve.limits import UniformSphere, gaussian_law_at, limit_coefficients
 from revolve.operator_lab import (
     ThetaField,
     apply_q,
@@ -188,7 +188,8 @@ def test_criterion_5_nonsymmetric_drift_and_diffusion():
 
 def test_criterion_6_atomic_example_coefficients():
     t0 = time.time()
-    limit = limit_coefficients(builtin_profile("example3_atoms", 2), build_grid(2, 32))
+    profile = builtin_profile("example3_atoms", 2)
+    limit = limit_coefficients(profile, UniformSphere().grid(2, 32, profile.atoms))
     np.testing.assert_allclose(limit.drift, [0.0, 1.0 / (2.0 * math.pi)], atol=1e-8)
     np.testing.assert_allclose(limit.diffusion, np.diag([1.0 / math.pi, 0.0]), atol=1e-8)
     elapsed = time.time() - t0

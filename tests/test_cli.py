@@ -268,6 +268,20 @@ INVALID_CONFIGS = [
         "config.evolution.profile.atoms[1].angles",
     ),
     (
+        "atom_masses_over_one",
+        "limit-coeffs",
+        {
+            "evolution": dict(
+                BASE_EVOLUTION,
+                profile={"atoms": [{"angles": [0.0], "weight": 4.0, "c": 1.0, "c1": 0.0},
+                                   {"angles": [math.pi], "weight": 4.0, "c": 1.0, "c1": 0.0}]},
+            )
+        },
+        [],
+        2,
+        "config.evolution.profile.atoms",
+    ),
+    (
         "angle_row_not_numeric",
         "simulate",
         {
@@ -495,6 +509,11 @@ ERROR_LINES = {
         '{"error": {"kind": "schema", "message": "config.evolution.profile.atoms[1].angles: '
         'atom has 2 angles, expected 1", "path": "config.evolution.profile.atoms[1].angles"}}'
     ),
+    "atom_masses_over_one": (
+        '{"error": {"kind": "schema", "message": "config.evolution.profile.atoms: the atoms\' '
+        'masses weight / N (N = 6.283185307179586) sum to 1.2732395447351628, more than 1", '
+        '"path": "config.evolution.profile.atoms"}}'
+    ),
     "angle_row_not_numeric": (
         '{"error": {"kind": "schema", "message": "config.evolution.switching.angles[1]: '
         'expected a list of finite numbers", "path": "config.evolution.switching.angles[1]"}}'
@@ -661,14 +680,33 @@ class TestFiniteLawSubcommands:
             assert value <= 1e-12
         assert "quadrature_residuals" not in report
 
-    def test_atoms_on_the_sphere_are_still_skipped(self, tmp_path):
+    def test_verify_operators_runs_the_hierarchy_on_uniform_atoms(self, tmp_path):
         evo = dict(BASE_EVOLUTION, profile={"name": "example3_atoms"})
         out = tmp_path / "out"
         assert main(["verify-operators", "--config", write_config(tmp_path, {"evolution": evo}),
                      "--out", str(out)]) == 0
         report = json.loads((out / "operator_report.json").read_text())
-        assert "point masses" in report["residual_scaling"]["skipped"]
-        assert set(report["quadrature_residuals"]) == {"pi_s", "pi_ss"}
+        assert 0.9 <= report["residual_scaling"]["slope"] <= 1.1
+        assert report["limit_coefficients"]["lab_vs_quadrature_max_diff"] <= 1e-12
+        for value in report["identity_residuals"].values():
+            assert value <= 1e-12
+        # the mixture law is not the uniform measure, whose closed forms these are
+        assert "quadrature_residuals" not in report
+
+    def test_atoms_of_full_mass_run(self, tmp_path):
+        # two atoms of weight pi in the plane hold the whole law: q = 1
+        atoms = [{"angles": [0.0], "weight": math.pi, "c": 1.0, "c1": 0.0},
+                 {"angles": [math.pi], "weight": math.pi, "c": 1.0, "c1": 0.5}]
+        document = {"evolution": dict(BASE_EVOLUTION, n_paths=50, profile={"atoms": atoms})}
+        path = write_config(tmp_path, document)
+        out = tmp_path / "out"
+        assert main(["limit-coeffs", "--config", path, "--out", str(out)]) == 0
+        payload = json.loads((out / "limit_coeffs.json").read_text())
+        np.testing.assert_allclose(payload["drift"], [-0.25, 0.0], atol=1e-15)
+        np.testing.assert_allclose(payload["A"], np.diag([1.0, 0.0]), atol=1e-15)
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        points = np.loadtxt(out / "endpoints.csv", delimiter=",", skiprows=1)[:, 1:]
+        assert np.all(np.abs(points[:, 1]) <= 1e-12)  # every segment lies on the axis
 
     def test_unbalanced_law_exits_3_in_limit_coeffs(self, tmp_path, capsys):
         evo = dict(BASE_EVOLUTION, switching=two_point_law([0.6, 0.4]))

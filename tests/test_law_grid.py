@@ -39,7 +39,6 @@ from revolve.profiles import (
 from revolve.simulator import EvolutionConfig, simulate_ensemble
 from revolve.sphere import (
     FieldError,
-    FiniteLawGrid,
     InvalidDimensionError,
     angles_from_directions,
     build_grid,
@@ -180,13 +179,13 @@ class TestGridRule:
     def test_grid_for_config_follows_the_switching_law(self):
         profile = builtin_profile("example3_atoms", 2)
         config = law_config(profile, EXAMPLE3_ANGLES, np.full(3, 1.0 / 3.0))
-        grid = config.switching.grid(2, 8)
-        assert isinstance(grid, FiniteLawGrid)
+        grid = config.switching.grid(2, 8, profile.atoms)
+        assert grid.point_nodes == 0  # every node is one of the law's directions
         np.testing.assert_array_equal(grid.weights, np.full(3, 1.0 / 3.0))
         uniform = EvolutionConfig(2, 0.2, profile, 1.0, np.zeros(2), 10, 0)
         assert isinstance(uniform.switching, UniformSphere)
         grid = uniform.switching.grid(2, 8)
-        assert not isinstance(grid, FiniteLawGrid)
+        assert grid.point_nodes == grid.size  # a bare sphere grid has no point node
         np.testing.assert_array_equal(grid.nodes, build_grid(2, 8).nodes)
         np.testing.assert_array_equal(grid.weights, build_grid(2, 8).weights)
 
@@ -199,14 +198,19 @@ class TestGridRule:
 
     def test_atoms_resolve_at_law_nodes_and_are_point_masses_on_a_sphere(self):
         profile = builtin_profile("example3_atoms", 2)
-        c, c1, atoms = grid_speeds(profile, DiscreteSwitching(EXAMPLE3_ANGLES, np.full(3, 1 / 3)).grid())
+        c, c1 = grid_speeds(profile, DiscreteSwitching(EXAMPLE3_ANGLES, np.full(3, 1 / 3)).grid())
         np.testing.assert_array_equal(c, [1.0, 1.0, 0.0])
         np.testing.assert_array_equal(c1, [0.0, 0.0, 1.0])
-        assert atoms == ()
+        # under uniform switching each atom is a point node after the sphere's
         sphere = build_grid(2, 8)
-        c, c1, atoms = grid_speeds(profile, sphere)
-        np.testing.assert_array_equal(c, np.zeros(sphere.size))
-        assert atoms == profile.atoms
+        grid = UniformSphere().grid(2, 8, profile.atoms)
+        assert grid.point_nodes == sphere.size and grid.size == sphere.size + 3
+        c, c1 = grid_speeds(profile, grid)
+        np.testing.assert_array_equal(c, np.r_[np.zeros(sphere.size), 1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(c1, np.r_[np.zeros(sphere.size), 0.0, 0.0, 1.0])
+        # a bare sphere grid has no node to hold them
+        with pytest.raises(ProfileError, match="no point node"):
+            grid_speeds(profile, sphere)
 
     @pytest.mark.parametrize(
         "profile, angles, c, c1",
@@ -222,7 +226,7 @@ class TestGridRule:
     )
     def test_atoms_are_matched_by_direction(self, profile, angles, c, c1):
         grid = DiscreteSwitching(np.array(angles), np.full(len(angles), 1.0 / len(angles))).grid()
-        got_c, got_c1, _ = grid_speeds(profile, grid)
+        got_c, got_c1 = grid_speeds(profile, grid)
         np.testing.assert_array_equal(got_c, c)
         np.testing.assert_array_equal(got_c1, c1)
 
@@ -242,6 +246,77 @@ class TestGridRule:
             gap = abs(assembled_generator_residual(solution, eps) - solution.residual(eps))
             assert gap <= 1e-12 * max(1.0, solution.residual(eps))
         fit = residual_scaling(first, phi, x, EPS_LIST)
+        assert fit.slope == pytest.approx(1.0, abs=0.02)
+
+
+class TestMixtureLaw:
+    """Under uniform switching a profile with atoms switches by the mixture
+    (1 - q) U + sum_k (w_k / N) delta_k: the sphere grid weighted by 1 - q,
+    then one point node per atom."""
+
+    def test_grid_is_the_sphere_then_the_atoms(self):
+        profile = builtin_profile("example3_atoms", 2)
+        sphere, grid = build_grid(2, 16), UniformSphere().grid(2, 16, profile.atoms)
+        masses = UniformSphere().atom_masses(2, profile.atoms)
+        np.testing.assert_array_equal(masses, np.full(3, 1.0 / (2.0 * math.pi)))
+        q = masses.sum()
+        np.testing.assert_array_equal(grid.weights, np.r_[sphere.weights * (1.0 - q), masses])
+        np.testing.assert_array_equal(grid.nodes, np.vstack([sphere.nodes, EXAMPLE3_ANGLES]))
+        np.testing.assert_array_equal(
+            grid.directions, np.vstack([sphere.directions, directions_from_angles(EXAMPLE3_ANGLES)])
+        )
+        assert grid.point_nodes == sphere.size
+
+    def test_a_sphere_node_on_an_atom_reads_the_continuous_part(self):
+        # at odd resolution the azimuth pi / 2 of atom 3 is a sphere node
+        profile = builtin_profile("example3_atoms", 2)
+        grid = UniformSphere().grid(2, 31, profile.atoms)
+        k = grid.point_nodes
+        on_atom = np.flatnonzero(grid.nodes[:k, 0] == math.pi / 2.0)
+        assert on_atom.size == 1
+        assert profile.values_on(grid.directions[on_atom])[1].tolist() == [1.0]
+        c, c1 = grid_speeds(profile, grid)
+        assert not c[:k].any() and not c1[:k].any()
+
+    def test_full_mass_leaves_only_the_atoms(self):
+        atoms = (Atom([0.0], math.pi, 1.0, 0.0), Atom([math.pi], math.pi, 1.0, 0.0))
+        grid = UniformSphere().grid(2, 8, atoms)
+        assert grid.size == 2 and grid.point_nodes == 0
+        np.testing.assert_array_equal(grid.weights, [0.5, 0.5])
+        limit = limit_coefficients(VelocityProfile(2, atoms=atoms), grid)
+        np.testing.assert_allclose(limit.diffusion, np.diag([1.0, 0.0]), atol=1e-15)
+
+    def test_masses_over_one_are_no_law(self):
+        atoms = (Atom([0.0], 4.0, 1.0, 0.0), Atom([math.pi], 4.0, 1.0, 0.0))
+        with pytest.raises(FieldError) as err:
+            UniformSphere().atom_masses(2, atoms)
+        assert err.value.field == "atoms"
+        profile = VelocityProfile(2, atoms=atoms)
+        with pytest.raises(FieldError) as err:
+            EvolutionConfig(2, 0.2, profile, 1.0, np.zeros(2), 10, 0)
+        assert err.value.field == "profile.atoms"
+        # a finite law gives the atoms no mass of their own
+        law_config(profile, EXAMPLE3_ANGLES[:2], np.full(2, 0.5))
+
+    def test_mixed_profile_weights_its_continuous_part_by_one_minus_q(self):
+        atom_c = 1.5
+        atoms = (Atom([0.25], 0.5, atom_c, 0.0), Atom([0.25 + math.pi], 0.5, atom_c, 0.0))
+        profile = VelocityProfile(2, continuous_c=builtin_profile("msre_const", 2).continuous_c,
+                                  atoms=atoms)
+        q = 1.0 / (2.0 * math.pi)
+        s = directions_from_angles(np.array([0.25]))
+        want = (1.0 - q) * 0.5 * np.eye(2) + q * atom_c**2 * np.outer(s, s)
+        grid = UniformSphere().grid(2, 32, atoms)
+        np.testing.assert_allclose(limit_coefficients(profile, grid).diffusion, want, atol=1e-14)
+
+    def test_lab_runs_the_hierarchy_on_the_mixture(self):
+        profile = builtin_profile("example3_atoms", 2)
+        grid = UniformSphere().grid(2, 16, profile.atoms)
+        first = lab_limit_coefficients(profile, grid)
+        limit = limit_coefficients(profile, grid)
+        assert np.max(np.abs(first.drift - limit.drift)) <= 1e-12
+        assert np.max(np.abs(first.diffusion - limit.diffusion)) <= 1e-12
+        fit = residual_scaling(first, gaussian_bump(np.zeros(2), 1.0), np.full(2, 0.25), EPS_LIST)
         assert fit.slope == pytest.approx(1.0, abs=0.02)
 
 

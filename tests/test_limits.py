@@ -10,6 +10,7 @@ from revolve.limits import (
     DiffusionLimit,
     DiscreteSwitching,
     GaussianSpec,
+    UniformSphere,
     discrete_limit_coefficients,
     gaussian_law_at,
     limit_coefficients,
@@ -46,9 +47,15 @@ class TestSymmetricLimit:
         assert np.max(np.abs(limit.drift)) <= 1e-9
 
 
+def example3_limit(resolution=RES[2]):
+    """Example 3 under uniform switching, on the mixture law's grid."""
+    profile = builtin_profile("example3_atoms", 2)
+    return limit_coefficients(profile, UniformSphere().grid(2, resolution, profile.atoms))
+
+
 class TestExampleProfiles:
     def test_atomic_example(self):
-        limit = limit_coefficients(builtin_profile("example3_atoms", 2), grid_for(2))
+        limit = example3_limit()
         np.testing.assert_allclose(
             limit.drift, [0.0, 1.0 / (2.0 * math.pi)], atol=1e-8
         )
@@ -71,16 +78,17 @@ class TestExampleProfiles:
         assert limit.drift[2] < 0.0
         np.testing.assert_allclose(limit.diffusion, np.eye(3) / 3.0, atol=1e-8)
 
-    def test_atom_terms_keep_the_bits_of_the_per_atom_loop(self):
-        # antipodal pairs with equal weight and c keep the balance; weights
-        # and speeds that are not powers of two expose the product order
+    def test_atom_nodes_give_the_closed_sums(self):
+        # antipodal pairs with equal weight and c keep the balance; the
+        # masses w / N sum to 0.945, so the sphere nodes keep 0.055 of the
+        # law and contribute nothing, the profile having no continuous part
         pairs = [(0.3, 0.7, 1.3, -0.4), (1.1, 0.9, 0.6, 2.3), (2.0, 1.7, 0.45, 0.15)]
         atoms = []
         for theta, weight, c, c1 in pairs:
-            atoms.append(Atom(np.array([theta]), weight, c, c1))
-            atoms.append(Atom(np.array([theta + math.pi]), weight, c, 0.37 * c1))
+            atoms.append(Atom(np.array([theta]), 0.9 * weight, c, c1))
+            atoms.append(Atom(np.array([theta + math.pi]), 0.9 * weight, c, 0.37 * c1))
         profile = VelocityProfile(2, atoms=tuple(atoms))
-        grid = grid_for(2)
+        grid = UniformSphere().grid(2, RES[2], atoms)
         inv_n = 1.0 / normalization_constant(2)
         a, drift = np.zeros((2, 2)), np.zeros(2)
         for atom in atoms:
@@ -88,11 +96,22 @@ class TestExampleProfiles:
             a = a + atom.weight * atom.c_value**2 * inv_n * np.outer(s_atom, s_atom)
             drift = drift + atom.weight * atom.c1_value * inv_n * s_atom
         limit = limit_coefficients(profile, grid)
-        np.testing.assert_array_equal(limit.drift, drift)
-        np.testing.assert_array_equal(limit.diffusion, 0.5 * (a + a.T))
+        np.testing.assert_allclose(limit.drift, drift, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(limit.diffusion, 0.5 * (a + a.T), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("resolution", [2, 3, 8, 16, 31, 32, 33, 64])
+    def test_atomic_example_keeps_its_bits(self, resolution):
+        # the bits of the sphere average plus one w f / N term per atom,
+        # which the mixture law's grid replaced; at odd resolutions a sphere
+        # node lies on the atom at pi / 2 and must read the continuous part
+        limit = example3_limit(resolution)
+        assert limit.drift.tobytes().hex() == "d1cd35aeaf78663c83c8c96d305fc43f"
+        assert limit.diffusion.tobytes().hex() == (
+            "83c8c96d305fd43fd1cd35aeaf7876bcd1cd35aeaf7876bcbc1e276e94c92839"
+        )
 
     def test_paper_sign_recorded(self):
-        limit = limit_coefficients(builtin_profile("example3_atoms", 2), grid_for(2))
+        limit = example3_limit()
         np.testing.assert_array_equal(limit.drift_paper_sign, -limit.drift)
 
 

@@ -367,7 +367,7 @@ class TestContractions:
     def test_limit_diffusion(self, grid):
         w, s = grid.weights, grid.directions
         for profile in contraction_profiles(grid.dimension):
-            c, _, _ = grid_speeds(profile, grid)
+            c, _ = grid_speeds(profile, grid)
             reference = np.einsum("m,m,mi,mj->ij", w, c * c, s, s)
             reference = 0.5 * (reference + reference.T)
             got = limit_coefficients(profile, grid).diffusion
@@ -376,7 +376,7 @@ class TestContractions:
     def test_lab_limit_coefficients(self, grid):
         w, s = grid.weights, grid.directions
         for profile in contraction_profiles(grid.dimension):
-            c, c1, _ = grid_speeds(profile, grid)
+            c, c1 = grid_speeds(profile, grid)
             b = c[:, None] * s
             mean_b = w @ b
             diffusion = np.einsum("m,mk,mi->ki", w * c, s, b - mean_b)
@@ -395,7 +395,7 @@ class TestContractions:
         phi, x = gaussian_bump(0.1 * np.arange(n), 1.0), np.full(n, 0.2)
         derivatives = phi.gradient(x), phi.hessian(x), phi.third(x)
         for profile in contraction_profiles(n) + [builtin_profile("msre_const", n, c=1.0)]:
-            c, c1, _ = grid_speeds(profile, grid)
+            c, c1 = grid_speeds(profile, grid)
             sol = solve_perturbation(lab_limit_coefficients(profile, grid), phi, x)
             reference = whole_array_solve(w, s, c, c1, *derivatives)
             scale = whole_array_solve(w, *(np.abs(a) for a in (s, c, c1, *derivatives)), sign=1.0)

@@ -18,7 +18,7 @@ from revolve.profiles import (
     first_moment,
     grid_speeds,
 )
-from revolve.limits import DiscreteSwitching, limit_coefficients
+from revolve.limits import DiscreteSwitching, UniformSphere, limit_coefficients
 from revolve.operator_lab import gaussian_bump, lab_limit_coefficients, solve_perturbation
 from revolve.simulator import _unit_columns
 from revolve.sphere import angles_from_directions, build_grid, directions_from_angles
@@ -50,7 +50,7 @@ class TestBuiltins:
 
     def test_example3_is_three_atoms(self):
         p = builtin_profile("example3_atoms", 2)
-        assert len(p.atoms) == 3 and not p.has_continuous
+        assert len(p.atoms) == 3 and p.continuous_c is None and p.continuous_c1 is None
         with pytest.raises(ProfileError):
             builtin_profile("example3_atoms", 3)
 
@@ -76,12 +76,13 @@ class TestBuiltins:
 
 
 class TestProfileType:
-    def test_mixed_requires_flag(self):
-        atom = Atom(np.array([0.0]), 1.0, 1.0, 0.0)
-        with pytest.raises(ProfileError):
-            VelocityProfile(2, continuous_c=ConstantSpeed(1.0), atoms=(atom,))
-        p = VelocityProfile(2, continuous_c=ConstantSpeed(1.0), atoms=(atom,), allow_mixed=True)
-        assert p.mixed
+    def test_mixed_profile_needs_no_flag(self):
+        # an atom's speeds hold at its direction, the continuous parts elsewhere
+        atom = Atom(np.array([0.0]), 1.0, 3.0, 0.5)
+        p = VelocityProfile(2, continuous_c=ConstantSpeed(1.0), atoms=(atom,))
+        c, c1 = p.values_at(np.array([[0.0], [1.0]]))
+        np.testing.assert_array_equal(c, [3.0, 1.0])
+        np.testing.assert_array_equal(c1, [0.5, 0.0])
 
     def test_atom_validation(self):
         with pytest.raises(ProfileError):
@@ -236,7 +237,7 @@ class TestBalance:
         np.testing.assert_array_equal(r2, 2.0 * r1)  # doubling is exact in floats
 
     def test_atom_weights_linear(self):
-        g = grid_for(2)
+        # on the uniform law's grid, where atom k is a node of mass w_k / N
         p = builtin_profile("example3_atoms", 2)
         doubled = VelocityProfile(
             2,
@@ -244,11 +245,12 @@ class TestBalance:
                 Atom(a.angles, 2.0 * a.weight, a.c_value, a.c1_value) for a in p.atoms
             ),
         )
+        g, g2 = (UniformSphere().grid(2, RES[2], q.atoms) for q in (p, doubled))
         np.testing.assert_array_equal(
-            check_balance(doubled, g).residual_vector,
+            check_balance(doubled, g2).residual_vector,
             2.0 * check_balance(p, g).residual_vector,
         )
-        np.testing.assert_array_equal(drift(doubled, g), 2.0 * drift(p, g))
+        np.testing.assert_array_equal(drift(doubled, g2), 2.0 * drift(p, g))
 
     @pytest.mark.parametrize(
         "check", [check_balance, grid_speeds, lab_limit_coefficients],
@@ -270,7 +272,7 @@ class TestBalance:
 
 def drift(profile, grid):
     """The first moment of the slow speed, E[c1 s]: the drift of the limit."""
-    return first_moment(grid, grid_speeds(profile, grid), 1)
+    return first_moment(grid, grid_speeds(profile, grid)[1])
 
 
 class TestNonsymmetry:
@@ -356,8 +358,7 @@ class TestOneReading:
         # on the law's grid the atoms cover both nodes, so values_on is
         # finite there; the reading still sees the continuous part
         atoms = (Atom([0.0], 1.0, 1.0, 0.0), Atom([math.pi], 1.0, 1.0, 0.0))
-        profile = VelocityProfile(2, continuous_c=ConstantSpeed(math.inf), atoms=atoms,
-                                  allow_mixed=True)
+        profile = VelocityProfile(2, continuous_c=ConstantSpeed(math.inf), atoms=atoms)
         for check in (grid_speeds, check_balance, limit_coefficients, solve_at_center):
             with pytest.raises(ProfileError, match="bounded"):
                 check(profile, grid)

@@ -12,7 +12,7 @@ from numpy.random import Generator, Philox
 from scipy import stats as scipy_stats
 
 from revolve.limits import DiscreteSwitching, UniformSphere, discrete_limit_coefficients
-from revolve.profiles import Atom, VelocityProfile, builtin_profile
+from revolve.profiles import Atom, ConstantSpeed, LowerHalfStep, VelocityProfile, builtin_profile
 from revolve.simulator import (
     EvolutionConfig,
     _PathKernel,
@@ -23,7 +23,7 @@ from revolve.simulator import (
     simulate_path,
     simulate_paths,
 )
-from revolve.sphere import angles_from_directions, directions_from_angles
+from revolve.sphere import FieldError, angles_from_directions, directions_from_angles
 
 
 def msre_config(**overrides):
@@ -72,6 +72,22 @@ class TestConfig:
         with pytest.raises(ValueError) as err:
             msre_config(**{field: value})
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x0", np.array([math.nan, 0.0])), ("x0", np.array([0.0, -math.inf])),
+         ("initial_direction", np.array([math.inf])), ("initial_direction", np.array([math.nan]))],
+    )
+    def test_non_finite_value_names_the_field(self, field, value):
+        with pytest.raises(FieldError) as err:
+            msre_config(**{field: value})
+        assert err.value.field == field
+
+    def test_non_finite_law_angle_is_named(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(FieldError) as err:
+                DiscreteSwitching([[0.0], [bad]], [0.5, 0.5])
+            assert err.value.field == "angles"
 
     def test_discrete_probabilities_validated(self):
         with pytest.raises(ValueError):
@@ -229,27 +245,71 @@ class TestDiscreteSwitchingLaw:
             assert min(np.linalg.norm(d - a) for a in allowed) <= 1e-14
 
 
-class TestWarnings:
-    def test_atomic_profile_under_uniform_switching_warns(self):
-        profile = builtin_profile("example3_atoms", 2)
-        cfg = msre_config(profile=profile, n_paths=3)
-        with pytest.warns(UserWarning, match="atomic profile under uniform switching"):
-            ens = simulate_ensemble(cfg)
-        np.testing.assert_array_equal(ens.points, np.zeros((3, 2)))
+def example3_config(**overrides):
+    """Example 3 under uniform switching, from a stationary start."""
+    return msre_config(**dict(dict(profile=builtin_profile("example3_atoms", 2)), **overrides))
 
-    def test_mixed_profile_under_uniform_switching_warns(self):
-        # the limit drift includes the atom's 1/(2 pi), which the uniform
-        # draws miss almost surely
+
+def atom_rows(directions, atoms):
+    """Whether each row is exactly one of the atoms' directions."""
+    table = np.stack([atom.direction for atom in atoms])
+    return (directions[:, None, :] == table[None]).all(axis=-1).any(axis=-1)
+
+
+class TestMixtureSwitching:
+    """Under uniform switching a profile with atoms switches by the mixture
+    (1 - q) U + sum_k (w_k / N) delta_k, the law its limit is computed on."""
+
+    def test_atomic_profile_under_uniform_switching_moves(self):
+        cfg = example3_config(n_paths=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = simulate_ensemble(cfg)
+        assert np.all(np.abs(ens.points[:, 0]) > 0.0)
+        trajectory = simulate_path(cfg, 0)
+        picked = atom_rows(trajectory.directions, cfg.profile.atoms)
+        assert picked.any() and not picked.all()
+        np.testing.assert_allclose(np.linalg.norm(trajectory.directions, axis=1), 1.0, atol=1e-15)
+
+    def test_mixed_profile_under_uniform_switching_runs_quietly(self):
         atom = Atom(np.array([math.pi / 2.0]), 1.0, 0.0, 1.0)
         continuous = builtin_profile("msre_const", 2).continuous_c
-        profile = VelocityProfile(2, continuous_c=continuous, atoms=(atom,), allow_mixed=True)
-        with pytest.warns(UserWarning, match="mixed profile under uniform switching"):
-            simulate_ensemble(msre_config(profile=profile, n_paths=3))
+        profile = VelocityProfile(2, continuous_c=continuous, atoms=(atom,))
         law = DiscreteSwitching(np.array([[0.0], [math.pi]]), np.array([0.5, 0.5]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            simulate_ensemble(msre_config(profile=profile, n_paths=3))
             simulate_ensemble(msre_config(profile=profile, n_paths=3, switching=law))
             simulate_ensemble(msre_config(n_paths=3))
+
+    def test_example3_matches_its_exact_moments(self):
+        # Stationary start: E X_T = x0 + d T and Cov X_T = 2 Sigma_v k with
+        # k = eps^2 T - eps^4 (1 - exp(-T / eps^2)) and Sigma_v the covariance
+        # of the velocity under the mixture: each atom has mass 1 / (2 pi),
+        # those at 0 and pi move at 1 / eps along +-e1, that at pi / 2 at 1
+        # along e2, and the sphere's share does not move.
+        eps, horizon, n_paths = 0.2, 1.0, 20_000
+        cfg = example3_config(epsilon=eps, horizon=horizon, n_paths=n_paths, seed=11)
+        x = simulate_ensemble(cfg, workers=1).points
+        k = eps**2 * horizon - eps**4 * (1.0 - math.exp(-horizon / eps**2))
+        mean = np.array([0.0, horizon / (2.0 * math.pi)])
+        var = np.array([2.0 * k / (math.pi * eps**2),
+                        2.0 * k * (1.0 / (2.0 * math.pi) - 1.0 / (4.0 * math.pi**2))])
+        got_mean, got_var = x.mean(axis=0), x.var(axis=0, ddof=1)
+        fourth = ((x - got_mean) ** 4).mean(axis=0)
+        z_mean = (got_mean - mean) / np.sqrt(got_var / n_paths)
+        z_var = (got_var - var) / np.sqrt((fourth - got_var**2) / n_paths)
+        assert np.all(np.abs(z_mean) <= 4.0) and np.all(np.abs(z_var) <= 4.0), (z_mean, z_var)
+        # the share of segments on an atom is q = 3 / (2 pi)
+        directions = np.concatenate([t.directions for t in simulate_paths(cfg, 0, 4000)])
+        share, q = atom_rows(directions, cfg.profile.atoms).mean(), 3.0 / (2.0 * math.pi)
+        assert abs(share - q) <= 4.0 * math.sqrt(q * (1.0 - q) / directions.shape[0])
+
+    def test_full_mass_draws_only_atoms(self):
+        atoms = (Atom([0.0], math.pi, 1.0, 0.0), Atom([math.pi], math.pi, 1.0, 0.0))
+        cfg = msre_config(profile=VelocityProfile(2, atoms=atoms), n_paths=20)
+        for trajectory in simulate_paths(cfg):
+            assert atom_rows(trajectory.directions, atoms).all()
 
 
 class TestPathStreams:
@@ -305,6 +365,11 @@ def _pinned_configs():
     edge = dict(planar, epsilon=0.1, profile=builtin_profile("msre_const", 2, c=2.0),
                 x0=np.array([0.5, -0.25]), n_paths=162, seed=77,
                 switching=compass, initial_direction=np.array([math.pi]))
+    # continuous parts and two atoms of mass 2 / (2 pi) each
+    mixed = VelocityProfile(
+        2, continuous_c=ConstantSpeed(1.0), continuous_c1=LowerHalfStep(0.5),
+        atoms=(Atom([0.5], 2.0, 2.0, -1.0), Atom([0.5 + math.pi], 2.0, 2.0, 0.0)),
+    )
     return {
         "uniform_step_n3": EvolutionConfig(**base),
         "uniform_initial": EvolutionConfig(
@@ -328,6 +393,12 @@ def _pinned_configs():
         "discrete_batch_edge": EvolutionConfig(**edge),
         # the last batch holds only the last path
         "discrete_last_single": EvolutionConfig(**dict(edge, n_paths=163, seed=78)),
+        # the mixture law of atoms under uniform switching
+        "uniform_atoms": EvolutionConfig(**dict(planar, profile=atoms)),
+        # the fixed initial direction lies on an atom
+        "uniform_atoms_initial": EvolutionConfig(
+            **dict(planar, profile=mixed, seed=31), initial_direction=np.array([0.5])
+        ),
     }
 
 
@@ -335,9 +406,10 @@ class TestPinnedStreams:
     """Endpoint bytes of small configs (x86-64, numpy 2.4). The first four
     were recorded before the per-block kernel replaced the per-path set-up,
     the next four before the column-major batched kernel replaced the
-    per-path arithmetic, and discrete_last_single before padded batches
-    replaced the per-path switch clock. A change of the stream layout or of
-    the path arithmetic changes these digests."""
+    per-path arithmetic, discrete_last_single before padded batches
+    replaced the per-path switch clock, and the two uniform_atoms pins when
+    atoms became nodes of the uniform law's mixture. A change of the stream
+    layout or of the path arithmetic changes these digests."""
 
     DIGESTS = {
         "uniform_step_n3": "03b81ac96611c4861a57a145422f00fd9536021ea9bd62d45852d957041d363e",
@@ -349,6 +421,8 @@ class TestPinnedStreams:
         "uniform_user_callable": "36730d70fea85251253e31572a40377db9ff0f7755db2172c15d0459e8e3e1a7",
         "discrete_batch_edge": "c340548ead1d86b76d5f0c76568d9b58108711982551a34d3dabd9371c5b5409",
         "discrete_last_single": "d182b21adb736726cadcdb06ebf80857c0ce8fa7e6a150032f0482b320632af1",
+        "uniform_atoms": "6a16353110c4950280f0e0f2ea3bedf50b0219ff2dad713ee4ca67e102118b19",
+        "uniform_atoms_initial": "fc1f0595b908ae1e94c2d8670c96191bbc077df095cfff64db1572da6eda8505",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -380,7 +454,8 @@ class TestPinnedStreams:
         last = list(_PathKernel(edge).batches(0, edge.n_paths))[-1]
         assert last[0] == edge.n_paths - 1 and last[1].size == 1
 
-    @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "discrete_batch_edge"])
+    @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "discrete_batch_edge",
+                                      "uniform_atoms", "uniform_atoms_initial"])
     def test_worker_count_keeps_the_bytes(self, name):
         cfg = _pinned_configs()[name]
         serial = simulate_ensemble(cfg, workers=1).points.tobytes()
@@ -392,9 +467,10 @@ class TestPinnedStreams:
 def small_configs(draw):
     """A config of 1..300 paths, n = 2..4, under the uniform law or a finite
     law of 1..4 directions; a batch holds about 20 paths at eps 0.05 and
-    about 180 at eps 0.15."""
+    about 180 at eps 0.15. At n = 2 the profile may be example3_atoms."""
     n = draw(st.integers(2, 4))
-    profile = builtin_profile(draw(st.sampled_from(["msre_const", "step_half_sphere"])), n)
+    names = ["msre_const", "step_half_sphere"] + ["example3_atoms"] * (n == 2)
+    profile = builtin_profile(draw(st.sampled_from(names)), n)
     switching = UniformSphere()
     if draw(st.booleans()):
         k = draw(st.integers(1, 4))
@@ -438,10 +514,16 @@ def _per_path_reference(config, block, path_index):
     epochs = np.cumsum(waits)
     switch_times = epochs[: int(np.searchsorted(epochs, horizon))]
     n_draw = switch_times.size + (init is None)
-    law = config.switching
+    law, atoms = config.switching, config.profile.atoms
     if isinstance(law, UniformSphere):
+        # with atoms, a uniform per row, then the rows' normals
+        picks = rng.random(n_draw) if atoms else None
         g = rng.standard_normal((n_draw, n))
         dirs = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        if atoms:  # a uniform below the cumulative mass of atom k picks it
+            k = law.atom_masses(n, atoms).cumsum().searchsorted(picks, side="right")
+            hit = k < len(atoms)
+            dirs[hit] = np.stack([atom.direction for atom in atoms])[k[hit]]
         if init is not None:
             dirs = np.vstack([directions_from_angles(init)[None, :], dirs])
         c, c1 = config.profile.values_on(dirs)
@@ -479,7 +561,8 @@ class TestBatchedKernel:
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "uniform_step_n3"])
+    @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "uniform_step_n3",
+                                      "uniform_atoms", "uniform_atoms_initial"])
     def test_mixed_batch_replays_only_the_short_paths(self, name):
         # a block of about T/eps^2 waits: some paths of the one batch pass
         # the horizon within it, the others take the replay route
