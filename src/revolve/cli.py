@@ -4,7 +4,8 @@ Subcommands: verify-operators, limit-coeffs, simulate, converge, report.
 Experiments are described by a strict JSON config (unknown keys are
 rejected, the dataclasses a config builds range-check its values, errors
 carry the dotted field path). Every run writes a manifest.json echoing the
-parsed config, the seed and the package version; the manifest timestamp is the only
+parsed config, the seed, the package version and the simulator's stream
+layout (revolve.simulator.STREAM_LAYOUT); the manifest timestamp is the only
 non-reproducible byte in any artifact. Floats in CSV files are written
 with 17 significant digits so reruns are byte-identical.
 
@@ -49,7 +50,13 @@ from .operator_lab import (
 )
 from .profiles import Atom, FieldError, VelocityProfile, builtin_profile
 from .rates import check_eps_sweep
-from .simulator import EvolutionConfig, ResourceExhausted, simulate_ensemble, simulate_paths
+from .simulator import (
+    STREAM_LAYOUT,
+    EvolutionConfig,
+    ResourceExhausted,
+    simulate_ensemble,
+    simulate_paths,
+)
 from .sphere import build_grid, check_dimension, check_resolution
 from .stats import ks_marginals, limit_for_config, run_sweep, summarize
 
@@ -250,6 +257,7 @@ def _write_manifest(out: Path, config: ExperimentConfig) -> None:
             "artifact_version": __version__,
             "mode": config.mode,
             "seed": int(config.evolution.seed),
+            "stream_layout": STREAM_LAYOUT,
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "config": config.describe(),
         },

@@ -239,14 +239,17 @@ def discrete_limit_coefficients(
 ) -> DiffusionLimit:
     """d = sum_k p_k c1_k s_k and A = sum_k p_k c_k^2 s_k s_k^T: limit_coefficients
     on the grid of DiscreteSwitching(angles, probabilities) for speeds given
-    at the angle rows, each row an atom at its chart direction s_k (rows
-    whose directions lie within the atoms' tolerance of each other in
-    VelocityProfile.values_on take the last row's speeds)."""
+    at the angle rows, each row of positive probability an atom at its chart
+    direction s_k (rows whose directions lie within the atoms' tolerance of
+    each other in VelocityProfile.values_on take the last such row's
+    speeds)."""
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     c, c1 = np.asarray(c_values, dtype=float), np.asarray(c1_values, dtype=float)
     if not (angles.shape[0] == np.size(probabilities) == c.size == c1.size):
         raise ValueError("angles, probabilities, c_values, c1_values must align")
-    atoms = tuple(Atom(row, 1.0, ck, c1k) for row, ck, c1k in zip(angles, c, c1))
+    taken = np.asarray(probabilities, dtype=float) > 0.0  # the rows of the law's grid
+    atoms = tuple(Atom(row, 1.0, ck, c1k)
+                  for row, ck, c1k in zip(angles[taken], c[taken], c1[taken]))
     profile = VelocityProfile(int(dimension), atoms=atoms, name="law")
     return limit_coefficients(profile, DiscreteSwitching(angles, probabilities).grid())
 

@@ -200,12 +200,17 @@ class VelocityProfile:
                 _part_values(self.continuous_c1, "c1", directions))
 
     def _with_atoms(
-        self, directions: np.ndarray, c: np.ndarray, c1: np.ndarray
+        self, directions: np.ndarray, c: np.ndarray, c1: np.ndarray, every_atom: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """The continuous parts' values c, c1 at the rows, with the atoms'
-        values where values_on puts them."""
-        for atom in self.atoms:
+        values where values_on puts them. With every_atom, raises
+        ProfileError at atoms unless each atom lies on one of the rows."""
+        for k, atom in enumerate(self.atoms):
             hit = np.max(np.abs(directions - atom.direction), axis=-1) <= _ATOM_ATOL
+            if every_atom and not hit.any():
+                raise ProfileError(
+                    f"atom {k} at angles {atom.angles.tolist()} lies on no point node of the "
+                    "switching law's grid, so the law never takes its direction", "atoms")
             c = np.where(hit, atom.c_value, c)
             c1 = np.where(hit, atom.c1_value, c1)
         return c, c1
@@ -304,7 +309,9 @@ def grid_speeds(profile: VelocityProfile, grid: QuadratureGrid) -> tuple[np.ndar
     point nodes are read by values_on, atoms included.
 
     Raises ProfileError unless the continuous parts are finite at every
-    node, or when the profile has atoms and the grid no point node.
+    node, and at atoms unless each atom lies on a point node: an atom off
+    them would carry its weight nowhere. This is the one home of that rule;
+    the simulator reads a finite law through this function too.
     """
     if grid.dimension != profile.dimension:
         raise ProfileError(
@@ -315,11 +322,9 @@ def grid_speeds(profile: VelocityProfile, grid: QuadratureGrid) -> tuple[np.ndar
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(c1))):
         raise ProfileError("speed functions must be bounded on the grid")
     k = grid.point_nodes
-    if k == grid.size:
-        if profile.atoms:  # UniformSphere.grid takes the atoms
-            raise ProfileError("the profile has atoms and the grid no point node for them")
+    if k == grid.size and not profile.atoms:  # a bare sphere grid
         return c, c1
-    c_points, c1_points = profile._with_atoms(grid.directions[k:], c[k:], c1[k:])
+    c_points, c1_points = profile._with_atoms(grid.directions[k:], c[k:], c1[k:], every_atom=True)
     return np.concatenate([c[:k], c_points]), np.concatenate([c1[:k], c1_points])
 
 

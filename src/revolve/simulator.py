@@ -17,34 +17,52 @@ function of the configuration and its index. Ensembles are therefore
 bit-identical for any number of workers, and any single path can be
 replayed in isolation.
 
+Stream layout 2 (STREAM_LAYOUT, recorded in manifest.json) says which draws
+a path makes, in order:
+  - under a finite law, one uniform pair per segment, k = 0, 1, ...:
+    segment k waits -eps^2 * log1p(-u_2k) (numpy's log1p) and takes the
+    direction cdf.searchsorted(u_2k+1, side="right") of the law's
+    cumulative probabilities. Its switch time is the running sum of the
+    waits, and the path ends at the first segment whose switch time
+    reaches the horizon. Every segment draws its pair; with a fixed
+    initial direction, segment 0's pick is drawn and not used. The
+    sequence of pairs does not depend on how many a path draws at once.
+  - under uniform switching (unchanged since layout 1), a block of
+    T/eps^2 + 6 sqrt(T/eps^2) + 16 standard exponentials, more blocks of as
+    many while their pairwise sum falls short of the horizon, then per
+    drawn segment (all but a fixed initial direction's): with atoms, one
+    uniform each, then n standard normals each. The waits are the
+    exponentials times eps^2 and the switch times their running sum.
+
 Per-block set-up: a block of paths shares one Philox generator, re-keyed
 for each path, the padded buffers its batches reuse, and everything that
 does not change from path to path. A finite switching law becomes a table
-of directions and speeds, evaluated once, with the initial direction as one
-extra column; a path draws indices into it. Every speed, in a table or on
-a batch's rows, comes from the one evaluator VelocityProfile.values_on on
-unit vectors. Under uniform switching it runs on each batch's directions:
-the drawn ones, the atoms' own where a row picks an atom, and a fixed
-initial direction in the first row of each path.
+of directions and speeds, evaluated once on its grid by
+profiles.grid_speeds, with the initial direction as one extra column; a
+path draws indices into it. Every speed, in a table or on a batch's rows,
+comes from the one evaluator VelocityProfile.values_on on unit vectors.
+Under uniform switching it runs on each batch's directions: the drawn ones,
+the atoms' own where a row picks an atom, and a fixed initial direction in
+the first row of each path.
 
 Batched arithmetic: the loop over a batch's paths does only what has to
-follow each path's stream. It re-keys the generator, draws a block of
-standard exponentials into the path's row of a padded (paths, block)
-buffer, then draws the path's direction variates. A finite law's uniforms
-fill a padded row too: a stream's draws are consecutive and nothing is
-drawn after them, so the row's used prefix holds the numbers a draw sized
-to the path would give. Under uniform switching the path counts its
-switches in its own row first, then draws exactly n normals per segment
-straight into the batch's rows. With atoms, its uniforms come first, one
-per drawn segment: each picks an atom by cumulative mass, as a finite law
-picks a direction, or, at or above q, the segment's normals. The rest runs
-once per batch: the waits (the exponentials times eps^2, the bits of
-Generator.exponential(eps^2)), their cumulative sums row by row and the
-switch counts under a finite law, and, for both laws, a mask that cuts the
-padded rows into one row per segment, path after path. A path whose block
-of waits ends before the horizon draws more waits before its directions,
-so it is replayed alone through _draw_switch_times; with a block of
-T/eps^2 + 6 sqrt(T/eps^2) + 16 waits that is rarer than one path in 10^9.
+follow each path's stream. Under a finite law it re-keys the generator and
+draws a chunk of _pair_chunk(T/eps^2) uniform pairs into the path's row of
+a padded (paths, 2 chunk) buffer, with one Generator.random call. Under
+uniform switching it draws a block of standard exponentials into the
+path's row, counts its switches there, then draws exactly n normals per
+segment straight into the batch's rows; with atoms, its uniforms come
+first, one per drawn segment: each picks an atom by cumulative mass, as a
+finite law picks a direction, or, at or above q, the segment's normals.
+The rest runs once per batch: a finite law's waits, the running sums row
+by row and the switch counts, and, for both laws, a mask that cuts the
+padded rows into one row per segment, path after path. A padded row's used
+prefix holds the numbers a draw sized to the path would give, because a
+stream's draws are consecutive. A path whose first draw ends before the
+horizon is replayed alone: under a finite law it continues its stream in
+further chunks (about one path in 35000 at T/eps^2 = 25, at most about one
+in 700 for any eps); under uniform switching it tops up its waits through
+_draw_switch_times, rarer than one path in 10^9.
 A batch holds about _BATCH_ROWS segments, so transient memory does not
 grow with the number of paths.
 Each batch is handled at once on column-major arrays: one (n, rows) array
@@ -58,6 +76,10 @@ either elementwise or sums in the same order:
     row order, starting from 0.0, as displacements.sum(axis=0) does on one
     path's rows. np.bincount adds in exactly that order; a pairwise sum
     (np.add.reduceat, or a sum along a contiguous axis) would change bits.
+A finite law's waits take the bits of numpy's log1p. Numpy may run it
+through SIMD code that rounds differently on another CPU, as it may its sin
+and cos in directions_from_angles, so endpoint bytes are reproducible on
+one platform, not across platforms.
 """
 
 from __future__ import annotations
@@ -76,12 +98,13 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .limits import DiscreteSwitching, SwitchingLaw, UniformSphere
-from .profiles import FieldError, VelocityProfile
+from .profiles import FieldError, VelocityProfile, grid_speeds
 from .sphere import check_dimension, directions_from_angles
 # unused here, importable for tools that look it up (tests/test_bench_lookups.py)
 from .sphere import angles_from_directions
 
 __all__ = [
+    "STREAM_LAYOUT",
     "EvolutionConfig",
     "ResourceExhausted",
     "Trajectory",
@@ -93,14 +116,24 @@ __all__ = [
     "resolve_workers",
 ]
 
+# The stream layout of the module docstring: which draws a path makes, in order.
+STREAM_LAYOUT = 2
 _MAX_SEED = 2**64
 # The most float64 values one numpy array can hold: its size in bytes is an intp.
 _MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 
 
 def _switch_block(expected: float) -> int:
-    """Waits a path draws at first when it expects `expected` switches."""
+    """Waits a path draws at first under uniform switching when it expects
+    `expected` switches: part of the stream layout."""
     return max(16, int(expected + 6.0 * math.sqrt(expected) + 16.0))
+
+
+def _pair_chunk(expected: float) -> int:
+    """Uniform pairs a path draws at once under a finite law when it expects
+    `expected` switches. Not part of the layout: a path that needs more
+    continues its stream."""
+    return int(expected + 3.0 * math.sqrt(expected) + 8.0)
 
 
 @dataclass(frozen=True)
@@ -131,11 +164,15 @@ class EvolutionConfig:
                 "switch count horizon / epsilon^2 is not a finite float",
                 "epsilon",
             )
-        block = _switch_block(self.horizon / mean_wait)
+        finite = isinstance(self.switching, DiscreteSwitching)
+        if finite:
+            block, unit = 2 * _pair_chunk(self.horizon / mean_wait), "uniforms"
+        else:
+            block, unit = _switch_block(self.horizon / mean_wait), "waits"
         if block > _MAX_FLOAT64S:
             raise FieldError(
                 f"epsilon {self.epsilon} is too small for horizon {self.horizon}: a path's "
-                f"block of {block:.3g} waits is more float64 values than numpy can index",
+                f"block of {block:.3g} {unit} is more float64 values than numpy can index",
                 "epsilon",
             )
         if not self.n_paths >= 1:
@@ -148,14 +185,16 @@ class EvolutionConfig:
             raise FieldError(f"x0 must be finite, got {self.x0.tolist()}", "x0")
         if self.profile.dimension != self.dimension:
             raise FieldError(f"dimension {self.profile.dimension} != {self.dimension}", "profile")
-        if isinstance(self.switching, DiscreteSwitching):
-            if self.switching.angles.shape[1] != self.dimension - 1:
-                raise FieldError("switching angles do not match the dimension", "switching.angles")
-        elif self.profile.atoms:  # the mixture law needs masses that sum to at most 1
+        if finite and self.switching.angles.shape[1] != self.dimension - 1:
+            raise FieldError("switching angles do not match the dimension", "switching.angles")
+        if self.profile.atoms:
             try:
-                self.switching.atom_masses(self.dimension, self.profile.atoms)
+                if finite:  # each atom must lie on one of the law's directions
+                    grid_speeds(self.profile, self.switching.grid())
+                else:  # the mixture law needs masses that sum to at most 1
+                    self.switching.atom_masses(self.dimension, self.profile.atoms)
             except FieldError as exc:
-                exc.field = f"profile.{exc.field}"
+                exc.field = "profile" if exc.field is None else f"profile.{exc.field}"
                 raise
         if self.initial_direction is not None:
             init = np.atleast_1d(np.asarray(self.initial_direction, dtype=float))
@@ -232,26 +271,30 @@ class _PathStreams:
     rekey(i) sets counter 0, key words [i, seed] and an empty buffer: the
     state of a fresh Generator(Philox(key=(seed << 64) + i)), so the draws
     are the same. Building a fresh Philox would first seed a SeedSequence
-    from OS entropy that the key then overrides; re-keying skips that.
+    from OS entropy that the key then overrides; re-keying skips that. The
+    fresh state holds its words as Python ints, which the Philox.state
+    setter copies in half the time it takes to read numpy arrays.
     """
 
     def __init__(self, seed: int):
         self._bit_generator = Philox(key=int(seed) << 64)
-        self._generator = Generator(self._bit_generator)
-        self._fresh_state = self._bit_generator.state
-        self._key = self._fresh_state["state"]["key"]
+        self.generator = Generator(self._bit_generator)
+        fresh = self._bit_generator.state
+        fresh["state"] = {name: [int(w) for w in words] for name, words in fresh["state"].items()}
+        fresh["buffer"] = [int(w) for w in fresh["buffer"]]
+        self._fresh_state, self._key = fresh, fresh["state"]["key"]
 
     def rekey(self, path_index: int) -> Generator:
         self._key[0] = path_index
         self._bit_generator.state = self._fresh_state
-        return self._generator
+        return self.generator
 
 
 def _draw_switch_times(rng: Generator, mean: float, block: int, horizon: float) -> np.ndarray:
-    """Event epochs of the Poisson clock inside (0, horizon): blocks of waits
-    until their sum passes the horizon. _PathKernel.batches draws the first
-    block of every path itself and replays here only the paths that need
-    more."""
+    """Event epochs of the Poisson clock inside (0, horizon) under uniform
+    switching: blocks of waits until their sum passes the horizon.
+    _PathKernel.batches draws the first block of every path itself and
+    replays here only the paths that need more."""
     waits = rng.exponential(mean, size=block)
     total = float(waits.sum())
     while total < horizon:
@@ -261,6 +304,32 @@ def _draw_switch_times(rng: Generator, mean: float, block: int, horizon: float) 
     epochs = np.cumsum(waits)
     m = int(np.searchsorted(epochs, horizon))
     return epochs[:m]
+
+
+def _waits(uniforms: np.ndarray, mean: float) -> np.ndarray:
+    """-mean * log1p(-u), computed alike on a path's row and a batch's rows."""
+    waits = np.negative(uniforms)
+    np.log1p(waits, out=waits)
+    waits *= -mean
+    return waits
+
+
+def _draw_pairs(
+    rng: Generator, mean: float, chunk: int, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(segment end times, direction uniforms) of one path under a finite
+    law: chunks of `chunk` uniform pairs until a switch time reaches the
+    horizon. _PathKernel.batches draws the first chunk of every path itself
+    and replays here only the paths that need more."""
+    pairs = rng.random(2 * chunk)
+    while True:
+        epochs = np.cumsum(_waits(pairs[0::2], mean))
+        m = int(np.sum(epochs < horizon))
+        if m < epochs.size:
+            break
+        pairs = np.concatenate([pairs, rng.random(2 * chunk)])
+    epochs[m] = horizon
+    return epochs[: m + 1], pairs[1 : 2 * m + 2 : 2]
 
 
 # Segments per batch, on average: a batch takes _BATCH_ROWS / (T/eps^2 + 1)
@@ -311,11 +380,10 @@ class _PathKernel:
     arithmetic, done once per batch of paths.
 
     Each path draws from its own stream: the draws it uses, and their
-    order, are those of one fresh stream per path (a finite law draws a
-    block of uniforms, of which the path uses a prefix). Everything after
-    the draws runs on a whole batch at once, on column-major arrays
-    (n, rows) with one column per segment, with the bits of the per-path
-    arithmetic.
+    order, are those of the stream layout (a path may draw more than it
+    uses after them). Everything after the draws runs on a whole batch at
+    once, on column-major arrays (n, rows) with one column per segment,
+    with the bits of the per-path arithmetic.
     """
 
     def __init__(self, config: EvolutionConfig):
@@ -324,34 +392,37 @@ class _PathKernel:
         eps, init = config.epsilon, config.initial_direction
         self._mean = eps * eps
         expected = config.horizon / self._mean
-        self._block = _switch_block(expected)
         self._batch_paths = max(1, int(_BATCH_ROWS / (expected + 1.0)))
-        # 1 when the first segment of each path has the fixed initial
-        # direction: that row holds no draw.
+        # 1 when the first segment of each path has the fixed initial direction
         self._fixed_rows = int(init is not None)
         _keep_batch_memory()
-        law, atoms = config.switching, config.profile.atoms
+        law, profile = config.switching, config.profile
         # Under uniform switching with atoms: the cumulative atom masses and
         # the atoms' directions as columns.
         self._atom_cdf = None
         if isinstance(law, DiscreteSwitching):
-            # Columns: the law's directions, then the initial direction.
-            angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
-            directions = directions_from_angles(angles)
-            self._table = directions.T.copy()
-            c, c1 = config.profile.values_on(directions)
-            self._table_speeds = c / eps + c1
+            # Uniform pairs per path at first (_block) and the table's
+            # columns: the law's directions, then the initial direction.
+            self._block = _pair_chunk(expected)
+            grid = law.grid()  # its rows of positive probability
+            c, c1 = grid_speeds(profile, grid)
+            directions, self._first_index = grid.directions, grid.size
+            if init is not None:
+                first = directions_from_angles(init)[None, :]
+                c, c1 = (np.concatenate(pair) for pair in zip((c, c1), profile.values_on(first)))
+                directions = np.vstack([directions, first])
+            self._table, self._table_speeds = directions.T.copy(), c / eps + c1
             # Generator.choice(K, size, p=p) draws exactly this way.
-            self._cdf = law.probabilities.cumsum()
+            self._cdf = grid.weights.cumsum()
             self._cdf /= self._cdf[-1]
-            self._first_index = law.angles.shape[0]
         else:
+            self._block = _switch_block(expected)  # standard exponentials per path at first
             self._cdf = None
             if init is not None:
                 self._first = directions_from_angles(init)
-            if atoms:
-                self._atom_cdf = law.atom_masses(config.dimension, atoms).cumsum()
-                self._atom_table = np.stack([atom.direction for atom in atoms], axis=1)
+            if profile.atoms:
+                self._atom_cdf = law.atom_masses(config.dimension, profile.atoms).cumsum()
+                self._atom_table = np.stack([atom.direction for atom in profile.atoms], axis=1)
 
     def batches(
         self, start: int, stop: int
@@ -361,65 +432,36 @@ class _PathKernel:
 
         Yields (first path, rows per path, times, draws) with one row per
         segment, path after path. times holds the segment end times: the
-        switch times, then the horizon. draws holds (rows, n) normals under
-        uniform switching, (rows, 1 + n) with each row's uniform first when
-        the profile has atoms, and (rows,) uniforms under a finite law; with
-        a fixed initial direction, the first row of each path is a
-        placeholder. Uniform switching's normals are a view of a buffer that
-        the next batch reuses.
+        switch times, then the horizon. draws holds (rows,) direction
+        uniforms under a finite law, (rows, n) normals under uniform
+        switching, and (rows, 1 + n) with each row's uniform first when the
+        profile has atoms; with a fixed initial direction, the first row of
+        each path is not used. Uniform switching's normals are a view of a
+        buffer that the next batch reuses.
         """
-        horizon, fixed, block, mean = self.config.horizon, self._fixed_rows, self._block, self._mean
-        uniform, per_batch = self._cdf is None, self._batch_paths
-        mixture = self._atom_cdf is not None
-        waits, switches = np.empty((per_batch, block)), np.empty(per_batch, dtype=np.intp)
+        horizon, block = self.config.horizon, self._block
+        per_batch, finite = self._batch_paths, self._cdf is not None
+        switches = np.empty(per_batch, dtype=np.intp)
         # A spare column: the horizon follows a path's last epoch below it.
         epochs = np.empty((per_batch, block + 1))
-        # Path j is short when the pairwise sum of its waits falls short of
-        # the horizon, so that it tops them up before its directions (the
-        # test of _draw_switch_times), or when all its epochs do, so that it
-        # has more rows than a block. Short paths are replayed alone.
+        # Path j is short when its first draw ends before the horizon (see
+        # _draw_pairs and _draw_switch_times), so that it draws more before
+        # it ends. Short paths are replayed alone.
         shorts = np.empty(per_batch, dtype=bool)
-        if uniform:  # the batch's rows of normals, path after path
-            normals = np.empty((per_batch * block, self.config.dimension))
-            picks = np.empty(per_batch * block) if mixture else None  # their uniforms
-        else:  # row j: path j's placeholder, if any, then its uniforms
-            padded = np.empty((per_batch, block + 1))
-            padded[:, :fixed] = 1.0
         paths, columns = np.arange(per_batch), np.arange(block + 1)
+        # Each loop fills the paths' rows of epochs, switches and shorts.
+        loop = self._pair_loop if finite else self._clock_loop
+        draw_rows = loop(epochs, switches, shorts)
         for first in range(start, stop, per_batch):
             size = min(per_batch, stop - first)
-            w, t, m, short = waits[:size], epochs[:size], switches[:size], shorts[:size]
-            used = 0
-            for j in range(size):
-                rng = self._streams.rekey(first + j)
-                rng.standard_exponential(out=w[j])
-                if not uniform:  # its uniforms are a prefix of these
-                    rng.random(out=padded[j, fixed:])
-                    continue
-                # Its normals follow, n per segment: run its clock first.
-                w[j] *= mean
-                m[j] = np.cumsum(w[j], out=t[j, :block]).searchsorted(horizon)
-                short[j] = w[j].sum() < horizon or m[j] == block
-                if not short[j]:
-                    rows = m[j] + 1
-                    normals[used : used + fixed] = 1.0  # nonzero, so its norm is finite
-                    if mixture:  # the rows' uniforms, then their normals
-                        picks[used : used + fixed] = 1.0  # a placeholder, as above
-                        rng.random(out=picks[used + fixed : used + rows])
-                    rng.standard_normal(out=normals[used + fixed : used + rows])
-                    used += rows
-            if not uniform:  # the same arithmetic, once for the whole batch
-                w *= mean  # the bits of rng.exponential(mean, size=block)
-                np.cumsum(w, axis=1, out=t[:, :block])
-                np.sum(t[:, :block] < horizon, axis=1, out=m)
-                short[:] = (w.sum(axis=1) < horizon) | (m == block)
+            t, m, short = epochs[:size], switches[:size], shorts[:size]
+            draws = draw_rows(first, size)
             t[paths[:size], m] = horizon  # the end of each path's last segment
             counts = np.where(short, 0, m + 1)
             taken = columns < counts[:, None]
             times = t[taken]
-            draws = normals[:used] if uniform else padded[:size][taken]
-            if mixture:
-                draws = np.column_stack([picks[:used], draws])
+            if finite:  # the padded rows' picks, cut as the times are
+                draws = draws[taken[:, :block]]
             replay = np.flatnonzero(short)
             if replay.size:
                 at = np.cumsum(counts)[replay]  # where each replayed path's rows go
@@ -430,19 +472,76 @@ class _PathKernel:
                 draws = np.insert(draws, at, np.concatenate([r[1] for r in replayed]), axis=0)
             yield first, counts, times, draws
 
+    def _pair_loop(self, epochs: np.ndarray, switches: np.ndarray, shorts: np.ndarray):
+        """The draw loop of a finite law: one Generator.random call per path
+        fills its row of a padded buffer with a chunk of its stream, then
+        the waits, epochs and switch counts of the whole batch follow at
+        once. It returns the rows' picks, padded, a view of a buffer the
+        next batch reuses."""
+        horizon, block, mean = self.config.horizon, self._block, self._mean
+        pairs = np.empty((self._batch_paths, 2 * block))  # row j: path j's wait, pick, ...
+        rekey, random, rows = self._streams.rekey, self._streams.generator.random, list(pairs)
+
+        def draw_rows(first: int, size: int) -> np.ndarray:
+            for j in range(size):
+                rekey(first + j)
+                random(out=rows[j])
+            t, m = epochs[:size, :block], switches[:size]
+            np.cumsum(_waits(pairs[:size, 0::2], mean), axis=1, out=t)
+            np.sum(t < horizon, axis=1, out=m)
+            np.equal(m, block, out=shorts[:size])
+            return pairs[:size, 1::2]
+
+        return draw_rows
+
+    def _clock_loop(self, epochs: np.ndarray, switches: np.ndarray, shorts: np.ndarray):
+        """The draw loop of uniform switching: each path runs its own clock
+        on its block of waits, then draws its rows' variates into the
+        batch's rows. It returns them, a view of buffers the next batch
+        reuses."""
+        horizon, fixed, block, mean = self.config.horizon, self._fixed_rows, self._block, self._mean
+        per_batch, mixture = self._batch_paths, self._atom_cdf is not None
+        waits = np.empty((per_batch, block))
+        normals = np.empty((per_batch * block, self.config.dimension))
+        picks = np.empty(per_batch * block) if mixture else None  # their uniforms
+        rekey = self._streams.rekey
+
+        def draw_rows(first: int, size: int) -> np.ndarray:
+            used = 0
+            for j in range(size):
+                rng = rekey(first + j)
+                w, t = waits[j], epochs[j, :block]
+                rng.standard_exponential(out=w)
+                w *= mean  # the bits of rng.exponential(mean, size=block)
+                m = switches[j] = np.cumsum(w, out=t).searchsorted(horizon)
+                shorts[j] = w.sum() < horizon or m == block
+                if not shorts[j]:
+                    rows = m + 1
+                    normals[used : used + fixed] = 1.0  # nonzero, so its norm is finite
+                    if mixture:  # the rows' uniforms, then their normals
+                        picks[used : used + fixed] = 1.0  # a placeholder, as above
+                        rng.random(out=picks[used + fixed : used + rows])
+                    rng.standard_normal(out=normals[used + fixed : used + rows])
+                    used += rows
+            if mixture:
+                return np.column_stack([picks[:used], normals[:used]])
+            return normals[:used]
+
+        return draw_rows
+
     def _replay(self, path_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """(times, draws) of one short path, drawn alone with as many blocks
-        of waits as it needs."""
+        """(times, draws) of one short path, drawn alone with as many chunks
+        of its stream as it needs."""
         rng = self._streams.rekey(path_index)
+        if self._cdf is not None:
+            return _draw_pairs(rng, self._mean, self._block, self.config.horizon)
         horizon, fixed = self.config.horizon, self._fixed_rows
         times = np.append(_draw_switch_times(rng, self._mean, self._block, horizon), horizon)
         k = times.size - fixed
-        if self._cdf is not None:
-            draws = rng.random(k)
-        else:  # with atoms, the rows' uniforms, then their normals
-            picks = [rng.random((k, 1))] if self._atom_cdf is not None else []
-            draws = np.hstack(picks + [rng.standard_normal((k, self.config.dimension))])
-        return times, np.concatenate([np.ones((fixed,) + draws.shape[1:]), draws])
+        # with atoms, the rows' uniforms, then their normals
+        picks = [rng.random((k, 1))] if self._atom_cdf is not None else []
+        draws = np.hstack(picks + [rng.standard_normal((k, self.config.dimension))])
+        return times, np.concatenate([np.ones((fixed, draws.shape[1])), draws])
 
     def arrange(
         self, counts: np.ndarray, times: np.ndarray, draws: np.ndarray
@@ -457,7 +556,9 @@ class _PathKernel:
             idx = self._cdf.searchsorted(draws, side="right")
             if self._fixed_rows:
                 idx[starts] = self._first_index
-            dirs, speeds = self._table[:, idx], self._table_speeds[idx]
+            # take, not fancy indexing: the same entries, several times faster
+            # along the second axis
+            dirs, speeds = self._table.take(idx, axis=1), self._table_speeds.take(idx)
         else:
             mixture = self._atom_cdf is not None
             dirs = _unit_columns(draws[:, 1:] if mixture else draws)

@@ -281,6 +281,15 @@ INVALID_CONFIGS = [
         2,
         "config.evolution.profile.atoms",
     ),
+    # example3_atoms's atom at pi / 2 lies on none of the law's directions
+    ("atom_off_the_law_limit_coeffs", "limit-coeffs",
+     {"evolution": dict(BASE_EVOLUTION, profile={"name": "example3_atoms"},
+                        switching=two_point_law([0.5, 0.5]))},
+     [], 2, "config.evolution.profile.atoms"),
+    ("atom_off_the_law_simulate", "simulate",
+     {"evolution": dict(BASE_EVOLUTION, profile={"name": "example3_atoms"},
+                        switching=two_point_law([0.5, 0.5]))},
+     [], 2, "config.evolution.profile.atoms"),
     (
         "angle_row_not_numeric",
         "simulate",
@@ -513,6 +522,16 @@ ERROR_LINES = {
         '{"error": {"kind": "schema", "message": "config.evolution.profile.atoms: the atoms\' '
         'masses weight / N (N = 6.283185307179586) sum to 1.2732395447351628, more than 1", '
         '"path": "config.evolution.profile.atoms"}}'
+    ),
+    "atom_off_the_law_limit_coeffs": (
+        '{"error": {"kind": "schema", "message": "config.evolution.profile.atoms: atom 2 at '
+        "angles [1.5707963267948966] lies on no point node of the switching law's grid, so "
+        'the law never takes its direction", "path": "config.evolution.profile.atoms"}}'
+    ),
+    "atom_off_the_law_simulate": (
+        '{"error": {"kind": "schema", "message": "config.evolution.profile.atoms: atom 2 at '
+        "angles [1.5707963267948966] lies on no point node of the switching law's grid, so "
+        'the law never takes its direction", "path": "config.evolution.profile.atoms"}}'
     ),
     "angle_row_not_numeric": (
         '{"error": {"kind": "schema", "message": "config.evolution.switching.angles[1]: '
@@ -750,7 +769,7 @@ class TestArtifactBytes:
         ("discrete_compass", "verify-operators", "operator_report.json"):
             "4114014ab4815379c9518eb7a0c99f6ac63fef219a96749e2e2d9bfb3d31e5c8",
         ("discrete_compass", "report", "moments.csv"):
-            "bd7e58f234768ca01473a1110471f2a03aaf68230a5d40dad2ed1b3ee52afeef",
+            "1aea266512aabb90f0b4fd461aff0a807103711d0394da67302370d6df2196b8",
         ("discrete_atoms", "limit-coeffs", "limit_coeffs.json"):
             "95921556a96cc43f52fa84c81ce3b10f6bb66c1c55086c83fac5b933ae93912b",
         ("discrete_atoms", "verify-operators", "operator_report.json"):
@@ -984,7 +1003,7 @@ class TestSimulate:
                     "probabilities": [0.1, 0.2, 0.3, 0.4],
                 },
             ),
-            "a4139fabef45680fe193d1a28a0435f46468dab8b544e78e0f7a6cdb20e52173",
+            "8f33227db4fa800662e4e8f8f245aebb6fc19d0be1435f0a5a5d55b801f0818f",
         ),
     }
 
@@ -1029,6 +1048,13 @@ class TestSimulate:
         assert manifest["mode"] == "simulate"
         assert manifest["seed"] == 7
         assert manifest["config"]["evolution"]["n_paths"] == 400
+
+    @pytest.mark.parametrize("mode", ["simulate", "limit-coeffs"])
+    def test_manifest_records_the_stream_layout(self, tmp_path, mode):
+        path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION, n_paths=20)})
+        out = tmp_path / "m"
+        assert main([mode, "--config", path, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["stream_layout"] == 2
 
 
 class TestConvergeAndReport:

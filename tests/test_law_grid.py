@@ -66,8 +66,9 @@ def law_config(profile, angles, probabilities, **overrides):
 @st.composite
 def finite_laws(draw):
     """(profile, angles, probabilities): a built-in profile and a law of K
-    directions with positive probabilities. A symmetric law puts equal mass
-    on antipodal pairs, so that every built-in profile is balanced on it."""
+    directions with positive probabilities, among them the directions of
+    the profile's atoms. A symmetric law puts equal mass on antipodal pairs,
+    so that every built-in profile is balanced on it."""
     n = draw(st.integers(2, 4))
     names = [name for name in BUILTIN_NAMES if (name != "sin_theta1" or n >= 3)
              and (name != "example3_atoms" or n == 2)]
@@ -76,6 +77,8 @@ def finite_laws(draw):
     if n == 2:
         angle = st.sampled_from(COMPASS) | st.floats(0.0, 2.0 * math.pi, exclude_max=True)
         rows = np.array([[draw(angle)] for _ in range(k)])
+        if profile.atoms:  # a law must take each atom's direction
+            rows, k = np.vstack([EXAMPLE3_ANGLES, rows]), k + 3
     else:
         polar = st.floats(0.05, math.pi - 0.05)
         azimuth = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
@@ -145,9 +148,8 @@ class TestOneLimitFormula:
         np.testing.assert_array_equal(limit.diffusion, without.diffusion)
 
     def test_zero_probability_state_still_starts_a_path(self):
-        # the simulator reads the law itself, so a zero-probability state is
-        # still a valid initial direction, with the bytes it had before the
-        # law's grid dropped such states
+        # a zero-probability state is still a valid initial direction, and
+        # the law's grid, which drops such states, draws the same paths
         profile = builtin_profile("example3_atoms", 2)
         with_zero = np.array([[0.0], [math.pi], [1.5 * math.pi], [math.pi / 2.0]])
         start = np.array([1.5 * math.pi])
@@ -155,7 +157,7 @@ class TestOneLimitFormula:
                          initial_direction=start)
         points = simulate_ensemble(cfg, workers=1).points
         assert hashlib.sha256(points.tobytes()).hexdigest() == (
-            "f53ecfd464e7f197d8e0e39c08c4033ccb0b73c5ba1a3ea40f38f3077b5fe87a"
+            "4418f5f9ab0ac81b699beb20a0ffd54b4fc1822c097675d57cc0b682915a4599"
         )
         without = law_config(profile, EXAMPLE3_ANGLES, np.full(3, 1.0 / 3.0),
                              initial_direction=start)

@@ -89,6 +89,14 @@ class TestConfig:
                 DiscreteSwitching([[0.0], [bad]], [0.5, 0.5])
             assert err.value.field == "angles"
 
+    def test_atom_off_the_finite_law_is_rejected(self):
+        # example3_atoms's atom at pi / 2 carries c1 = 1: a law without that
+        # direction would drop it, and the drift with it
+        law = DiscreteSwitching(np.array([[0.0], [math.pi]]), np.array([0.5, 0.5]))
+        with pytest.raises(FieldError, match="atom 2 at angles") as err:
+            example3_config(switching=law)
+        assert err.value.field == "profile.atoms"
+
     def test_discrete_probabilities_validated(self):
         with pytest.raises(ValueError):
             DiscreteSwitching(np.array([[0.0], [1.0]]), np.array([0.6, 0.5]))
@@ -245,6 +253,43 @@ class TestDiscreteSwitchingLaw:
             assert min(np.linalg.norm(d - a) for a in allowed) <= 1e-14
 
 
+class TestFiniteLawExactMoments:
+    """From a stationary start the endpoint has, at any eps, E X_T = x0 + d T
+    and Cov X_T = 2 Sigma_v (eps^2 T - eps^4 (1 - exp(-T / eps^2))), with
+    v = c / eps + c1, d = E[v s] and Sigma_v = E[v^2 s s^T] - d d^T over
+    the law: no limit tolerance, judged in standard errors."""
+
+    @pytest.mark.parametrize("eps, seed", [(0.3, 41), (0.5, 42)])
+    def test_compass_law(self, eps, seed):
+        angles = np.array([[0.0], [math.pi / 2], [math.pi], [1.5 * math.pi]])
+        p, horizon, n_paths = np.array([0.1, 0.2, 0.3, 0.4]), 1.0, 20_000
+        profile = builtin_profile("step_half_sphere", 2)
+        cfg = msre_config(profile=profile, switching=DiscreteSwitching(angles, p), epsilon=eps,
+                          horizon=horizon, n_paths=n_paths, seed=seed, x0=np.array([0.5, -0.25]))
+        s = directions_from_angles(angles)
+        c, c1 = profile.values_on(s)
+        v = c / eps + c1
+        d = np.einsum("k,k,ki->i", p, v, s)
+        sigma_v = np.einsum("k,k,ki,kj->ij", p, v * v, s, s) - np.outer(d, d)
+        k = eps**2 * horizon - eps**4 * (1.0 - math.exp(-horizon / eps**2))
+        mean, cov = cfg.x0 + d * horizon, 2.0 * k * sigma_v
+
+        x = simulate_ensemble(cfg, workers=1).points
+        z_mean = (x.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / n_paths)
+        centred = x - x.mean(axis=0)
+        products = centred[:, :, None] * centred[:, None, :]
+        got_cov = products.sum(axis=0) / (n_paths - 1)
+        z_cov = (got_cov - cov) / (products.std(axis=0, ddof=1) / math.sqrt(n_paths))
+        assert np.all(np.abs(z_mean) <= 4.0) and np.all(np.abs(z_cov) <= 4.0), (z_mean, z_cov)
+
+        # the first wait is exponential with mean eps^2, seen when it ends
+        # before the horizon (at eps 0.5 about 1.8% of the paths never switch)
+        first = [t.switch_times[0] for t in simulate_paths(cfg, 0, 4000) if t.switch_times.size]
+        law = scipy_stats.expon(scale=eps**2)
+        seen = law.cdf(horizon)
+        assert scipy_stats.kstest(first, lambda w: law.cdf(w) / seen).pvalue > 0.01
+
+
 def example3_config(**overrides):
     """Example 3 under uniform switching, from a stationary start."""
     return msre_config(**dict(dict(profile=builtin_profile("example3_atoms", 2)), **overrides))
@@ -275,7 +320,8 @@ class TestMixtureSwitching:
         atom = Atom(np.array([math.pi / 2.0]), 1.0, 0.0, 1.0)
         continuous = builtin_profile("msre_const", 2).continuous_c
         profile = VelocityProfile(2, continuous_c=continuous, atoms=(atom,))
-        law = DiscreteSwitching(np.array([[0.0], [math.pi]]), np.array([0.5, 0.5]))
+        law = DiscreteSwitching(np.array([[0.0], [math.pi / 2.0], [math.pi]]),
+                                np.array([0.25, 0.5, 0.25]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             simulate_ensemble(msre_config(profile=profile, n_paths=3))
@@ -328,6 +374,17 @@ class TestPathStreams:
         got = self.draws(streams.rekey(index))
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rekey_matches_fresh_philox_at_the_key_corners(self, seed):
+        streams = _PathStreams(seed)  # re-keyed from index to index, used in between
+        for index in (0, 1, 2**64 - 1, 0):
+            rng = streams.rekey(index)
+            fresh = Generator(Philox(key=(seed << 64) + index))
+            for method, size in (("random", 9), ("standard_exponential", 5),
+                                 ("standard_normal", 7), ("random", 3)):
+                got, want = getattr(rng, method)(size), getattr(fresh, method)(size)
+                assert got.tobytes() == want.tobytes(), (index, method)
 
     @pytest.mark.parametrize("seed,index", CASES)
     def test_rekey_after_use_matches_fresh_philox(self, seed, index):
@@ -403,24 +460,27 @@ def _pinned_configs():
 
 
 class TestPinnedStreams:
-    """Endpoint bytes of small configs (x86-64, numpy 2.4). The first four
-    were recorded before the per-block kernel replaced the per-path set-up,
-    the next four before the column-major batched kernel replaced the
-    per-path arithmetic, discrete_last_single before padded batches
-    replaced the per-path switch clock, and the two uniform_atoms pins when
-    atoms became nodes of the uniform law's mixture. A change of the stream
-    layout or of the path arithmetic changes these digests."""
+    """Endpoint bytes of small configs (x86-64 with AVX-512, numpy 2.4),
+    under stream layout 2 (simulator.STREAM_LAYOUT). The seven uniform-law
+    pins keep the bytes of layout 1, which layout 2 did not change: the
+    first two were recorded before the per-block kernel replaced the
+    per-path set-up, the next three before the column-major batched kernel
+    replaced the per-path arithmetic, and the two uniform_atoms pins when
+    atoms became nodes of the uniform law's mixture. The four finite-law
+    pins were recorded when layout 2 drew a finite law's waits and picks as
+    uniform pairs. A change of the stream layout or of the path arithmetic
+    changes these digests."""
 
     DIGESTS = {
         "uniform_step_n3": "03b81ac96611c4861a57a145422f00fd9536021ea9bd62d45852d957041d363e",
         "uniform_initial": "f675ccceb073907838b10540080f85e047dc9abec3a3a5be4cf60ee5b8d59076",
-        "discrete_atoms": "2629dd45923708de708fcc909c25e122d52a20b9ed207ff43047098b30452e61",
-        "discrete_initial": "5048537a99a6460ddb514f0161c1045926d2db6f802d3b642a291145ed9e0555",
+        "discrete_atoms": "489c6daf228dd3b37d7bcee57471e1eddbac5e08560d0a2873a8bb6f921dc94c",
+        "discrete_initial": "fb099a9ed0e27ec403ea469a9f160a9ba2a90b5f5f321ee231c7fdd08de7929d",
         "uniform_sine_n5_long": "f61053fa2abe291db41d79dbba6e66b6524c063a3a86e9eb9faeb5cc32025479",
         "uniform_msre_n8": "f27d35d925522013d6542a975abef44aacd5d407bdbc86d9946730e41d62c2b8",
         "uniform_user_callable": "36730d70fea85251253e31572a40377db9ff0f7755db2172c15d0459e8e3e1a7",
-        "discrete_batch_edge": "c340548ead1d86b76d5f0c76568d9b58108711982551a34d3dabd9371c5b5409",
-        "discrete_last_single": "d182b21adb736726cadcdb06ebf80857c0ce8fa7e6a150032f0482b320632af1",
+        "discrete_batch_edge": "18dbd42f04964121f0de7f5d0378b9b137b7089e98fda59c9daa9424ecf70d16",
+        "discrete_last_single": "f476a907366c76f6cda658012a3f79e2077daae7ae3a924ac5b871de69396d4b",
         "uniform_atoms": "6a16353110c4950280f0e0f2ea3bedf50b0219ff2dad713ee4ca67e102118b19",
         "uniform_atoms_initial": "fc1f0595b908ae1e94c2d8670c96191bbc077df095cfff64db1572da6eda8505",
     }
@@ -454,6 +514,16 @@ class TestPinnedStreams:
         last = list(_PathKernel(edge).batches(0, edge.n_paths))[-1]
         assert last[0] == edge.n_paths - 1 and last[1].size == 1
 
+    @pytest.mark.parametrize("name", [key for key in sorted(DIGESTS) if key.startswith("discrete")])
+    def test_layout_2_does_not_depend_on_the_chunk(self, name):
+        # the stream is a sequence of uniform pairs, however many a path
+        # draws at once
+        cfg = _pinned_configs()[name]
+        points = simulate_ensemble(cfg, workers=1).points
+        assert _PathKernel(cfg)._block > 7
+        for chunk in (2, 7):
+            assert chunked_endpoints(cfg, chunk).tobytes() == points.tobytes()
+
     @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "discrete_batch_edge",
                                       "uniform_atoms", "uniform_atoms_initial"])
     def test_worker_count_keeps_the_bytes(self, name):
@@ -464,27 +534,33 @@ class TestPinnedStreams:
 
 
 @st.composite
-def small_configs(draw):
-    """A config of 1..300 paths, n = 2..4, under the uniform law or a finite
-    law of 1..4 directions; a batch holds about 20 paths at eps 0.05 and
-    about 180 at eps 0.15. At n = 2 the profile may be example3_atoms."""
+def small_configs(draw, finite=None):
+    """A config of 1..300 paths, n = 2..4, at eps 0.05..0.5, under the
+    uniform law or a finite law of 1..4 directions (finite=None draws
+    which), the finite law with or without a fixed initial direction; a
+    batch holds about 20 paths at eps 0.05 and about 1600 at eps 0.5. At
+    n = 2 the profile may be example3_atoms, whose atoms a finite law then
+    takes among its directions."""
     n = draw(st.integers(2, 4))
     names = ["msre_const", "step_half_sphere"] + ["example3_atoms"] * (n == 2)
     profile = builtin_profile(draw(st.sampled_from(names)), n)
-    switching = UniformSphere()
-    if draw(st.booleans()):
+    switching, initial = UniformSphere(), None
+    polar = st.floats(0.0, math.pi, exclude_max=True)
+    azimuth = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+    if draw(st.booleans()) if finite is None else finite:
         k = draw(st.integers(1, 4))
-        polar = st.floats(0.0, math.pi, exclude_max=True)
-        azimuth = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
         rows = [[draw(polar) for _ in range(n - 2)] + [draw(azimuth)] for _ in range(k)]
-        mass = np.array([draw(st.floats(0.05, 1.0)) for _ in range(k)])
+        rows += [atom.angles.tolist() for atom in profile.atoms]
+        mass = np.array([draw(st.floats(0.05, 1.0)) for _ in rows])
         switching = DiscreteSwitching(np.array(rows), mass / mass.sum())
+        if draw(st.booleans()):
+            initial = np.array([draw(polar) for _ in range(n - 2)] + [draw(azimuth)])
     return EvolutionConfig(
-        dimension=n, epsilon=draw(st.floats(0.05, 0.15)), profile=profile, horizon=1.0,
+        dimension=n, epsilon=draw(st.floats(0.05, 0.5)), profile=profile, horizon=1.0,
         x0=np.array([draw(st.floats(-2.0, 2.0)) for _ in range(n)]),
         n_paths=draw(st.integers(1, 40) | st.integers(100, 300)),
         seed=draw(st.integers(0, 2**64 - 1)),
-        switching=switching,
+        switching=switching, initial_direction=initial,
     )
 
 
@@ -499,23 +575,62 @@ def test_simulate_path_replays_the_ensemble_row(cfg):
         assert simulate_path(cfg, i).endpoint.tobytes() == points[i].tobytes()
 
 
+def chunked_endpoints(cfg, chunk):
+    """Endpoints of every path by a kernel that draws `chunk` uniform pairs
+    per path at first: under a finite law, a path that needs more continues
+    its stream in chunks of as many."""
+    kernel = _PathKernel(cfg)
+    kernel._block = chunk
+    return np.concatenate([kernel.endpoints(counts, times, draws)
+                           for _, counts, times, draws in kernel.batches(0, cfg.n_paths)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs(finite=True), st.integers(1, 8))
+def test_finite_law_bytes_do_not_depend_on_the_chunk(cfg, chunk):
+    # a chunk of 1..8 pairs makes most paths continue their streams
+    points = simulate_ensemble(cfg, workers=1).points
+    assert chunked_endpoints(cfg, chunk).tobytes() == points.tobytes()
+
+
 def _per_path_reference(config, block, path_index):
-    """One path by the per-path formulas of the kernel before the batched
-    one: (switch_times, directions, displacements, endpoint)."""
+    """One path by per-path formulas: (switch_times, directions,
+    displacements, endpoint). Under uniform switching these are the formulas
+    of the kernel before the batched one, whose first draw is a block of
+    waits. Under a finite law they follow the stream layout one uniform pair
+    at a time, so block is unused."""
     eps, horizon, n = config.epsilon, config.horizon, config.dimension
     init = config.initial_direction
     rng = Generator(Philox(key=(int(config.seed) << 64) + path_index))
-    waits = rng.exponential(eps * eps, size=block)
-    total = float(waits.sum())
-    while total < horizon:
-        more = rng.exponential(eps * eps, size=block)
-        waits = np.concatenate([waits, more])
-        total += float(more.sum())
-    epochs = np.cumsum(waits)
-    switch_times = epochs[: int(np.searchsorted(epochs, horizon))]
-    n_draw = switch_times.size + (init is None)
     law, atoms = config.switching, config.profile.atoms
-    if isinstance(law, UniformSphere):
+    if isinstance(law, DiscreteSwitching):
+        # segment k draws (u_2k, u_2k+1): it waits -eps^2 log1p(-u_2k) and
+        # picks the law's row cdf.searchsorted(u_2k+1, side="right"); the path
+        # ends at the first segment whose switch time reaches the horizon
+        cdf = law.probabilities.cumsum()
+        cdf /= cdf[-1]
+        epochs, idx = [], []
+        while not epochs or epochs[-1] < horizon:
+            u = rng.random(2)
+            wait = float(np.log1p(-u[:1])[0]) * -(eps * eps)
+            epochs.append(epochs[-1] + wait if epochs else wait)
+            idx.append(int(cdf.searchsorted(u[1], side="right")))
+        switch_times = np.array(epochs[:-1])
+        angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
+        if init is not None:
+            idx[0] = law.angles.shape[0]  # segment 0's pick is drawn and not used
+        c, c1 = config.profile.values_at(angles)
+        dirs, speeds = directions_from_angles(angles)[idx], (c / eps + c1)[idx]
+    else:
+        waits = rng.exponential(eps * eps, size=block)
+        total = float(waits.sum())
+        while total < horizon:
+            more = rng.exponential(eps * eps, size=block)
+            waits = np.concatenate([waits, more])
+            total += float(more.sum())
+        epochs = np.cumsum(waits)
+        switch_times = epochs[: int(np.searchsorted(epochs, horizon))]
+        n_draw = switch_times.size + (init is None)
         # with atoms, a uniform per row, then the rows' normals
         picks = rng.random(n_draw) if atoms else None
         g = rng.standard_normal((n_draw, n))
@@ -528,15 +643,6 @@ def _per_path_reference(config, block, path_index):
             dirs = np.vstack([directions_from_angles(init)[None, :], dirs])
         c, c1 = config.profile.values_on(dirs)
         speeds = c / eps + c1
-    else:
-        angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
-        cdf = law.probabilities.cumsum()
-        cdf /= cdf[-1]
-        idx = cdf.searchsorted(rng.random(n_draw), side="right")
-        if init is not None:
-            idx = np.concatenate([[law.angles.shape[0]], idx])
-        c, c1 = config.profile.values_at(angles)
-        dirs, speeds = directions_from_angles(angles)[idx], (c / eps + c1)[idx]
     durations = np.diff(np.concatenate(([0.0], switch_times, [horizon])))
     displacements = (speeds * durations)[:, None] * dirs
     return switch_times, dirs, displacements, config.x0 + displacements.sum(axis=0)
@@ -545,8 +651,9 @@ def _per_path_reference(config, block, path_index):
 class TestBatchedKernel:
     @pytest.mark.parametrize("name", sorted(TestPinnedStreams.DIGESTS))
     def test_small_block_matches_per_path_formulas(self, name):
-        # a block of 2 waits runs the extra-exponential branch of
-        # _draw_switch_times several times per path
+        # a first draw of 2 waits, or of 2 pairs under a finite law, runs the
+        # top-up branch of _draw_switch_times or _draw_pairs several times
+        # per path
         cfg = _pinned_configs()[name]
         kernel = _PathKernel(cfg)
         kernel._block = 2
