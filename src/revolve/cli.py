@@ -7,7 +7,12 @@ carry the dotted field path). Every run writes a manifest.json echoing the
 parsed config, the seed, the package version and the simulator's stream
 layout (revolve.simulator.STREAM_LAYOUT); the manifest timestamp is the only
 non-reproducible byte in any artifact. Floats in CSV files are written
-with 17 significant digits so reruns are byte-identical.
+with 17 significant digits so reruns are byte-identical. simulate streams
+endpoints.csv: the workers that simulate a block of paths also format its
+rows, and this process writes each block's rows in path order as the block
+arrives, so the file has the same bytes at any worker count. A CSV file
+is written under a sibling name and renamed when complete, so a failed run
+leaves no partial CSV.
 
 Exit codes: 0 success, 2 config/schema violation, 3 balance or solvability
 failure (the error JSON names the residual vector), 1 anything else (a run
@@ -26,7 +31,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -267,26 +272,48 @@ def _write_manifest(out: Path, config: ExperimentConfig) -> None:
 _CSV_CHUNK_ROWS = 4096  # rows formatted at once: the Python floats of a chunk stay small
 
 
-def _write_csv(path: Path, header: str, blocks: Iterable[np.ndarray], label: str = "") -> None:
-    """Write the header line, then one line per row of each 2-D block.
+def _csv_lines(block: np.ndarray, label: str = "") -> Iterator[str]:
+    """The CSV lines of a 2-D block, as the text of one chunk of up to
+    _CSV_CHUNK_ROWS rows at a time.
 
     With a label such as "%d,", a row's first entry is written through it.
     Every other entry is written as "%.17g", the text of format(x, ".17g"):
     17 significant digits, so reruns are byte-identical.
     """
-    with path.open("w") as handle:
-        handle.write(header + "\n")
+    fmt = label + ",".join(["%.17g"] * (block.shape[1] - bool(label))) + "\n"
+    for start in range(0, block.shape[0], _CSV_CHUNK_ROWS):
+        chunk = block[start : start + _CSV_CHUNK_ROWS]
+        yield (fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+
+
+@contextmanager
+def _csv_file(path: Path, header: str):
+    """A text handle that starts with the header line. Its text goes to a
+    sibling file that becomes path when the with-block completes and is
+    removed when it raises, so a failed run leaves no partial CSV."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with part.open("w") as handle:
+            handle.write(header + "\n")
+            yield handle
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    part.replace(path)
+
+
+def _write_csv(path: Path, header: str, blocks: Iterable[np.ndarray], label: str = "") -> None:
+    """Write the header line, then the lines of each 2-D block (_csv_lines)."""
+    with _csv_file(path, header) as handle:
         for block in blocks:
-            fmt = label + ",".join(["%.17g"] * (block.shape[1] - bool(label))) + "\n"
-            for start in range(0, block.shape[0], _CSV_CHUNK_ROWS):
-                rows = block[start : start + _CSV_CHUNK_ROWS].tolist()
-                handle.write("".join([fmt % tuple(row) for row in rows]))
+            handle.writelines(_csv_lines(block, label))
 
 
-def _write_endpoints_csv(path: Path, points: np.ndarray) -> None:
-    n_paths, n = points.shape
-    header = "path_index," + ",".join(f"x{i + 1}" for i in range(n))
-    _write_csv(path, header, [np.column_stack([np.arange(n_paths), points])], "%d,")
+def _endpoint_lines(first: int, points: np.ndarray) -> str:
+    """The endpoints.csv lines of paths first, first + 1, ...: the block
+    text that simulate_ensemble runs where each block is simulated."""
+    index = np.arange(first, first + points.shape[0])
+    return "".join(_csv_lines(np.column_stack([index, points]), "%d,"))
 
 
 def _write_trajectories_csv(path: Path, config: EvolutionConfig) -> None:
@@ -365,10 +392,12 @@ def _run_limit_coeffs(config: ExperimentConfig, out: Path, paper_sign: bool) -> 
 
 
 def _run_simulate(config: ExperimentConfig, out: Path, full_trajectories: bool) -> dict:
-    ensemble = simulate_ensemble(config.evolution)
-    _write_endpoints_csv(out / "endpoints.csv", ensemble.points)
+    evo = config.evolution
+    header = "path_index," + ",".join(f"x{i + 1}" for i in range(evo.dimension))
+    with _csv_file(out / "endpoints.csv", header) as handle:
+        ensemble = simulate_ensemble(evo, rows=(_endpoint_lines, handle.write))
     if full_trajectories:
-        _write_trajectories_csv(out / "trajectories.csv", config.evolution)
+        _write_trajectories_csv(out / "trajectories.csv", evo)
     summary = summarize(ensemble)
     payload = {
         "n_paths": int(ensemble.points.shape[0]),

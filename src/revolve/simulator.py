@@ -92,7 +92,7 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -620,7 +620,14 @@ class ResourceExhausted(RuntimeError):
     the paths completed before it."""
 
 
-def _endpoint_block(config: EvolutionConfig, start: int, stop: int) -> np.ndarray:
+BlockText = Callable[[int, np.ndarray], str]
+
+
+def _endpoint_block(
+    config: EvolutionConfig, start: int, stop: int, text: BlockText | None = None
+) -> tuple[np.ndarray, str | None]:
+    """Endpoints of paths [start, stop), and text(start, endpoints) when a
+    text function is given (else None)."""
     kernel = _PathKernel(config)
     out = np.empty((stop - start, config.dimension))
     done = start
@@ -628,11 +635,11 @@ def _endpoint_block(config: EvolutionConfig, start: int, stop: int) -> np.ndarra
         for first, counts, times, draws in kernel.batches(start, stop):
             out[first - start : first - start + counts.size] = kernel.endpoints(counts, times, draws)
             done = first + counts.size
+        return out, None if text is None else text(start, out)
     except MemoryError as exc:
         raise ResourceExhausted(
             f"resource exhaustion ({exc}): completed paths [{start}, {done}) of [{start}, {stop})"
         ) from exc
-    return out
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -656,18 +663,19 @@ _POOL_START_ERRORS = (OSError, NotImplementedError, ImportError)
 
 
 def _pool_blocks(
-    config: EvolutionConfig, spans: list[tuple[int, int]], workers: int
-) -> Iterator[np.ndarray]:
-    """Yield the endpoint blocks of the spans, in order, from a process pool.
+    config: EvolutionConfig, spans: list[tuple[int, int]], workers: int, text: BlockText | None
+) -> Iterator[tuple[np.ndarray, str | None]]:
+    """Yield the _endpoint_block results of the spans, in order, from a
+    process pool.
 
-    Raises _PoolUnavailable, before the first block, when the config cannot
-    be pickled or the pool cannot start. An error raised by the path code
-    propagates as it is.
+    Raises _PoolUnavailable, before the first block, when the config or the
+    text function cannot be pickled or the pool cannot start. An error
+    raised by the path code propagates as it is.
     """
     try:
-        pickle.dumps(config)
+        pickle.dumps((config, text))
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        raise _PoolUnavailable(f"the config cannot be pickled: {exc!r}") from exc
+        raise _PoolUnavailable(f"the block's arguments cannot be pickled: {exc!r}") from exc
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
     except _POOL_START_ERRORS as exc:
@@ -679,6 +687,7 @@ def _pool_blocks(
                 [config] * len(spans),
                 [a for a, _ in spans],
                 [b for _, b in spans],
+                [text] * len(spans),
             )
         except _POOL_START_ERRORS as exc:
             raise _PoolUnavailable(f"the process pool cannot start: {exc!r}") from exc
@@ -687,30 +696,60 @@ def _pool_blocks(
         pool.shutdown(cancel_futures=True)
 
 
-def simulate_ensemble(config: EvolutionConfig, workers: int | None = None) -> EndpointEnsemble:
+_BLOCK_PATHS = 1 << 16  # paths per block at most, so a block's text stays a few MB
+
+
+def simulate_ensemble(
+    config: EvolutionConfig,
+    workers: int | None = None,
+    rows: tuple[BlockText, Callable[[str], object]] | None = None,
+) -> EndpointEnsemble:
     """Endpoints of n_paths independent paths.
 
     The result is bit-identical for any worker count: each path is computed
     from its own (seed, path_index) stream and written at its own row.
+
+    Paths run in blocks of consecutive indices, at most _BLOCK_PATHS each:
+    four or more per worker in a process pool, or one after another in this
+    process when there is one worker, fewer than four paths per worker, or
+    the pool is unavailable (_PoolUnavailable is raised before the first
+    block, so no block is taken twice).
+
+    rows, a pair (text, write), streams the endpoints out as text, block by
+    block. The function text(first_index, points) runs where a block is
+    simulated, in a pool worker or in this process, on the block's
+    endpoints and the global index of its first path; a worker gets it by
+    pickling, so it is a module-level function. write(str) is called in
+    this process with each block's text, in path order, as soon as the
+    block arrives; no block's text is kept after it. When text formats row
+    by row, what write receives in all is the same for any worker count.
     """
     workers = resolve_workers(workers)
+    text, write = rows if rows is not None else (None, None)
+    pooled = workers > 1 and config.n_paths >= 4 * workers
+    n_blocks = max(4 * workers if pooled else 1, -(-config.n_paths // _BLOCK_PATHS))
+    edges = np.linspace(0, config.n_paths, n_blocks + 1, dtype=int)
+    spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
     points = np.empty((config.n_paths, config.dimension))
-    if workers == 1 or config.n_paths < 4 * workers:
-        points[:] = _endpoint_block(config, 0, config.n_paths)
+
+    def take(blocks: Iterable[tuple[np.ndarray, str | None]]) -> None:
+        for (a, b), (block, lines) in zip(spans, blocks):
+            points[a:b] = block
+            if write is not None:
+                write(lines)
+
+    serial = (_endpoint_block(config, a, b, text) for a, b in spans)
+    if not pooled:
+        take(serial)
     else:
-        n_chunks = min(config.n_paths, 4 * workers)
-        edges = np.linspace(0, config.n_paths, n_chunks + 1, dtype=int)
-        spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
         try:
-            for (a, b), block in zip(spans, _pool_blocks(config, spans, workers)):
-                points[a:b] = block
+            take(_pool_blocks(config, spans, workers, text))
         except _PoolUnavailable as exc:
             warnings.warn(f"parallel execution unavailable ({exc}); running serially")
-            points[:] = _endpoint_block(config, 0, config.n_paths)
+            take(serial)
     return EndpointEnsemble(
         dimension=config.dimension,
         t=config.horizon,
         points=points,
         config_fingerprint=config_fingerprint(config),
     )
-

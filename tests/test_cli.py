@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import revolve
-from revolve import cli
+from revolve import cli, simulator
 from revolve.cli import ExperimentConfig, load_config, main
 from revolve.profiles import FieldError, builtin_profile
 from revolve.stats import limit_for_config
@@ -942,6 +942,35 @@ class TestVerifyOperators:
         assert capsys.readouterr().err == ""
 
 
+_real_batches = simulator._PathKernel.batches
+
+
+def _batches_failing_in_last_block(kernel, start, stop):
+    """_PathKernel.batches, out of memory in the block of the last path."""
+    for batch in _real_batches(kernel, start, stop):
+        if stop == kernel.config.n_paths:
+            raise MemoryError("the last block fails")
+        yield batch
+
+
+class TestCsvLines:
+    EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e16,
+             1.7976931348623157e308, -1.7976931348623157e308]
+
+    @pytest.mark.parametrize("chunk_rows", [3, cli._CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("label", ["%d,", "x%d,", ""])
+    def test_lines_are_format_17g_per_value(self, monkeypatch, label, chunk_rows):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+        values = np.array(self.EDGES)
+        block = np.column_stack([np.arange(1, values.size + 1), values, values[::-1]])
+        expected = "".join(
+            (label % int(row[0]) if label else format(row[0], ".17g") + ",")
+            + ",".join(format(x, ".17g") for x in row[1:]) + "\n"
+            for row in block.tolist()
+        )
+        assert "".join(cli._csv_lines(block, label)) == expected
+
+
 class TestSimulate:
     def test_endpoints_csv_shape_and_reproducibility(self, tmp_path):
         path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION)})
@@ -1030,15 +1059,45 @@ class TestSimulate:
             ),
             "168b42d0b5f73ec478f2f5ab0851ee8c2e3ce1a625921106206e907fc6104f10",
         ),
+        # 9001 paths: neither the 1-worker block nor the eight 2-worker
+        # blocks end on a multiple of cli._CSV_CHUNK_ROWS
+        "finite_law_atoms": (
+            dict(
+                BASE_EVOLUTION, epsilon=0.2, n_paths=9001,
+                profile={"name": "example3_atoms"},
+                switching={"kind": "discrete", "angles": [[0.0], [math.pi], [0.5 * math.pi]],
+                           "probabilities": [0.25, 0.25, 0.5]},
+            ),
+            "918f2d97cb981b9d6be92027a03dec16691e72630c3aaf5caf191b739055d60a",
+        ),
     }
 
-    @pytest.mark.parametrize("name", sorted(ENDPOINT_DIGESTS))
-    def test_endpoints_csv_keeps_its_bytes(self, tmp_path, name):
+    @pytest.mark.parametrize("name, workers", [
+        pytest.param(name, workers, id=name if workers == "1" else f"{name}-{workers}workers")
+        for name in sorted(ENDPOINT_DIGESTS) for workers in ("1", "2")
+    ])
+    def test_endpoints_csv_keeps_its_bytes(self, tmp_path, monkeypatch, name, workers):
+        monkeypatch.setenv("REVOLVE_THREADS", workers)
         evolution, digest = self.ENDPOINT_DIGESTS[name]
         path = write_config(tmp_path, {"evolution": evolution})
         out = tmp_path / "e"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
         assert hashlib.sha256((out / "endpoints.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_block_leaves_no_endpoints_csv(self, tmp_path, capsys, monkeypatch, workers):
+        # at 2 workers the last of eight blocks fails after the parent has
+        # written the rows of the seven before it
+        monkeypatch.setenv("REVOLVE_THREADS", workers)
+        monkeypatch.setattr(simulator._PathKernel, "batches", _batches_failing_in_last_block)
+        path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION)})
+        out = tmp_path / "f"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "resource"
+        assert error["message"].startswith("resource exhaustion (the last block fails)")
+        assert error["message"].endswith(f"of [{350 if workers == '2' else 0}, 400)")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_manifest_written(self, tmp_path):
         path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION)})

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats as scipy_stats
 
+from revolve import simulator
+from revolve.cli import _endpoint_lines
 from revolve.limits import DiscreteSwitching, UniformSphere, discrete_limit_coefficients
 from revolve.profiles import Atom, ConstantSpeed, LowerHalfStep, VelocityProfile, builtin_profile
 from revolve.simulator import (
@@ -131,6 +133,19 @@ class TestDeterminism:
         four = simulate_ensemble(cfg, workers=4)
         np.testing.assert_array_equal(serial.points, two.points)
         np.testing.assert_array_equal(serial.points, four.points)
+
+    def test_block_text_comes_in_path_order_at_any_worker_count(self, monkeypatch):
+        cfg = msre_config(n_paths=403)
+        texts = {}
+        for block_paths in (simulator._BLOCK_PATHS, 50):
+            monkeypatch.setattr(simulator, "_BLOCK_PATHS", block_paths)
+            for workers in (1, 2, 4):
+                written = []
+                simulate_ensemble(cfg, workers=workers, rows=(_endpoint_lines, written.append))
+                assert max(text.count("\n") for text in written) <= block_paths
+                texts[block_paths, workers] = "".join(written)
+        assert len(set(texts.values())) == 1
+        assert [int(line.split(",")[0]) for line in texts[50, 1].splitlines()] == list(range(403))
 
     def test_env_variable_controls_workers(self, monkeypatch):
         cfg = msre_config(n_paths=60)
@@ -718,15 +733,22 @@ class TestParallelFailures:
     def test_path_error_propagates_without_serial_rerun(self):
         profile = VelocityProfile(2, continuous_c=RaisingSpeed())
         cfg = msre_config(profile=profile, n_paths=40)
+        written = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(RuntimeError, match="speed function failed"):
-                simulate_ensemble(cfg, workers=2)
+                simulate_ensemble(cfg, workers=2, rows=(_endpoint_lines, written.append))
         assert not [w for w in caught if "serially" in str(w.message)]
+        assert written == []
 
     def test_unpicklable_config_runs_serially_and_names_the_cause(self):
         profile = VelocityProfile(2, continuous_c=lambda s: np.ones(s.shape[:-1]))
         cfg = msre_config(profile=profile, n_paths=40)
+        fallback, serial = [], []
         with pytest.warns(UserWarning, match="cannot be pickled.*running serially"):
-            parallel = simulate_ensemble(cfg, workers=2)
-        np.testing.assert_array_equal(parallel.points, simulate_ensemble(cfg, workers=1).points)
+            parallel = simulate_ensemble(cfg, workers=2, rows=(_endpoint_lines, fallback.append))
+        one = simulate_ensemble(cfg, workers=1, rows=(_endpoint_lines, serial.append))
+        np.testing.assert_array_equal(parallel.points, one.points)
+        # the pool gave up before its first block, so every row is written once
+        assert "".join(fallback) == "".join(serial)
+        assert [int(line.split(",")[0]) for line in "".join(fallback).splitlines()] == list(range(40))
