@@ -10,14 +10,16 @@ with probability w_k / N (UniformSphere.atom_masses), else a uniform
 direction. Positions are integrated in closed form segment by segment, so
 there is no time-discretization error.
 
-Reproducibility: every path owns a counter-based Philox stream keyed by
-(seed, path_index): counter 0 and key words [path_index, seed], the stream
-of Generator(Philox(key=(seed << 64) + path_index)). Path i is a pure
-function of the configuration and its index. Ensembles are therefore
-bit-identical for any number of workers, and any single path can be
-replayed in isolation.
+Reproducibility: every path draws from counter-based Philox streams of
+the seed, at places fixed by its index. Under uniform switching path i owns
+the stream of key words [i, seed] from counter 0, the stream of
+Generator(Philox(key=(seed << 64) + i)). Under a finite law the paths share
+the key words [0, seed], the key of Generator(Philox(key=seed << 64)), and
+each owns a range of its counters. Path i is a pure function of the
+configuration and its index. Ensembles are therefore bit-identical for any
+number of workers, and any single path can be replayed in isolation.
 
-Stream layout 2 (STREAM_LAYOUT, recorded in manifest.json) says which draws
+Stream layout 3 (STREAM_LAYOUT, recorded in manifest.json) says which draws
 a path makes, in order:
   - under a finite law, one uniform pair per segment, k = 0, 1, ...:
     segment k waits -eps^2 * log1p(-u_2k) (numpy's log1p) and takes the
@@ -25,8 +27,17 @@ a path makes, in order:
     cumulative probabilities. Its switch time is the running sum of the
     waits, and the path ends at the first segment whose switch time
     reaches the horizon. Every segment draws its pair; with a fixed
-    initial direction, segment 0's pick is drawn and not used. The
-    sequence of pairs does not depend on how many a path draws at once.
+    initial direction, segment 0's pick is drawn and not used. The pairs
+    come in chunks of C = _pair_chunk(T/eps^2), an even number of pairs,
+    so a chunk's 2C uniforms are C/2 whole Philox blocks of four; C is part
+    of the layout. Path i's chunk 0 is the first 2C uniforms of
+    Generator(Philox(key=seed << 64, counter=i C/2)), the counter spanning
+    words 0-1 as one 128-bit integer: the chunks 0 of paths 0, 1, ... lie
+    one after another in one stream. A path that needs
+    more draws its chunk j = 1, 2, ... from the same words 0-1 with j in
+    word 2, so it never runs on into path i+1's range. Word 3 is 0.
+    EvolutionConfig refuses an n_paths whose counters do not fit in words
+    0-1.
   - under uniform switching (unchanged since layout 1), a block of
     T/eps^2 + 6 sqrt(T/eps^2) + 16 standard exponentials, more blocks of as
     many while their pairwise sum falls short of the horizon, then per
@@ -34,8 +45,9 @@ a path makes, in order:
     uniform each, then n standard normals each. The waits are the
     exponentials times eps^2 and the switch times their running sum.
 
-Per-block set-up: a block of paths shares one Philox generator, re-keyed
-for each path, the padded buffers its batches reuse, and everything that
+Per-block set-up: a block of paths shares one Philox generator, set
+afresh for each path under uniform switching and for each batch under a
+finite law, the padded buffers its batches reuse, and everything that
 does not change from path to path. A finite switching law becomes a table
 of directions and speeds, evaluated once on its grid by
 profiles.grid_speeds, with the initial direction as one extra column; a
@@ -45,24 +57,24 @@ Under uniform switching it runs on each batch's directions: the drawn ones,
 the atoms' own where a row picks an atom, and a fixed initial direction in
 the first row of each path.
 
-Batched arithmetic: the loop over a batch's paths does only what has to
-follow each path's stream. Under a finite law it re-keys the generator and
-draws a chunk of _pair_chunk(T/eps^2) uniform pairs into the path's row of
-a padded (paths, 2 chunk) buffer, with one Generator.random call. Under
-uniform switching it draws a block of standard exponentials into the
-path's row, counts its switches there, then draws exactly n normals per
-segment straight into the batch's rows; with atoms, its uniforms come
-first, one per drawn segment: each picks an atom by cumulative mass, as a
-finite law picks a direction, or, at or above q, the segment's normals.
-The rest runs once per batch: a finite law's waits, the running sums row
-by row and the switch counts, and, for both laws, a mask that cuts the
-padded rows into one row per segment, path after path. A padded row's used
-prefix holds the numbers a draw sized to the path would give, because a
-stream's draws are consecutive. A path whose first draw ends before the
-horizon is replayed alone: under a finite law it continues its stream in
-further chunks (about one path in 35000 at T/eps^2 = 25, at most about one
-in 700 for any eps); under uniform switching it tops up its waits through
-_draw_switch_times, rarer than one path in 10^9.
+Batched arithmetic: under a finite law the chunks 0 of a batch's paths are
+one stretch of the seed's stream, and one Generator.random call draws them
+into a padded (paths, 2C) buffer, a path's chunk per row. Under uniform
+switching a loop over the batch's paths does only what has to follow each
+path's stream: it re-keys the generator, draws a block of standard
+exponentials into the path's row, counts its switches there, then draws
+exactly n normals per segment straight into the batch's rows; with atoms,
+its uniforms come first, one per drawn segment: each picks an atom by
+cumulative mass, as a finite law picks a direction, or, at or above q, the
+segment's normals. The rest runs once per batch: a finite law's waits, the
+running sums row by row and the switch counts, and, for both laws, a mask
+that cuts the padded rows into one row per segment, path after path. A
+uniform-law row's used prefix holds the numbers a draw sized to the path
+would give, because a stream's draws are consecutive. A path whose first
+draw ends before the horizon is replayed alone: under a finite law it draws
+its chunks j >= 1 (about one path in 35000 at T/eps^2 = 25, at most about
+one in 700 for any eps); under uniform switching it tops up its waits
+through _draw_switch_times, rarer than one path in 10^9.
 A batch holds about _BATCH_ROWS segments, so transient memory does not
 grow with the number of paths.
 Each batch is handled at once on column-major arrays: one (n, rows) array
@@ -117,8 +129,10 @@ __all__ = [
 ]
 
 # The stream layout of the module docstring: which draws a path makes, in order.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 _MAX_SEED = 2**64
+# Counter words 0-1 of a Philox stream, where a finite-law path's chunks start.
+_COUNTER_SPAN = 2**128
 # The most float64 values one numpy array can hold: its size in bytes is an intp.
 _MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 
@@ -130,10 +144,11 @@ def _switch_block(expected: float) -> int:
 
 
 def _pair_chunk(expected: float) -> int:
-    """Uniform pairs a path draws at once under a finite law when it expects
-    `expected` switches. Not part of the layout: a path that needs more
-    continues its stream."""
-    return int(expected + 3.0 * math.sqrt(expected) + 8.0)
+    """Uniform pairs in a chunk of a path's draws under a finite law when it
+    expects `expected` switches: part of the stream layout. It is even, so
+    a chunk is a whole number of Philox blocks."""
+    chunk = int(expected + 3.0 * math.sqrt(expected) + 8.0)
+    return chunk + chunk % 2
 
 
 @dataclass(frozen=True)
@@ -177,6 +192,14 @@ class EvolutionConfig:
             )
         if not self.n_paths >= 1:
             raise FieldError(f"n_paths must be >= 1, got {self.n_paths}", "n_paths")
+        # path i's chunks start at Philox counter i * block / 4: four uniforms a block
+        if finite and self.n_paths * (block // 4) >= _COUNTER_SPAN:
+            raise FieldError(
+                f"n_paths {self.n_paths} is too large for epsilon {self.epsilon} and horizon "
+                f"{self.horizon}: at {block // 4} Philox blocks per path, the paths' chunks "
+                "pass the 2^128 counters of a stream's counter words 0-1",
+                "n_paths",
+            )
         if not (0 <= int(self.seed) < _MAX_SEED):
             raise FieldError(f"seed must be an unsigned 64-bit integer, got {self.seed}", "seed")
         if self.x0.shape != (self.dimension,):
@@ -266,14 +289,20 @@ class EndpointEnsemble:
 
 
 class _PathStreams:
-    """Per-path Philox streams from one generator, re-keyed for each path.
+    """The Philox streams of one seed from one generator, set afresh where a
+    draw starts.
 
-    rekey(i) sets counter 0, key words [i, seed] and an empty buffer: the
-    state of a fresh Generator(Philox(key=(seed << 64) + i)), so the draws
-    are the same. Building a fresh Philox would first seed a SeedSequence
-    from OS entropy that the key then overrides; re-keying skips that. The
-    fresh state holds its words as Python ints, which the Philox.state
-    setter copies in half the time it takes to read numpy arrays.
+    rekey(i) sets key words [i, seed], counter 0 and an empty buffer: the
+    state of a fresh Generator(Philox(key=(seed << 64) + i)), a uniform-law
+    path's stream. seek(counter, chunk) sets key words [0, seed], counter
+    words [counter mod 2^64, counter >> 64, chunk, 0] and an empty buffer:
+    the state of a fresh Generator(Philox(key=seed << 64, counter=...)),
+    where a finite law's chunks start. The draws are those of the fresh
+    generators. Building a fresh Philox would first seed a SeedSequence
+    from OS entropy that the key then overrides; setting the state skips
+    that. The fresh state holds its words as Python ints, which the
+    Philox.state setter copies in half the time it takes to read numpy
+    arrays.
     """
 
     def __init__(self, seed: int):
@@ -282,10 +311,18 @@ class _PathStreams:
         fresh = self._bit_generator.state
         fresh["state"] = {name: [int(w) for w in words] for name, words in fresh["state"].items()}
         fresh["buffer"] = [int(w) for w in fresh["buffer"]]
-        self._fresh_state, self._key = fresh, fresh["state"]["key"]
+        self._fresh_state = fresh
+        self._key, self._counter = fresh["state"]["key"], fresh["state"]["counter"]
 
     def rekey(self, path_index: int) -> Generator:
-        self._key[0] = path_index
+        return self._set(path_index, 0, 0)
+
+    def seek(self, counter: int, chunk: int = 0) -> Generator:
+        return self._set(0, counter, chunk)
+
+    def _set(self, key: int, counter: int, chunk: int) -> Generator:
+        self._key[0] = key
+        self._counter[:3] = counter & (2**64 - 1), counter >> 64, chunk
         self._bit_generator.state = self._fresh_state
         return self.generator
 
@@ -315,19 +352,19 @@ def _waits(uniforms: np.ndarray, mean: float) -> np.ndarray:
 
 
 def _draw_pairs(
-    rng: Generator, mean: float, chunk: int, horizon: float
+    chunk: Callable[[int], np.ndarray], mean: float, horizon: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(segment end times, direction uniforms) of one path under a finite
-    law: chunks of `chunk` uniform pairs until a switch time reaches the
-    horizon. _PathKernel.batches draws the first chunk of every path itself
-    and replays here only the paths that need more."""
-    pairs = rng.random(2 * chunk)
+    law: its chunks of uniform pairs, chunk(0), chunk(1), ..., until a
+    switch time reaches the horizon. _PathKernel.batches draws the chunk 0
+    of every path itself and replays here only the paths that need more."""
+    pairs, j = chunk(0), 1
     while True:
         epochs = np.cumsum(_waits(pairs[0::2], mean))
         m = int(np.sum(epochs < horizon))
         if m < epochs.size:
             break
-        pairs = np.concatenate([pairs, rng.random(2 * chunk)])
+        pairs, j = np.concatenate([pairs, chunk(j)]), j + 1
     epochs[m] = horizon
     return epochs[: m + 1], pairs[1 : 2 * m + 2 : 2]
 
@@ -379,11 +416,11 @@ class _PathKernel:
     """The per-config work of a block of paths, done once, and the path
     arithmetic, done once per batch of paths.
 
-    Each path draws from its own stream: the draws it uses, and their
-    order, are those of the stream layout (a path may draw more than it
-    uses after them). Everything after the draws runs on a whole batch at
-    once, on column-major arrays (n, rows) with one column per segment,
-    with the bits of the per-path arithmetic.
+    Each path draws from its own place in the seed's streams: the draws
+    it uses, and their order, are those of the stream layout (a path may
+    draw more than it uses after them). Everything after the draws runs on
+    a whole batch at once, on column-major arrays (n, rows) with one column
+    per segment, with the bits of the per-path arithmetic.
     """
 
     def __init__(self, config: EvolutionConfig):
@@ -401,8 +438,8 @@ class _PathKernel:
         # the atoms' directions as columns.
         self._atom_cdf = None
         if isinstance(law, DiscreteSwitching):
-            # Uniform pairs per path at first (_block) and the table's
-            # columns: the law's directions, then the initial direction.
+            # Uniform pairs per chunk (_block) and the table's columns:
+            # the law's directions, then the initial direction.
             self._block = _pair_chunk(expected)
             grid = law.grid()  # its rows of positive probability
             c, c1 = grid_speeds(profile, grid)
@@ -473,19 +510,17 @@ class _PathKernel:
             yield first, counts, times, draws
 
     def _pair_loop(self, epochs: np.ndarray, switches: np.ndarray, shorts: np.ndarray):
-        """The draw loop of a finite law: one Generator.random call per path
-        fills its row of a padded buffer with a chunk of its stream, then
+        """The draw of a finite law: one Generator.random call fills the
+        rows of a padded buffer with the chunks 0 of the batch's paths, then
         the waits, epochs and switch counts of the whole batch follow at
         once. It returns the rows' picks, padded, a view of a buffer the
         next batch reuses."""
         horizon, block, mean = self.config.horizon, self._block, self._mean
         pairs = np.empty((self._batch_paths, 2 * block))  # row j: path j's wait, pick, ...
-        rekey, random, rows = self._streams.rekey, self._streams.generator.random, list(pairs)
+        seek, blocks = self._streams.seek, block // 2  # Philox blocks per chunk
 
         def draw_rows(first: int, size: int) -> np.ndarray:
-            for j in range(size):
-                rekey(first + j)
-                random(out=rows[j])
+            seek(first * blocks).random(out=pairs[:size].reshape(-1))
             t, m = epochs[:size, :block], switches[:size]
             np.cumsum(_waits(pairs[:size, 0::2], mean), axis=1, out=t)
             np.sum(t < horizon, axis=1, out=m)
@@ -531,10 +566,15 @@ class _PathKernel:
 
     def _replay(self, path_index: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, draws) of one short path, drawn alone with as many chunks
-        of its stream as it needs."""
-        rng = self._streams.rekey(path_index)
+        or blocks of waits as it needs."""
         if self._cdf is not None:
-            return _draw_pairs(rng, self._mean, self._block, self.config.horizon)
+            counter, size = int(path_index) * (self._block // 2), 2 * self._block
+
+            def chunk(j: int) -> np.ndarray:
+                return self._streams.seek(counter, j).random(size)
+
+            return _draw_pairs(chunk, self._mean, self.config.horizon)
+        rng = self._streams.rekey(path_index)
         horizon, fixed = self.config.horizon, self._fixed_rows
         times = np.append(_draw_switch_times(rng, self._mean, self._block, horizon), horizon)
         k = times.size - fixed
@@ -616,8 +656,13 @@ def simulate_path(config: EvolutionConfig, path_index: int) -> Trajectory:
 
 
 class ResourceExhausted(RuntimeError):
-    """A block of paths ran out of memory; the message names the cause and
+    """A run of paths ran out of memory; the message names the cause and
     the paths completed before it."""
+
+
+class _BlockExhausted(Exception):
+    """A block of paths ran out of memory: args (cause, done), where paths
+    below the global index done completed."""
 
 
 BlockText = Callable[[int, np.ndarray], str]
@@ -637,9 +682,7 @@ def _endpoint_block(
             done = first + counts.size
         return out, None if text is None else text(start, out)
     except MemoryError as exc:
-        raise ResourceExhausted(
-            f"resource exhaustion ({exc}): completed paths [{start}, {done}) of [{start}, {stop})"
-        ) from exc
+        raise _BlockExhausted(str(exc), done) from exc
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -707,7 +750,7 @@ def simulate_ensemble(
     """Endpoints of n_paths independent paths.
 
     The result is bit-identical for any worker count: each path is computed
-    from its own (seed, path_index) stream and written at its own row.
+    from its own place in the seed's streams and written at its own row.
 
     Paths run in blocks of consecutive indices, at most _BLOCK_PATHS each:
     four or more per worker in a process pool, or one after another in this
@@ -723,6 +766,10 @@ def simulate_ensemble(
     this process with each block's text, in path order, as soon as the
     block arrives; no block's text is kept after it. When text formats row
     by row, what write receives in all is the same for any worker count.
+
+    A block that runs out of memory raises ResourceExhausted, which names
+    the paths [0, done) completed before it: blocks are taken in order, so
+    every block before it has completed.
     """
     workers = resolve_workers(workers)
     text, write = rows if rows is not None else (None, None)
@@ -733,10 +780,15 @@ def simulate_ensemble(
     points = np.empty((config.n_paths, config.dimension))
 
     def take(blocks: Iterable[tuple[np.ndarray, str | None]]) -> None:
-        for (a, b), (block, lines) in zip(spans, blocks):
-            points[a:b] = block
-            if write is not None:
-                write(lines)
+        try:
+            for (a, b), (block, lines) in zip(spans, blocks):
+                points[a:b] = block
+                if write is not None:
+                    write(lines)
+        except _BlockExhausted as exc:  # every block before it has completed
+            cause, done = exc.args
+            raise ResourceExhausted(f"resource exhaustion ({cause}): completed paths "
+                                    f"[0, {done}) of [0, {config.n_paths})") from exc
 
     serial = (_endpoint_block(config, a, b, text) for a, b in spans)
     if not pooled:

@@ -208,6 +208,12 @@ INVALID_CONFIGS = [
      "config.evolution.horizon"),
     ("n_paths_0", "simulate", {"evolution": dict(BASE_EVOLUTION, n_paths=0)}, [], 2,
      "config.evolution.n_paths"),
+    # under a finite law path i's chunks start at Philox counter i C/2, which
+    # must fit in the counter's two low words: C = 18 pairs at epsilon 0.5
+    ("n_paths_past_the_counters", "simulate",
+     {"evolution": dict(BASE_EVOLUTION, epsilon=0.5, n_paths=2**127,
+                        switching=two_point_law([0.5, 0.5]))},
+     [], 2, "config.evolution.n_paths"),
     ("seed_-1", "simulate", {"evolution": dict(BASE_EVOLUTION, seed=-1)}, [], 2,
      "config.evolution.seed"),
     ("seed_2**64", "simulate", {"evolution": dict(BASE_EVOLUTION, seed=2**64)}, [], 2,
@@ -476,6 +482,12 @@ ERROR_LINES = {
     "n_paths_0": (
         '{"error": {"kind": "schema", "message": "config.evolution.n_paths: n_paths must be '
         '>= 1, got 0", "path": "config.evolution.n_paths"}}'
+    ),
+    "n_paths_past_the_counters": (
+        '{"error": {"kind": "schema", "message": "config.evolution.n_paths: n_paths '
+        '170141183460469231731687303715884105728 is too large for epsilon 0.5 and horizon '
+        '1.0: at 9 Philox blocks per path, the paths\' chunks pass the 2^128 counters of a '
+        'stream\'s counter words 0-1", "path": "config.evolution.n_paths"}}'
     ),
     "seed_-1": (
         '{"error": {"kind": "schema", "message": "config.evolution.seed: seed must be an '
@@ -755,7 +767,8 @@ PIN_CONFIGS = {
 class TestArtifactBytes:
     """sha256 of artifacts under both switching laws (grid_resolution 8),
     recorded before the laws and their grids moved into revolve.limits; those
-    of operator_report.json since the solve contracts b2 at x."""
+    of operator_report.json since the solve contracts b2 at x, and the finite
+    law's moments.csv since stream layout 3."""
 
     DIGESTS = {
         ("uniform_n3", "limit-coeffs", "limit_coeffs.json"):
@@ -769,7 +782,7 @@ class TestArtifactBytes:
         ("discrete_compass", "verify-operators", "operator_report.json"):
             "4114014ab4815379c9518eb7a0c99f6ac63fef219a96749e2e2d9bfb3d31e5c8",
         ("discrete_compass", "report", "moments.csv"):
-            "1aea266512aabb90f0b4fd461aff0a807103711d0394da67302370d6df2196b8",
+            "4f4e71974ced006244cbc8585011bfaf388eba320c894facd72585a95b1a978c",
         ("discrete_atoms", "limit-coeffs", "limit_coeffs.json"):
             "95921556a96cc43f52fa84c81ce3b10f6bb66c1c55086c83fac5b933ae93912b",
         ("discrete_atoms", "verify-operators", "operator_report.json"):
@@ -1012,8 +1025,9 @@ class TestSimulate:
         assert len(lines) > 3
 
     # sha256 of trajectories.csv from one fresh simulate_path per path, the
-    # way the dump was written before it shared one kernel across paths;
-    # about 10300 segments each, so the paths span two batches
+    # way the dump was written before it shared one kernel across paths (the
+    # finite law's since stream layout 3); about 10300 segments each, so the
+    # paths span two batches
     TRAJECTORY_DIGESTS = {
         "uniform_initial_direction": (
             dict(
@@ -1032,7 +1046,7 @@ class TestSimulate:
                     "probabilities": [0.1, 0.2, 0.3, 0.4],
                 },
             ),
-            "8f33227db4fa800662e4e8f8f245aebb6fc19d0be1435f0a5a5d55b801f0818f",
+            "e7cf99927892dba57bd7c87b45bbd273084d477612caedd95737b40de711cc35",
         ),
     }
 
@@ -1046,7 +1060,8 @@ class TestSimulate:
         ) == 0
         assert hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest() == digest
 
-    # sha256 of endpoints.csv as written by format(x, ".17g") per value
+    # sha256 of endpoints.csv as written by format(x, ".17g") per value (the
+    # finite law's since stream layout 3)
     ENDPOINT_DIGESTS = {
         "msre": (
             dict(BASE_EVOLUTION),
@@ -1068,7 +1083,7 @@ class TestSimulate:
                 switching={"kind": "discrete", "angles": [[0.0], [math.pi], [0.5 * math.pi]],
                            "probabilities": [0.25, 0.25, 0.5]},
             ),
-            "918f2d97cb981b9d6be92027a03dec16691e72630c3aaf5caf191b739055d60a",
+            "abaa8b2d4b594818021ccda207b3ca276c49a969189b7151ba304c98191f951f",
         ),
     }
 
@@ -1087,7 +1102,8 @@ class TestSimulate:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_failed_block_leaves_no_endpoints_csv(self, tmp_path, capsys, monkeypatch, workers):
         # at 2 workers the last of eight blocks fails after the parent has
-        # written the rows of the seven before it
+        # written the rows of the seven before it; the message names the
+        # run's completed paths
         monkeypatch.setenv("REVOLVE_THREADS", workers)
         monkeypatch.setattr(simulator._PathKernel, "batches", _batches_failing_in_last_block)
         path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION)})
@@ -1096,7 +1112,8 @@ class TestSimulate:
         error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
         assert error["kind"] == "resource"
         assert error["message"].startswith("resource exhaustion (the last block fails)")
-        assert error["message"].endswith(f"of [{350 if workers == '2' else 0}, 400)")
+        done = 350 if workers == "2" else 0
+        assert error["message"].endswith(f"completed paths [0, {done}) of [0, 400)")
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_manifest_written(self, tmp_path):
@@ -1113,7 +1130,7 @@ class TestSimulate:
         path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION, n_paths=20)})
         out = tmp_path / "m"
         assert main([mode, "--config", path, "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["stream_layout"] == 2
+        assert json.loads((out / "manifest.json").read_text())["stream_layout"] == 3
 
 
 class TestConvergeAndReport:

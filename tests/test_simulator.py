@@ -1,6 +1,7 @@
 """Tests of the event-driven path simulator."""
 
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -105,6 +106,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             DiscreteSwitching(np.array([[0.0], [1.0]]), np.array([math.nan, 1.0]))
 
+    def test_finite_law_counters_bound_n_paths(self):
+        # path i's chunk 0 takes Philox counters i C/2 + 1 .. (i + 1) C/2 in
+        # words 0-1 of the counter, so the last path's must end below 2^128;
+        # here T/eps^2 = 2.5 and a chunk of C = 16 pairs takes 8 counters
+        law = DiscreteSwitching(np.array([[0.0], [math.pi]]), np.array([0.5, 0.5]))
+        short = dict(epsilon=0.5, horizon=0.625, switching=law)
+        assert simulator._pair_chunk(0.625 / 0.5**2) == 16
+        assert msre_config(**short, n_paths=2**125 - 1).n_paths == 2**125 - 1
+        with pytest.raises(FieldError, match="pass the 2\\^128 counters") as err:
+            msre_config(**short, n_paths=2**125)
+        assert err.value.field == "n_paths"
+        assert msre_config(n_paths=2**200).n_paths == 2**200  # the uniform law keys each path
+
     def test_fingerprint_distinguishes_configs(self):
         a = config_fingerprint(msre_config())
         b = config_fingerprint(msre_config(seed=322))
@@ -135,17 +149,19 @@ class TestDeterminism:
         np.testing.assert_array_equal(serial.points, four.points)
 
     def test_block_text_comes_in_path_order_at_any_worker_count(self, monkeypatch):
-        cfg = msre_config(n_paths=403)
-        texts = {}
-        for block_paths in (simulator._BLOCK_PATHS, 50):
-            monkeypatch.setattr(simulator, "_BLOCK_PATHS", block_paths)
-            for workers in (1, 2, 4):
-                written = []
-                simulate_ensemble(cfg, workers=workers, rows=(_endpoint_lines, written.append))
-                assert max(text.count("\n") for text in written) <= block_paths
-                texts[block_paths, workers] = "".join(written)
-        assert len(set(texts.values())) == 1
-        assert [int(line.split(",")[0]) for line in texts[50, 1].splitlines()] == list(range(403))
+        law = DiscreteSwitching(np.array([[0.0], [2.0], [4.0]]), np.array([0.2, 0.3, 0.5]))
+        for cfg in (msre_config(n_paths=403), msre_config(n_paths=403, switching=law)):
+            texts = {}
+            for block_paths in (simulator._BLOCK_PATHS, 50):
+                monkeypatch.setattr(simulator, "_BLOCK_PATHS", block_paths)
+                for workers in (1, 2, 4):
+                    written = []
+                    simulate_ensemble(cfg, workers=workers, rows=(_endpoint_lines, written.append))
+                    assert max(text.count("\n") for text in written) <= block_paths
+                    texts[block_paths, workers] = "".join(written)
+            assert len(set(texts.values())) == 1
+            lines = texts[50, 1].splitlines()
+            assert [int(line.split(",")[0]) for line in lines] == list(range(403))
 
     def test_env_variable_controls_workers(self, monkeypatch):
         cfg = msre_config(n_paths=60)
@@ -374,7 +390,8 @@ class TestMixtureSwitching:
 
 
 class TestPathStreams:
-    """A re-keyed generator draws exactly what a fresh per-path one draws."""
+    """A generator whose state is set afresh draws exactly what a fresh one
+    draws."""
 
     CASES = [(0, 0), (321, 7), (12345, 999_999), (2**64 - 1, 0), (2**64 - 1, 2**63 + 5)]
 
@@ -411,6 +428,93 @@ class TestPathStreams:
         got = self.draws(streams.rekey(index))
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 321, 2**64 - 1])
+    @pytest.mark.parametrize("counter, chunk", [(0, 0), (7, 0), (2**64 - 1, 3), (2**64 + 5, 1),
+                                                (2**128 - 1, 2**64 - 1)])
+    def test_seek_matches_fresh_philox(self, seed, counter, chunk):
+        # counter words 0-1 hold counter, word 2 the chunk; the stream used
+        # before, by seek or rekey, leaves nothing behind
+        streams = _PathStreams(seed)
+        streams.seek((counter + 1) % 2**128, (chunk + 1) % 2**64).random(5)
+        want = self.draws(Generator(Philox(key=seed << 64, counter=counter + (chunk << 128))))
+        got = self.draws(streams.seek(counter, chunk))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        streams.rekey(3).random(5)
+        got = self.draws(streams.seek(counter, chunk))
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        got = self.draws(streams.rekey(3))
+        for a, b in zip(got, self.draws(Generator(Philox(key=(seed << 64) + 3)))):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestStreamLayout3:
+    """A finite-law path's draws, from numpy's public Philox API: the paths
+    of a seed share the key seed << 64; path i's chunk j of C uniform pairs
+    starts at counter words [i C/2 (words 0-1), j, 0]."""
+
+    @staticmethod
+    def chunk(cfg):
+        expected = cfg.horizon / cfg.epsilon**2
+        pairs = int(expected + 3.0 * math.sqrt(expected) + 8.0)
+        return pairs + pairs % 2
+
+    @staticmethod
+    def path_from_pairs(cfg, pairs):
+        """(switch times, directions) of a path whose pairs run on past the
+        horizon, by the layout's formulas."""
+        epochs = np.cumsum(np.log1p(-pairs[:, 0]) * -(cfg.epsilon**2))
+        m = int(np.sum(epochs < cfg.horizon))
+        assert m < epochs.size
+        law = cfg.switching
+        cdf = law.probabilities.cumsum()
+        cdf /= cdf[-1]
+        dirs = directions_from_angles(law.angles)[cdf.searchsorted(pairs[: m + 1, 1], side="right")]
+        if cfg.initial_direction is not None:
+            dirs[0] = directions_from_angles(cfg.initial_direction)
+        return epochs[:m], dirs
+
+    @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "discrete_batch_edge",
+                                      "discrete_last_single"])
+    def test_chunks_0_are_one_stream(self, name):
+        cfg = _pinned_configs()[name]
+        c = self.chunk(cfg)
+        assert _PathKernel(cfg)._block == c and c % 2 == 0
+        stream = Generator(Philox(key=cfg.seed << 64)).random(2 * c * cfg.n_paths)
+        for i, path in enumerate(simulate_paths(cfg)):
+            want = self.path_from_pairs(cfg, stream[2 * c * i : 2 * c * (i + 1)].reshape(-1, 2))
+            assert path.switch_times.tobytes() == want[0].tobytes()
+            assert path.directions.tobytes() == want[1].tobytes()
+
+    def test_a_short_path_draws_its_chunks_at_word_2(self):
+        # at T/eps^2 = 100 a chunk holds 138 pairs, and about one path in
+        # 5400 switches more often: the first such path of the stream
+        seed, eps = 2024, 0.1
+        law = DiscreteSwitching(np.array([[0.0], [math.pi / 2], [math.pi], [1.5 * math.pi]]),
+                                np.array([0.1, 0.2, 0.3, 0.4]))
+        probe = msre_config(epsilon=eps, switching=law, seed=seed, n_paths=1)
+        c, rng, short = self.chunk(probe), Generator(Philox(key=seed << 64)), []
+        for first in range(0, 100_000, 2048):
+            pairs = rng.random(2 * c * 2048).reshape(2048, c, 2)
+            ends = np.cumsum(np.log1p(-pairs[:, :, 0]) * -(eps * eps), axis=1)[:, -1]
+            short = first + np.flatnonzero(ends < 1.0)
+            if short.size:
+                break
+        i = int(short[0])
+        cfg = msre_config(epsilon=eps, switching=law, seed=seed, n_paths=i + 2)
+        chunks = [pairs[i - first]] + [
+            Generator(Philox(key=seed << 64, counter=[i * c // 2, 0, j, 0])).random((c, 2))
+            for j in (1, 2)
+        ]
+        want = self.path_from_pairs(cfg, np.concatenate(chunks))
+        got = simulate_path(cfg, i)
+        assert got.switch_times.size >= c
+        assert got.switch_times.tobytes() == want[0].tobytes()
+        assert got.directions.tobytes() == want[1].tobytes()
+        row = simulate_ensemble(cfg, workers=1).points[i]
+        assert got.endpoint.tobytes() == row.tobytes()
 
 
 def tilted_speed(directions):
@@ -476,26 +580,26 @@ def _pinned_configs():
 
 class TestPinnedStreams:
     """Endpoint bytes of small configs (x86-64 with AVX-512, numpy 2.4),
-    under stream layout 2 (simulator.STREAM_LAYOUT). The seven uniform-law
-    pins keep the bytes of layout 1, which layout 2 did not change: the
-    first two were recorded before the per-block kernel replaced the
+    under stream layout 3 (simulator.STREAM_LAYOUT). The seven uniform-law
+    pins keep the bytes of layout 1, which layouts 2 and 3 did not change:
+    the first two were recorded before the per-block kernel replaced the
     per-path set-up, the next three before the column-major batched kernel
     replaced the per-path arithmetic, and the two uniform_atoms pins when
     atoms became nodes of the uniform law's mixture. The four finite-law
-    pins were recorded when layout 2 drew a finite law's waits and picks as
-    uniform pairs. A change of the stream layout or of the path arithmetic
-    changes these digests."""
+    pins were recorded when layout 3 put the paths' chunks of uniform pairs
+    at adjacent counters of one Philox stream per seed. A change of the
+    stream layout or of the path arithmetic changes these digests."""
 
     DIGESTS = {
         "uniform_step_n3": "03b81ac96611c4861a57a145422f00fd9536021ea9bd62d45852d957041d363e",
         "uniform_initial": "f675ccceb073907838b10540080f85e047dc9abec3a3a5be4cf60ee5b8d59076",
-        "discrete_atoms": "489c6daf228dd3b37d7bcee57471e1eddbac5e08560d0a2873a8bb6f921dc94c",
-        "discrete_initial": "fb099a9ed0e27ec403ea469a9f160a9ba2a90b5f5f321ee231c7fdd08de7929d",
+        "discrete_atoms": "3d69e69a95600d6142aaf5a2e8b56bfc3246225013c70fb54fd8e7e75cf5fb5d",
+        "discrete_initial": "7996fcbd07cbe2ff3b5909f7956affd1f492bcb1f5e6b26bc5a4d1ece137d052",
         "uniform_sine_n5_long": "f61053fa2abe291db41d79dbba6e66b6524c063a3a86e9eb9faeb5cc32025479",
         "uniform_msre_n8": "f27d35d925522013d6542a975abef44aacd5d407bdbc86d9946730e41d62c2b8",
         "uniform_user_callable": "36730d70fea85251253e31572a40377db9ff0f7755db2172c15d0459e8e3e1a7",
-        "discrete_batch_edge": "18dbd42f04964121f0de7f5d0378b9b137b7089e98fda59c9daa9424ecf70d16",
-        "discrete_last_single": "f476a907366c76f6cda658012a3f79e2077daae7ae3a924ac5b871de69396d4b",
+        "discrete_batch_edge": "9b13c1edcb599e6ee26994be73d79fbae539842258ef59df26034bea70ce43d4",
+        "discrete_last_single": "becdca2c8318c557fc0420b6debfda000ac007829cb036a1209af1b2ef9702bf",
         "uniform_atoms": "6a16353110c4950280f0e0f2ea3bedf50b0219ff2dad713ee4ca67e102118b19",
         "uniform_atoms_initial": "fc1f0595b908ae1e94c2d8670c96191bbc077df095cfff64db1572da6eda8505",
     }
@@ -530,14 +634,14 @@ class TestPinnedStreams:
         assert last[0] == edge.n_paths - 1 and last[1].size == 1
 
     @pytest.mark.parametrize("name", [key for key in sorted(DIGESTS) if key.startswith("discrete")])
-    def test_layout_2_does_not_depend_on_the_chunk(self, name):
-        # the stream is a sequence of uniform pairs, however many a path
-        # draws at once
+    def test_layout_3_does_not_depend_on_the_batch(self, name):
+        # a batch's chunks 0 are one stretch of the stream, however many
+        # paths a batch draws at once
         cfg = _pinned_configs()[name]
         points = simulate_ensemble(cfg, workers=1).points
-        assert _PathKernel(cfg)._block > 7
-        for chunk in (2, 7):
-            assert chunked_endpoints(cfg, chunk).tobytes() == points.tobytes()
+        assert _PathKernel(cfg)._batch_paths > 7
+        for paths in (1, 7):
+            assert batched_endpoints(cfg, paths).tobytes() == points.tobytes()
 
     @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "discrete_batch_edge",
                                       "uniform_atoms", "uniform_atoms_initial"])
@@ -590,30 +694,39 @@ def test_simulate_path_replays_the_ensemble_row(cfg):
         assert simulate_path(cfg, i).endpoint.tobytes() == points[i].tobytes()
 
 
-def chunked_endpoints(cfg, chunk):
-    """Endpoints of every path by a kernel that draws `chunk` uniform pairs
-    per path at first: under a finite law, a path that needs more continues
-    its stream in chunks of as many."""
+def batched_endpoints(cfg, paths):
+    """Endpoints of every path by a kernel that draws `paths` paths per
+    batch."""
     kernel = _PathKernel(cfg)
-    kernel._block = chunk
+    kernel._batch_paths = paths
     return np.concatenate([kernel.endpoints(counts, times, draws)
                            for _, counts, times, draws in kernel.batches(0, cfg.n_paths)])
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_configs(finite=True), st.integers(1, 8))
-def test_finite_law_bytes_do_not_depend_on_the_chunk(cfg, chunk):
-    # a chunk of 1..8 pairs makes most paths continue their streams
+def test_finite_law_bytes_do_not_depend_on_the_batch(cfg, paths):
+    # batches of 1..8 paths start their draws at many counters
     points = simulate_ensemble(cfg, workers=1).points
-    assert chunked_endpoints(cfg, chunk).tobytes() == points.tobytes()
+    assert batched_endpoints(cfg, paths).tobytes() == points.tobytes()
+
+
+def _finite_law_pairs(seed, chunk, path_index):
+    """The uniform pairs of a finite-law path under stream layout 3, one
+    after another, from numpy's Philox: chunk j of `chunk` pairs starts at
+    counter [i chunk/2 (words 0-1), j, 0] of the key seed << 64."""
+    start = path_index * (chunk // 2)
+    for j in itertools.count():
+        rng = Generator(Philox(key=seed << 64, counter=[start % 2**64, start >> 64, j, 0]))
+        yield from rng.random((chunk, 2))
 
 
 def _per_path_reference(config, block, path_index):
     """One path by per-path formulas: (switch_times, directions,
     displacements, endpoint). Under uniform switching these are the formulas
     of the kernel before the batched one, whose first draw is a block of
-    waits. Under a finite law they follow the stream layout one uniform pair
-    at a time, so block is unused."""
+    waits. Under a finite law they follow stream layout 3 with chunks of
+    block pairs, one uniform pair at a time."""
     eps, horizon, n = config.epsilon, config.horizon, config.dimension
     init = config.initial_direction
     rng = Generator(Philox(key=(int(config.seed) << 64) + path_index))
@@ -625,8 +738,9 @@ def _per_path_reference(config, block, path_index):
         cdf = law.probabilities.cumsum()
         cdf /= cdf[-1]
         epochs, idx = [], []
+        pairs = _finite_law_pairs(int(config.seed), block, path_index)
         while not epochs or epochs[-1] < horizon:
-            u = rng.random(2)
+            u = next(pairs)
             wait = float(np.log1p(-u[:1])[0]) * -(eps * eps)
             epochs.append(epochs[-1] + wait if epochs else wait)
             idx.append(int(cdf.searchsorted(u[1], side="right")))
@@ -666,9 +780,9 @@ def _per_path_reference(config, block, path_index):
 class TestBatchedKernel:
     @pytest.mark.parametrize("name", sorted(TestPinnedStreams.DIGESTS))
     def test_small_block_matches_per_path_formulas(self, name):
-        # a first draw of 2 waits, or of 2 pairs under a finite law, runs the
-        # top-up branch of _draw_switch_times or _draw_pairs several times
-        # per path
+        # a first draw of 2 waits, or chunks of 2 pairs under a finite law,
+        # runs the top-up branch of _draw_switch_times or _draw_pairs several
+        # times per path
         cfg = _pinned_configs()[name]
         kernel = _PathKernel(cfg)
         kernel._block = 2
@@ -686,11 +800,12 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "uniform_step_n3",
                                       "uniform_atoms", "uniform_atoms_initial"])
     def test_mixed_batch_replays_only_the_short_paths(self, name):
-        # a block of about T/eps^2 waits: some paths of the one batch pass
-        # the horizon within it, the others take the replay route
+        # a block of about T/eps^2 waits, or pairs (even, as a finite law's
+        # chunk is): some paths of the one batch pass the horizon within it,
+        # the others take the replay route
         cfg = _pinned_configs()[name]
         kernel = _PathKernel(cfg)
-        kernel._block = block = int(cfg.horizon / cfg.epsilon**2)
+        kernel._block = block = int(cfg.horizon / cfg.epsilon**2) // 2 * 2
         (_, counts, times, draws), = kernel.batches(0, 24)
         assert (counts > block).any() and (counts <= block).any()
         endpoints = kernel.endpoints(counts, times, draws)
