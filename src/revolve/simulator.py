@@ -11,87 +11,80 @@ direction. Positions are integrated in closed form segment by segment, so
 there is no time-discretization error.
 
 Reproducibility: every path draws from counter-based Philox streams of
-the seed, at places fixed by its index. Under uniform switching path i owns
-the stream of key words [i, seed] from counter 0, the stream of
-Generator(Philox(key=(seed << 64) + i)). Under a finite law the paths share
-the key words [0, seed], the key of Generator(Philox(key=seed << 64)), and
-each owns a range of its counters. Path i is a pure function of the
+the seed, at places fixed by its index, so path i is a pure function of the
 configuration and its index. Ensembles are therefore bit-identical for any
 number of workers, and any single path can be replayed in isolation.
 
-Stream layout 3 (STREAM_LAYOUT, recorded in manifest.json) says which draws
-a path makes, in order:
-  - under a finite law, one uniform pair per segment, k = 0, 1, ...:
-    segment k waits -eps^2 * log1p(-u_2k) (numpy's log1p) and takes the
-    direction cdf.searchsorted(u_2k+1, side="right") of the law's
-    cumulative probabilities. Its switch time is the running sum of the
-    waits, and the path ends at the first segment whose switch time
-    reaches the horizon. Every segment draws its pair; with a fixed
-    initial direction, segment 0's pick is drawn and not used. The pairs
-    come in chunks of C = _pair_chunk(T/eps^2), an even number of pairs,
-    so a chunk's 2C uniforms are C/2 whole Philox blocks of four; C is part
-    of the layout. Path i's chunk 0 is the first 2C uniforms of
-    Generator(Philox(key=seed << 64, counter=i C/2)), the counter spanning
-    words 0-1 as one 128-bit integer: the chunks 0 of paths 0, 1, ... lie
-    one after another in one stream. A path that needs
+Stream layout 4 (STREAM_LAYOUT, recorded in manifest.json) says which draws
+a path makes, in order. Both switching laws run one clock:
+  - Segment k = 0, 1, ... draws w uniforms u_wk, ..., u_wk+w-1. w is 2
+    when a segment picks, under a finite law or under uniform switching
+    with atoms, and 1 otherwise. Segment k waits -eps^2 * log1p(-u_wk)
+    (numpy's log1p). Its switch time is the running sum of the waits, and
+    the path ends at the first segment whose switch time reaches the
+    horizon. When w = 2, u_wk+1 picks by cdf.searchsorted(u_wk+1,
+    side="right"): under a finite law a direction, by the law's cumulative
+    probabilities; under uniform switching an atom, by the cumulative atom
+    masses, or, at or above their sum q, the sphere. Every segment draws
+    its uniforms; with a fixed initial direction, segment 0's pick is drawn
+    and not used.
+  - The uniforms come in chunks of C = _chunk(T/eps^2, w) segments, so
+    that a chunk's w C uniforms are w C/4 whole Philox blocks; C is part of
+    the layout. The paths share the key words [0, seed], the key of
+    Generator(Philox(key=seed << 64)). Path i's chunk 0 is the first w C
+    uniforms of Generator(Philox(key=seed << 64, counter=i w C/4)), the
+    counter spanning words 0-1 as one 128-bit integer: the chunks 0 of
+    paths 0, 1, ... lie one after another in one stream. A path that needs
     more draws its chunk j = 1, 2, ... from the same words 0-1 with j in
     word 2, so it never runs on into path i+1's range. Word 3 is 0.
     EvolutionConfig refuses an n_paths whose counters do not fit in words
     0-1.
-  - under uniform switching (unchanged since layout 1), a block of
-    T/eps^2 + 6 sqrt(T/eps^2) + 16 standard exponentials, more blocks of as
-    many while their pairwise sum falls short of the horizon, then per
-    drawn segment (all but a fixed initial direction's): with atoms, one
-    uniform each, then n standard normals each. The waits are the
-    exponentials times eps^2 and the switch times their running sum.
+  - Under uniform switching path i draws n standard normals per drawn
+    segment (all but a fixed initial direction's) from key words
+    [i, seed] at counter words [0, 0, 2^64 - 1, 0], the stream of
+    Generator(Philox(key=(seed << 64) + i, counter=(2**64 - 1) << 128)).
+    No chunk reaches word 2 = 2^64 - 1, so no two streams overlap. The
+    normals keep a stream per path because numpy's ziggurat takes a
+    variable number of words per normal, so a path's normals cannot sit at
+    counters fixed in advance.
 
-Per-block set-up: a block of paths shares one Philox generator, set
-afresh for each path under uniform switching and for each batch under a
-finite law, the padded buffers its batches reuse, and everything that
-does not change from path to path. A finite switching law becomes a table
-of directions and speeds, evaluated once on its grid by
-profiles.grid_speeds, with the initial direction as one extra column; a
-path draws indices into it. Every speed, in a table or on a batch's rows,
-comes from the one evaluator VelocityProfile.values_on on unit vectors.
-Under uniform switching it runs on each batch's directions: the drawn ones,
-the atoms' own where a row picks an atom, and a fixed initial direction in
-the first row of each path.
+Per-block set-up: a block of paths shares one Philox generator, set afresh
+for each batch's chunks and for each path's normals, the padded buffers its
+batches reuse, and everything that does not change from path to path. A
+finite switching law becomes a table of directions and speeds, evaluated
+once on its grid by profiles.grid_speeds, with the initial direction as one
+extra column; a path draws indices into it. Every speed, in a table or on a
+batch's rows, comes from the one evaluator VelocityProfile.values_on on
+unit vectors. Under uniform switching it runs on each batch's directions:
+the drawn ones, the atoms' own where a row picks an atom, and a fixed
+initial direction in the first row of each path.
 
-Batched arithmetic: under a finite law the chunks 0 of a batch's paths are
-one stretch of the seed's stream, and one Generator.random call draws them
-into a padded (paths, 2C) buffer, a path's chunk per row. Under uniform
-switching a loop over the batch's paths does only what has to follow each
-path's stream: it re-keys the generator, draws a block of standard
-exponentials into the path's row, counts its switches there, then draws
-exactly n normals per segment straight into the batch's rows; with atoms,
-its uniforms come first, one per drawn segment: each picks an atom by
-cumulative mass, as a finite law picks a direction, or, at or above q, the
-segment's normals. The rest runs once per batch: a finite law's waits, the
-running sums row by row and the switch counts, and, for both laws, a mask
-that cuts the padded rows into one row per segment, path after path. A
-uniform-law row's used prefix holds the numbers a draw sized to the path
-would give, because a stream's draws are consecutive. A path whose first
-draw ends before the horizon is replayed alone: under a finite law it draws
-its chunks j >= 1 (about one path in 35000 at T/eps^2 = 25, at most about
-one in 700 for any eps); under uniform switching it tops up its waits
-through _draw_switch_times, rarer than one path in 10^9.
+Batched arithmetic: the chunks 0 of a batch's paths are one stretch of the
+seed's stream, and one Generator.random call draws them into a padded
+(paths, w C) buffer, a path's chunk per row. The waits, the running sums
+row by row, the switch counts and a mask that cuts the padded rows into one
+row per segment, path after path, run once per batch. A path whose chunk 0
+ends before the horizon is replayed alone and draws its chunks j >= 1:
+about one path in 35000 at T/eps^2 = 25 and one in 1300 at T/eps^2 = 2500,
+at most about one in 700 for any eps. Under uniform switching a loop over
+the batch's paths then re-keys the generator and draws each path's normals
+straight into the batch's rows, once the counts are final.
 A batch holds about _BATCH_ROWS segments, so transient memory does not
 grow with the number of paths.
 Each batch is handled at once on column-major arrays: one (n, rows) array
 per quantity, one column per segment, path after path. The results keep
 the bits of the per-path arithmetic because every operation is
 either elementwise or sums in the same order:
-  - a direction's norm adds the squared coordinates in order, as
-    np.linalg.norm does for fewer than 8 of them (from 8 on, numpy sums
-    pairwise, and the row-wise norm is kept);
+  - a direction's norm adds the squared coordinates in order, starting
+    from the first;
   - an endpoint is x0 plus a sequential sum of the path's displacements in
     row order, starting from 0.0, as displacements.sum(axis=0) does on one
     path's rows. np.bincount adds in exactly that order; a pairwise sum
     (np.add.reduceat, or a sum along a contiguous axis) would change bits.
-A finite law's waits take the bits of numpy's log1p. Numpy may run it
-through SIMD code that rounds differently on another CPU, as it may its sin
-and cos in directions_from_angles, so endpoint bytes are reproducible on
-one platform, not across platforms.
+The waits take the bits of numpy's log1p. Numpy may run it through SIMD
+code that rounds differently on another CPU, as it may its sin and cos in
+directions_from_angles, so endpoint bytes are reproducible on one platform,
+not across platforms.
 """
 
 from __future__ import annotations
@@ -129,26 +122,28 @@ __all__ = [
 ]
 
 # The stream layout of the module docstring: which draws a path makes, in order.
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 _MAX_SEED = 2**64
-# Counter words 0-1 of a Philox stream, where a finite-law path's chunks start.
+# Counter words 0-1 of a Philox stream, where a path's chunks start.
 _COUNTER_SPAN = 2**128
+# Counter word 2 of a uniform-law path's normals, above every chunk's.
+_NORMALS_WORD = 2**64 - 1
 # The most float64 values one numpy array can hold: its size in bytes is an intp.
 _MAX_FLOAT64S = np.iinfo(np.intp).max // 8
 
 
-def _switch_block(expected: float) -> int:
-    """Waits a path draws at first under uniform switching when it expects
-    `expected` switches: part of the stream layout."""
-    return max(16, int(expected + 6.0 * math.sqrt(expected) + 16.0))
+def _width(law: SwitchingLaw, profile: VelocityProfile) -> int:
+    """Uniforms per segment: 2 when a segment picks, by a finite law or
+    among the atoms of the uniform law's mixture, else 1."""
+    return 2 if isinstance(law, DiscreteSwitching) or profile.atoms else 1
 
 
-def _pair_chunk(expected: float) -> int:
-    """Uniform pairs in a chunk of a path's draws under a finite law when it
-    expects `expected` switches: part of the stream layout. It is even, so
-    a chunk is a whole number of Philox blocks."""
+def _chunk(expected: float, width: int) -> int:
+    """Segments in a chunk of a path's draws, `width` uniforms each, when it
+    expects `expected` switches: part of the stream layout. A chunk is a
+    whole number of Philox blocks of four uniforms."""
     chunk = int(expected + 3.0 * math.sqrt(expected) + 8.0)
-    return chunk + chunk % 2
+    return chunk + -chunk % (4 // width)
 
 
 @dataclass(frozen=True)
@@ -179,21 +174,18 @@ class EvolutionConfig:
                 "switch count horizon / epsilon^2 is not a finite float",
                 "epsilon",
             )
-        finite = isinstance(self.switching, DiscreteSwitching)
-        if finite:
-            block, unit = 2 * _pair_chunk(self.horizon / mean_wait), "uniforms"
-        else:
-            block, unit = _switch_block(self.horizon / mean_wait), "waits"
+        width = _width(self.switching, self.profile)
+        block = width * _chunk(self.horizon / mean_wait, width)  # uniforms per chunk
         if block > _MAX_FLOAT64S:
             raise FieldError(
                 f"epsilon {self.epsilon} is too small for horizon {self.horizon}: a path's "
-                f"block of {block:.3g} {unit} is more float64 values than numpy can index",
+                f"chunk of {block:.3g} uniforms is more float64 values than numpy can index",
                 "epsilon",
             )
         if not self.n_paths >= 1:
             raise FieldError(f"n_paths must be >= 1, got {self.n_paths}", "n_paths")
         # path i's chunks start at Philox counter i * block / 4: four uniforms a block
-        if finite and self.n_paths * (block // 4) >= _COUNTER_SPAN:
+        if self.n_paths * (block // 4) >= _COUNTER_SPAN:
             raise FieldError(
                 f"n_paths {self.n_paths} is too large for epsilon {self.epsilon} and horizon "
                 f"{self.horizon}: at {block // 4} Philox blocks per path, the paths' chunks "
@@ -208,6 +200,7 @@ class EvolutionConfig:
             raise FieldError(f"x0 must be finite, got {self.x0.tolist()}", "x0")
         if self.profile.dimension != self.dimension:
             raise FieldError(f"dimension {self.profile.dimension} != {self.dimension}", "profile")
+        finite = isinstance(self.switching, DiscreteSwitching)
         if finite and self.switching.angles.shape[1] != self.dimension - 1:
             raise FieldError("switching angles do not match the dimension", "switching.angles")
         if self.profile.atoms:
@@ -292,16 +285,17 @@ class _PathStreams:
     """The Philox streams of one seed from one generator, set afresh where a
     draw starts.
 
-    rekey(i) sets key words [i, seed], counter 0 and an empty buffer: the
-    state of a fresh Generator(Philox(key=(seed << 64) + i)), a uniform-law
-    path's stream. seek(counter, chunk) sets key words [0, seed], counter
-    words [counter mod 2^64, counter >> 64, chunk, 0] and an empty buffer:
-    the state of a fresh Generator(Philox(key=seed << 64, counter=...)),
-    where a finite law's chunks start. The draws are those of the fresh
-    generators. Building a fresh Philox would first seed a SeedSequence
-    from OS entropy that the key then overrides; setting the state skips
-    that. The fresh state holds its words as Python ints, which the
-    Philox.state setter copies in half the time it takes to read numpy
+    seek(counter, chunk) sets key words [0, seed], counter words
+    [counter mod 2^64, counter >> 64, chunk, 0] and an empty buffer: the
+    state of a fresh Generator(Philox(key=seed << 64, counter=...)), where
+    the paths' chunks start. rekey(i) sets key words [i, seed], counter
+    words [0, 0, 2^64 - 1, 0] and an empty buffer: the state of a fresh
+    Generator(Philox(key=(seed << 64) + i, counter=(2**64 - 1) << 128)),
+    where a uniform-law path's normals start. The draws are those of the
+    fresh generators. Building a fresh Philox would first seed a
+    SeedSequence from OS entropy that the key then overrides; setting the
+    state skips that. The fresh state holds its words as Python ints, which
+    the Philox.state setter copies in half the time it takes to read numpy
     arrays.
     """
 
@@ -315,7 +309,7 @@ class _PathStreams:
         self._key, self._counter = fresh["state"]["key"], fresh["state"]["counter"]
 
     def rekey(self, path_index: int) -> Generator:
-        return self._set(path_index, 0, 0)
+        return self._set(path_index, 0, _NORMALS_WORD)
 
     def seek(self, counter: int, chunk: int = 0) -> Generator:
         return self._set(0, counter, chunk)
@@ -327,22 +321,6 @@ class _PathStreams:
         return self.generator
 
 
-def _draw_switch_times(rng: Generator, mean: float, block: int, horizon: float) -> np.ndarray:
-    """Event epochs of the Poisson clock inside (0, horizon) under uniform
-    switching: blocks of waits until their sum passes the horizon.
-    _PathKernel.batches draws the first block of every path itself and
-    replays here only the paths that need more."""
-    waits = rng.exponential(mean, size=block)
-    total = float(waits.sum())
-    while total < horizon:
-        more = rng.exponential(mean, size=block)
-        waits = np.concatenate([waits, more])
-        total += float(more.sum())
-    epochs = np.cumsum(waits)
-    m = int(np.searchsorted(epochs, horizon))
-    return epochs[:m]
-
-
 def _waits(uniforms: np.ndarray, mean: float) -> np.ndarray:
     """-mean * log1p(-u), computed alike on a path's row and a batch's rows."""
     waits = np.negative(uniforms)
@@ -351,32 +329,14 @@ def _waits(uniforms: np.ndarray, mean: float) -> np.ndarray:
     return waits
 
 
-def _draw_pairs(
-    chunk: Callable[[int], np.ndarray], mean: float, horizon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(segment end times, direction uniforms) of one path under a finite
-    law: its chunks of uniform pairs, chunk(0), chunk(1), ..., until a
-    switch time reaches the horizon. _PathKernel.batches draws the chunk 0
-    of every path itself and replays here only the paths that need more."""
-    pairs, j = chunk(0), 1
-    while True:
-        epochs = np.cumsum(_waits(pairs[0::2], mean))
-        m = int(np.sum(epochs < horizon))
-        if m < epochs.size:
-            break
-        pairs, j = np.concatenate([pairs, chunk(j)]), j + 1
-    epochs[m] = horizon
-    return epochs[: m + 1], pairs[1 : 2 * m + 2 : 2]
-
-
 # Segments per batch, on average: a batch takes _BATCH_ROWS / (T/eps^2 + 1)
 # paths. 64 KiB per (rows,) float64 array, n * 64 KiB per (n, rows) one;
-# a padded buffer holds a block per path, at most 16 times as many entries. Measured at eps 0.02 (n = 3, 4000 paths, 2-CPU Xeon, glibc
-# malloc): 2^13 rows holds three paths per batch and took about 10% less CPU
-# time than 2^12, which holds one; at 2^14 every batch mapped and unmapped
-# its arrays afresh, about 190k page faults and 0.3 s of system time. These
-# runs had scipy loaded, whose import raised the allocator's thresholds as
-# _keep_batch_memory now does in every process.
+# a padded buffer holds a chunk per path. Measured at eps 0.02 (n = 3, 4000
+# paths, 2-CPU Xeon, glibc malloc): 2^13 rows holds three paths per batch and
+# took about 10% less CPU time than 2^12, which holds one; at 2^14 every
+# batch mapped and unmapped its arrays afresh, about 190k page faults and
+# 0.3 s of system time. These runs had scipy loaded, whose import raised the
+# allocator's thresholds as _keep_batch_memory now does in every process.
 _BATCH_ROWS = 1 << 13
 
 
@@ -394,29 +354,27 @@ def _keep_batch_memory() -> None:
 
 
 def _unit_columns(g: np.ndarray) -> np.ndarray:
-    """The rows of g (k, n) over their norms, as columns of an (n, k) array,
-    with the bits of g / np.linalg.norm(g, axis=-1, keepdims=True).
-
-    numpy sums a row of fewer than 8 squares in order, starting from 0, and
-    so does this loop over the columns. From 8 on it sums pairwise, so the
-    row-wise norm is kept there.
-    """
+    """The rows of g (k, n) over their norms, as columns of an (n, k) array.
+    Each norm adds the squared coordinates in order, starting from the
+    first, at every n."""
     k, n = g.shape
-    if n < 8:
-        norms = g[:, 0] * g[:, 0]
-        for j in range(1, n):
-            norms += g[:, j] * g[:, j]
-        np.sqrt(norms, out=norms)
-    else:
-        norms = np.linalg.norm(g, axis=-1)
+    norms = g[:, 0] * g[:, 0]
+    for j in range(1, n):
+        norms += g[:, j] * g[:, j]
+    np.sqrt(norms, out=norms)
     return np.divide(g.T, norms, out=np.empty((n, k)))
+
+
+# A batch's draws, one row per segment: (picks, normals), as _PathKernel.batches
+# yields them.
+_Draws = tuple[np.ndarray | None, np.ndarray | None]
 
 
 class _PathKernel:
     """The per-config work of a block of paths, done once, and the path
     arithmetic, done once per batch of paths.
 
-    Each path draws from its own place in the seed's streams: the draws
+    Each path draws from its own places in the seed's streams: the draws
     it uses, and their order, are those of the stream layout (a path may
     draw more than it uses after them). Everything after the draws runs on
     a whole batch at once, on column-major arrays (n, rows) with one column
@@ -434,13 +392,14 @@ class _PathKernel:
         self._fixed_rows = int(init is not None)
         _keep_batch_memory()
         law, profile = config.switching, config.profile
-        # Under uniform switching with atoms: the cumulative atom masses and
-        # the atoms' directions as columns.
-        self._atom_cdf = None
+        # Uniforms per segment and segments per chunk.
+        self._width = _width(law, profile)
+        self._block = _chunk(expected, self._width)
+        # The cumulative masses a pick searches: the law's under a finite law
+        # (_cdf), the atoms' under uniform switching with atoms (_atom_cdf).
+        self._cdf = self._atom_cdf = None
         if isinstance(law, DiscreteSwitching):
-            # Uniform pairs per chunk (_block) and the table's columns:
-            # the law's directions, then the initial direction.
-            self._block = _pair_chunk(expected)
+            # The table's columns: the law's directions, then the initial one.
             grid = law.grid()  # its rows of positive probability
             c, c1 = grid_speeds(profile, grid)
             directions, self._first_index = grid.directions, grid.size
@@ -453,8 +412,6 @@ class _PathKernel:
             self._cdf = grid.weights.cumsum()
             self._cdf /= self._cdf[-1]
         else:
-            self._block = _switch_block(expected)  # standard exponentials per path at first
-            self._cdf = None
             if init is not None:
                 self._first = directions_from_angles(init)
             if profile.atoms:
@@ -463,42 +420,42 @@ class _PathKernel:
 
     def batches(
         self, start: int, stop: int
-    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, _Draws]]:
         """Draw paths [start, stop) in batches of _batch_paths paths, about
         _BATCH_ROWS segments.
 
-        Yields (first path, rows per path, times, draws) with one row per
-        segment, path after path. times holds the segment end times: the
-        switch times, then the horizon. draws holds (rows,) direction
-        uniforms under a finite law, (rows, n) normals under uniform
-        switching, and (rows, 1 + n) with each row's uniform first when the
-        profile has atoms; with a fixed initial direction, the first row of
-        each path is not used. Uniform switching's normals are a view of a
-        buffer that the next batch reuses.
+        Yields (first path, rows per path, times, (picks, normals)) with one
+        row per segment, path after path. times holds the segment end
+        times: the switch times, then the horizon. picks holds (rows,) pick
+        uniforms when w = 2, else None. normals holds (rows, n) standard
+        normals under uniform switching, None under a finite law. With a
+        fixed initial direction, the first row of each path is not used.
         """
-        horizon, block = self.config.horizon, self._block
-        per_batch, finite = self._batch_paths, self._cdf is not None
-        switches = np.empty(per_batch, dtype=np.intp)
+        horizon, block, width, mean = self.config.horizon, self._block, self._width, self._mean
+        per_batch, fixed = self._batch_paths, self._fixed_rows
+        uniforms = np.empty((per_batch, width * block))  # row j: path j's chunk 0
         # A spare column: the horizon follows a path's last epoch below it.
         epochs = np.empty((per_batch, block + 1))
-        # Path j is short when its first draw ends before the horizon (see
-        # _draw_pairs and _draw_switch_times), so that it draws more before
-        # it ends. Short paths are replayed alone.
+        switches = np.empty(per_batch, dtype=np.intp)
+        # Path j is short when its chunk 0 ends before the horizon, so that it
+        # draws more chunks before it ends. Short paths are replayed alone
+        # (_replay).
         shorts = np.empty(per_batch, dtype=bool)
         paths, columns = np.arange(per_batch), np.arange(block + 1)
-        # Each loop fills the paths' rows of epochs, switches and shorts.
-        loop = self._pair_loop if finite else self._clock_loop
-        draw_rows = loop(epochs, switches, shorts)
+        seek, blocks = self._streams.seek, width * block // 4  # Philox blocks per chunk
         for first in range(start, stop, per_batch):
             size = min(per_batch, stop - first)
             t, m, short = epochs[:size], switches[:size], shorts[:size]
-            draws = draw_rows(first, size)
+            seek(first * blocks).random(out=uniforms[:size].reshape(-1))
+            segments = uniforms[:size].reshape(size, block, width)
+            np.cumsum(_waits(segments[:, :, 0], mean), axis=1, out=t[:, :block])
+            np.sum(t[:, :block] < horizon, axis=1, out=m)
+            np.equal(m, block, out=short)
             t[paths[:size], m] = horizon  # the end of each path's last segment
             counts = np.where(short, 0, m + 1)
             taken = columns < counts[:, None]
             times = t[taken]
-            if finite:  # the padded rows' picks, cut as the times are
-                draws = draws[taken[:, :block]]
+            picks = segments[:, :, 1][taken[:, :block]] if width == 2 else None
             replay = np.flatnonzero(short)
             if replay.size:
                 at = np.cumsum(counts)[replay]  # where each replayed path's rows go
@@ -506,104 +463,55 @@ class _PathKernel:
                 counts[replay] = [path_times.size for path_times, _ in replayed]
                 at = np.repeat(at, counts[replay])
                 times = np.insert(times, at, np.concatenate([r[0] for r in replayed]))
-                draws = np.insert(draws, at, np.concatenate([r[1] for r in replayed]), axis=0)
-            yield first, counts, times, draws
+                if picks is not None:
+                    picks = np.insert(picks, at, np.concatenate([r[1] for r in replayed]))
+            normals = None
+            if self._cdf is None:  # each path's normals, drawn into the batch's rows
+                normals = np.empty((times.size, self.config.dimension))
+                rekey, end = self._streams.rekey, 0
+                for j, rows in enumerate(counts.tolist()):
+                    normals[end : end + fixed] = 1.0  # not drawn: nonzero, so its norm is finite
+                    rekey(first + j).standard_normal(out=normals[end + fixed : end + rows])
+                    end += rows
+            yield first, counts, times, (picks, normals)
 
-    def _pair_loop(self, epochs: np.ndarray, switches: np.ndarray, shorts: np.ndarray):
-        """The draw of a finite law: one Generator.random call fills the
-        rows of a padded buffer with the chunks 0 of the batch's paths, then
-        the waits, epochs and switch counts of the whole batch follow at
-        once. It returns the rows' picks, padded, a view of a buffer the
-        next batch reuses."""
-        horizon, block, mean = self.config.horizon, self._block, self._mean
-        pairs = np.empty((self._batch_paths, 2 * block))  # row j: path j's wait, pick, ...
-        seek, blocks = self._streams.seek, block // 2  # Philox blocks per chunk
-
-        def draw_rows(first: int, size: int) -> np.ndarray:
-            seek(first * blocks).random(out=pairs[:size].reshape(-1))
-            t, m = epochs[:size, :block], switches[:size]
-            np.cumsum(_waits(pairs[:size, 0::2], mean), axis=1, out=t)
-            np.sum(t < horizon, axis=1, out=m)
-            np.equal(m, block, out=shorts[:size])
-            return pairs[:size, 1::2]
-
-        return draw_rows
-
-    def _clock_loop(self, epochs: np.ndarray, switches: np.ndarray, shorts: np.ndarray):
-        """The draw loop of uniform switching: each path runs its own clock
-        on its block of waits, then draws its rows' variates into the
-        batch's rows. It returns them, a view of buffers the next batch
-        reuses."""
-        horizon, fixed, block, mean = self.config.horizon, self._fixed_rows, self._block, self._mean
-        per_batch, mixture = self._batch_paths, self._atom_cdf is not None
-        waits = np.empty((per_batch, block))
-        normals = np.empty((per_batch * block, self.config.dimension))
-        picks = np.empty(per_batch * block) if mixture else None  # their uniforms
-        rekey = self._streams.rekey
-
-        def draw_rows(first: int, size: int) -> np.ndarray:
-            used = 0
-            for j in range(size):
-                rng = rekey(first + j)
-                w, t = waits[j], epochs[j, :block]
-                rng.standard_exponential(out=w)
-                w *= mean  # the bits of rng.exponential(mean, size=block)
-                m = switches[j] = np.cumsum(w, out=t).searchsorted(horizon)
-                shorts[j] = w.sum() < horizon or m == block
-                if not shorts[j]:
-                    rows = m + 1
-                    normals[used : used + fixed] = 1.0  # nonzero, so its norm is finite
-                    if mixture:  # the rows' uniforms, then their normals
-                        picks[used : used + fixed] = 1.0  # a placeholder, as above
-                        rng.random(out=picks[used + fixed : used + rows])
-                    rng.standard_normal(out=normals[used + fixed : used + rows])
-                    used += rows
-            if mixture:
-                return np.column_stack([picks[:used], normals[:used]])
-            return normals[:used]
-
-        return draw_rows
-
-    def _replay(self, path_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """(times, draws) of one short path, drawn alone with as many chunks
-        or blocks of waits as it needs."""
-        if self._cdf is not None:
-            counter, size = int(path_index) * (self._block // 2), 2 * self._block
-
-            def chunk(j: int) -> np.ndarray:
-                return self._streams.seek(counter, j).random(size)
-
-            return _draw_pairs(chunk, self._mean, self.config.horizon)
-        rng = self._streams.rekey(path_index)
-        horizon, fixed = self.config.horizon, self._fixed_rows
-        times = np.append(_draw_switch_times(rng, self._mean, self._block, horizon), horizon)
-        k = times.size - fixed
-        # with atoms, the rows' uniforms, then their normals
-        picks = [rng.random((k, 1))] if self._atom_cdf is not None else []
-        draws = np.hstack(picks + [rng.standard_normal((k, self.config.dimension))])
-        return times, np.concatenate([np.ones((fixed, draws.shape[1])), draws])
+    def _replay(self, path_index: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(times, picks) of one short path, drawn alone: its chunks 0, 1,
+        ... until a switch time reaches the horizon."""
+        width, size, horizon = self._width, self._width * self._block, self.config.horizon
+        counter = int(path_index) * (size // 4)
+        uniforms, j = self._streams.seek(counter).random(size), 1
+        while True:
+            epochs = np.cumsum(_waits(uniforms[0::width], self._mean))
+            m = int(np.sum(epochs < horizon))
+            if m < epochs.size:
+                break
+            uniforms = np.concatenate([uniforms, self._streams.seek(counter, j).random(size)])
+            j += 1
+        epochs[m] = horizon
+        return epochs[: m + 1], uniforms[1 : 2 * m + 2 : 2] if width == 2 else None
 
     def arrange(
-        self, counts: np.ndarray, times: np.ndarray, draws: np.ndarray
+        self, counts: np.ndarray, times: np.ndarray, draws: _Draws
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(directions, displacements) of one batch, both (n, rows)."""
-        config = self.config
+        """(directions, displacements) of one batch, both (n, rows), from its
+        draws (picks, normals)."""
+        config, (picks, normals) = self.config, draws
         starts = np.cumsum(counts) - counts
         durations = np.empty_like(times)
         np.subtract(times[1:], times[:-1], out=durations[1:])
         durations[starts] = times[starts]  # the first segment starts at 0.0
         if self._cdf is not None:
-            idx = self._cdf.searchsorted(draws, side="right")
+            idx = self._cdf.searchsorted(picks, side="right")
             if self._fixed_rows:
                 idx[starts] = self._first_index
             # take, not fancy indexing: the same entries, several times faster
             # along the second axis
             dirs, speeds = self._table.take(idx, axis=1), self._table_speeds.take(idx)
         else:
-            mixture = self._atom_cdf is not None
-            dirs = _unit_columns(draws[:, 1:] if mixture else draws)
-            if mixture:
-                atom = self._atom_cdf.searchsorted(draws[:, 0], side="right")
+            dirs = _unit_columns(normals)
+            if self._atom_cdf is not None:
+                atom = self._atom_cdf.searchsorted(picks, side="right")
                 hit = atom < self._atom_cdf.size
                 dirs[:, hit] = self._atom_table[:, atom[hit]]
             if self._fixed_rows:
@@ -612,7 +520,9 @@ class _PathKernel:
             speeds = c / config.epsilon + c1
         return dirs, dirs * (speeds * durations)
 
-    def endpoints(self, counts: np.ndarray, times: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    def endpoints(
+        self, counts: np.ndarray, times: np.ndarray, draws: _Draws
+    ) -> np.ndarray:
         """Endpoints of the paths of one batch, (paths, n)."""
         _, displacements = self.arrange(counts, times, draws)
         path_of_row = np.repeat(np.arange(counts.size), counts)
@@ -643,8 +553,12 @@ def simulate_paths(
     config: EvolutionConfig, start: int = 0, stop: int | None = None
 ) -> Iterator[Trajectory]:
     """Simulate paths [start, stop) exactly, in order, with one set-up for all
-    of them; path i is simulate_path(config, i). stop defaults to n_paths."""
+    of them; path i is simulate_path(config, i). stop defaults to n_paths.
+    Raises ValueError when a path of the range lies outside [0, n_paths)."""
     stop = config.n_paths if stop is None else stop
+    if start < stop and not (0 <= start and stop <= config.n_paths):
+        index = start if start < 0 else stop - 1
+        raise ValueError(f"path index {index} is outside [0, {config.n_paths})")
     for switch_times, dirs, displacements in _PathKernel(config).paths(start, stop):
         positions = np.vstack([config.x0[None, :], config.x0 + np.cumsum(displacements, axis=0)])
         yield Trajectory(config.horizon, switch_times, dirs, positions)

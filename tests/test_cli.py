@@ -170,7 +170,7 @@ class TestExitCodes:
         assert abs(payload["error"]["residual"][0] - 1.0 / (2.0 * math.pi)) < 1e-10
 
     def test_out_of_memory_exit_1_names_the_completed_paths(self, tmp_path, capsys):
-        # a path expects 1e14 switches: its first block of waits, 800 TB,
+        # a path expects 1e14 switches: its chunk 0 of uniforms, 800 TB,
         # cannot be allocated
         evo = dict(BASE_EVOLUTION, epsilon=1e-7, n_paths=4)
         path = write_config(tmp_path, {"evolution": evo})
@@ -208,11 +208,15 @@ INVALID_CONFIGS = [
      "config.evolution.horizon"),
     ("n_paths_0", "simulate", {"evolution": dict(BASE_EVOLUTION, n_paths=0)}, [], 2,
      "config.evolution.n_paths"),
-    # under a finite law path i's chunks start at Philox counter i C/2, which
-    # must fit in the counter's two low words: C = 18 pairs at epsilon 0.5
+    # path i's chunks start at Philox counter i w C/4, which must fit in the
+    # counter's two low words: C = 18 pairs at epsilon 0.5 under a finite
+    # law, C = 20 single uniforms under the uniform law
     ("n_paths_past_the_counters", "simulate",
      {"evolution": dict(BASE_EVOLUTION, epsilon=0.5, n_paths=2**127,
                         switching=two_point_law([0.5, 0.5]))},
+     [], 2, "config.evolution.n_paths"),
+    ("n_paths_past_the_counters_uniform", "simulate",
+     {"evolution": dict(BASE_EVOLUTION, epsilon=0.5, n_paths=2**126)},
      [], 2, "config.evolution.n_paths"),
     ("seed_-1", "simulate", {"evolution": dict(BASE_EVOLUTION, seed=-1)}, [], 2,
      "config.evolution.seed"),
@@ -310,7 +314,7 @@ INVALID_CONFIGS = [
         2,
         "config.evolution.switching.angles[1]",
     ),
-    # horizon / epsilon^2 is finite, but a path's first block of waits is
+    # horizon / epsilon^2 is finite, but a path's chunk of uniforms is
     # longer than a numpy array can be
     ("epsilon_1e-100", "simulate", {"evolution": dict(BASE_EVOLUTION, epsilon=1e-100)}, [], 2,
      "config.evolution.epsilon"),
@@ -489,6 +493,12 @@ ERROR_LINES = {
         '1.0: at 9 Philox blocks per path, the paths\' chunks pass the 2^128 counters of a '
         'stream\'s counter words 0-1", "path": "config.evolution.n_paths"}}'
     ),
+    "n_paths_past_the_counters_uniform": (
+        '{"error": {"kind": "schema", "message": "config.evolution.n_paths: n_paths '
+        '85070591730234615865843651857942052864 is too large for epsilon 0.5 and horizon '
+        '1.0: at 5 Philox blocks per path, the paths\' chunks pass the 2^128 counters of a '
+        'stream\'s counter words 0-1", "path": "config.evolution.n_paths"}}'
+    ),
     "seed_-1": (
         '{"error": {"kind": "schema", "message": "config.evolution.seed: seed must be an '
         'unsigned 64-bit integer, got -1", "path": "config.evolution.seed"}}'
@@ -612,7 +622,7 @@ ERROR_LINES = {
     ),
     "epsilon_1e-100": (
         '{"error": {"kind": "schema", "message": "config.evolution.epsilon: epsilon 1e-100 '
-        'is too small for horizon 1.0: a path\'s block of 1e+200 waits is more float64 '
+        'is too small for horizon 1.0: a path\'s chunk of 1e+200 uniforms is more float64 '
         'values than numpy can index", "path": "config.evolution.epsilon"}}'
     ),
     "epsilon_1e-160": (
@@ -767,8 +777,9 @@ PIN_CONFIGS = {
 class TestArtifactBytes:
     """sha256 of artifacts under both switching laws (grid_resolution 8),
     recorded before the laws and their grids moved into revolve.limits; those
-    of operator_report.json since the solve contracts b2 at x, and the finite
-    law's moments.csv since stream layout 3."""
+    of operator_report.json since the solve contracts b2 at x, the finite
+    law's moments.csv since stream layout 3 and the uniform law's since
+    stream layout 4."""
 
     DIGESTS = {
         ("uniform_n3", "limit-coeffs", "limit_coeffs.json"):
@@ -776,7 +787,7 @@ class TestArtifactBytes:
         ("uniform_n3", "verify-operators", "operator_report.json"):
             "6170d022842670313f1181d27c0e9cd6226654e855599d5243815a2d6ffe854a",
         ("uniform_n3", "report", "moments.csv"):
-            "2b13dcfc3f357ff26015f18b94861289d7b15dc5b1595182e14970bc2e0cb943",
+            "8f0240c636eeb803c2c3b15b5fc2ca13ecd30adbed4dd7ec610e568354150a11",
         ("discrete_compass", "limit-coeffs", "limit_coeffs.json"):
             "829cbe825187cd55f15bb7818837f8fa263152f8587cf2699816a47b94b23f76",
         ("discrete_compass", "verify-operators", "operator_report.json"):
@@ -1026,8 +1037,8 @@ class TestSimulate:
 
     # sha256 of trajectories.csv from one fresh simulate_path per path, the
     # way the dump was written before it shared one kernel across paths (the
-    # finite law's since stream layout 3); about 10300 segments each, so the
-    # paths span two batches
+    # finite law's since stream layout 3, the uniform law's since stream
+    # layout 4); about 10300 segments each, so the paths span two batches
     TRAJECTORY_DIGESTS = {
         "uniform_initial_direction": (
             dict(
@@ -1035,7 +1046,7 @@ class TestSimulate:
                 profile={"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
                 initial_direction=[1.0, math.pi],
             ),
-            "358b1aca71d901bbb96b86bdcd4402f0e91fb76242deb6d2e2af3671964100ca",
+            "a2dad87e9b61f8fd1e4582545ccd0814124607a1e96d6a5d77965eb55047a2c5",
         ),
         "discrete": (
             dict(
@@ -1061,18 +1072,19 @@ class TestSimulate:
         assert hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest() == digest
 
     # sha256 of endpoints.csv as written by format(x, ".17g") per value (the
-    # finite law's since stream layout 3)
+    # finite law's since stream layout 3, the uniform law's since stream
+    # layout 4)
     ENDPOINT_DIGESTS = {
         "msre": (
             dict(BASE_EVOLUTION),
-            "e46db1cb30359ae4060cd0f46968909aa7e8dc6b2b865b802d4def5c0d7ebb71",
+            "0dd588d6964156dc300cd3d98a5d99b19e1457a0f0ed9513758ae6a50ba95875",
         ),
         "step_n3": (
             dict(
                 BASE_EVOLUTION, dimension=3, x0=[0.5, -0.25, 1e-7], seed=11,
                 profile={"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
             ),
-            "168b42d0b5f73ec478f2f5ab0851ee8c2e3ce1a625921106206e907fc6104f10",
+            "e0804d6349eb3433d299620e75dc862b396b95849e2e3d2fe4d213c36378eca3",
         ),
         # 9001 paths: neither the 1-worker block nor the eight 2-worker
         # blocks end on a multiple of cli._CSV_CHUNK_ROWS
@@ -1130,7 +1142,7 @@ class TestSimulate:
         path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION, n_paths=20)})
         out = tmp_path / "m"
         assert main([mode, "--config", path, "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["stream_layout"] == 3
+        assert json.loads((out / "manifest.json").read_text())["stream_layout"] == 4
 
 
 class TestConvergeAndReport:

@@ -107,17 +107,26 @@ class TestConfig:
             DiscreteSwitching(np.array([[0.0], [1.0]]), np.array([math.nan, 1.0]))
 
     def test_finite_law_counters_bound_n_paths(self):
-        # path i's chunk 0 takes Philox counters i C/2 + 1 .. (i + 1) C/2 in
-        # words 0-1 of the counter, so the last path's must end below 2^128;
-        # here T/eps^2 = 2.5 and a chunk of C = 16 pairs takes 8 counters
+        # path i's chunk 0 takes Philox counters i w C/4 + 1 .. (i + 1) w C/4
+        # in words 0-1 of the counter, so the last path's must end below
+        # 2^128; here T/eps^2 = 2.5 and a chunk of C = 16 pairs takes 8
+        # counters
         law = DiscreteSwitching(np.array([[0.0], [math.pi]]), np.array([0.5, 0.5]))
         short = dict(epsilon=0.5, horizon=0.625, switching=law)
-        assert simulator._pair_chunk(0.625 / 0.5**2) == 16
+        assert simulator._chunk(0.625 / 0.5**2, 2) == 16
         assert msre_config(**short, n_paths=2**125 - 1).n_paths == 2**125 - 1
         with pytest.raises(FieldError, match="pass the 2\\^128 counters") as err:
             msre_config(**short, n_paths=2**125)
         assert err.value.field == "n_paths"
-        assert msre_config(n_paths=2**200).n_paths == 2**200  # the uniform law keys each path
+        # the uniform law's chunks take the same counters: one uniform per
+        # segment at msre_config's T/eps^2 = 100, C = 140, 35 counters a path
+        assert simulator._chunk(100.0, 1) == 140
+        with pytest.raises(FieldError, match="pass the 2\\^128 counters") as err:
+            msre_config(n_paths=2**200)
+        assert err.value.field == "n_paths"
+        assert msre_config(n_paths=2**128 // 35).n_paths == 2**128 // 35
+        with pytest.raises(FieldError, match="pass the 2\\^128 counters"):
+            msre_config(n_paths=2**128 // 35 + 1)
 
     def test_fingerprint_distinguishes_configs(self):
         a = config_fingerprint(msre_config())
@@ -126,6 +135,19 @@ class TestConfig:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("index", [-1, 10])
+    def test_path_index_outside_n_paths_is_refused(self, index):
+        law = DiscreteSwitching(np.array([[0.0], [math.pi]]), np.array([0.5, 0.5]))
+        for cfg in (msre_config(n_paths=10), msre_config(n_paths=10, switching=law)):
+            message = f"path index {index} is outside \\[0, 10\\)"
+            with pytest.raises(ValueError, match=message):
+                simulate_path(cfg, index)
+            with pytest.raises(ValueError, match=message):
+                list(simulate_paths(cfg, index, index + 1))
+            with pytest.raises(ValueError, match="path index 10 is outside"):
+                list(simulate_paths(cfg, 5, 11))
+            assert simulate_path(cfg, 9).endpoint.shape == (2,)
+
     def test_same_path_twice_is_bit_identical(self):
         cfg = msre_config()
         t1 = simulate_path(cfg, 11)
@@ -173,7 +195,7 @@ class TestDeterminism:
 class TestPathLaw:
     def test_switch_counts_concentrate(self):
         # Poisson(T/eps^2) = Poisson(100): 3 sigma is +-30
-        cfg = msre_config(n_paths=1)
+        cfg = msre_config(n_paths=2000)
         counts = np.array([simulate_path(cfg, i).switch_times.size for i in range(2000)])
         fraction = np.mean((counts >= 70) & (counts <= 130))
         assert fraction >= 0.99
@@ -204,7 +226,7 @@ class TestPathLaw:
 
     def test_switch_counts_are_poisson(self):
         # chi-squared goodness of fit at significance 0.01
-        cfg = msre_config(epsilon=0.3)  # mean count about 11
+        cfg = msre_config(epsilon=0.3, n_paths=10_000)  # mean count about 11
         mean = cfg.horizon / cfg.epsilon**2
         counts = np.array([simulate_path(cfg, i).switch_times.size for i in range(10_000)])
         lo, hi = int(mean - 4 * math.sqrt(mean)), int(mean + 4 * math.sqrt(mean))
@@ -389,6 +411,12 @@ class TestMixtureSwitching:
             assert atom_rows(trajectory.directions, atoms).all()
 
 
+def normals_stream(seed, index):
+    """A uniform-law path's normals under stream layout 4: key words
+    [index, seed], counter words [0, 0, 2^64 - 1, 0]."""
+    return Generator(Philox(key=(seed << 64) + index, counter=(2**64 - 1) << 128))
+
+
 class TestPathStreams:
     """A generator whose state is set afresh draws exactly what a fresh one
     draws."""
@@ -402,7 +430,7 @@ class TestPathStreams:
     @pytest.mark.parametrize("seed,index", CASES)
     def test_rekey_matches_fresh_philox(self, seed, index):
         streams = _PathStreams(seed)
-        want = self.draws(Generator(Philox(key=(seed << 64) + index)))
+        want = self.draws(normals_stream(seed, index))
         got = self.draws(streams.rekey(index))
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -412,7 +440,7 @@ class TestPathStreams:
         streams = _PathStreams(seed)  # re-keyed from index to index, used in between
         for index in (0, 1, 2**64 - 1, 0):
             rng = streams.rekey(index)
-            fresh = Generator(Philox(key=(seed << 64) + index))
+            fresh = normals_stream(seed, index)
             for method, size in (("random", 9), ("standard_exponential", 5),
                                  ("standard_normal", 7), ("random", 3)):
                 got, want = getattr(rng, method)(size), getattr(fresh, method)(size)
@@ -424,7 +452,7 @@ class TestPathStreams:
         used = streams.rekey(index + 1)
         used.standard_normal(3)
         used.random(5)  # leaves a partly consumed buffer behind
-        want = self.draws(Generator(Philox(key=(seed << 64) + index)))
+        want = self.draws(normals_stream(seed, index))
         got = self.draws(streams.rekey(index))
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -446,75 +474,8 @@ class TestPathStreams:
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
         got = self.draws(streams.rekey(3))
-        for a, b in zip(got, self.draws(Generator(Philox(key=(seed << 64) + 3)))):
+        for a, b in zip(got, self.draws(normals_stream(seed, 3))):
             assert a.tobytes() == b.tobytes()
-
-
-class TestStreamLayout3:
-    """A finite-law path's draws, from numpy's public Philox API: the paths
-    of a seed share the key seed << 64; path i's chunk j of C uniform pairs
-    starts at counter words [i C/2 (words 0-1), j, 0]."""
-
-    @staticmethod
-    def chunk(cfg):
-        expected = cfg.horizon / cfg.epsilon**2
-        pairs = int(expected + 3.0 * math.sqrt(expected) + 8.0)
-        return pairs + pairs % 2
-
-    @staticmethod
-    def path_from_pairs(cfg, pairs):
-        """(switch times, directions) of a path whose pairs run on past the
-        horizon, by the layout's formulas."""
-        epochs = np.cumsum(np.log1p(-pairs[:, 0]) * -(cfg.epsilon**2))
-        m = int(np.sum(epochs < cfg.horizon))
-        assert m < epochs.size
-        law = cfg.switching
-        cdf = law.probabilities.cumsum()
-        cdf /= cdf[-1]
-        dirs = directions_from_angles(law.angles)[cdf.searchsorted(pairs[: m + 1, 1], side="right")]
-        if cfg.initial_direction is not None:
-            dirs[0] = directions_from_angles(cfg.initial_direction)
-        return epochs[:m], dirs
-
-    @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "discrete_batch_edge",
-                                      "discrete_last_single"])
-    def test_chunks_0_are_one_stream(self, name):
-        cfg = _pinned_configs()[name]
-        c = self.chunk(cfg)
-        assert _PathKernel(cfg)._block == c and c % 2 == 0
-        stream = Generator(Philox(key=cfg.seed << 64)).random(2 * c * cfg.n_paths)
-        for i, path in enumerate(simulate_paths(cfg)):
-            want = self.path_from_pairs(cfg, stream[2 * c * i : 2 * c * (i + 1)].reshape(-1, 2))
-            assert path.switch_times.tobytes() == want[0].tobytes()
-            assert path.directions.tobytes() == want[1].tobytes()
-
-    def test_a_short_path_draws_its_chunks_at_word_2(self):
-        # at T/eps^2 = 100 a chunk holds 138 pairs, and about one path in
-        # 5400 switches more often: the first such path of the stream
-        seed, eps = 2024, 0.1
-        law = DiscreteSwitching(np.array([[0.0], [math.pi / 2], [math.pi], [1.5 * math.pi]]),
-                                np.array([0.1, 0.2, 0.3, 0.4]))
-        probe = msre_config(epsilon=eps, switching=law, seed=seed, n_paths=1)
-        c, rng, short = self.chunk(probe), Generator(Philox(key=seed << 64)), []
-        for first in range(0, 100_000, 2048):
-            pairs = rng.random(2 * c * 2048).reshape(2048, c, 2)
-            ends = np.cumsum(np.log1p(-pairs[:, :, 0]) * -(eps * eps), axis=1)[:, -1]
-            short = first + np.flatnonzero(ends < 1.0)
-            if short.size:
-                break
-        i = int(short[0])
-        cfg = msre_config(epsilon=eps, switching=law, seed=seed, n_paths=i + 2)
-        chunks = [pairs[i - first]] + [
-            Generator(Philox(key=seed << 64, counter=[i * c // 2, 0, j, 0])).random((c, 2))
-            for j in (1, 2)
-        ]
-        want = self.path_from_pairs(cfg, np.concatenate(chunks))
-        got = simulate_path(cfg, i)
-        assert got.switch_times.size >= c
-        assert got.switch_times.tobytes() == want[0].tobytes()
-        assert got.directions.tobytes() == want[1].tobytes()
-        row = simulate_ensemble(cfg, workers=1).points[i]
-        assert got.endpoint.tobytes() == row.tobytes()
 
 
 def tilted_speed(directions):
@@ -580,28 +541,26 @@ def _pinned_configs():
 
 class TestPinnedStreams:
     """Endpoint bytes of small configs (x86-64 with AVX-512, numpy 2.4),
-    under stream layout 3 (simulator.STREAM_LAYOUT). The seven uniform-law
-    pins keep the bytes of layout 1, which layouts 2 and 3 did not change:
-    the first two were recorded before the per-block kernel replaced the
-    per-path set-up, the next three before the column-major batched kernel
-    replaced the per-path arithmetic, and the two uniform_atoms pins when
-    atoms became nodes of the uniform law's mixture. The four finite-law
+    under stream layout 4 (simulator.STREAM_LAYOUT). The four finite-law
     pins were recorded when layout 3 put the paths' chunks of uniform pairs
-    at adjacent counters of one Philox stream per seed. A change of the
-    stream layout or of the path arithmetic changes these digests."""
+    at adjacent counters of one Philox stream per seed; layout 4 keeps
+    them. The seven uniform-law pins were recorded when layout 4 gave the
+    uniform law the same chunked clock, with its normals in a stream per
+    path. A change of the stream layout or of the path arithmetic changes
+    these digests."""
 
     DIGESTS = {
-        "uniform_step_n3": "03b81ac96611c4861a57a145422f00fd9536021ea9bd62d45852d957041d363e",
-        "uniform_initial": "f675ccceb073907838b10540080f85e047dc9abec3a3a5be4cf60ee5b8d59076",
+        "uniform_step_n3": "c2982f30c70832b0b4f10e7600054cb004378d570f34928ab83c8a53ec20840f",
+        "uniform_initial": "6c9a0f70093214d78b555129ea2a0a907adf5b18baadc06889e3b0c5d9be773a",
         "discrete_atoms": "3d69e69a95600d6142aaf5a2e8b56bfc3246225013c70fb54fd8e7e75cf5fb5d",
         "discrete_initial": "7996fcbd07cbe2ff3b5909f7956affd1f492bcb1f5e6b26bc5a4d1ece137d052",
-        "uniform_sine_n5_long": "f61053fa2abe291db41d79dbba6e66b6524c063a3a86e9eb9faeb5cc32025479",
-        "uniform_msre_n8": "f27d35d925522013d6542a975abef44aacd5d407bdbc86d9946730e41d62c2b8",
-        "uniform_user_callable": "36730d70fea85251253e31572a40377db9ff0f7755db2172c15d0459e8e3e1a7",
+        "uniform_sine_n5_long": "74cf68fac57453569c6176983d13d36332075ffe967a8479692cace0b0a5a011",
+        "uniform_msre_n8": "b090652c71791a8bd2d35e2d8185362e6e9abf54779b4292da6c9a13a35ab4f5",
+        "uniform_user_callable": "c21707239b0adc3f98c97d92c9977075901f52e053477663c87ba86083f9184e",
         "discrete_batch_edge": "9b13c1edcb599e6ee26994be73d79fbae539842258ef59df26034bea70ce43d4",
         "discrete_last_single": "becdca2c8318c557fc0420b6debfda000ac007829cb036a1209af1b2ef9702bf",
-        "uniform_atoms": "6a16353110c4950280f0e0f2ea3bedf50b0219ff2dad713ee4ca67e102118b19",
-        "uniform_atoms_initial": "fc1f0595b908ae1e94c2d8670c96191bbc077df095cfff64db1572da6eda8505",
+        "uniform_atoms": "e9e607162c80d2ed4e41594f55354aa09854d0f5b13f2dfd9c4f254e891f5998",
+        "uniform_atoms_initial": "957db07fa830400efedf2fd15e0feb0e58f2b42d9b851a41c9abd1ff73cc015b",
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -633,10 +592,11 @@ class TestPinnedStreams:
         last = list(_PathKernel(edge).batches(0, edge.n_paths))[-1]
         assert last[0] == edge.n_paths - 1 and last[1].size == 1
 
-    @pytest.mark.parametrize("name", [key for key in sorted(DIGESTS) if key.startswith("discrete")])
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_layout_3_does_not_depend_on_the_batch(self, name):
-        # a batch's chunks 0 are one stretch of the stream, however many
-        # paths a batch draws at once
+        # layout 3's chunks, which layout 4 gives both laws: a batch's
+        # chunks 0 are one stretch of the stream, however many paths a batch
+        # draws at once
         cfg = _pinned_configs()[name]
         points = simulate_ensemble(cfg, workers=1).points
         assert _PathKernel(cfg)._batch_paths > 7
@@ -650,6 +610,82 @@ class TestPinnedStreams:
         serial = simulate_ensemble(cfg, workers=1).points.tobytes()
         for workers in (2, 4):
             assert simulate_ensemble(cfg, workers=workers).points.tobytes() == serial
+
+
+def layout_chunk(cfg):
+    """(w, C) of stream layout 4: uniforms per segment, segments per chunk."""
+    width = 2 if isinstance(cfg.switching, DiscreteSwitching) or cfg.profile.atoms else 1
+    expected = cfg.horizon / cfg.epsilon**2
+    chunk = int(expected + 3.0 * math.sqrt(expected) + 8.0)
+    return width, chunk + -chunk % (4 // width)
+
+
+class TestStreamLayout4:
+    """A path's draws, from numpy's public Philox API: the paths of a seed
+    share the key seed << 64; path i's chunk j of C segments, w uniforms
+    each, starts at counter words [i w C/4 (words 0-1), j, 0]. Under
+    uniform switching path i's normals start at counter words
+    [0, 0, 2^64 - 1, 0] of the key (seed << 64) + i."""
+
+    @pytest.mark.parametrize("name", sorted(TestPinnedStreams.DIGESTS))
+    def test_chunks_0_are_one_stream(self, name):
+        # under uniform switching reference_path also draws the normals,
+        # from normals_stream
+        cfg = _pinned_configs()[name]
+        w, c = layout_chunk(cfg)
+        kernel = _PathKernel(cfg)
+        assert (kernel._width, kernel._block) == (w, c) and w * c % 4 == 0
+        stream = Generator(Philox(key=cfg.seed << 64)).random(w * c * cfg.n_paths)
+        segments = stream.reshape(cfg.n_paths, c, w)
+        for i, path in enumerate(simulate_paths(cfg)):
+            more = itertools.islice(_layout_segments(cfg, c, i), c, None)  # a short path's
+            want = reference_path(cfg, i, itertools.chain(segments[i], more))
+            assert path.switch_times.tobytes() == want[0].tobytes()
+            assert path.directions.tobytes() == want[1].tobytes()
+            assert path.endpoint.tobytes() == want[3].tobytes()
+
+    @pytest.mark.parametrize("finite", [True, False], ids=["finite", "uniform"])
+    def test_a_short_path_draws_its_chunks_at_word_2(self, finite):
+        # at T/eps^2 = 100 a chunk holds 138 pairs under the finite law and
+        # 140 uniforms under the uniform law, and about one path in 5400
+        # (11000) switches more often: the first such path of the stream
+        seed, eps = 2024, 0.1
+        law = DiscreteSwitching(np.array([[0.0], [math.pi / 2], [math.pi], [1.5 * math.pi]]),
+                                np.array([0.1, 0.2, 0.3, 0.4]))
+        laws = dict(switching=law) if finite else {}
+        probe = msre_config(epsilon=eps, seed=seed, n_paths=1, **laws)
+        (w, c), rng, short = layout_chunk(probe), Generator(Philox(key=seed << 64)), []
+        for first in range(0, 100_000, 2048):
+            segments = rng.random(w * c * 2048).reshape(2048, c, w)
+            ends = np.cumsum(np.log1p(-segments[:, :, 0]) * -(eps * eps), axis=1)[:, -1]
+            short = first + np.flatnonzero(ends < 1.0)
+            if short.size:
+                break
+        i = int(short[0])
+        cfg = msre_config(epsilon=eps, seed=seed, n_paths=i + 2, **laws)
+        chunks = [segments[i - first]] + [
+            Generator(Philox(key=seed << 64, counter=[i * w * c // 4, 0, j, 0])).random((c, w))
+            for j in (1, 2)
+        ]
+        want = reference_path(cfg, i, iter(np.concatenate(chunks)))
+        got = simulate_path(cfg, i)
+        assert got.switch_times.size >= c
+        assert got.switch_times.tobytes() == want[0].tobytes()
+        assert got.directions.tobytes() == want[1].tobytes()
+        row = simulate_ensemble(cfg, workers=1).points[i]
+        assert got.endpoint.tobytes() == row.tobytes() == want[3].tobytes()
+
+    def test_one_clock_for_both_laws(self):
+        # example3_atoms under uniform switching and under a finite law both
+        # draw two uniforms per segment from the same counters, so their
+        # switch times are the same numbers path by path
+        profile = builtin_profile("example3_atoms", 2)
+        law = DiscreteSwitching(np.stack([a.angles for a in profile.atoms]), np.full(3, 1.0 / 3.0))
+        common = dict(profile=profile, epsilon=0.2, n_paths=500, seed=99)
+        pairs = zip(simulate_paths(msre_config(**common)),
+                    simulate_paths(msre_config(**common, switching=law)))
+        for mixture, finite in pairs:
+            assert mixture.switch_times.tobytes() == finite.switch_times.tobytes()
 
 
 @st.composite
@@ -711,65 +747,59 @@ def test_finite_law_bytes_do_not_depend_on_the_batch(cfg, paths):
     assert batched_endpoints(cfg, paths).tobytes() == points.tobytes()
 
 
-def _finite_law_pairs(seed, chunk, path_index):
-    """The uniform pairs of a finite-law path under stream layout 3, one
-    after another, from numpy's Philox: chunk j of `chunk` pairs starts at
-    counter [i chunk/2 (words 0-1), j, 0] of the key seed << 64."""
-    start = path_index * (chunk // 2)
+def _layout_segments(config, chunk, path_index):
+    """The uniforms of a path's segments under stream layout 4, w per
+    segment, one segment after another, from numpy's Philox: chunk j of
+    `chunk` segments starts at counter [i w chunk/4 (words 0-1), j, 0] of
+    the key seed << 64."""
+    width = layout_chunk(config)[0]
+    start = path_index * width * chunk // 4
     for j in itertools.count():
-        rng = Generator(Philox(key=seed << 64, counter=[start % 2**64, start >> 64, j, 0]))
-        yield from rng.random((chunk, 2))
+        counter = [start % 2**64, start >> 64, j, 0]
+        yield from Generator(Philox(key=config.seed << 64, counter=counter)).random((chunk, width))
 
 
-def _per_path_reference(config, block, path_index):
-    """One path by per-path formulas: (switch_times, directions,
-    displacements, endpoint). Under uniform switching these are the formulas
-    of the kernel before the batched one, whose first draw is a block of
-    waits. Under a finite law they follow stream layout 3 with chunks of
-    block pairs, one uniform pair at a time."""
+def reference_path(config, path_index, segments):
+    """One path by per-path formulas of stream layout 4, from an iterator
+    over its segments' uniforms: (switch_times, directions, displacements,
+    endpoint)."""
     eps, horizon, n = config.epsilon, config.horizon, config.dimension
-    init = config.initial_direction
-    rng = Generator(Philox(key=(int(config.seed) << 64) + path_index))
-    law, atoms = config.switching, config.profile.atoms
+    init, law, atoms = config.initial_direction, config.switching, config.profile.atoms
+    # segment k draws (u_wk, ...): it waits -eps^2 log1p(-u_wk) and, when it
+    # draws two, picks with u_wk+1; the path ends at the first segment whose
+    # switch time reaches the horizon
+    epochs, picks = [], []
+    while not epochs or epochs[-1] < horizon:
+        u = next(segments)
+        wait = float(np.log1p(-u[:1])[0]) * -(eps * eps)
+        epochs.append(epochs[-1] + wait if epochs else wait)
+        picks.extend(u[1:])
+    switch_times = np.array(epochs[:-1])
     if isinstance(law, DiscreteSwitching):
-        # segment k draws (u_2k, u_2k+1): it waits -eps^2 log1p(-u_2k) and
-        # picks the law's row cdf.searchsorted(u_2k+1, side="right"); the path
-        # ends at the first segment whose switch time reaches the horizon
+        # the law's row cdf.searchsorted(u, side="right")
         cdf = law.probabilities.cumsum()
         cdf /= cdf[-1]
-        epochs, idx = [], []
-        pairs = _finite_law_pairs(int(config.seed), block, path_index)
-        while not epochs or epochs[-1] < horizon:
-            u = next(pairs)
-            wait = float(np.log1p(-u[:1])[0]) * -(eps * eps)
-            epochs.append(epochs[-1] + wait if epochs else wait)
-            idx.append(int(cdf.searchsorted(u[1], side="right")))
-        switch_times = np.array(epochs[:-1])
+        idx = [int(cdf.searchsorted(u, side="right")) for u in picks]
         angles = law.angles if init is None else np.vstack([law.angles, init[None, :]])
         if init is not None:
             idx[0] = law.angles.shape[0]  # segment 0's pick is drawn and not used
         c, c1 = config.profile.values_at(angles)
         dirs, speeds = directions_from_angles(angles)[idx], (c / eps + c1)[idx]
     else:
-        waits = rng.exponential(eps * eps, size=block)
-        total = float(waits.sum())
-        while total < horizon:
-            more = rng.exponential(eps * eps, size=block)
-            waits = np.concatenate([waits, more])
-            total += float(more.sum())
-        epochs = np.cumsum(waits)
-        switch_times = epochs[: int(np.searchsorted(epochs, horizon))]
-        n_draw = switch_times.size + (init is None)
-        # with atoms, a uniform per row, then the rows' normals
-        picks = rng.random(n_draw) if atoms else None
-        g = rng.standard_normal((n_draw, n))
-        dirs = g / np.linalg.norm(g, axis=-1, keepdims=True)
-        if atoms:  # a uniform below the cumulative mass of atom k picks it
-            k = law.atom_masses(n, atoms).cumsum().searchsorted(picks, side="right")
-            hit = k < len(atoms)
-            dirs[hit] = np.stack([atom.direction for atom in atoms])[k[hit]]
+        # n normals per drawn row, each norm summing its squares in order
+        rows = len(epochs) - (init is not None)
+        g = normals_stream(config.seed, path_index).standard_normal((rows, n))
+        norms = np.zeros(g.shape[0])
+        for column in g.T:
+            norms += column * column
+        dirs = g / np.sqrt(norms)[:, None]
         if init is not None:
             dirs = np.vstack([directions_from_angles(init)[None, :], dirs])
+        if atoms:  # a pick below the cumulative mass of atom k takes it
+            k = law.atom_masses(n, atoms).cumsum().searchsorted(picks, side="right")
+            hit = k < len(atoms)
+            hit[0] &= init is None  # segment 0's pick is drawn and not used
+            dirs[hit] = np.stack([atom.direction for atom in atoms])[k[hit]]
         c, c1 = config.profile.values_on(dirs)
         speeds = c / eps + c1
     durations = np.diff(np.concatenate(([0.0], switch_times, [horizon])))
@@ -777,22 +807,26 @@ def _per_path_reference(config, block, path_index):
     return switch_times, dirs, displacements, config.x0 + displacements.sum(axis=0)
 
 
+def _per_path_reference(config, block, path_index):
+    """reference_path from chunks of `block` segments."""
+    return reference_path(config, path_index, _layout_segments(config, block, path_index))
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("name", sorted(TestPinnedStreams.DIGESTS))
     def test_small_block_matches_per_path_formulas(self, name):
-        # a first draw of 2 waits, or chunks of 2 pairs under a finite law,
-        # runs the top-up branch of _draw_switch_times or _draw_pairs several
-        # times per path
+        # chunks of one Philox block, 4 uniforms, send every path through
+        # _PathKernel._replay, which draws several chunks per path
         cfg = _pinned_configs()[name]
         kernel = _PathKernel(cfg)
-        kernel._block = 2
+        kernel._block = block = 4 // kernel._width
         endpoints = np.concatenate(
             [kernel.endpoints(counts, times, draws) for _, counts, times, draws in kernel.batches(0, 9)]
         )
         paths = list(kernel.paths(0, 9))
         assert len(paths) == 9
         for i, path in enumerate(paths):
-            want = _per_path_reference(cfg, 2, i)
+            want = _per_path_reference(cfg, block, i)
             got = (*path, endpoints[i])
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -800,12 +834,13 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "uniform_step_n3",
                                       "uniform_atoms", "uniform_atoms_initial"])
     def test_mixed_batch_replays_only_the_short_paths(self, name):
-        # a block of about T/eps^2 waits, or pairs (even, as a finite law's
-        # chunk is): some paths of the one batch pass the horizon within it,
-        # the others take the replay route
+        # a chunk of about T/eps^2 segments (whole Philox blocks, as a chunk
+        # is): some paths of the one batch pass the horizon within it, the
+        # others take the replay route
         cfg = _pinned_configs()[name]
         kernel = _PathKernel(cfg)
-        kernel._block = block = int(cfg.horizon / cfg.epsilon**2) // 2 * 2
+        step = 4 // kernel._width
+        kernel._block = block = int(cfg.horizon / cfg.epsilon**2) // step * step
         (_, counts, times, draws), = kernel.batches(0, 24)
         assert (counts > block).any() and (counts <= block).any()
         endpoints = kernel.endpoints(counts, times, draws)
@@ -832,8 +867,10 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_unit_columns_match_row_norms(self, n):
+        # each row's norm sums its squares in order, at every n
         g = Generator(Philox(key=n)).standard_normal((100_000, n))
-        want = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        norms = np.array([math.sqrt(sum(x * x for x in row)) for row in g.tolist()])
+        want = g / norms[:, None]
         assert _unit_columns(g).T.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
