@@ -345,9 +345,10 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
             "r0_q_identity": potential_identity_error(f),
         },
     }
+    del f  # freed, so the hierarchy's peak does not hold it as well
     if isinstance(evo.switching, UniformSphere) and not evo.profile.atoms:
         # closed forms of the uniform measure, which a mixture with atoms is not
-        report["quadrature_residuals"] = quadrature_residuals(grid)
+        report["quadrature_residuals"] = quadrature_residuals(grid, config.grid_resolution)
     limit = limit_coefficients(evo.profile, grid)
     report["limit_coefficients"] = {
         "drift": limit.drift.tolist(),

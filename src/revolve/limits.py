@@ -42,7 +42,7 @@ from .profiles import (
     first_moment,
     grid_speeds,
 )
-from .sphere import QuadratureGrid, build_grid, normalization_constant
+from .sphere import QuadratureGrid, build_grid, directions_from_angles, normalization_constant
 
 __all__ = [
     "BalanceError",
@@ -134,18 +134,17 @@ class UniformSphere:
 
     def grid(self, dimension: int, resolution: int, atoms: Sequence[Atom] = ()) -> QuadratureGrid:
         """The sphere grid build_grid(dimension, resolution); with atoms, its
-        nodes weighted by 1 - q, then one point node of weight w_k / N per
-        atom (only these at q = 1)."""
+        nodes weighted by 1 - q, then one point node of weight w_k / N at
+        each atom's direction (only these at q = 1)."""
         sphere = build_grid(dimension, resolution)
         if not atoms:
             return sphere
         masses = self.atom_masses(dimension, atoms)
         rest = 1.0 - masses.sum()
         m = sphere.size if rest > 0.0 else 0
-        nodes = np.vstack([sphere.nodes[:m], [atom.angles for atom in atoms]])
         directions = np.vstack([sphere.directions[:m], [atom.direction for atom in atoms]])
         weights = np.concatenate([sphere.weights[:m] * rest, masses])
-        return QuadratureGrid(sphere.dimension, nodes, weights, 1.0, directions, point_nodes=m)
+        return QuadratureGrid(sphere.dimension, directions, weights, 1.0, point_nodes=m)
 
     def describe(self) -> dict:
         return {"kind": "uniform_sphere"}
@@ -157,9 +156,9 @@ class DiscreteSwitching:
 
     Raises FieldError unless the angles are finite and the probabilities
     finite, nonnegative, one per angle row, and sum to 1 within 1e-12. Its
-    grid holds the rows of positive probability, weighted by it: a row of
-    probability 0 carries no stationary mass and matters only as an initial
-    direction.
+    grid holds the unit vectors of the rows of positive probability,
+    weighted by it: a row of probability 0 carries no stationary mass and
+    matters only as an initial direction.
     """
 
     angles: np.ndarray         # (K, n-1)
@@ -188,8 +187,8 @@ class DiscreteSwitching:
         object.__setattr__(self, "probabilities", p)
         keep = p > 0.0
         grid = QuadratureGrid(
-            dimension=angles.shape[1] + 1, nodes=angles[keep], weights=p[keep], raw_total=1.0,
-            point_nodes=0,
+            dimension=angles.shape[1] + 1, directions=directions_from_angles(angles[keep]),
+            weights=p[keep], raw_total=1.0, point_nodes=0,
         )
         object.__setattr__(self, "_grid", grid)
 

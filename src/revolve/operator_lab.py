@@ -73,6 +73,7 @@ grows as M n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,7 +81,7 @@ import numpy as np
 
 from .limits import BalanceError
 from .profiles import BalanceReport, VelocityProfile, balance_report, grid_speeds
-from .sphere import QuadratureGrid, sin_power_integral
+from .sphere import QuadratureGrid, grid_axes, sin_power_integral
 from .rates import RateFit, check_eps_sweep, fit_loglog
 
 __all__ = [
@@ -143,21 +144,32 @@ def potential_identity_error(f: ThetaField) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def quadrature_residuals(grid: QuadratureGrid) -> dict[str, float]:
-    """Errors of a sphere grid's Pi against closed forms of the uniform measure:
-    pi_s = max |Pi s_i|, pi_ss = max |Pi s_i s_j - delta_ij/n| and, for
-    n >= 3, sin_powers = max |Pi sin^k theta_i - I(e+k)/I(e)| over k = 1, 2
-    and the polar angles theta_i (density sin^e, e = n-1-i; I is
-    sin_power_integral). Unlike the identities of Pi, Q and R0, which hold to
-    roundoff for any weights summing to 1, these show a coarse grid."""
+def quadrature_residuals(grid: QuadratureGrid, resolution: int) -> dict[str, float]:
+    """Errors of build_grid(n, resolution)'s Pi against closed forms of the
+    uniform measure: pi_s = max |Pi s_i|, pi_ss = max |Pi s_i s_j - delta_ij/n|
+    and, for n >= 3, sin_powers = max |Pi sin^k theta_i - I(e+k)/I(e)| over
+    k = 1, 2 and the polar angles theta_i (density sin^e, e = n-1-i; I is
+    sin_power_integral), sin theta_i taken on its axis (grid_axes). Unlike
+    the identities of Pi, Q and R0, which hold to roundoff for any weights
+    summing to 1, these show a coarse grid. Raises ValueError unless grid
+    has build_grid(n, resolution)'s node count and no point nodes."""
     n, w, s = grid.dimension, grid.weights, grid.directions
+    axes = grid_axes(n, resolution)
+    shape = tuple(theta.size for theta, _ in axes)
+    if grid.size != math.prod(shape) or grid.point_nodes != grid.size:
+        raise ValueError(
+            f"a grid of {grid.size} nodes, {grid.size - grid.point_nodes} of them point "
+            f"nodes, is not build_grid({n}, {resolution}): {math.prod(shape)} sphere nodes"
+        )
     report = {
         "pi_s": float(np.max(np.abs(np.einsum("m,mi->i", w, s)))),
         "pi_ss": float(np.max(np.abs((s.T * w) @ s - np.eye(n) / n))),
     }
     errors = []
     for i in range(1, n - 1):
-        sin_i = np.sin(grid.nodes[:, i - 1])
+        along = [1] * (n - 1)
+        along[i - 1] = shape[i - 1]
+        sin_i = np.broadcast_to(np.sin(axes[i - 1][0]).reshape(along), shape).reshape(-1)
         errors += [
             abs(grid.average(sin_i**k)
                 - sin_power_integral(n - 1 - i + k) / sin_power_integral(n - 1 - i))

@@ -434,8 +434,9 @@ class _PathKernel:
         horizon, block, width, mean = self.config.horizon, self._block, self._width, self._mean
         per_batch, fixed = self._batch_paths, self._fixed_rows
         uniforms = np.empty((per_batch, width * block))  # row j: path j's chunk 0
-        # A spare column: the horizon follows a path's last epoch below it.
+        # A spare column, always the horizon: a short path's first epoch at it.
         epochs = np.empty((per_batch, block + 1))
+        epochs[:, block] = horizon
         switches = np.empty(per_batch, dtype=np.intp)
         # Path j is short when its chunk 0 ends before the horizon, so that it
         # draws more chunks before it ends. Short paths are replayed alone
@@ -449,7 +450,9 @@ class _PathKernel:
             seek(first * blocks).random(out=uniforms[:size].reshape(-1))
             segments = uniforms[:size].reshape(size, block, width)
             np.cumsum(_waits(segments[:, :, 0], mean), axis=1, out=t[:, :block])
-            np.sum(t[:, :block] < horizon, axis=1, out=m)
+            # the first epoch at the horizon: epochs never decrease, so this
+            # counts those below it, and m == block marks a short path
+            np.argmax(t >= horizon, axis=1, out=m)
             np.equal(m, block, out=short)
             t[paths[:size], m] = horizon  # the end of each path's last segment
             counts = np.where(short, 0, m + 1)
@@ -482,9 +485,10 @@ class _PathKernel:
         counter = int(path_index) * (size // 4)
         uniforms, j = self._streams.seek(counter).random(size), 1
         while True:
-            epochs = np.cumsum(_waits(uniforms[0::width], self._mean))
-            m = int(np.sum(epochs < horizon))
-            if m < epochs.size:
+            # the horizon appended, as in batches' spare column: m is the first epoch at it
+            epochs = np.append(np.cumsum(_waits(uniforms[0::width], self._mean)), horizon)
+            m = int(np.argmax(epochs >= horizon))
+            if m < epochs.size - 1:
                 break
             uniforms = np.concatenate([uniforms, self._streams.seek(counter, j).random(size)])
             j += 1

@@ -45,6 +45,7 @@ __all__ = [
     "sin_power_integral",
     "check_dimension",
     "check_resolution",
+    "grid_axes",
     "build_grid",
 ]
 
@@ -166,25 +167,23 @@ def sin_power_integral(k: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes and weights realizing the average over a switching law.
+    """Unit vectors and weights realizing the average over a switching law.
 
     weights sum to 1. On a sphere grid they absorb both the angular density
     and the 1/N normalization; raw_total records the un-normalized mass
-    (equal to N up to quadrature error). directions caches s(theta) at every
-    node. The nodes from point_nodes on (none by default) are the law's own
+    (equal to N up to quadrature error). A node is its unit vector only: no
+    chart angles are kept (grid_axes gives a sphere grid's per axis). The
+    nodes from point_nodes on (none by default) are the law's own
     directions, read with the profile's atoms (profiles.grid_speeds).
     """
 
     dimension: int
-    nodes: np.ndarray      # (M, n-1) angles
-    weights: np.ndarray    # (M,), positive, sums to 1
+    directions: np.ndarray  # (M, n) unit vectors
+    weights: np.ndarray     # (M,), positive, sums to 1
     raw_total: float
-    directions: np.ndarray = field(default=None)  # (M, n), filled on build
     point_nodes: int = field(default=None)  # index of the first point node
 
     def __post_init__(self) -> None:
-        if self.directions is None:
-            object.__setattr__(self, "directions", directions_from_angles(self.nodes))
         if self.point_nodes is None:
             object.__setattr__(self, "point_nodes", self.size)
         if np.any(self.weights <= 0.0):
@@ -195,7 +194,7 @@ class QuadratureGrid:
 
     @property
     def size(self) -> int:
-        return self.nodes.shape[0]
+        return self.directions.shape[0]
 
     def average(self, values: np.ndarray) -> float:
         """Average of a node-sampled function under the grid's weights."""
@@ -217,59 +216,53 @@ def check_resolution(resolution: int) -> int:
     return whole
 
 
-def build_grid(n: int, resolution: int) -> QuadratureGrid:
-    """Build a Gauss-Legendre product grid on S_{n-1}.
-
-    Each polar axis theta_i (i = 1..n-2) carries `resolution` Gauss-Legendre
-    nodes on (0, pi) with the density weight sin^{n-1-i} folded in. The
-    azimuthal axis carries two Gauss-Legendre panels of `resolution` nodes on
-    (0, pi) and (pi, 2*pi): spectrally exact for smooth integrands, and also
-    for speeds that step between the azimuthal half-spheres, since every node
-    is interior to a panel and never touches the jump. Weights are
-    renormalized to sum to 1.
-
-    Nodes, weights and directions are built per axis: each axis's nodes,
-    weights, and cos and sin of its nodes, broadcast over the product in the
-    chart's order (the sine products sin t1 * ... * sin tk accumulate one axis
-    at a time, as the chart's cumprod does). So every node gets the same
-    elementwise products, in the same order, as on a full mesh, and the
-    directions equal directions_from_angles(nodes) bit for bit without
-    evaluating the chart at every node.
-    """
+def grid_axes(n: int, resolution: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(nodes, weights) of each chart axis of build_grid(n, resolution), in
+    the chart's order: resolution Gauss-Legendre nodes on (0, pi) for each
+    polar axis theta_i (i = 1..n-2), with the density weight sin^{n-1-i}
+    folded in, then two panels of them, on (0, pi) and (pi, 2*pi), for the
+    azimuth."""
     n = check_dimension(n)
-    resolution = check_resolution(resolution)
-
-    axis_nodes: list[np.ndarray] = []
-    axis_weights: list[np.ndarray] = []
-    x, w = np.polynomial.legendre.leggauss(resolution)
+    x, w = np.polynomial.legendre.leggauss(check_resolution(resolution))
     theta_polar = (x + 1.0) * (math.pi / 2.0)
     w_polar = w * (math.pi / 2.0)
-    for axis in range(n - 2):
-        expo = n - 2 - axis  # sin^{n-2} on theta_1 down to sin^1 on theta_{n-2}
-        axis_nodes.append(theta_polar)
-        axis_weights.append(w_polar * np.sin(theta_polar) ** expo)
-    axis_nodes.append(np.concatenate([theta_polar, theta_polar + math.pi]))
-    axis_weights.append(np.concatenate([w_polar, w_polar]))
+    # sin^{n-2} on theta_1 down to sin^1 on theta_{n-2}
+    axes = [(theta_polar, w_polar * np.sin(theta_polar) ** (n - 2 - axis))
+            for axis in range(n - 2)]
+    axes.append((np.concatenate([theta_polar, theta_polar + math.pi]),
+                 np.concatenate([w_polar, w_polar])))
+    return axes
 
-    shape = tuple(theta.size for theta in axis_nodes)
-    nodes = np.empty(shape + (n - 1,))
-    directions = np.empty(shape + (n,))
+
+def build_grid(n: int, resolution: int) -> QuadratureGrid:
+    """Build a Gauss-Legendre product grid on S_{n-1}: the product of the
+    axes of grid_axes(n, resolution), the last axis varying fastest.
+
+    The azimuth's two panels make the grid spectrally exact for smooth
+    integrands, and also for speeds that step between the azimuthal
+    half-spheres, since every node is interior to a panel and never touches
+    the jump. Weights are renormalized to sum to 1.
+
+    Weights and directions are built per axis: each axis's weights, and cos
+    and sin of its nodes, broadcast over the product in the chart's order
+    (the sine products sin t1 * ... * sin tk accumulate one axis at a time,
+    as the chart's cumprod does). So every node gets the same elementwise
+    products, in the same order, as on a full mesh of angles, and the
+    directions equal directions_from_angles on that mesh bit for bit
+    without evaluating the chart, or holding an angle, at every node.
+    """
+    axes = grid_axes(n, resolution)
+    n = len(axes) + 1
+    directions = np.empty(tuple(theta.size for theta, _ in axes) + (n,))
     raw = sin_prod = 1.0  # exact: 1.0 * x == x
-    for axis, (theta, weight) in enumerate(zip(axis_nodes, axis_weights)):
+    for axis, (theta, weight) in enumerate(axes):
         along = [1] * (n - 1)
         along[axis] = theta.size
-        nodes[..., axis] = theta.reshape(along)
         raw = raw * weight.reshape(along)
-        directions[..., axis] = sin_prod * np.cos(theta).reshape(along)
+        np.multiply(sin_prod, np.cos(theta).reshape(along), out=directions[..., axis])
         sin_prod = sin_prod * np.sin(theta).reshape(along)
     directions[..., n - 1] = sin_prod
     raw = raw.reshape(-1)
     raw_total = float(raw.sum())
-    return QuadratureGrid(
-        dimension=n,
-        nodes=nodes.reshape(-1, n - 1),
-        weights=raw / raw_total,
-        raw_total=raw_total,
-        directions=directions.reshape(-1, n),
-    )
-
+    raw /= raw_total  # the weights, in place
+    return QuadratureGrid(n, directions.reshape(-1, n), raw, raw_total)

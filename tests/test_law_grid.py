@@ -47,6 +47,7 @@ from revolve.sphere import (
     directions_from_angles,
 )
 from revolve.stats import limit_for_config
+from test_sphere import mesh_nodes
 
 EPS_LIST = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)
 EXAMPLE3_ANGLES = np.array([[0.0], [math.pi], [math.pi / 2.0]])
@@ -158,7 +159,7 @@ class TestOneLimitFormula:
         with_zero = np.array([[0.0], [math.pi], [1.5 * math.pi], [math.pi / 2.0]])
         p_zero = np.array([1.0, 1.0, 0.0, 1.0]) / 3.0
         grid = DiscreteSwitching(with_zero, p_zero).grid()
-        np.testing.assert_array_equal(grid.nodes, EXAMPLE3_ANGLES)
+        np.testing.assert_array_equal(grid.directions, directions_from_angles(EXAMPLE3_ANGLES))
         without = limit_for_config(law_config(profile, EXAMPLE3_ANGLES, np.full(3, 1.0 / 3.0)))
         limit = limit_for_config(law_config(profile, with_zero, p_zero))
         np.testing.assert_array_equal(limit.drift, without.drift)
@@ -205,7 +206,7 @@ class TestGridRule:
         assert isinstance(uniform.switching, UniformSphere)
         grid = uniform.switching.grid(2, 8)
         assert grid.point_nodes == grid.size  # a bare sphere grid has no point node
-        np.testing.assert_array_equal(grid.nodes, build_grid(2, 8).nodes)
+        np.testing.assert_array_equal(grid.directions, build_grid(2, 8).directions)
         np.testing.assert_array_equal(grid.weights, build_grid(2, 8).weights)
 
     def test_a_finite_law_builds_its_grid_once(self):
@@ -280,7 +281,9 @@ class TestMixtureLaw:
         np.testing.assert_array_equal(masses, np.full(3, 1.0 / (2.0 * math.pi)))
         q = masses.sum()
         np.testing.assert_array_equal(grid.weights, np.r_[sphere.weights * (1.0 - q), masses])
-        np.testing.assert_array_equal(grid.nodes, np.vstack([sphere.nodes, EXAMPLE3_ANGLES]))
+        np.testing.assert_array_equal(
+            grid.directions, directions_from_angles(np.vstack([mesh_nodes(2, 16), EXAMPLE3_ANGLES]))
+        )
         np.testing.assert_array_equal(
             grid.directions, np.vstack([sphere.directions, directions_from_angles(EXAMPLE3_ANGLES)])
         )
@@ -291,7 +294,8 @@ class TestMixtureLaw:
         profile = builtin_profile("example3_atoms", 2)
         grid = UniformSphere().grid(2, 31, profile.atoms)
         k = grid.point_nodes
-        on_atom = np.flatnonzero(grid.nodes[:k, 0] == math.pi / 2.0)
+        assert k == build_grid(2, 31).size  # the sphere's nodes come first
+        on_atom = np.flatnonzero(mesh_nodes(2, 31)[:, 0] == math.pi / 2.0)
         assert on_atom.size == 1
         assert profile.values_on(grid.directions[on_atom])[1].tolist() == [1.0]
         c, c1 = grid_speeds(profile, grid)

@@ -21,6 +21,7 @@ from revolve.operator_lab import (
     lab_limit_coefficients,
     potential_identity_error,
     project_pi,
+    quadrature_residuals,
     residual_scaling,
     solve_perturbation,
 )
@@ -195,6 +196,19 @@ class TestQAndPotential:
         assert abs(project_pi(apply_q(f))) <= 1e-12
         r0_q = apply_q(apply_q(f)).values
         assert np.max(np.abs(r0_q - (f.values - pi_f))) <= 1e-12
+
+
+    def test_quadrature_residuals_reject_another_grid(self):
+        # the polar axes' sin theta_i are meshed from the resolution, so a grid
+        # of another resolution, or a finite law's grid of a sphere grid's
+        # size (2 r^(n-1) = 8 nodes at n = 3, r = 2), is refused
+        assert set(quadrature_residuals(build_grid(3, 2), 2)) == {"pi_s", "pi_ss", "sin_powers"}
+        with pytest.raises(ValueError, match=r"build_grid\(3, 9\)"):
+            quadrature_residuals(build_grid(3, 8), 9)
+        rows = np.column_stack([np.linspace(0.3, 2.8, 8), np.linspace(0.1, 6.0, 8)])
+        law = DiscreteSwitching(rows, np.full(8, 1 / 8))
+        with pytest.raises(ValueError, match="8 of them point nodes"):
+            quadrature_residuals(law.grid(3, 2), 2)
 
 
 class TestTestFunctions:

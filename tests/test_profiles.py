@@ -22,6 +22,7 @@ from revolve.limits import DiscreteSwitching, UniformSphere, limit_coefficients
 from revolve.operator_lab import gaussian_bump, lab_limit_coefficients, solve_perturbation
 from revolve.simulator import _unit_columns
 from revolve.sphere import angles_from_directions, build_grid, directions_from_angles
+from test_sphere import mesh_nodes
 
 RES = {2: 32, 3: 24, 4: 16, 5: 16, 6: 12}
 
@@ -194,7 +195,7 @@ class TestStepConvention:
     def test_grid_nodes(self, n, resolution):
         grid = build_grid(n, resolution)
         got = LowerHalfStep(2.5)(grid.directions)
-        assert got.tobytes() == step_formula(2.5, grid.nodes).tobytes()
+        assert got.tobytes() == step_formula(2.5, mesh_nodes(n, resolution)).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_uniform_draws_are_the_lower_half(self, n):

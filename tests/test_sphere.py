@@ -1,6 +1,7 @@
 """Tests of the sphere geometry: chart, measure, quadrature, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from revolve.sphere import (
     angles_from_directions,
     build_grid,
     directions_from_angles,
+    grid_axes,
     normalization_constant,
     sin_power_integral,
     wallis_integral,
@@ -26,6 +28,13 @@ def sample_directions(n, size, rng):
     """size uniform directions on S_{n-1}, (size, n), drawn as the simulator
     draws them: normalized standard Gaussian vectors."""
     return _unit_columns(rng.standard_normal((size, n))).T
+
+
+def mesh_nodes(n, resolution):
+    """The chart angles of build_grid(n, resolution)'s nodes, (M, n-1): the
+    mesh of the per-axis nodes of grid_axes, the last axis varying fastest."""
+    mesh = np.meshgrid(*(theta for theta, _ in grid_axes(n, resolution)), indexing="ij")
+    return np.stack([axis.reshape(-1) for axis in mesh], axis=1)
 
 
 def random_angles(rng, n, size):
@@ -155,16 +164,31 @@ class TestGrid:
         # up to the benchmark's grid, n = 5 at resolution 16
         for resolution in (2, 3, 5) + ((16,) if n <= 5 else ()):
             grid = build_grid(n, resolution)
-            chart = directions_from_angles(grid.nodes)
+            chart = directions_from_angles(mesh_nodes(n, resolution))
             assert grid.directions.shape == chart.shape
             assert grid.directions.tobytes() == chart.tobytes()
 
     def test_nodes_inside_ranges(self):
-        grid = build_grid(4, 8)
-        polar = grid.nodes[:, :-1]
+        nodes = mesh_nodes(4, 8)
+        assert nodes.shape == (build_grid(4, 8).size, 3)
+        polar = nodes[:, :-1]
         assert np.all(polar > 0.0) and np.all(polar < math.pi)
-        azimuth = grid.nodes[:, -1]
+        azimuth = nodes[:, -1]
         assert np.all(azimuth > 0.0) and np.all(azimuth < 2.0 * math.pi)
+
+    def test_memory_is_unit_vectors_and_weights(self):
+        # a grid holds n + 1 doubles per node; with the (M, n-1) chart angles
+        # as well, build_grid(5, 16) peaked at about 12 doubles per node
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this build's alone")
+        n = 5
+        tracemalloc.start()
+        try:
+            grid = build_grid(n, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (n + 3) * grid.size * 8
 
     def test_invalid_args(self):
         with pytest.raises(InvalidDimensionError):
