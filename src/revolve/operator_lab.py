@@ -53,11 +53,12 @@ and L0 phi = drift . grad phi + diffusion : hess phi with drift = Pi[c1 s]
 and D = Pi[c s (x) a1], whose symmetric part is the diffusion.
 
 The solve has two halves. The first-order half (lab_limit_coefficients)
-reads the profile once and holds c, c1, a1, the drift and the diffusion:
-the lab route to the limit coefficients, and all the solve needs of the
-grid. The point half (solve_perturbation) takes it as an argument and
-evaluates phi2 and the remainder terms c T phi2, c1 T phi1 and c1 T phi2 at
-the spatial point x only, never averaged by Pi. So b1, b2 and the
+reads the profile once and holds c, c1, the drift, the diffusion and
+Pi[c s]: the lab route to the limit coefficients, and all the solve needs
+of the grid. a1 is rebuilt from c, s and Pi[c s] where it is needed, with
+the same bits. The point half (solve_perturbation) takes it as an argument
+and evaluates phi2 and the remainder terms c T phi2, c1 T phi1 and c1 T phi2
+at the spatial point x only, never averaged by Pi. So b1, b2 and the
 (M, n, n, n) coefficients of T phi2 are never built: s is contracted into
 the derivatives of phi at x, and since hess phi and s . third phi are
 symmetric, D may be replaced by the diffusion,
@@ -66,9 +67,10 @@ symmetric, D may be replaced by the diffusion,
     b2 : hess phi           = c (s . hess phi . a1) - diffusion : hess phi
     (s, grad)(b2 : hess phi) = c third phi[s, s, a1] - diffusion : (s . third phi)
 
-with third phi[s, s, a1] = sum_j a1_j (s . third_j phi . s), one (M, n)
-product per j. The solve holds (M, n) and (M,) arrays only, so its memory
-grows as M n.
+with third phi[s, s, a1] = sum_j a1_j (s . third_j phi . s). The point half
+runs over slabs of nodes, so only its four (M,) outputs (phi1, phi2 and the
+remainder terms r1, r2) are held whole. The first-order half holds one
+(M, n) array at a time and keeps none. Memory grows as M n.
 """
 
 from __future__ import annotations
@@ -262,18 +264,25 @@ def _transported_values(
 class FirstOrderHalf:
     """The half of the hierarchy that does not depend on the test function.
 
-    c and c1 are the node speeds, a1 = c s - Pi[c s] the first corrector's
-    (M, n) coefficients, drift = Pi[c1 s] and diffusion the symmetric part of
-    Pi[c s (x) a1]. balance is the verdict on Pi[c s], which the solve needs.
+    c and c1 are the node speeds, drift = Pi[c1 s] and diffusion the
+    symmetric part of Pi[c s (x) a1]. balance is the verdict on Pi[c s],
+    which the solve needs. The (M, n) first corrector a1 is not kept:
+    first_corrector rebuilds it, whole or on a slab of nodes.
     """
 
     grid: QuadratureGrid
     c: np.ndarray
     c1: np.ndarray
-    a1: np.ndarray
     drift: np.ndarray
     diffusion: np.ndarray
     balance: BalanceReport
+
+    def first_corrector(self, nodes: slice = slice(None)) -> np.ndarray:
+        """a1 = c s - Pi[c s] on the nodes, (k, n), with the bits that the
+        diffusion sum used: Pi[c s] is balance.residual_vector."""
+        a1 = self.c[nodes, None] * self.grid.directions[nodes]
+        a1 -= self.balance.residual_vector
+        return a1
 
 
 def lab_limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> FirstOrderHalf:
@@ -284,17 +293,17 @@ def lab_limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> Fi
     drift_i = Pi[c1 s_i]; diffusion is Pi[c s ox (-R0 c s)], i.e. the
     second-order coefficient of Pi[c T phi1]: E[c^2 s_i s_j] minus the rank-one
     correction E[c s_i] E[c s_j] (zero under exact balance). Each node sum is
-    a two-operand einsum, whose order numpy fixes whatever the number of BLAS
-    threads.
+    an einsum, whose order numpy fixes whatever the number of BLAS threads.
+    One (M, n) array lives at a time: c1 s for the drift, then a1.
     """
     c, c1 = grid_speeds(profile, grid)
     s, w = grid.directions, grid.weights
+    drift = np.einsum("m,mi->i", w, c1[:, None] * s)
     a1 = c[:, None] * s
     fast_mean = np.einsum("m,mi->i", w, a1)
     a1 -= fast_mean                             # phi1 = -R0 [c T phi]
-    diffusion = np.einsum("mk,mi->ki", (w * c)[:, None] * s, a1)
-    drift = np.einsum("m,mi->i", w, c1[:, None] * s)
-    return FirstOrderHalf(grid, c, c1, a1, drift, 0.5 * (diffusion + diffusion.T),
+    diffusion = np.einsum("m,mk,mi->ki", w * c, s, a1)
+    return FirstOrderHalf(grid, c, c1, drift, 0.5 * (diffusion + diffusion.T),
                           balance_report(fast_mean))
 
 
@@ -321,6 +330,13 @@ class PerturbationSolution:
         return float(np.max(np.abs(eps * self.r1 + eps**2 * self.r2)))
 
 
+# The point half runs over near-equal slabs of at most this many nodes, so its
+# (k, n) temporaries stay bounded. Slabs of 1000 rows or more gave the whole
+# grid's bits on every grid tried; for a few rows BLAS may take other kernels,
+# with other bits.
+_SLAB_NODES = 8192
+
+
 def _pi(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pi applied to each coefficient of a field of shape (M, ...)."""
     return np.einsum("m...,m->...", arr, w)
@@ -343,30 +359,40 @@ def solve_perturbation(
             f"test function dimension {phi.dimension} != grid dimension {grid.dimension}"
         )
     x = np.asarray(x, dtype=float)
-    s, c, c1, a1, drift = grid.directions, first.c, first.c1, first.a1, first.drift
+    drift, diffusion = first.drift, first.diffusion
     gradient, hessian, third = phi.gradient(x), phi.hessian(x), phi.third(x)
-    s_hessian = s @ hessian                               # (M, n), as s . third_j below
-    t_phi1 = np.einsum("mi,mi->m", a1, s_hessian)         # (s, grad) phi1 = s . hess . a1
-    # b1 = c1 s - drift enters through b1 . grad phi and b1 . (s . hess) only
-    t_b1 = c1 * np.einsum("mi,mi->m", s_hessian, s) - s_hessian @ drift
-    del s_hessian
-    # phi2 = b1 . grad phi + b2 : hess phi
-    diffusion_hessian = np.sum(first.diffusion * hessian)
-    phi2 = c1 * (s @ gradient) + c * t_phi1 - (drift @ gradient + diffusion_hessian)
-    # (s, grad) phi2 = b1 . (s . hess) + c third[s, s, a1] - diffusion : (s . third)
-    third_s_s_a1 = sum(a1[:, j] * np.einsum("mi,mi->m", s @ third[j], s)
-                       for j in range(grid.dimension))
-    t_phi2 = t_b1 + c * third_s_s_a1 - s @ np.einsum("ijk,jk->i", third, first.diffusion)
+    diffusion_hessian = np.sum(diffusion * hessian)
+    limit_value = drift @ gradient + diffusion_hessian
+    diffusion_third = np.einsum("ijk,jk->i", third, diffusion)
+    phi1, phi2, r1, r2 = (np.empty(grid.size) for _ in range(4))
+    edges = np.linspace(0, grid.size, -(-grid.size // _SLAB_NODES) + 1, dtype=int)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        nodes = slice(lo, hi)
+        s, c, c1 = grid.directions[nodes], first.c[nodes], first.c1[nodes]
+        a1 = first.first_corrector(nodes)
+        s_hessian = s @ hessian                           # (k, n), as s . third_j below
+        t_phi1 = np.einsum("mi,mi->m", a1, s_hessian)     # (s, grad) phi1 = s . hess . a1
+        # b1 = c1 s - drift enters through b1 . grad phi and b1 . (s . hess) only
+        t_b1 = c1 * np.einsum("mi,mi->m", s_hessian, s) - s_hessian @ drift
+        # phi2 = b1 . grad phi + b2 : hess phi
+        phi2[nodes] = c1 * (s @ gradient) + c * t_phi1 - limit_value
+        # (s, grad) phi2 = b1 . (s . hess) + c third[s, s, a1] - diffusion : (s . third)
+        third_s_s_a1 = sum(a1[:, j] * np.einsum("mi,mi->m", s @ third[j], s)
+                           for j in range(grid.dimension))
+        t_phi2 = t_b1 + c * third_s_s_a1 - s @ diffusion_third
+        phi1[nodes] = a1 @ gradient
+        r1[nodes] = c * t_phi2 + c1 * t_phi1            # c T phi2 + c1 T phi1
+        r2[nodes] = c1 * t_phi2                         # c1 T phi2
 
     return PerturbationSolution(
         first=first,
         point=x,
         test_function=phi,
-        phi1=ThetaField(grid, a1 @ gradient),
+        phi1=ThetaField(grid, phi1),
         phi2=ThetaField(grid, phi2),
-        limit_value=float(drift @ gradient + diffusion_hessian),
-        r1=c * t_phi2 + c1 * t_phi1,    # c T phi2 + c1 T phi1
-        r2=c1 * t_phi2,                 # c1 T phi2
+        limit_value=float(limit_value),
+        r1=r1,
+        r2=r2,
     )
 
 
@@ -375,16 +401,17 @@ def assembled_generator_residual(solution: PerturbationSolution, eps: float) -> 
 
     Applies eps^-2 Q + eps^-1 c T + c1 T to phi + eps phi1 + eps^2 phi2
     directly, without using the closed-form remainder; agreement with
-    solution.residual(eps) certifies the hierarchy solve. It builds b1 and b2
-    whole from the first-order half, b2 as (M, n, n) doubles.
+    solution.residual(eps) certifies the hierarchy solve. It builds a1, b1
+    and b2 whole from the first-order half, b2 as (M, n, n) doubles.
     """
     sol, phi, x, first = solution, solution.test_function, solution.point, solution.first
     w, s = first.grid.weights, first.grid.directions
-    c_s_a1 = np.einsum("mi,mj->mij", s, first.a1) * first.c[:, None, None]
+    a1 = first.first_corrector()
+    c_s_a1 = np.einsum("mi,mj->mij", s, a1) * first.c[:, None, None]
     b1 = first.c1[:, None] * s - first.drift
     b2 = c_s_a1 - _pi(c_s_a1, w)
     # phi_eps = phi + d1 . grad phi + d2 : hess phi
-    d1 = first.a1 * eps + b1 * eps**2
+    d1 = a1 * eps + b1 * eps**2
     d2 = b2 * eps**2
     q_part = ((np.sum(w) - 1.0) * eps**-2 * phi.value(x)
               + _derivative_values(phi, x, (_pi(d1, w) - d1) * eps**-2,

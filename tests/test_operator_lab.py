@@ -1,5 +1,6 @@
 """Tests of the discretized generator algebra and the perturbation solver."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revolve import operator_lab
 from revolve.limits import DiscreteSwitching, limit_coefficients
 from revolve.operator_lab import (
     SolvabilityError,
@@ -403,8 +405,8 @@ class TestContractions:
             assert np.max(np.abs(got_drift - drift)) <= ULPS * np.dot(w, np.abs(c1))
 
     def test_slab_sum_is_the_einsum_over_the_whole_array(self, grid):
-        """The solve's node sums, now taken over the whole grid at x, match
-        the hierarchy with b2 held as one (M, n, n) array."""
+        """The solve's contractions at x, summed over node slabs, match the
+        hierarchy with b2 held as one (M, n, n) array."""
         n, w, s = grid.dimension, grid.weights, grid.directions
         phi, x = gaussian_bump(0.1 * np.arange(n), 1.0), np.full(n, 0.2)
         derivatives = phi.gradient(x), phi.hessian(x), phi.third(x)
@@ -508,8 +510,10 @@ class TestPinnedSolutions:
         assert peak <= 8 * m * n**2 * 8
 
     def test_memory_scales_as_m_n(self):
-        # both halves at 131072 nodes peak at about 3.4 M n doubles; one
-        # (M, n, n) or (M, n^2) array alone would take 5 M n
+        # both halves at 131072 nodes peak at about 1.63 M n doubles, in the
+        # first-order half (c, c1, a1 and w c); the solve holds its four (M,)
+        # outputs and (k, n) slabs. One (M, n, n) or (M, n^2) array alone
+        # would take 5 M n
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc already runs: its peak would not be this solve's alone")
         g = build_grid(5, 16)
@@ -522,7 +526,56 @@ class TestPinnedSolutions:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * m * n * 8
+        assert peak <= 2 * m * n * 8
+
+    def test_solve_holds_no_m_by_n_array(self):
+        # the first-order half keeps (M,) speeds and (n,), (n, n) sums only;
+        # the solve, started with that half alive, adds its four (M,) outputs
+        # and slab temporaries, below what one more (M, n) array would take
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this solve's alone")
+        g = build_grid(5, 16)
+        n, m = 5, g.size
+        first = lab_limit_coefficients(builtin_profile("step_half_sphere", 5, c=1.0, c1=1.0), g)
+        held = [getattr(first, f.name) for f in dataclasses.fields(first) if f.name != "grid"]
+        held.append(first.balance.residual_vector)
+        assert all(a.size <= m for a in held if isinstance(a, np.ndarray))
+        phi = gaussian_bump(np.zeros(5), 1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_perturbation(first, phi, 0.25 * np.ones(5))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 + n) * m * 8
+
+
+def slab_grids():
+    rng = np.random.default_rng(25)
+    rows = np.column_stack([rng.uniform(0.05, math.pi - 0.05, 1500),
+                            rng.uniform(0.0, 2 * math.pi, 1500)])
+    rows = np.vstack([rows, angles_from_directions(-directions_from_angles(rows))])
+    mass = np.tile(rng.uniform(0.05, 1.0, 1500), 2)
+    law = DiscreteSwitching(rows, mass / mass.sum()).grid()
+    return [build_grid(3, 71), build_grid(4, 20), build_grid(5, 9), law]
+
+
+@pytest.mark.parametrize("grid", slab_grids(), ids=["sphere3", "sphere4", "sphere5", "law3"])
+def test_solve_bits_do_not_depend_on_the_slab_partition(grid, monkeypatch):
+    # M is a multiple of neither 1024 nor 5000; every slab keeps 1000 rows or
+    # more, since BLAS may pick other kernels, with other bits, for a few rows
+    n = grid.dimension
+    phi, x = gaussian_bump(0.1 * np.arange(n), 1.0), np.full(n, 0.2)
+    first = lab_limit_coefficients(builtin_profile("step_half_sphere", n, c=1.3, c1=0.7), grid)
+    digests = set()
+    for slab in (1024, 5000, grid.size):
+        assert grid.size // math.ceil(grid.size / slab) >= 1000
+        monkeypatch.setattr(operator_lab, "_SLAB_NODES", slab)
+        sol = solve_perturbation(first, phi, x)
+        arrays = (sol.phi1.values, sol.phi2.values, sol.r1, sol.r2, np.float64(sol.limit_value))
+        digests.add(b"".join(a.tobytes() for a in arrays))
+    assert len(digests) == 1
 
 
 class TestResidual:
