@@ -7,7 +7,11 @@ carry the dotted field path). Every run writes a manifest.json echoing the
 parsed config, the seed, the package version and the simulator's stream
 layout (revolve.simulator.STREAM_LAYOUT); the manifest timestamp is the only
 non-reproducible byte in any artifact. Floats in CSV files are written
-with 17 significant digits so reruns are byte-identical. simulate streams
+with 17 significant digits so reruns are byte-identical: the bytes of
+format(x, ".17g"), computed by numpy a chunk of rows at a time
+(revolve.csvtext: the digits of a value in [1e-4, 1e16) in magnitude come
+from Dekker's exact product with a power of ten, rounded half to even;
+every other value is formatted by Python). simulate streams
 endpoints.csv: the workers that simulate a block of paths also format its
 rows, and this process writes each block's rows in path order as the block
 arrives, so the file has the same bytes at any worker count. A CSV file
@@ -36,6 +40,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
+from .csvtext import csv_text
 from .limits import (
     BalanceError,
     DiscreteSwitching,
@@ -269,21 +274,19 @@ def _write_manifest(out: Path, config: ExperimentConfig) -> None:
     )
 
 
-_CSV_CHUNK_ROWS = 4096  # rows formatted at once: the Python floats of a chunk stay small
+_CSV_CHUNK_ROWS = 4096  # rows formatted at once: a chunk's canvas stays a few hundred KB
 
 
 def _csv_lines(block: np.ndarray, label: str = "") -> Iterator[str]:
     """The CSV lines of a 2-D block, as the text of one chunk of up to
     _CSV_CHUNK_ROWS rows at a time.
 
-    With a label such as "%d,", a row's first entry is written through it.
-    Every other entry is written as "%.17g", the text of format(x, ".17g"):
+    With a label such as "%d," (a prefix and "%d,"), a row's first entry is
+    written through it. Every other entry is written as format(x, ".17g"):
     17 significant digits, so reruns are byte-identical.
     """
-    fmt = label + ",".join(["%.17g"] * (block.shape[1] - bool(label))) + "\n"
     for start in range(0, block.shape[0], _CSV_CHUNK_ROWS):
-        chunk = block[start : start + _CSV_CHUNK_ROWS]
-        yield (fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+        yield csv_text(block[start : start + _CSV_CHUNK_ROWS], label)
 
 
 @contextmanager
@@ -316,6 +319,22 @@ def _endpoint_lines(first: int, points: np.ndarray) -> str:
     return "".join(_csv_lines(np.column_stack([index, points]), "%d,"))
 
 
+def _regrouped(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The rows of consecutive 2-D blocks in blocks of _CSV_CHUNK_ROWS rows,
+    the last one shorter: many small blocks are formatted a chunk at a time."""
+    pending, size = [], 0
+    for block in blocks:
+        pending.append(block)
+        size += block.shape[0]
+        if size >= _CSV_CHUNK_ROWS:
+            rows = np.concatenate(pending)
+            cut = size - size % _CSV_CHUNK_ROWS
+            yield rows[:cut]
+            pending, size = [rows[cut:]], size - cut
+    if size:
+        yield np.concatenate(pending)
+
+
 def _write_trajectories_csv(path: Path, config: EvolutionConfig) -> None:
     header = "path_index,t," + ",".join(f"x{i + 1}" for i in range(config.dimension))
     blocks = (
@@ -323,7 +342,7 @@ def _write_trajectories_csv(path: Path, config: EvolutionConfig) -> None:
                          trajectory.positions])
         for idx, trajectory in enumerate(simulate_paths(config))
     )
-    _write_csv(path, header, blocks, "%d,")
+    _write_csv(path, header, _regrouped(blocks), "%d,")
 
 
 # ---------------------------------------------------------------------------

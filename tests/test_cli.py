@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import revolve
 from revolve import cli, simulator
@@ -977,9 +979,27 @@ def _batches_failing_in_last_block(kernel, start, stop):
         yield batch
 
 
+def format_17g_lines(block, label=""):
+    """The CSV lines of block as format(x, ".17g") writes them, value by value."""
+    lines = []
+    for row in block.tolist():
+        head = label % row[0] if label else ""
+        lines.append(head + ",".join(format(x, ".17g") for x in row[bool(label):]) + "\n")
+    return "".join(lines)
+
+
+def ulps_around(x, ulps=40):
+    """The doubles within ulps steps of the positive double x, x included."""
+    return (np.array([x]).view(np.int64) + np.arange(-ulps, ulps + 1)).view(np.float64)
+
+
 class TestCsvLines:
+    # fallback values (±0, subnormals, |x| < 1e-4, |x| >= 1e16, inf, nan) between
+    # values of the fast range, and digits that end in zeros
     EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e16,
-             1.7976931348623157e308, -1.7976931348623157e308]
+             1.7976931348623157e308, -1.7976931348623157e308,
+             1.5, 0.0, 100.0, math.inf, 1e15, -math.nan, 0.00012, 9.9999999999999991e-05,
+             1e-4, -2.5, 9999999999999998.0, 1e-5, 123456789012345.67, -math.inf, 0.5]
 
     @pytest.mark.parametrize("chunk_rows", [3, cli._CSV_CHUNK_ROWS])
     @pytest.mark.parametrize("label", ["%d,", "x%d,", ""])
@@ -993,6 +1013,61 @@ class TestCsvLines:
             for row in block.tolist()
         )
         assert "".join(cli._csv_lines(block, label)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 3))
+    def test_any_float_is_written_as_format_17g(self, values, cols):
+        block = np.resize(np.array(values), (-(-len(values) // cols)) * cols).reshape(-1, cols)
+        assert "".join(cli._csv_lines(block)) == format_17g_lines(block)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ulps_around_powers_of_ten(self, sign):
+        values = sign * np.concatenate([ulps_around(float(f"1e{k}")) for k in range(-6, 18)])
+        block = values.reshape(-1, 1)
+        assert "".join(cli._csv_lines(block)) == format_17g_lines(block)
+
+    def test_half_way_ties_round_to_even(self):
+        # odd multiples of 1/4 (1/2 above 2^51) in [10^15, 10^16), and 1 + odd
+        # multiples of 2^-17: each has 18 significant digits, the last a 5
+        odd = np.arange(1, 4001, 2)
+        ties = np.concatenate([1e15 + odd / 4.0, 2.0**51 + odd / 2.0, 1.0 + odd * 2.0**-17])
+        block = np.concatenate([ties, -ties]).reshape(-1, 2)
+        assert "".join(cli._csv_lines(block)) == format_17g_lines(block)
+
+    @pytest.mark.parametrize("chunk_rows", [3, cli._CSV_CHUNK_ROWS])
+    def test_fallback_values_between_fast_ones_in_one_row(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+        row = [1.5, 0.0, 2.5e-3, math.nan, 1e-300, -3.25, 1e300, 7e15, -math.inf, 0.1]
+        block = np.array([row, row[::-1], row[1:] + row[:1]])
+        assert "".join(cli._csv_lines(block)) == format_17g_lines(block)
+
+    @pytest.mark.parametrize("chunk_rows", [3, cli._CSV_CHUNK_ROWS])
+    @pytest.mark.parametrize("label", ["%d,", "x%d,"])
+    def test_labels_at_each_digit_count(self, monkeypatch, label, chunk_rows):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk_rows)
+        labels = [0, 9] + [n for j in range(1, 19) for n in (10**j - 1, 10**j)]
+        labels += [2.5, -0.0, 2.0**63 - 1024, 2.0**63, 1e300, -1.0]  # the last three fall back
+        block = np.column_stack([labels, np.arange(len(labels)) / 8.0])
+        assert "".join(cli._csv_lines(block, label)) == format_17g_lines(block, label)
+
+    def test_first_call_imports_nothing(self):
+        # a forked pool worker formats its first block at once: the call
+        # must not import a module (numpy loads some on a function's first call)
+        script = (
+            "import sys; import numpy as np; import revolve.cli as cli\n"
+            "before = set(sys.modules)\n"
+            "block = np.column_stack([np.arange(4), [0.5, -1e-7, np.nan, 3e20],"
+            " [1.0, 2.0, 1e5, 0.25]])\n"
+            "text = ''.join(cli._csv_lines(block, '%d,'))\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        src = str(Path(revolve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestSimulate:

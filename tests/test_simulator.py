@@ -873,6 +873,21 @@ class TestBatchedKernel:
         want = g / norms[:, None]
         assert _unit_columns(g).T.tobytes() == np.ascontiguousarray(want).tobytes()
 
+    @pytest.mark.parametrize("masses", [1, 3, 64, 200])
+    def test_counted_and_searched_picks_agree(self, monkeypatch, masses):
+        # the two routes of _pick give searchsorted's indices, on draws equal
+        # to a cdf entry or next to one too, and on repeated entries (zero masses)
+        rng = Generator(Philox(key=masses))
+        weights = rng.random(masses)
+        weights[1::5] = 0.0
+        cdf = weights.cumsum() / weights.sum()
+        u = np.concatenate([rng.random(5000), cdf, np.nextafter(cdf, 0.0), [0.0]])
+        want = cdf.searchsorted(u, side="right")
+        for counted in (0, 255):  # every cdf searched, every cdf counted
+            monkeypatch.setattr(simulator, "_COUNTED_MASSES", counted)
+            got = simulator._pick(cdf, u)
+            assert got.dtype == np.intp and np.array_equal(got, want)
+
 
 class RaisingSpeed:
     """A picklable speed function that fails inside the path code."""
