@@ -52,6 +52,7 @@ from .operator_lab import (
     ThetaField,
     apply_q,
     gaussian_bump,
+    identity_residuals,
     lab_limit_coefficients,
     potential_identity_error,
     project_pi,
@@ -70,9 +71,11 @@ from .simulator import (
 from .sphere import build_grid, check_dimension, check_resolution
 from .stats import ks_marginals, limit_for_config, run_sweep, summarize
 
-# build_grid, reached through the uniform law's grid, stays importable here
-# for tools that wrap the layer functions this module uses; the names such a
-# tool looks up are checked by tests/test_bench_lookups.py.
+# build_grid, reached through the uniform law's grid, and the field operators
+# project_pi, apply_q and potential_identity_error, whose checks
+# identity_residuals makes in place, stay importable here for tools that wrap
+# the layer functions this module uses; the names such a tool looks up are
+# checked by tests/test_bench_lookups.py.
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main"]
 
@@ -354,16 +357,7 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
     grid = evo.switching.grid(evo.dimension, config.grid_resolution, evo.profile.atoms)
     # the identities hold to roundoff for any weights summing to 1: one field
     f = ThetaField(grid, np.random.default_rng(evo.seed).standard_normal(grid.size))
-    pi_f = project_pi(f)
-    idempotence = abs(project_pi(ThetaField(grid, np.full(grid.size, pi_f))) - pi_f)
-    report: dict = {
-        "dimension": evo.dimension,
-        "identity_residuals": {
-            "pi_idempotent": idempotence,
-            "pi_q": abs(project_pi(apply_q(f))),
-            "r0_q_identity": potential_identity_error(f),
-        },
-    }
+    report: dict = {"dimension": evo.dimension, "identity_residuals": identity_residuals(f)}
     del f  # freed, so the hierarchy's peak does not hold it as well
     if isinstance(evo.switching, UniformSphere) and not evo.profile.atoms:
         # closed forms of the uniform measure, which a mixture with atoms is not

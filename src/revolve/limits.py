@@ -11,8 +11,12 @@ with
     A_ij = <c(theta)^2 * s_i(theta) * s_j(theta)>,
 
 angle brackets denoting the average over the switching law's stationary
-measure, on its grid. The two switching laws live here, each with its grid.
-DiscreteSwitching's is its directions weighted by their probabilities,
+measure, on its grid. A is a node sum over slabs (sphere._node_sum): the
+running sum rides into each slab as identity rows, which add it exactly and
++-0.0 besides, and a sum that starts at +0.0 is never -0.0, so the slabs
+give the bits of one einsum over the whole (M, n) arrays without them.
+
+The two switching laws live here, each with its grid. DiscreteSwitching's is its directions weighted by their probabilities,
 built once when the law validates itself. Under UniformSphere a profile
 with atoms (the paper's Example 3) switches by the mixture
 (1 - q) U + sum_k (w_k / N) delta_k, q = sum_k w_k / N: its grid is the
@@ -42,7 +46,15 @@ from .profiles import (
     first_moment,
     grid_speeds,
 )
-from .sphere import QuadratureGrid, build_grid, directions_from_angles, normalization_constant
+from .sphere import (
+    QuadratureGrid,
+    _node_slabs,
+    _node_sum,
+    _sphere_nodes,
+    build_grid,
+    directions_from_angles,
+    normalization_constant,
+)
 
 __all__ = [
     "BalanceError",
@@ -136,15 +148,20 @@ class UniformSphere:
         """The sphere grid build_grid(dimension, resolution); with atoms, its
         nodes weighted by 1 - q, then one point node of weight w_k / N at
         each atom's direction (only these at q = 1)."""
-        sphere = build_grid(dimension, resolution)
         if not atoms:
-            return sphere
+            return build_grid(dimension, resolution)
+        # the sphere part is built straight into the mixture's buffers
+        directions, weights, _ = _sphere_nodes(dimension, resolution, extra=len(atoms))
         masses = self.atom_masses(dimension, atoms)
         rest = 1.0 - masses.sum()
-        m = sphere.size if rest > 0.0 else 0
-        directions = np.vstack([sphere.directions[:m], [atom.direction for atom in atoms]])
-        weights = np.concatenate([sphere.weights[:m] * rest, masses])
-        return QuadratureGrid(sphere.dimension, directions, weights, 1.0, point_nodes=m)
+        m = directions.shape[0] - len(atoms)
+        directions[m:] = [atom.direction for atom in atoms]
+        weights[m:] = masses
+        if rest > 0.0:
+            weights[:m] *= rest
+        else:
+            directions, weights, m = directions[m:].copy(), weights[m:].copy(), 0
+        return QuadratureGrid(directions.shape[1], directions, weights, 1.0, point_nodes=m)
 
     def describe(self) -> dict:
         return {"kind": "uniform_sphere"}
@@ -221,10 +238,11 @@ def limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> Diffus
     if not report.satisfied:
         raise BalanceError(report)
 
-    s = grid.directions
-    # one (M,) factor, then a two-operand sum over nodes: numpy fixes its
-    # order, whatever the number of BLAS threads
-    a = np.einsum("mi,mj->ij", (grid.weights * (c * c))[:, None] * s, s)
+    s, w = grid.directions, grid.weights
+    # a two-operand sum over nodes, slab by slab (_node_sum): numpy fixes its
+    # order, whatever the number of BLAS threads, and no (M, n) array is built
+    a = _node_sum(((w[nodes] * (c[nodes] * c[nodes]))[:, None] * s[nodes], s[nodes])
+                  for nodes in _node_slabs(grid.size))
     a = 0.5 * (a + a.T)
     return DiffusionLimit(profile.dimension, first_moment(grid, c1), a)
 

@@ -67,23 +67,29 @@ symmetric, D may be replaced by the diffusion,
     b2 : hess phi           = c (s . hess phi . a1) - diffusion : hess phi
     (s, grad)(b2 : hess phi) = c third phi[s, s, a1] - diffusion : (s . third phi)
 
-with third phi[s, s, a1] = sum_j a1_j (s . third_j phi . s). The point half
-runs over slabs of nodes, so only its four (M,) outputs (phi1, phi2 and the
-remainder terms r1, r2) are held whole. The first-order half holds one
-(M, n) array at a time and keeps none. Memory grows as M n.
+with third phi[s, s, a1] = sum_j a1_j (s . third_j phi . s).
+
+Both halves run over slabs of nodes (sphere._node_slabs), so no (M, n)
+array is built. The first-order half's node sums are sphere._node_sum: one
+two-operand einsum per slab, the running sum carried in as identity rows,
+which add it exactly and +-0.0 besides (a sum that starts at +0.0 is never
+-0.0, so +-0.0 moves nothing), with the bits of the einsum over whole
+arrays. The point half yields each slab's phi1, phi2, r1 and r2:
+solve_perturbation assembles the four (M,) outputs, and residual_scaling
+takes its maxima slab by slab and holds none of them. Memory grows as M.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .limits import BalanceError
 from .profiles import BalanceReport, VelocityProfile, balance_report, grid_speeds
-from .sphere import QuadratureGrid, grid_axes, sin_power_integral
+from .sphere import QuadratureGrid, _node_slabs, _node_sum, grid_axes, sin_power_integral
 from .rates import RateFit, check_eps_sweep, fit_loglog
 
 __all__ = [
@@ -94,6 +100,7 @@ __all__ = [
     "SolvabilityError",
     "project_pi",
     "apply_q",
+    "identity_residuals",
     "potential_identity_error",
     "quadrature_residuals",
     "gaussian_bump",
@@ -139,11 +146,30 @@ def apply_q(f: ThetaField) -> ThetaField:
     return ThetaField(f.grid, project_pi(f) - f.values)
 
 
+def identity_residuals(f: ThetaField) -> dict[str, float]:
+    """The identities of Pi, Q and R0 on f, each zero up to roundoff for any
+    weights summing to 1: pi_idempotent = |Pi (Pi f) - Pi f| (Pi of the
+    constant field Pi f), pi_q = |Pi Q f| and r0_q_identity = sup-norm of
+    R0(Q f) - (f - Pi f).
+
+    Two (M,) buffers hold every step, with the elementwise operations of
+    project_pi (grid.average) and apply_q in the same order, so each value
+    has the bits of those functions composed."""
+    w, v = f.grid.weights, f.values
+    scratch = np.multiply(w, v)
+    pi_f = float(np.sum(scratch))                               # Pi f
+    pi_pi_f = float(np.sum(np.multiply(w, pi_f, out=scratch)))
+    q = np.subtract(pi_f, v)                                    # Q f
+    pi_q = float(np.sum(np.multiply(w, q, out=scratch)))
+    np.subtract(pi_q, q, out=q)                                 # R0 (Q f), R0 = Q
+    np.subtract(q, np.subtract(v, pi_f, out=scratch), out=q)
+    return {"pi_idempotent": abs(pi_pi_f - pi_f), "pi_q": abs(pi_q),
+            "r0_q_identity": float(np.max(np.abs(q, out=q)))}
+
+
 def potential_identity_error(f: ThetaField) -> float:
     """Sup-norm of R0(Q f) - (f - Pi f); zero up to roundoff for any field."""
-    lhs = apply_q(apply_q(f)).values  # R0 = Q
-    rhs = f.values - project_pi(f)
-    return float(np.max(np.abs(lhs - rhs)))
+    return identity_residuals(f)["r0_q_identity"]
 
 
 def quadrature_residuals(grid: QuadratureGrid, resolution: int) -> dict[str, float]:
@@ -280,9 +306,15 @@ class FirstOrderHalf:
     def first_corrector(self, nodes: slice = slice(None)) -> np.ndarray:
         """a1 = c s - Pi[c s] on the nodes, (k, n), with the bits that the
         diffusion sum used: Pi[c s] is balance.residual_vector."""
-        a1 = self.c[nodes, None] * self.grid.directions[nodes]
-        a1 -= self.balance.residual_vector
-        return a1
+        return _first_corrector(self.c[nodes], self.grid.directions[nodes],
+                                self.balance.residual_vector)
+
+
+def _first_corrector(c: np.ndarray, s: np.ndarray, fast_mean: np.ndarray) -> np.ndarray:
+    """a1 = c s - Pi[c s] at the nodes of c and s, Pi[c s] being fast_mean."""
+    a1 = c[:, None] * s
+    a1 -= fast_mean                             # phi1 = -R0 [c T phi]
+    return a1
 
 
 def lab_limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> FirstOrderHalf:
@@ -293,16 +325,18 @@ def lab_limit_coefficients(profile: VelocityProfile, grid: QuadratureGrid) -> Fi
     drift_i = Pi[c1 s_i]; diffusion is Pi[c s ox (-R0 c s)], i.e. the
     second-order coefficient of Pi[c T phi1]: E[c^2 s_i s_j] minus the rank-one
     correction E[c s_i] E[c s_j] (zero under exact balance). Each node sum is
-    an einsum, whose order numpy fixes whatever the number of BLAS threads.
-    One (M, n) array lives at a time: c1 s for the drift, then a1.
+    sphere._node_sum, whose order numpy fixes whatever the number of BLAS
+    threads, with the bits of one einsum over whole (M, n) arrays; the
+    diffusion's products are (w c s_k) a1_i.
     """
     c, c1 = grid_speeds(profile, grid)
     s, w = grid.directions, grid.weights
-    drift = np.einsum("m,mi->i", w, c1[:, None] * s)
-    a1 = c[:, None] * s
-    fast_mean = np.einsum("m,mi->i", w, a1)
-    a1 -= fast_mean                             # phi1 = -R0 [c T phi]
-    diffusion = np.einsum("m,mk,mi->ki", w * c, s, a1)
+    slabs = _node_slabs(grid.size)
+    drift = _node_sum((w[nodes], c1[nodes, None] * s[nodes]) for nodes in slabs)
+    fast_mean = _node_sum((w[nodes], c[nodes, None] * s[nodes]) for nodes in slabs)
+    diffusion = _node_sum(((w[nodes] * c[nodes])[:, None] * s[nodes],
+                           _first_corrector(c[nodes], s[nodes], fast_mean))
+                          for nodes in slabs)
     return FirstOrderHalf(grid, c, c1, drift, 0.5 * (diffusion + diffusion.T),
                           balance_report(fast_mean))
 
@@ -330,26 +364,21 @@ class PerturbationSolution:
         return float(np.max(np.abs(eps * self.r1 + eps**2 * self.r2)))
 
 
-# The point half runs over near-equal slabs of at most this many nodes, so its
-# (k, n) temporaries stay bounded. Slabs of 1000 rows or more gave the whole
-# grid's bits on every grid tried; for a few rows BLAS may take other kernels,
-# with other bits.
-_SLAB_NODES = 8192
-
-
 def _pi(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pi applied to each coefficient of a field of shape (M, ...)."""
     return np.einsum("m...,m->...", arr, w)
 
 
-def solve_perturbation(
+def _point_half(
     first: FirstOrderHalf, phi: TestFunction, x: np.ndarray
-) -> PerturbationSolution:
-    """The point half: the correctors and the remainder at x.
+) -> tuple[float, Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
+    """L0 phi(x), and a generator of (nodes, phi1, phi2, r1, r2) over the
+    node slabs of sphere._node_slabs, in order.
 
     Requires the balance condition; otherwise raises SolvabilityError naming
-    the residual vector. The correctors are exact on the grid, so the
-    assembled remainder is identically eps * r1 + eps^2 * r2.
+    the residual vector. Every (k, n) temporary lives for one slab. Slabs of
+    1000 rows or more gave the whole grid's bits on every grid tried; for a
+    few rows BLAS may take other kernels, with other bits.
     """
     if not first.balance.satisfied:
         raise SolvabilityError(first.balance)
@@ -364,33 +393,50 @@ def solve_perturbation(
     diffusion_hessian = np.sum(diffusion * hessian)
     limit_value = drift @ gradient + diffusion_hessian
     diffusion_third = np.einsum("ijk,jk->i", third, diffusion)
-    phi1, phi2, r1, r2 = (np.empty(grid.size) for _ in range(4))
-    edges = np.linspace(0, grid.size, -(-grid.size // _SLAB_NODES) + 1, dtype=int)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes = slice(lo, hi)
-        s, c, c1 = grid.directions[nodes], first.c[nodes], first.c1[nodes]
-        a1 = first.first_corrector(nodes)
-        s_hessian = s @ hessian                           # (k, n), as s . third_j below
-        t_phi1 = np.einsum("mi,mi->m", a1, s_hessian)     # (s, grad) phi1 = s . hess . a1
-        # b1 = c1 s - drift enters through b1 . grad phi and b1 . (s . hess) only
-        t_b1 = c1 * np.einsum("mi,mi->m", s_hessian, s) - s_hessian @ drift
-        # phi2 = b1 . grad phi + b2 : hess phi
-        phi2[nodes] = c1 * (s @ gradient) + c * t_phi1 - limit_value
-        # (s, grad) phi2 = b1 . (s . hess) + c third[s, s, a1] - diffusion : (s . third)
-        third_s_s_a1 = sum(a1[:, j] * np.einsum("mi,mi->m", s @ third[j], s)
-                           for j in range(grid.dimension))
-        t_phi2 = t_b1 + c * third_s_s_a1 - s @ diffusion_third
-        phi1[nodes] = a1 @ gradient
-        r1[nodes] = c * t_phi2 + c1 * t_phi1            # c T phi2 + c1 T phi1
-        r2[nodes] = c1 * t_phi2                         # c1 T phi2
 
+    def slabs():
+        for nodes in _node_slabs(grid.size):
+            s, c, c1 = grid.directions[nodes], first.c[nodes], first.c1[nodes]
+            a1 = first.first_corrector(nodes)
+            s_hessian = s @ hessian                           # (k, n), as s . third_j below
+            t_phi1 = np.einsum("mi,mi->m", a1, s_hessian)     # (s, grad) phi1 = s . hess . a1
+            # b1 = c1 s - drift enters through b1 . grad phi and b1 . (s . hess) only
+            t_b1 = c1 * np.einsum("mi,mi->m", s_hessian, s) - s_hessian @ drift
+            # phi2 = b1 . grad phi + b2 : hess phi
+            phi2 = c1 * (s @ gradient) + c * t_phi1 - limit_value
+            # (s, grad) phi2 = b1 . (s . hess) + c third[s, s, a1] - diffusion : (s . third)
+            third_s_s_a1 = sum(a1[:, j] * np.einsum("mi,mi->m", s @ third[j], s)
+                               for j in range(grid.dimension))
+            t_phi2 = t_b1 + c * third_s_s_a1 - s @ diffusion_third
+            # phi1, then r1 = c T phi2 + c1 T phi1 and r2 = c1 T phi2
+            yield nodes, a1 @ gradient, phi2, c * t_phi2 + c1 * t_phi1, c1 * t_phi2
+
+    return float(limit_value), slabs()
+
+
+def solve_perturbation(
+    first: FirstOrderHalf, phi: TestFunction, x: np.ndarray
+) -> PerturbationSolution:
+    """The point half: the correctors and the remainder at x, assembled
+    from _point_half's slabs.
+
+    Requires the balance condition; otherwise raises SolvabilityError naming
+    the residual vector. The correctors are exact on the grid, so the
+    assembled remainder is identically eps * r1 + eps^2 * r2.
+    """
+    limit_value, slabs = _point_half(first, phi, x)
+    grid = first.grid
+    outputs = phi1, phi2, r1, r2 = [np.empty(grid.size) for _ in range(4)]
+    for nodes, *values in slabs:
+        for whole, part in zip(outputs, values):
+            whole[nodes] = part
     return PerturbationSolution(
         first=first,
-        point=x,
+        point=np.asarray(x, dtype=float),
         test_function=phi,
         phi1=ThetaField(grid, phi1),
         phi2=ThetaField(grid, phi2),
-        limit_value=float(limit_value),
+        limit_value=limit_value,
         r1=r1,
         r2=r2,
     )
@@ -431,6 +477,11 @@ def residual_scaling(
     test functions whose relevant derivatives vanish identically).
     """
     eps = check_eps_sweep(eps_list, decades=2)
-    solution = solve_perturbation(first, phi, x)
-    residuals = np.array([solution.residual(float(e)) for e in eps])
+    _, slabs = _point_half(first, phi, x)
+    # the sup over nodes is the max of the slabs' sups: the values of
+    # solve_perturbation(...).residual(eps), with no whole (M,) array held
+    residuals = np.zeros(eps.size)
+    for _, _, _, r1, r2 in slabs:
+        sups = [np.max(np.abs(e * r1 + e**2 * r2)) for e in eps.tolist()]
+        np.maximum(residuals, sups, out=residuals)
     return fit_loglog(eps, residuals)

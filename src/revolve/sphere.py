@@ -25,12 +25,17 @@ the classical sin-power integrals, and the one grid type: product
 quadrature grids realizing the normalized average (1/N) * integral over the
 sphere, and the switching laws' grids (limits), whose point nodes carry a
 law's own directions.
+
+It also holds the one node sum over a grid, _node_sum, which limits and
+operator_lab share: it runs over slabs of nodes with the bits of one einsum
+over the whole (M, n) arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -251,18 +256,71 @@ def build_grid(n: int, resolution: int) -> QuadratureGrid:
     directions equal directions_from_angles on that mesh bit for bit
     without evaluating the chart, or holding an angle, at every node.
     """
+    directions, weights, raw_total = _sphere_nodes(n, resolution)
+    return QuadratureGrid(directions.shape[1], directions, weights, raw_total)
+
+
+def _sphere_nodes(
+    n: int, resolution: int, extra: int = 0
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(directions, weights, raw_total) of build_grid(n, resolution) in
+    buffers of M + extra rows, the sphere's M nodes first and the extra
+    rows left unset, so that a grid with more nodes (limits, a mixture
+    with atoms) is built without a copy of the sphere part."""
     axes = grid_axes(n, resolution)
     n = len(axes) + 1
-    directions = np.empty(tuple(theta.size for theta, _ in axes) + (n,))
+    shape = tuple(theta.size for theta, _ in axes)
+    m = math.prod(shape)
+    directions = np.empty((m + extra, n))
+    weights = np.empty(m + extra)
+    mesh = directions[:m].reshape(shape + (n,))
     raw = sin_prod = 1.0  # exact: 1.0 * x == x
     for axis, (theta, weight) in enumerate(axes):
         along = [1] * (n - 1)
         along[axis] = theta.size
-        raw = raw * weight.reshape(along)
-        np.multiply(sin_prod, np.cos(theta).reshape(along), out=directions[..., axis])
+        # the product over every axis goes straight into the weights' buffer
+        out = weights[:m].reshape(shape) if axis == n - 2 else None
+        raw = np.multiply(raw, weight.reshape(along), out=out)
+        np.multiply(sin_prod, np.cos(theta).reshape(along), out=mesh[..., axis])
         sin_prod = sin_prod * np.sin(theta).reshape(along)
-    directions[..., n - 1] = sin_prod
-    raw = raw.reshape(-1)
-    raw_total = float(raw.sum())
-    raw /= raw_total  # the weights, in place
-    return QuadratureGrid(n, directions.reshape(-1, n), raw, raw_total)
+    mesh[..., n - 1] = sin_prod
+    raw_total = float(weights[:m].sum())
+    weights[:m] /= raw_total
+    return directions, weights, raw_total
+
+
+# Node sums run over near-equal slabs of at most this many nodes, so that
+# their (k, n) temporaries stay bounded whatever the grid's size.
+_SLAB_NODES = 8192
+
+
+def _node_slabs(size: int) -> list[slice]:
+    """Near-equal slabs of at most _SLAB_NODES of the nodes 0..size-1, in
+    order (np.linspace edges, as simulate_ensemble cuts its blocks)."""
+    edges = np.linspace(0, size, -(-size // _SLAB_NODES) + 1, dtype=int)
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())]
+
+
+def _node_sum(slabs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """sum_m x_mk y_mi, (p, n), or sum_m x_m y_mi, (n,) for a 1-D x, over
+    the (x, y) slabs of node rows in order: np.einsum("mk,mi->ki", x, y)
+    (or "m,mi->i") on the whole arrays, bit for bit, with no whole array.
+
+    Each slab is one two-operand einsum, with the running sum carried in as
+    its leading rows: the p rows of the identity paired with the sum's p
+    rows (one row of 1.0 for a 1-D x). einsum adds its products node after
+    node into an output that starts at +0.0, so a partial sum is never
+    -0.0 (x + y == 0 rounds to +0.0). Carried row k adds the sum's row k
+    exactly (1.0 * t == t, and +0.0 + t == t), and every other carried row
+    adds +0.0 or -0.0, which leaves a sum that is not -0.0 unchanged. So the
+    slab resumes with the partial sums the whole-array einsum had reached,
+    and adds the same products in the same order. The carry needs a finite
+    sum: 0.0 * inf would be nan.
+    """
+    total = None
+    for x, y in slabs:
+        if total is not None:
+            x = np.concatenate([np.eye(len(total)) if x.ndim == 2 else np.ones(1), x])
+            y = np.concatenate([total.reshape(-1, y.shape[1]), y])
+        total = np.einsum("mk,mi->ki" if x.ndim == 2 else "m,mi->i", x, y)
+    return total

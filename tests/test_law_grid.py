@@ -3,6 +3,7 @@ operator algebra for both switching laws."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,24 @@ class TestMixtureLaw:
             grid.directions, np.vstack([sphere.directions, directions_from_angles(EXAMPLE3_ANGLES)])
         )
         assert grid.point_nodes == sphere.size
+
+    def test_grid_is_built_without_a_copy_of_the_sphere(self):
+        # the sphere part goes straight into the mixture's buffers, so the
+        # build peaks as the bare sphere grid's does (5.1 doubles per node at
+        # n = 3); building the sphere grid and then stacking it with the
+        # atoms peaked at 9.0
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this build's alone")
+        atoms = (Atom(np.array([0.5, 1.0]), 2.0, 1.0, 0.3), Atom(np.array([2.0, 4.0]), 1.0, 0.5, 0.1))
+        peaks = []
+        for build in (lambda: build_grid(3, 256), lambda: UniformSphere().grid(3, 256, atoms)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096
 
     def test_a_sphere_node_on_an_atom_reads_the_continuous_part(self):
         # at odd resolution the azimuth pi / 2 of atom 3 is a sphere node

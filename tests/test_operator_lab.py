@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revolve import operator_lab
-from revolve.limits import DiscreteSwitching, limit_coefficients
+from revolve import sphere
+from revolve.limits import DiscreteSwitching, UniformSphere, limit_coefficients
 from revolve.operator_lab import (
     SolvabilityError,
     TestFunction,
@@ -20,6 +20,7 @@ from revolve.operator_lab import (
     apply_q,
     assembled_generator_residual,
     gaussian_bump,
+    identity_residuals,
     lab_limit_coefficients,
     potential_identity_error,
     project_pi,
@@ -28,7 +29,13 @@ from revolve.operator_lab import (
     solve_perturbation,
 )
 from revolve.profiles import ProfileError, VelocityProfile, builtin_profile, grid_speeds
-from revolve.sphere import angles_from_directions, build_grid, directions_from_angles
+from revolve.sphere import (
+    _node_slabs,
+    _node_sum,
+    angles_from_directions,
+    build_grid,
+    directions_from_angles,
+)
 
 RES = {2: 32, 3: 24, 4: 12, 5: 8}
 COEF_RES = {2: 32, 3: 24, 4: 16, 5: 12}  # coefficient tolerances need finer polar rules
@@ -198,6 +205,37 @@ class TestQAndPotential:
         assert abs(project_pi(apply_q(f))) <= 1e-12
         r0_q = apply_q(apply_q(f)).values
         assert np.max(np.abs(r0_q - (f.values - pi_f))) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_identity_residuals_are_the_operators_composed(self, n, resolution, seed):
+        # computed in place, with the bits of project_pi and apply_q composed
+        g = build_grid(n, resolution)
+        f = ThetaField(g, np.random.default_rng(seed).standard_normal(g.size))
+        pi_f = project_pi(f)
+        expected = {
+            "pi_idempotent": abs(project_pi(ThetaField(g, np.full(g.size, pi_f))) - pi_f),
+            "pi_q": abs(project_pi(apply_q(f))),
+            "r0_q_identity": float(np.max(np.abs(apply_q(apply_q(f)).values
+                                                 - (f.values - pi_f)))),
+        }
+        assert identity_residuals(f) == expected
+        assert potential_identity_error(f) == expected["r0_q_identity"]
+
+    def test_identity_residuals_hold_two_fields(self):
+        # two (M,) buffers; composing project_pi and apply_q held more
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this call's alone")
+        g = build_grid(5, 12)
+        f = ThetaField(g, np.random.default_rng(3).standard_normal(g.size))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            identity_residuals(f)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * g.size * 8 + 4096
 
 
     def test_quadrature_residuals_reject_another_grid(self):
@@ -510,10 +548,11 @@ class TestPinnedSolutions:
         assert peak <= 8 * m * n**2 * 8
 
     def test_memory_scales_as_m_n(self):
-        # both halves at 131072 nodes peak at about 1.63 M n doubles, in the
-        # first-order half (c, c1, a1 and w c); the solve holds its four (M,)
-        # outputs and (k, n) slabs. One (M, n, n) or (M, n^2) array alone
-        # would take 5 M n
+        # both halves at 131072 nodes peak at about 1.53 M n doubles, in the
+        # solve: c and c1 of the first-order half, the solve's four (M,)
+        # outputs and (k, n) slabs. With whole (M, n) products in the
+        # first-order half they peaked at 1.63 M n; one (M, n, n) or
+        # (M, n^2) array alone would take 5 M n
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc already runs: its peak would not be this solve's alone")
         g = build_grid(5, 16)
@@ -526,7 +565,45 @@ class TestPinnedSolutions:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * m * n * 8
+        assert peak <= 1.6 * m * n * 8
+
+    @pytest.mark.parametrize("coefficients", [limit_coefficients, lab_limit_coefficients])
+    def test_first_order_sums_build_no_m_by_n_array(self, coefficients):
+        # the speeds c and c1 and the profile's (M,) temporaries: about 3.1
+        # (limits) and 3.3 (lab) doubles per node at n = 5; with whole (M, n)
+        # products each peaked at 8.1
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this call's alone")
+        g = build_grid(5, 16)
+        n, m = 5, g.size
+        p = builtin_profile("step_half_sphere", 5, c=1.0, c1=1.0)
+        tracemalloc.start()
+        try:
+            coefficients(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8
+
+    def test_residual_scaling_holds_no_whole_output(self, monkeypatch):
+        # with the first-order half alive, the slabs' temporaries only: 0.42
+        # doubles per node at 2048-node slabs; the solve's four (M,) outputs
+        # would take 4
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this call's alone")
+        monkeypatch.setattr(sphere, "_SLAB_NODES", 2048)
+        g = build_grid(5, 16)
+        first = lab_limit_coefficients(builtin_profile("step_half_sphere", 5, c=1.0, c1=1.0), g)
+        phi = gaussian_bump(np.zeros(5), 1.0)
+        residual_scaling(first, phi, 0.25 * np.ones(5), EPS_LIST)  # first-call imports
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            residual_scaling(first, phi, 0.25 * np.ones(5), EPS_LIST)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < g.size * 8
 
     def test_solve_holds_no_m_by_n_array(self):
         # the first-order half keeps (M,) speeds and (n,), (n, n) sums only;
@@ -551,14 +628,85 @@ class TestPinnedSolutions:
         assert peak < (4 + n) * m * 8
 
 
-def slab_grids():
+def finite_law_grid():
+    """A balanced finite law of 3000 directions in R^3: 1500 random rows and
+    their antipodes, each pair of one random mass."""
     rng = np.random.default_rng(25)
     rows = np.column_stack([rng.uniform(0.05, math.pi - 0.05, 1500),
                             rng.uniform(0.0, 2 * math.pi, 1500)])
     rows = np.vstack([rows, angles_from_directions(-directions_from_angles(rows))])
     mass = np.tile(rng.uniform(0.05, 1.0, 1500), 2)
-    law = DiscreteSwitching(rows, mass / mass.sum()).grid()
-    return [build_grid(3, 71), build_grid(4, 20), build_grid(5, 9), law]
+    return DiscreteSwitching(rows, mass / mass.sum()).grid()
+
+
+def slab_grids():
+    return [build_grid(3, 71), build_grid(4, 20), build_grid(5, 9), finite_law_grid()]
+
+
+def node_sum_cases():
+    example3 = builtin_profile("example3_atoms", 2)
+    cases = [(build_grid(n, r), builtin_profile("step_half_sphere", n, c=1.3, c1=0.7))
+             for n, r in [(2, 301), (3, 23), (4, 11), (5, 7), (6, 5)]]
+    cases.append((build_grid(4, 11), builtin_profile("sin_theta1", 4)))
+    cases.append((finite_law_grid(), builtin_profile("step_half_sphere", 3, c=1.3, c1=0.7)))
+    cases.append((UniformSphere().grid(2, 64, example3.atoms), example3))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "grid, profile", node_sum_cases(),
+    ids=["sphere2", "sphere3", "sphere4", "sphere5", "sphere6", "sin4", "law3", "example3"],
+)
+def test_node_sums_are_the_whole_array_einsums(grid, profile, monkeypatch):
+    # limit_coefficients' A and the lab's drift, Pi[c s] and diffusion, summed
+    # over slabs of 1, 7, 1000 and M nodes, have the bits of the einsums over
+    # whole (M, n) arrays. No slab size but 1 and M divides 1058, 2662, 6250
+    # or 131 (the sphere3, sphere4, sphere6 and example3 node counts)
+    w, s = grid.weights, grid.directions
+    c, c1 = grid_speeds(profile, grid)
+    fast_mean = np.einsum("m,mi->i", w, c[:, None] * s)
+    a = np.einsum("mi,mj->ij", (w * (c * c))[:, None] * s, s)
+    diffusion = np.einsum("m,mk,mi->ki", w * c, s, c[:, None] * s - fast_mean)
+    whole = (0.5 * (a + a.T), np.einsum("m,mi->i", w, c1[:, None] * s), fast_mean,
+             0.5 * (diffusion + diffusion.T))
+    for slab in (1, 7, 1000, grid.size):
+        monkeypatch.setattr(sphere, "_SLAB_NODES", slab)
+        first = lab_limit_coefficients(profile, grid)
+        got = (limit_coefficients(profile, grid).diffusion, first.drift,
+               first.balance.residual_vector, first.diffusion)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in whole]
+
+
+def test_node_sum_carries_signed_zeros(monkeypatch):
+    # a sum of +-0.0 products is +0.0 over the whole array; a carried row of
+    # 0.0 times a negative sum adds -0.0; neither may move a bit
+    rng = np.random.default_rng(27)
+    m = 1009  # prime: only slabs of 1 and m nodes divide it
+    x = rng.standard_normal((m, 3)) * rng.choice([-0.0, 0.0, 1.0, 1.0], (m, 3))
+    y = rng.standard_normal((m, 4)) * rng.choice([-0.0, 0.0, 1.0, 1.0], (m, 4))
+    x[:, 2] = rng.choice([-0.0, 0.0], m)
+    y[:, 3] = -0.0
+    for slab in (1, 2, 7, 1000, m):
+        monkeypatch.setattr(sphere, "_SLAB_NODES", slab)
+        slabs = _node_slabs(m)
+        assert slabs[0].start == 0 and slabs[-1].stop == m
+        got = _node_sum((x[k], y[k]) for k in slabs)
+        assert got.tobytes() == np.einsum("mk,mi->ki", x, y).tobytes()
+        got = _node_sum((x[k, 2], y[k]) for k in slabs)
+        assert got.tobytes() == np.einsum("m,mi->i", x[:, 2], y).tobytes()
+    assert not np.signbit(np.einsum("mk,mi->ki", x, y)[2, 3])
+
+
+@pytest.mark.parametrize("grid", slab_grids(), ids=["sphere3", "sphere4", "sphere5", "law3"])
+def test_residual_scaling_reduces_the_solve_slab_by_slab(grid, monkeypatch):
+    # the sup over nodes, taken slab by slab, is solve_perturbation's exactly
+    monkeypatch.setattr(sphere, "_SLAB_NODES", 1024)
+    n = grid.dimension
+    phi, x = gaussian_bump(0.1 * np.arange(n), 1.0), np.full(n, 0.2)
+    first = lab_limit_coefficients(builtin_profile("step_half_sphere", n, c=1.3, c1=0.7), grid)
+    fit = residual_scaling(first, phi, x, EPS_LIST)
+    solution = solve_perturbation(first, phi, x)
+    assert fit.metric_values.tolist() == [solution.residual(e) for e in fit.eps_values.tolist()]
 
 
 @pytest.mark.parametrize("grid", slab_grids(), ids=["sphere3", "sphere4", "sphere5", "law3"])
@@ -571,7 +719,7 @@ def test_solve_bits_do_not_depend_on_the_slab_partition(grid, monkeypatch):
     digests = set()
     for slab in (1024, 5000, grid.size):
         assert grid.size // math.ceil(grid.size / slab) >= 1000
-        monkeypatch.setattr(operator_lab, "_SLAB_NODES", slab)
+        monkeypatch.setattr(sphere, "_SLAB_NODES", slab)
         sol = solve_perturbation(first, phi, x)
         arrays = (sol.phi1.values, sol.phi2.values, sol.r1, sol.r2, np.float64(sol.limit_value))
         digests.add(b"".join(a.tobytes() for a in arrays))
