@@ -35,7 +35,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from .simulator import (
     EvolutionConfig,
     ResourceExhausted,
     simulate_ensemble,
-    simulate_paths,
+    trajectory_rows,
 )
 from .sphere import build_grid, check_dimension, check_resolution
 from .stats import ks_marginals, limit_for_config, run_sweep, summarize
@@ -308,13 +308,6 @@ def _csv_file(path: Path, header: str):
     part.replace(path)
 
 
-def _write_csv(path: Path, header: str, blocks: Iterable[np.ndarray], label: str = "") -> None:
-    """Write the header line, then the lines of each 2-D block (_csv_lines)."""
-    with _csv_file(path, header) as handle:
-        for block in blocks:
-            handle.writelines(_csv_lines(block, label))
-
-
 def _endpoint_lines(first: int, points: np.ndarray) -> str:
     """The endpoints.csv lines of paths first, first + 1, ...: the block
     text that simulate_ensemble runs where each block is simulated."""
@@ -322,30 +315,19 @@ def _endpoint_lines(first: int, points: np.ndarray) -> str:
     return "".join(_csv_lines(np.column_stack([index, points]), "%d,"))
 
 
-def _regrouped(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The rows of consecutive 2-D blocks in blocks of _CSV_CHUNK_ROWS rows,
-    the last one shorter: many small blocks are formatted a chunk at a time."""
-    pending, size = [], 0
-    for block in blocks:
-        pending.append(block)
-        size += block.shape[0]
-        if size >= _CSV_CHUNK_ROWS:
-            rows = np.concatenate(pending)
-            cut = size - size % _CSV_CHUNK_ROWS
-            yield rows[:cut]
-            pending, size = [rows[cut:]], size - cut
-    if size:
-        yield np.concatenate(pending)
-
-
 def _write_trajectories_csv(path: Path, config: EvolutionConfig) -> None:
+    """Write trajectory_rows a batch at a time; out of memory, raise
+    ResourceExhausted naming the paths whose rows were written."""
     header = "path_index,t," + ",".join(f"x{i + 1}" for i in range(config.dimension))
-    blocks = (
-        np.column_stack([np.full(trajectory.positions.shape[0], idx), trajectory.times,
-                         trajectory.positions])
-        for idx, trajectory in enumerate(simulate_paths(config))
-    )
-    _write_csv(path, header, _regrouped(blocks), "%d,")
+    done = 0
+    try:
+        with _csv_file(path, header) as handle:
+            for block in trajectory_rows(config):
+                handle.writelines(_csv_lines(block, "%d,"))
+                done = int(block[-1, 0]) + 1
+    except MemoryError as exc:
+        raise ResourceExhausted(f"resource exhaustion ({exc}) writing {path.name}: completed "
+                                f"paths [0, {done}) of [0, {config.n_paths})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +422,8 @@ def _run_converge(config: ExperimentConfig, out: Path) -> dict:
     _write_json(out / "sweep.json", payload)
     columns = (result.eps_values, result.metric_values, result.noise_floors,
                result.ks_pvalues.min(axis=1))
-    _write_csv(out / "sweep.csv", "epsilon,metric,noise_floor,min_ks_pvalue",
-               [np.column_stack(columns)])
+    with _csv_file(out / "sweep.csv", "epsilon,metric,noise_floor,min_ks_pvalue") as handle:
+        handle.writelines(_csv_lines(np.column_stack(columns)))
     return payload
 
 
@@ -455,9 +437,9 @@ def _run_report(config: ExperimentConfig, out: Path) -> dict:
 
     columns = (np.arange(1, evo.dimension + 1), summary.mean, summary.se_mean, target.mean,
                np.diag(summary.covariance), np.diag(target.covariance), ks.pvalues)
-    _write_csv(out / "moments.csv",
-               "coordinate,mean,se_mean,target_mean,variance,target_variance,ks_pvalue",
-               [np.column_stack(columns)], "x%d,")
+    header = "coordinate,mean,se_mean,target_mean,variance,target_variance,ks_pvalue"
+    with _csv_file(out / "moments.csv", header) as handle:
+        handle.writelines(_csv_lines(np.column_stack(columns), "x%d,"))
 
     text = [
         f"random evolution report (n={evo.dimension}, eps={evo.epsilon}, "

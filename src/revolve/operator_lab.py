@@ -372,13 +372,13 @@ def _pi(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _point_half(
     first: FirstOrderHalf, phi: TestFunction, x: np.ndarray
 ) -> tuple[float, Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
-    """L0 phi(x), and a generator of (nodes, phi1, phi2, r1, r2) over the
+    """L0 phi(x), and an iterator of (nodes, phi1, phi2, r1, r2) over the
     node slabs of sphere._node_slabs, in order.
 
     Requires the balance condition; otherwise raises SolvabilityError naming
-    the residual vector. Every (k, n) temporary lives for one slab. Slabs of
-    1000 rows or more gave the whole grid's bits on every grid tried; for a
-    few rows BLAS may take other kernels, with other bits.
+    the residual vector. Every (k, n) temporary lives in one slab's call.
+    Slabs of 1000 rows or more gave the whole grid's bits on every grid
+    tried; for a few rows BLAS may take other kernels, with other bits.
     """
     if not first.balance.satisfied:
         raise SolvabilityError(first.balance)
@@ -394,24 +394,23 @@ def _point_half(
     limit_value = drift @ gradient + diffusion_hessian
     diffusion_third = np.einsum("ijk,jk->i", third, diffusion)
 
-    def slabs():
-        for nodes in _node_slabs(grid.size):
-            s, c, c1 = grid.directions[nodes], first.c[nodes], first.c1[nodes]
-            a1 = first.first_corrector(nodes)
-            s_hessian = s @ hessian                           # (k, n), as s . third_j below
-            t_phi1 = np.einsum("mi,mi->m", a1, s_hessian)     # (s, grad) phi1 = s . hess . a1
-            # b1 = c1 s - drift enters through b1 . grad phi and b1 . (s . hess) only
-            t_b1 = c1 * np.einsum("mi,mi->m", s_hessian, s) - s_hessian @ drift
-            # phi2 = b1 . grad phi + b2 : hess phi
-            phi2 = c1 * (s @ gradient) + c * t_phi1 - limit_value
-            # (s, grad) phi2 = b1 . (s . hess) + c third[s, s, a1] - diffusion : (s . third)
-            third_s_s_a1 = sum(a1[:, j] * np.einsum("mi,mi->m", s @ third[j], s)
-                               for j in range(grid.dimension))
-            t_phi2 = t_b1 + c * third_s_s_a1 - s @ diffusion_third
-            # phi1, then r1 = c T phi2 + c1 T phi1 and r2 = c1 T phi2
-            yield nodes, a1 @ gradient, phi2, c * t_phi2 + c1 * t_phi1, c1 * t_phi2
+    def slab(nodes: slice) -> tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        s, c, c1 = grid.directions[nodes], first.c[nodes], first.c1[nodes]
+        a1 = first.first_corrector(nodes)
+        s_hessian = s @ hessian                           # (k, n), as s . third_j below
+        t_phi1 = np.einsum("mi,mi->m", a1, s_hessian)     # (s, grad) phi1 = s . hess . a1
+        # b1 = c1 s - drift enters through b1 . grad phi and b1 . (s . hess) only
+        t_b1 = c1 * np.einsum("mi,mi->m", s_hessian, s) - s_hessian @ drift
+        # phi2 = b1 . grad phi + b2 : hess phi
+        phi2 = c1 * (s @ gradient) + c * t_phi1 - limit_value
+        # (s, grad) phi2 = b1 . (s . hess) + c third[s, s, a1] - diffusion : (s . third)
+        third_s_s_a1 = sum(a1[:, j] * np.einsum("mi,mi->m", s @ third[j], s)
+                           for j in range(grid.dimension))
+        t_phi2 = t_b1 + c * third_s_s_a1 - s @ diffusion_third
+        # phi1, then r1 = c T phi2 + c1 T phi1 and r2 = c1 T phi2
+        return nodes, a1 @ gradient, phi2, c * t_phi2 + c1 * t_phi1, c1 * t_phi2
 
-    return float(limit_value), slabs()
+    return float(limit_value), map(slab, _node_slabs(grid.size))
 
 
 def solve_perturbation(
@@ -426,10 +425,9 @@ def solve_perturbation(
     """
     limit_value, slabs = _point_half(first, phi, x)
     grid = first.grid
-    outputs = phi1, phi2, r1, r2 = [np.empty(grid.size) for _ in range(4)]
-    for nodes, *values in slabs:
-        for whole, part in zip(outputs, values):
-            whole[nodes] = part
+    phi1, phi2, r1, r2 = (np.empty(grid.size) for _ in range(4))
+    for nodes, phi1[nodes], phi2[nodes], r1[nodes], r2[nodes] in slabs:
+        pass  # each slab is written into the outputs as it is unpacked
     return PerturbationSolution(
         first=first,
         point=np.asarray(x, dtype=float),

@@ -80,7 +80,11 @@ either elementwise or sums in the same order:
   - an endpoint is x0 plus a sequential sum of the path's displacements in
     row order, starting from 0.0, as displacements.sum(axis=0) does on one
     path's rows. np.bincount adds in exactly that order; a pairwise sum
-    (np.add.reduceat, or a sum along a contiguous axis) would change bits.
+    (np.add.reduceat, or a sum along a contiguous axis) would change bits;
+  - a position is x0 plus the running sum of the path's displacements in
+    row order. np.cumsum adds strictly in sequence, so on a row per path,
+    zero-padded after its segments, it gives the bits that
+    x0 + np.cumsum(displacements, axis=0) gives on one path's rows.
 The waits take the bits of numpy's log1p. Numpy may run it through SIMD
 code that rounds differently on another CPU, as it may its sin and cos in
 directions_from_angles, so endpoint bytes are reproducible on one platform,
@@ -116,6 +120,7 @@ __all__ = [
     "EndpointEnsemble",
     "simulate_path",
     "simulate_paths",
+    "trajectory_rows",
     "simulate_ensemble",
     "config_fingerprint",
     "resolve_workers",
@@ -555,20 +560,21 @@ class _PathKernel:
             sums[:, j] = np.bincount(path_of_row, weights=column, minlength=counts.size)
         return self.config.x0 + sums
 
-    def paths(
-        self, start: int, stop: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(switch_times, directions (m+1, n), displacements (m+1, n)) of each
-        path in [start, stop), in order; the arrays are the caller's own."""
-        for _, counts, times, draws in self.batches(start, stop):
+    def trajectories(self, start: int, stop: int) -> Iterator[tuple]:
+        """The paths [start, stop), a batch at a time: (first path, rows per
+        path, times, directions (n, rows), positions (rows, n)), with the rows
+        of batches; row k's position is the path's at times[k]."""
+        x0 = self.config.x0
+        for first, counts, times, draws in self.batches(start, stop):
             dirs, displacements = self.arrange(counts, times, draws)
-            ends = np.cumsum(counts)
-            for a, b in zip(ends - counts, ends):
-                yield (
-                    times[a : b - 1].copy(),
-                    dirs[:, a:b].T.copy(),
-                    displacements[:, a:b].T.copy(),
-                )
+            taken = np.arange(counts.max()) < counts[:, None]
+            steps, sums = np.zeros(taken.shape), np.empty(taken.shape)
+            positions = np.empty((times.size, x0.size))
+            for j, column in enumerate(displacements):
+                steps[taken] = column  # a row per path, zero-padded after its segments
+                np.cumsum(steps, axis=1, out=sums)
+                positions[:, j] = sums[taken] + x0[j]
+            yield first, counts, times, dirs, positions
 
 
 def simulate_paths(
@@ -576,14 +582,27 @@ def simulate_paths(
 ) -> Iterator[Trajectory]:
     """Simulate paths [start, stop) exactly, in order, with one set-up for all
     of them; path i is simulate_path(config, i). stop defaults to n_paths.
-    Raises ValueError when a path of the range lies outside [0, n_paths)."""
+    Raises ValueError when a path of the range lies outside [0, n_paths).
+    Each trajectory owns its arrays: no path keeps its batch's alive."""
     stop = config.n_paths if stop is None else stop
     if start < stop and not (0 <= start and stop <= config.n_paths):
         index = start if start < 0 else stop - 1
         raise ValueError(f"path index {index} is outside [0, {config.n_paths})")
-    for switch_times, dirs, displacements in _PathKernel(config).paths(start, stop):
-        positions = np.vstack([config.x0[None, :], config.x0 + np.cumsum(displacements, axis=0)])
-        yield Trajectory(config.horizon, switch_times, dirs, positions)
+    for _, counts, times, dirs, positions in _PathKernel(config).trajectories(start, stop):
+        ends = np.cumsum(counts).tolist()
+        for a, b in zip([0, *ends], ends):
+            yield Trajectory(config.horizon, times[a : b - 1].copy(), dirs[:, a:b].T.copy(),
+                             np.concatenate([config.x0[None, :], positions[a:b]]))
+
+
+def trajectory_rows(config: EvolutionConfig) -> Iterator[np.ndarray]:
+    """Rows (path_index, t, x1..xn) of every path, a batch of paths at a time:
+    simulate_paths' times and positions, a row at t = 0 for x0 first."""
+    for first, counts, times, _, positions in _PathKernel(config).trajectories(0, config.n_paths):
+        starts = np.cumsum(counts) - counts
+        index = np.repeat(np.arange(first, first + counts.size), counts + 1)
+        yield np.column_stack([index, np.insert(times, starts, 0.0),
+                               np.insert(positions, starts, config.x0, axis=0)])
 
 
 def simulate_path(config: EvolutionConfig, path_index: int) -> Trajectory:

@@ -979,6 +979,19 @@ def _batches_failing_in_last_block(kernel, start, stop):
         yield batch
 
 
+_real_trajectories = simulator._PathKernel.trajectories
+
+
+def _trajectories_failing_after_20_paths(kernel, start, stop):
+    """_PathKernel.trajectories in batches of 10 paths, out of memory after
+    the first 20 paths."""
+    kernel._batch_paths = 10
+    for batch in _real_trajectories(kernel, start, stop):
+        if batch[0] == 20:
+            raise MemoryError("the trajectory pass fails")
+        yield batch
+
+
 def format_17g_lines(block, label=""):
     """The CSV lines of block as format(x, ".17g") writes them, value by value."""
     lines = []
@@ -1202,6 +1215,21 @@ class TestSimulate:
         done = 350 if workers == "2" else 0
         assert error["message"].endswith(f"completed paths [0, {done}) of [0, 400)")
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_failed_trajectory_pass_leaves_no_trajectories_csv(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # endpoints.csv is complete before the trajectory pass starts; the
+        # message names the file and the paths whose rows were written
+        monkeypatch.setattr(simulator._PathKernel, "trajectories",
+                            _trajectories_failing_after_20_paths)
+        path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION)})
+        out = tmp_path / "f"
+        assert main(["simulate", "--config", path, "--out", str(out), "--full-trajectories"]) == 1
+        error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "resource"
+        assert error["message"] == ("resource exhaustion (the trajectory pass fails) writing "
+                                    "trajectories.csv: completed paths [0, 20) of [0, 400)")
+        assert sorted(p.name for p in out.iterdir()) == ["endpoints.csv", "manifest.json"]
 
     def test_manifest_written(self, tmp_path):
         path = write_config(tmp_path, {"evolution": dict(BASE_EVOLUTION)})

@@ -132,11 +132,12 @@ SMALL_CONFIG = {
 }
 
 
-def run_without_scipy(tmp_path, mode):
+def run_without_scipy(tmp_path, mode, *flags):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SMALL_CONFIG))
     out = tmp_path / "out"
-    return run_python("-c", MAIN_WITHOUT_SCIPY, mode, "--config", str(config), "--out", str(out)), out
+    args = (mode, "--config", str(config), "--out", str(out), *flags)
+    return run_python("-c", MAIN_WITHOUT_SCIPY, *args), out
 
 
 ARTIFACTS = {
@@ -164,6 +165,25 @@ def test_subcommands_without_ks_tests_run_without_scipy(tmp_path, mode):
 def test_ks_subcommands_run_without_scipy(tmp_path, mode):
     # their KS tests are revolve.ks
     check_runs_without_scipy(tmp_path, mode)
+
+
+def test_full_trajectories_run_without_scipy(tmp_path):
+    result, out = run_without_scipy(tmp_path, "simulate", "--full-trajectories")
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = (out / "trajectories.csv").read_text().splitlines()
+    assert lines[0] == "path_index,t,x1,x2" and len(lines) > SMALL_CONFIG["evolution"]["n_paths"]
+
+
+def test_cli_imports_no_private_simulator_name():
+    # the CLI uses the simulator through its public functions only
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module in ("simulator", "revolve.simulator")
+        for alias in node.names
+    ]
+    assert "simulate_ensemble" in names
+    assert [name for name in names if name.startswith("_")] == []
 
 
 def test_switching_laws_are_defined_in_limits():

@@ -627,6 +627,24 @@ class TestPinnedSolutions:
             tracemalloc.stop()
         assert peak < (4 + n) * m * 8
 
+    def test_solve_frees_each_slab_before_the_next(self):
+        # the four (M,) outputs and one slab's temporaries: 5.26 doubles per
+        # node at n = 5; 5.63 while a slab's temporaries and outputs stayed
+        # alive until the next slab had been computed
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this solve's alone")
+        g = build_grid(5, 16)
+        first = lab_limit_coefficients(builtin_profile("step_half_sphere", 5, c=1.0, c1=1.0), g)
+        phi = gaussian_bump(np.zeros(5), 1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_perturbation(first, phi, 0.25 * np.ones(5))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.35 * g.size * 8
+
 
 def finite_law_grid():
     """A balanced finite law of 3000 directions in R^3: 1500 random rows and

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from numpy.random import Generator, Philox
 from scipy import stats as scipy_stats
 
 from revolve import simulator
-from revolve.cli import _endpoint_lines
+from revolve.cli import _endpoint_lines, _write_trajectories_csv
 from revolve.limits import DiscreteSwitching, UniformSphere, discrete_limit_coefficients
 from revolve.profiles import Atom, ConstantSpeed, LowerHalfStep, VelocityProfile, builtin_profile
 from revolve.simulator import (
@@ -585,6 +586,18 @@ class TestPinnedStreams:
             for field in ("switch_times", "directions", "positions"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
+    def test_simulate_paths_own_their_arrays(self):
+        # sliced from one batch's arrays as copies: no trajectory keeps its
+        # batch alive or shares memory with another
+        cfg = _pinned_configs()["discrete_batch_edge"]
+        fields = ("switch_times", "directions", "positions")
+        trajectories = list(simulate_paths(cfg))
+        for t in trajectories:
+            assert all(getattr(t, f).base is None for f in fields)
+        for a, b in zip(trajectories, trajectories[1:]):
+            for f, g in itertools.product(fields, fields):
+                assert not np.shares_memory(getattr(a, f), getattr(b, g))
+
     def test_pins_span_batches(self):
         configs = _pinned_configs()
         long_n5, edge = configs["uniform_sine_n5_long"], configs["discrete_last_single"]
@@ -812,6 +825,34 @@ def _per_path_reference(config, block, path_index):
     return reference_path(config, path_index, _layout_segments(config, block, path_index))
 
 
+def kernel_paths(kernel, start, stop):
+    """(switch_times, directions, displacements, positions, endpoint) of
+    each path in [start, stop), as reference_path gives the first three:
+    switch times, directions and positions from kernel.trajectories, the
+    displacement columns of kernel.arrange and the rows of kernel.endpoints
+    from kernel.batches."""
+    arranged = ((kernel.arrange(counts, times, draws)[1], kernel.endpoints(counts, times, draws))
+                for _, counts, times, draws in kernel.batches(start, stop))
+    for (_, counts, times, dirs, positions), (displacements, endpoints) in zip(
+        kernel.trajectories(start, stop), arranged
+    ):
+        ends = np.cumsum(counts)
+        for j, (a, b) in enumerate(zip(ends - counts, ends)):
+            yield (times[a : b - 1], dirs[:, a:b].T, displacements[:, a:b].T, positions[a:b],
+                   endpoints[j])
+
+
+def check_against_reference(got, want, x0):
+    """A path of kernel_paths against reference_path's (switch_times,
+    directions, displacements, endpoint), byte for byte; its positions
+    against x0 plus the running sum of the reference displacements."""
+    switch_times, dirs, displacements, positions, endpoint = got
+    want_positions = x0 + np.cumsum(want[2], axis=0)
+    pairs = zip((switch_times, dirs, displacements, endpoint, positions), (*want, want_positions))
+    for a, b in pairs:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("name", sorted(TestPinnedStreams.DIGESTS))
     def test_small_block_matches_per_path_formulas(self, name):
@@ -820,16 +861,10 @@ class TestBatchedKernel:
         cfg = _pinned_configs()[name]
         kernel = _PathKernel(cfg)
         kernel._block = block = 4 // kernel._width
-        endpoints = np.concatenate(
-            [kernel.endpoints(counts, times, draws) for _, counts, times, draws in kernel.batches(0, 9)]
-        )
-        paths = list(kernel.paths(0, 9))
+        paths = list(kernel_paths(kernel, 0, 9))
         assert len(paths) == 9
         for i, path in enumerate(paths):
-            want = _per_path_reference(cfg, block, i)
-            got = (*path, endpoints[i])
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            check_against_reference(path, _per_path_reference(cfg, block, i), cfg.x0)
 
     @pytest.mark.parametrize("name", ["discrete_atoms", "discrete_initial", "uniform_step_n3",
                                       "uniform_atoms", "uniform_atoms_initial"])
@@ -841,13 +876,10 @@ class TestBatchedKernel:
         kernel = _PathKernel(cfg)
         step = 4 // kernel._width
         kernel._block = block = int(cfg.horizon / cfg.epsilon**2) // step * step
-        (_, counts, times, draws), = kernel.batches(0, 24)
+        (_, counts, *_), = kernel.trajectories(0, 24)
         assert (counts > block).any() and (counts <= block).any()
-        endpoints = kernel.endpoints(counts, times, draws)
-        for i, path in enumerate(kernel.paths(0, 24)):
-            want = _per_path_reference(cfg, block, i)
-            for a, b in zip((*path, endpoints[i]), want):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for i, path in enumerate(kernel_paths(kernel, 0, 24)):
+            check_against_reference(path, _per_path_reference(cfg, block, i), cfg.x0)
 
     def test_fixed_direction_on_the_step_boundary_keeps_its_chart_speed(self):
         # theta_2 = pi: s_3 = sin(1) sin(pi) > 0 in floats, yet the direction
@@ -861,9 +893,53 @@ class TestBatchedKernel:
         assert first[2] > 0.0
         assert cfg.profile.values_on(first[None, :])[1].tolist() == [1.0]
         kernel = _PathKernel(cfg)
-        for i, path in enumerate(kernel.paths(0, cfg.n_paths)):
-            for a, b in zip(path, _per_path_reference(cfg, kernel._block, i)):
-                assert a.tobytes() == b.tobytes()
+        for i, path in enumerate(kernel_paths(kernel, 0, cfg.n_paths)):
+            check_against_reference(path, _per_path_reference(cfg, kernel._block, i), cfg.x0)
+
+    @pytest.mark.parametrize("name", ["uniform_atoms", "discrete_initial"])
+    @pytest.mark.parametrize("chunk", ["one_block", "mixed"])
+    def test_trajectories_csv_matches_per_path_formulas(self, tmp_path, monkeypatch, name, chunk):
+        # at a chunk of one Philox block every path is replayed alone, its
+        # rows inserted among its batch's; at about T/eps^2 segments a batch
+        # holds replayed paths between the others
+        cfg = _pinned_configs()[name]
+        step = 4 // layout_chunk(cfg)[0]
+        block = step if chunk == "one_block" else int(cfg.horizon / cfg.epsilon**2) // step * step
+        monkeypatch.setattr(simulator, "_chunk", lambda expected, width: block)
+        path = tmp_path / "trajectories.csv"
+        _write_trajectories_csv(path, cfg)
+        lines = ["path_index,t," + ",".join(f"x{j + 1}" for j in range(cfg.dimension))]
+        for i in range(cfg.n_paths):
+            switch_times, _, displacements, _ = _per_path_reference(cfg, block, i)
+            times = np.concatenate(([0.0], switch_times, [cfg.horizon]))
+            positions = np.vstack([cfg.x0, cfg.x0 + np.cumsum(displacements, axis=0)])
+            lines += [f"{i}," + ",".join(format(x, ".17g") for x in [t, *row])
+                      for t, row in zip(times.tolist(), positions.tolist())]
+        assert path.read_text().splitlines() == lines
+
+    def test_padded_steps_stay_near_the_batch_rows(self):
+        # at eps 1, T 1 a batch holds about 4096 paths of 2 segments, the
+        # widest padding: the longest path of a batch has about 7 rows, and
+        # the padded buffers add 2.3 times the batch's rows x n doubles at
+        # n = 3; buffers padded to a chunk of 12 rows would add 4.3
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this call's alone")
+        cfg = msre_config(dimension=3, profile=builtin_profile("msre_const", 3), x0=np.zeros(3),
+                          epsilon=1.0, n_paths=20_000, seed=5)
+        kernel = _PathKernel(cfg)
+        paths = kernel._batch_paths
+        assert paths >= 4000
+        (_, counts, *_), = kernel.trajectories(0, paths)  # first-call imports
+        peaks = []
+        for run in (lambda: [kernel.arrange(*batch[1:]) for batch in kernel.batches(0, paths)],
+                    lambda: list(kernel.trajectories(0, paths))):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4 * counts.sum() * cfg.dimension * 8
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_unit_columns_match_row_norms(self, n):
