@@ -334,6 +334,22 @@ def _write_trajectories_csv(path: Path, config: EvolutionConfig) -> None:
 # subcommand bodies
 
 
+@contextmanager
+def _grid_memory(config: ExperimentConfig):
+    """Work on the config's grid: a MemoryError inside becomes a
+    ResourceExhausted that names the grid (the simulator names its paths)."""
+    try:
+        yield
+    except MemoryError as exc:
+        evo = config.evolution
+        if isinstance(evo.switching, UniformSphere):  # build_grid's 2 r^(n-1) nodes, the atoms'
+            nodes = 2 * config.grid_resolution ** (evo.dimension - 1) + len(evo.profile.atoms)
+            grid = f"the sphere grid of n = {evo.dimension} at resolution {config.grid_resolution}"
+        else:
+            nodes, grid = evo.switching.grid().size, f"the finite law's grid of n = {evo.dimension}"
+        raise ResourceExhausted(f"resource exhaustion ({exc}) on {grid}: {nodes} nodes") from exc
+
+
 def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
     evo = config.evolution
     grid = evo.switching.grid(evo.dimension, config.grid_resolution, evo.profile.atoms)
@@ -406,9 +422,8 @@ def _run_simulate(config: ExperimentConfig, out: Path, full_trajectories: bool) 
 
 
 def _run_converge(config: ExperimentConfig, out: Path) -> dict:
-    result = run_sweep(
-        config.evolution, config.eps_sweep, grid_resolution=config.grid_resolution
-    )
+    with _grid_memory(config):  # the sweep's paths raise ResourceExhausted themselves
+        result = run_sweep(config.evolution, config.eps_sweep, config.grid_resolution)
     payload = {
         "eps": result.eps_values.tolist(),
         "metric": result.metric_values.tolist(),
@@ -429,7 +444,8 @@ def _run_converge(config: ExperimentConfig, out: Path) -> dict:
 
 def _run_report(config: ExperimentConfig, out: Path) -> dict:
     evo = config.evolution
-    limit = limit_for_config(evo, config.grid_resolution)
+    with _grid_memory(config):
+        limit = limit_for_config(evo, config.grid_resolution)
     target = gaussian_law_at(limit, evo.horizon, evo.x0)
     ensemble = simulate_ensemble(evo)
     summary = summarize(ensemble)
@@ -466,9 +482,11 @@ def run(
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, config)
     if config.mode == "verify-operators":
-        _run_verify_operators(config, out)
+        with _grid_memory(config):
+            _run_verify_operators(config, out)
     elif config.mode == "limit-coeffs":
-        _run_limit_coeffs(config, out, paper_sign)
+        with _grid_memory(config):
+            _run_limit_coeffs(config, out, paper_sign)
     elif config.mode == "simulate":
         _run_simulate(config, out, full_trajectories)
     elif config.mode == "converge":

@@ -106,7 +106,6 @@ __all__ = [
     "gaussian_bump",
     "lab_limit_coefficients",
     "solve_perturbation",
-    "assembled_generator_residual",
     "residual_scaling",
 ]
 
@@ -189,9 +188,13 @@ def quadrature_residuals(grid: QuadratureGrid, resolution: int) -> dict[str, flo
             f"a grid of {grid.size} nodes, {grid.size - grid.point_nodes} of them point "
             f"nodes, is not build_grid({n}, {resolution}): {math.prod(shape)} sphere nodes"
         )
+    # Pi[s s^T] one slab of nodes at a time, with no (n, M) product; the
+    # slab products are added pairwise (numpy's sum along a contiguous axis),
+    # since a running sum over many small slabs would lose digits
+    slabs = np.stack([(s[sl].T * w[sl]) @ s[sl] for sl in _node_slabs(grid.size)], axis=-1)
     report = {
         "pi_s": float(np.max(np.abs(np.einsum("m,mi->i", w, s)))),
-        "pi_ss": float(np.max(np.abs((s.T * w) @ s - np.eye(n) / n))),
+        "pi_ss": float(np.max(np.abs(slabs.sum(axis=-1) - np.eye(n) / n))),
     }
     errors = []
     for i in range(1, n - 1):
@@ -263,27 +266,6 @@ def gaussian_bump(center: np.ndarray, width: float) -> TestFunction:
 
 # ---------------------------------------------------------------------------
 # the hierarchy: a first-order half over the grid, a point half at x
-
-
-def _derivative_values(
-    phi: TestFunction, x: np.ndarray, d1: np.ndarray, d2: np.ndarray
-) -> np.ndarray:
-    """d1 . grad phi(x) + d2 : hess phi(x) at every node, for d1 (M, n) and d2 (M, n, n)."""
-    return d1 @ phi.gradient(x) + np.einsum("mij,ij->m", d2, phi.hessian(x))
-
-
-def _transported_values(
-    phi: TestFunction, x: np.ndarray, s: np.ndarray, d1: np.ndarray, d2: np.ndarray
-) -> np.ndarray:
-    """(s, grad)(d1 . grad phi + d2 : hess phi) at x, at every node.
-
-    s is contracted into the derivatives of phi first (s . hess and s . third,
-    (M, n) and (M, n, n)), so no (M, n, n, n) array is built.
-    """
-    m, n = s.shape
-    s_third = s @ phi.third(x).reshape(n, -1)
-    return (np.einsum("mi,mi->m", d1, s @ phi.hessian(x))
-            + np.einsum("mi,mi->m", d2.reshape(m, -1), s_third))
 
 
 @dataclass(frozen=True)
@@ -364,11 +346,6 @@ class PerturbationSolution:
         return float(np.max(np.abs(eps * self.r1 + eps**2 * self.r2)))
 
 
-def _pi(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pi applied to each coefficient of a field of shape (M, ...)."""
-    return np.einsum("m...,m->...", arr, w)
-
-
 def _point_half(
     first: FirstOrderHalf, phi: TestFunction, x: np.ndarray
 ) -> tuple[float, Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
@@ -438,31 +415,6 @@ def solve_perturbation(
         r1=r1,
         r2=r2,
     )
-
-
-def assembled_generator_residual(solution: PerturbationSolution, eps: float) -> float:
-    """Sup-node |L_eps phi_eps - L0 phi| assembled term by term.
-
-    Applies eps^-2 Q + eps^-1 c T + c1 T to phi + eps phi1 + eps^2 phi2
-    directly, without using the closed-form remainder; agreement with
-    solution.residual(eps) certifies the hierarchy solve. It builds a1, b1
-    and b2 whole from the first-order half, b2 as (M, n, n) doubles.
-    """
-    sol, phi, x, first = solution, solution.test_function, solution.point, solution.first
-    w, s = first.grid.weights, first.grid.directions
-    a1 = first.first_corrector()
-    c_s_a1 = np.einsum("mi,mj->mij", s, a1) * first.c[:, None, None]
-    b1 = first.c1[:, None] * s - first.drift
-    b2 = c_s_a1 - _pi(c_s_a1, w)
-    # phi_eps = phi + d1 . grad phi + d2 : hess phi
-    d1 = a1 * eps + b1 * eps**2
-    d2 = b2 * eps**2
-    q_part = ((np.sum(w) - 1.0) * eps**-2 * phi.value(x)
-              + _derivative_values(phi, x, (_pi(d1, w) - d1) * eps**-2,
-                                   (_pi(d2, w) - d2) * eps**-2))
-    transport = s @ phi.gradient(x) + _transported_values(phi, x, s, d1, d2)
-    values = q_part + (first.c / eps) * transport + first.c1 * transport
-    return float(np.max(np.abs(values - sol.limit_value)))
 
 
 def residual_scaling(

@@ -611,8 +611,8 @@ def simulate_path(config: EvolutionConfig, path_index: int) -> Trajectory:
 
 
 class ResourceExhausted(RuntimeError):
-    """A run of paths ran out of memory; the message names the cause and
-    the paths completed before it."""
+    """A run ran out of memory; the message names the cause and the paths
+    completed before it, or the grid it worked on."""
 
 
 class _BlockExhausted(Exception):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revolve
-from revolve import cli, simulator
+from revolve import cli, limits, simulator, stats
 from revolve.cli import ExperimentConfig, load_config, main
 from revolve.profiles import FieldError, builtin_profile
 from revolve.stats import limit_for_config
@@ -184,6 +184,48 @@ class TestExitCodes:
         assert error["message"].startswith("resource exhaustion (Unable to allocate")
         assert error["message"].endswith("completed paths [0, 0) of [0, 4)")
         assert captured.err == ""
+
+    @pytest.mark.parametrize("mode", ["verify-operators", "limit-coeffs", "report", "converge"])
+    def test_grid_out_of_memory_exit_1_names_the_grid(self, tmp_path, capsys, monkeypatch, mode):
+        # n = 8 at resolution 10^6 is 2 10^42 nodes; the builder raises as
+        # numpy would, without allocating
+        def no_memory(n, resolution):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(limits, "build_grid", no_memory)
+        evo = dict(BASE_EVOLUTION, dimension=8, x0=[0.0] * 8)
+        path = write_config(tmp_path, {"evolution": evo, "grid_resolution": 10**6})
+        out = tmp_path / "out"
+        assert main([mode, "--config", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"error": {"kind": "resource", "message": (
+            "resource exhaustion (Unable to allocate 7.28 TiB) on the sphere grid of n = 8 "
+            f"at resolution 1000000: {2 * 10**42} nodes")}}
+        assert captured.err == ""
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("mode, owner, name", [
+        ("verify-operators", cli, "lab_limit_coefficients"),
+        ("verify-operators", cli, "residual_scaling"),
+        ("limit-coeffs", stats, "limit_coefficients"),
+    ], ids=["lab", "residual_scaling", "limit_coefficients"])
+    def test_out_of_memory_past_the_grid_names_the_grid(self, tmp_path, capsys, monkeypatch,
+                                                       mode, owner, name):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 1.00 GiB")
+
+        monkeypatch.setattr(owner, name, no_memory)
+        # example3_atoms adds its 3 atoms to the 16 sphere nodes of resolution 8
+        for evo, grid in [
+            (dict(BASE_EVOLUTION, profile={"name": "example3_atoms"}),
+             "the sphere grid of n = 2 at resolution 8: 19 nodes"),
+            (dict(BASE_EVOLUTION, switching=two_point_law([0.5, 0.5])),
+             "the finite law's grid of n = 2: 2 nodes"),
+        ]:
+            path = write_config(tmp_path, {"evolution": evo, "grid_resolution": 8})
+            assert main([mode, "--config", path, "--out", str(tmp_path / "out")]) == 1
+            assert json.loads(capsys.readouterr().out) == {"error": {"kind": "resource", "message":
+                f"resource exhaustion (Unable to allocate 1.00 GiB) on {grid}"}}
 
 
 def two_point_law(probabilities):
@@ -816,18 +858,17 @@ class TestOperatorReportBytesAcrossSlabs:
     """sha256 of operator_report.json for the three n = 5 profiles of the
     operator benchmark at grid_resolution 16: 131072 nodes, as many as 16 of
     the node slabs in which an earlier solve built the second-order corrector.
-    Recorded since the solve contracts that corrector at x; sin_theta1's since
-    its speed reads the nodes' directions, which moved near-zero off-diagonal
-    diffusion entries by at most 2.4e-24."""
+    Recorded since the quadrature check sums Pi[s s^T] slab by slab, which
+    moved pi_ss from 1.4e-16 to 2.5e-15 and no other entry."""
 
     EVOLUTION = dict(BASE_EVOLUTION, dimension=5, x0=[0.1, -0.2, 0.3, 0.0, 0.2], seed=11)
     DIGESTS = {
         "msre_const": ({"name": "msre_const", "c": 1.0},
-                       "23e456152d7ec88eb398bf70d3670d4894d2df618a0f1fbf8daf328089661313"),
+                       "2adbcf4326723eaea5a5de85bf0b80251d61fe7165d07e24c70848a531331eef"),
         "sin_theta1": ({"name": "sin_theta1"},
-                       "3b865e44aa2cc2d35143cd3de348b815a50cd0123aeb29b627412dfaa67432d4"),
+                       "484fda8f341313ea8e7785a0ebc08a451d83cc93a581531cc351bf54c3443016"),
         "step_half_sphere": ({"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
-                             "80aa5d09e614053a752f58001a8ad5fe4a00368fd3d5b7d1b6a3eab97d52b03e"),
+                             "b3b4adaf702a7f1938bc74a59fad44ddddcb045b66a4f852bfc5b5218f412632"),
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -907,7 +948,8 @@ class TestVerifyOperators:
 
     def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # 20000 nodes: enough for OpenBLAS to split a dot product over the
-        # nodes across threads, which would reorder the sum
+        # nodes across threads, which would reorder the sum; 131072 nodes:
+        # 16 node slabs, each with its own quadrature product
         evo = dict(
             BASE_EVOLUTION,
             dimension=5,
@@ -915,21 +957,22 @@ class TestVerifyOperators:
             seed=11,
             profile={"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
         )
-        path = write_config(tmp_path, {"evolution": evo, "grid_resolution": 10})
         src = str(Path(revolve.__file__).resolve().parents[1])
-        reports = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])))
-            result = subprocess.run(
-                [sys.executable, "-m", "revolve.cli", "verify-operators", "--config", path,
-                 "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert result.returncode == 0, result.stderr
-            reports.append((out / "operator_report.json").read_bytes())
-        assert reports[0] == reports[1]
+        for resolution in (10, 16):
+            path = write_config(tmp_path, {"evolution": evo, "grid_resolution": resolution})
+            reports = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"r{resolution}-threads{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+                result = subprocess.run(
+                    [sys.executable, "-m", "revolve.cli", "verify-operators", "--config", path,
+                     "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                assert result.returncode == 0, result.stderr
+                reports.append((out / "operator_report.json").read_bytes())
+            assert reports[0] == reports[1]
 
     def test_quadrature_residuals_see_a_coarse_grid(self, tmp_path):
         evo = dict(BASE_EVOLUTION, dimension=3, x0=[0.0] * 3)

@@ -20,7 +20,6 @@ from revolve.limits import (
 from revolve.operator_lab import (
     ThetaField,
     apply_q,
-    assembled_generator_residual,
     gaussian_bump,
     lab_limit_coefficients,
     potential_identity_error,
@@ -48,6 +47,7 @@ from revolve.sphere import (
     directions_from_angles,
 )
 from revolve.stats import limit_for_config
+from generator_reference import assembled_generator_residual
 from test_sphere import mesh_nodes
 
 EPS_LIST = (1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3)

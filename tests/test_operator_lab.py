@@ -16,9 +16,7 @@ from revolve.operator_lab import (
     SolvabilityError,
     TestFunction,
     ThetaField,
-    _transported_values,
     apply_q,
-    assembled_generator_residual,
     gaussian_bump,
     identity_residuals,
     lab_limit_coefficients,
@@ -36,6 +34,7 @@ from revolve.sphere import (
     build_grid,
     directions_from_angles,
 )
+from generator_reference import assembled_generator_residual, transported_values
 
 RES = {2: 32, 3: 24, 4: 12, 5: 8}
 COEF_RES = {2: 32, 3: 24, 4: 16, 5: 12}  # coefficient tolerances need finer polar rules
@@ -249,6 +248,37 @@ class TestQAndPotential:
         law = DiscreteSwitching(rows, np.full(8, 1 / 8))
         with pytest.raises(ValueError, match="8 of them point nodes"):
             quadrature_residuals(law.grid(3, 2), 2)
+
+    @pytest.mark.parametrize("n, resolution", [(2, 16), (3, 16), (4, 16), (5, 16), (6, 16),
+                                               (4, 32)])
+    def test_pi_ss_is_at_roundoff_on_fine_grids(self, n, resolution):
+        # Pi[s s^T] summed slab by slab: 2.5e-15 at n = 5, resolution 16
+        assert quadrature_residuals(build_grid(n, resolution), resolution)["pi_ss"] <= 4e-15
+
+    @pytest.mark.parametrize("n, resolution", [(2, 16), (3, 16), (4, 16), (5, 16), (4, 32)])
+    def test_pi_ss_holds_its_digits_over_many_slabs(self, n, resolution, monkeypatch):
+        # the slab products are added pairwise: a running sum over one-node
+        # slabs read 1.5e-14 at n = 5, resolution 16. n = 6 (2.1M nodes) is
+        # left to the test above: 2.1M one-node slabs take too long
+        grid = build_grid(n, resolution)
+        for slab in (1, 7, 1000, grid.size):
+            monkeypatch.setattr(sphere, "_SLAB_NODES", slab)
+            assert quadrature_residuals(grid, resolution)["pi_ss"] <= 4e-15
+
+    def test_quadrature_check_builds_no_n_by_m_product(self):
+        # 3.0 doubles per node: the polar axis's sin theta_i, its power and
+        # grid.average's product. The whole (s.T * w) @ s peaked at 5.07
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already runs: its peak would not be this call's alone")
+        g = build_grid(5, 16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            quadrature_residuals(g, 16)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.size * 8
 
 
 class TestTestFunctions:
@@ -473,7 +503,7 @@ class TestContractions:
 
         reference = transported(s, d1, d2, hessian, third)
         scale = transported(*(np.abs(a) for a in (s, d1, d2, hessian, third)))
-        got = _transported_values(phi, x, s, d1, d2)
+        got = transported_values(phi, x, s, d1, d2)
         assert np.all(np.abs(got - reference) <= ULPS * scale)
 
 
