@@ -49,7 +49,6 @@ from .limits import (
     limit_coefficients,
 )
 from .operator_lab import (
-    ThetaField,
     apply_q,
     gaussian_bump,
     identity_residuals,
@@ -58,6 +57,7 @@ from .operator_lab import (
     project_pi,
     quadrature_residuals,
     residual_scaling,
+    seeded_field,
 )
 from .profiles import Atom, FieldError, VelocityProfile, builtin_profile
 from .rates import check_eps_sweep
@@ -65,6 +65,7 @@ from .simulator import (
     STREAM_LAYOUT,
     EvolutionConfig,
     ResourceExhausted,
+    load_runtime,
     simulate_ensemble,
     trajectory_rows,
 )
@@ -354,7 +355,7 @@ def _run_verify_operators(config: ExperimentConfig, out: Path) -> dict:
     evo = config.evolution
     grid = evo.switching.grid(evo.dimension, config.grid_resolution, evo.profile.atoms)
     # the identities hold to roundoff for any weights summing to 1: one field
-    f = ThetaField(grid, np.random.default_rng(evo.seed).standard_normal(grid.size))
+    f = seeded_field(grid, evo.seed)
     report: dict = {"dimension": evo.dimension, "identity_residuals": identity_residuals(f)}
     del f  # freed, so the hierarchy's peak does not hold it as well
     if isinstance(evo.switching, UniformSphere) and not evo.profile.atoms:
@@ -533,6 +534,8 @@ def _error_json(kind: str, message: str, **extra) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.mode in ("simulate", "converge", "report"):
+        load_runtime()  # set-up, not the first block of paths, imports it
     config = None
     try:
         try:

@@ -101,6 +101,7 @@ __all__ = [
     "project_pi",
     "apply_q",
     "identity_residuals",
+    "seeded_field",
     "potential_identity_error",
     "quadrature_residuals",
     "gaussian_bump",
@@ -164,6 +165,22 @@ def identity_residuals(f: ThetaField) -> dict[str, float]:
     np.subtract(q, np.subtract(v, pi_f, out=scratch), out=q)
     return {"pi_idempotent": abs(pi_pi_f - pi_f), "pi_q": abs(pi_q),
             "r0_q_identity": float(np.max(np.abs(q, out=q)))}
+
+
+def seeded_field(grid: QuadratureGrid, seed: int) -> ThetaField:
+    """A pseudo-random field of the seed for the identity checks: at node m
+    the (m+1)-th output z of splitmix64 seeded with seed (0 <= seed < 2^64),
+    mapped exactly to (z >> 11) * 2^-52 - 1 in [-1, 1). Integer arithmetic
+    mod 2^64 only, so the bits are the same on every platform."""
+    z = np.arange(1, grid.size + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)  # splitmix64's state step, then its output mix
+    z += np.uint64(seed)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return ThetaField(grid, z.astype(float) * 2.0**-52 - 1.0)
 
 
 def potential_identity_error(f: ThetaField) -> float:

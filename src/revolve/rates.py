@@ -62,7 +62,7 @@ def fit_loglog(
     plateau = bool(np.any(~used))
     x = np.log(eps_values[used])
     y = np.log(metric_values[used])
-    if np.unique(x).size < 2:
+    if x.size < 2 or np.all(x == x[0]):  # not np.unique, which imports numpy.ma
         return RateFit(
             eps_values, metric_values, float("nan"), float("nan"), float("nan"),
             plateau=plateau, n_used=int(used.sum()),

@@ -89,22 +89,25 @@ The waits take the bits of numpy's log1p. Numpy may run it through SIMD
 code that rounds differently on another CPU, as it may its sin and cos in
 directions_from_angles, so endpoint bytes are reproducible on one platform,
 not across platforms.
+
+Imports: importing this module loads numpy and the deterministic layers
+only. numpy.random (_PathStreams), hashlib (config_fingerprint) and the
+process pool (_pool_blocks) are imported where they are used; load_runtime
+imports them at once, called by the CLI before it reads a simulating
+subcommand's config and by _pool_blocks before its workers fork.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .limits import DiscreteSwitching, SwitchingLaw, UniformSphere
 from .profiles import FieldError, VelocityProfile, grid_speeds
@@ -124,6 +127,7 @@ __all__ = [
     "simulate_ensemble",
     "config_fingerprint",
     "resolve_workers",
+    "load_runtime",
 ]
 
 # The stream layout of the module docstring: which draws a path makes, in order.
@@ -245,6 +249,7 @@ class EvolutionConfig:
 
 def config_fingerprint(config: EvolutionConfig) -> str:
     """sha256 over the canonical config description."""
+    import hashlib
     payload = json.dumps(config.describe(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -305,6 +310,7 @@ class _PathStreams:
     """
 
     def __init__(self, seed: int):
+        from numpy.random import Generator, Philox
         self._bit_generator = Philox(key=int(seed) << 64)
         self.generator = Generator(self._bit_generator)
         fresh = self._bit_generator.state
@@ -313,13 +319,13 @@ class _PathStreams:
         self._fresh_state = fresh
         self._key, self._counter = fresh["state"]["key"], fresh["state"]["counter"]
 
-    def rekey(self, path_index: int) -> Generator:
+    def rekey(self, path_index: int) -> np.random.Generator:
         return self._set(path_index, 0, _NORMALS_WORD)
 
-    def seek(self, counter: int, chunk: int = 0) -> Generator:
+    def seek(self, counter: int, chunk: int = 0) -> np.random.Generator:
         return self._set(0, counter, chunk)
 
-    def _set(self, key: int, counter: int, chunk: int) -> Generator:
+    def _set(self, key: int, counter: int, chunk: int) -> np.random.Generator:
         self._key[0] = key
         self._counter[:3] = counter & (2**64 - 1), counter >> 64, chunk
         self._bit_generator.state = self._fresh_state
@@ -653,6 +659,19 @@ def resolve_workers(workers: int | None) -> int:
     return 1
 
 
+def load_runtime(workers: int | None = None) -> None:
+    """Import the simulation runtime (module docstring): numpy.random and
+    hashlib, and the process pool when resolve_workers(workers) is above 1.
+    resolve_workers' warning is left to the call that runs the paths."""
+    import hashlib
+    import numpy.random
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pooled = resolve_workers(workers) > 1
+    if pooled:
+        import concurrent.futures.process
+
+
 class _PoolUnavailable(Exception):
     """The process pool cannot run this config; the message names the cause."""
 
@@ -674,6 +693,8 @@ def _pool_blocks(
         pickle.dumps((config, text))
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         raise _PoolUnavailable(f"the block's arguments cannot be pickled: {exc!r}") from exc
+    load_runtime(workers)  # before the fork, so no worker imports it again
+    from concurrent.futures import ProcessPoolExecutor
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
     except _POOL_START_ERRORS as exc:

@@ -821,27 +821,27 @@ PIN_CONFIGS = {
 class TestArtifactBytes:
     """sha256 of artifacts under both switching laws (grid_resolution 8),
     recorded before the laws and their grids moved into revolve.limits; those
-    of operator_report.json since the solve contracts b2 at x, the finite
-    law's moments.csv since stream layout 3 and the uniform law's since
-    stream layout 4."""
+    of operator_report.json since the identity checks run on
+    operator_lab.seeded_field, the finite law's moments.csv since stream
+    layout 3 and the uniform law's since stream layout 4."""
 
     DIGESTS = {
         ("uniform_n3", "limit-coeffs", "limit_coeffs.json"):
             "b34a0edeed0db3ef2ee9054ab090650a5bcc70385133980d98ed166697677335",
         ("uniform_n3", "verify-operators", "operator_report.json"):
-            "6170d022842670313f1181d27c0e9cd6226654e855599d5243815a2d6ffe854a",
+            "cf1a57271bd2ff40bfd31afbedfc4243c432e7716159bac44d48db2d4003b00a",
         ("uniform_n3", "report", "moments.csv"):
             "8f0240c636eeb803c2c3b15b5fc2ca13ecd30adbed4dd7ec610e568354150a11",
         ("discrete_compass", "limit-coeffs", "limit_coeffs.json"):
             "829cbe825187cd55f15bb7818837f8fa263152f8587cf2699816a47b94b23f76",
         ("discrete_compass", "verify-operators", "operator_report.json"):
-            "4114014ab4815379c9518eb7a0c99f6ac63fef219a96749e2e2d9bfb3d31e5c8",
+            "835c73fed4448e061f2ae6afd85ba8921bc4738a5b3fef669bef5dcad86594f9",
         ("discrete_compass", "report", "moments.csv"):
             "4f4e71974ced006244cbc8585011bfaf388eba320c894facd72585a95b1a978c",
         ("discrete_atoms", "limit-coeffs", "limit_coeffs.json"):
             "95921556a96cc43f52fa84c81ce3b10f6bb66c1c55086c83fac5b933ae93912b",
         ("discrete_atoms", "verify-operators", "operator_report.json"):
-            "7ae189047d8b3c0cbcdea6bf1916f5bb4dd79eb79cd4f314292369f0a912fdc4",
+            "d41c9c1793d42e0562c1aa46a156c36d7aeb0c901469782a5ec55f6eb42b4d4a",
     }
 
     @pytest.mark.parametrize("config, mode, artifact", sorted(DIGESTS),
@@ -858,17 +858,18 @@ class TestOperatorReportBytesAcrossSlabs:
     """sha256 of operator_report.json for the three n = 5 profiles of the
     operator benchmark at grid_resolution 16: 131072 nodes, as many as 16 of
     the node slabs in which an earlier solve built the second-order corrector.
-    Recorded since the quadrature check sums Pi[s s^T] slab by slab, which
-    moved pi_ss from 1.4e-16 to 2.5e-15 and no other entry."""
+    Recorded since the identity checks run on operator_lab.seeded_field,
+    which moved identity_residuals and no other entry; the quadrature check
+    sums Pi[s s^T] slab by slab, which moved pi_ss from 1.4e-16 to 2.5e-15."""
 
     EVOLUTION = dict(BASE_EVOLUTION, dimension=5, x0=[0.1, -0.2, 0.3, 0.0, 0.2], seed=11)
     DIGESTS = {
         "msre_const": ({"name": "msre_const", "c": 1.0},
-                       "2adbcf4326723eaea5a5de85bf0b80251d61fe7165d07e24c70848a531331eef"),
+                       "03414defa54054647ac838e5a501acae7090f7cd129c9d5dfa1f19c614293131"),
         "sin_theta1": ({"name": "sin_theta1"},
-                       "484fda8f341313ea8e7785a0ebc08a451d83cc93a581531cc351bf54c3443016"),
+                       "6396ef802ef87aa85a4ddc9f15a3f04dbf4ee9d884c2b15c84f879a15010d7f3"),
         "step_half_sphere": ({"name": "step_half_sphere", "c": 1.0, "c1": 1.0},
-                             "b3b4adaf702a7f1938bc74a59fad44ddddcb045b66a4f852bfc5b5218f412632"),
+                             "a00972796bc7237ddfbbf5264f9d057cc1c3c472be7020eba21c1942d03f3776"),
     }
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -911,7 +912,7 @@ class TestVerifyOperators:
         assert 0.9 <= report["residual_scaling"]["slope"] <= 1.1
 
     def test_identity_residuals_pinned(self, tmp_path):
-        # the identities on the one field drawn from the config's seed
+        # the identities on the config seed's seeded_field
         evo = dict(
             BASE_EVOLUTION,
             dimension=3,
@@ -924,9 +925,9 @@ class TestVerifyOperators:
         assert main(["verify-operators", "--config", path, "--out", str(out)]) == 0
         report = json.loads((out / "operator_report.json").read_text())
         assert report["identity_residuals"] == {
-            "pi_idempotent": 1.3877787807814457e-17,
+            "pi_idempotent": 0.0,
             "pi_q": 6.938893903907228e-18,
-            "r0_q_identity": 1.3877787807814457e-17,
+            "r0_q_identity": 6.938893903907228e-18,
         }
 
     def test_one_reading_for_the_lab_route_and_the_solve(self, tmp_path, monkeypatch):

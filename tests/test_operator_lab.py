@@ -24,6 +24,7 @@ from revolve.operator_lab import (
     project_pi,
     quadrature_residuals,
     residual_scaling,
+    seeded_field,
     solve_perturbation,
 )
 from revolve.profiles import ProfileError, VelocityProfile, builtin_profile, grid_speeds
@@ -279,6 +280,68 @@ class TestQAndPotential:
         finally:
             tracemalloc.stop()
         assert peak < 4 * g.size * 8
+
+
+def splitmix64(seed: int, count: int) -> list[int]:
+    """The first outputs of splitmix64 seeded with seed, in Python integers."""
+    mask, outputs = 2**64 - 1, []
+    for _ in range(count):
+        seed = (seed + 0x9E3779B97F4A7C15) & mask
+        z = ((seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        outputs.append(z ^ (z >> 31))
+    return outputs
+
+
+COMPASS = DiscreteSwitching([[0.0], [math.pi], [0.5 * math.pi]], [0.25, 0.25, 0.5])
+
+
+class TestSeededField:
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**63, 2**64 - 1])
+    def test_values_lie_in_the_half_open_interval(self, seed):
+        g = build_grid(4, 12)
+        values = seeded_field(g, seed).values
+        assert values.dtype == np.float64 and values.shape == (g.size,)
+        assert values.min() >= -1.0 and values.max() < 1.0
+
+    def test_same_seed_same_bits_other_seed_other_field(self):
+        g = build_grid(3, 16)
+        a, b = seeded_field(g, 11).values, seeded_field(g, 11).values
+        assert a.tobytes() == b.tobytes()
+        for other in (10, 12, 2**64 - 1):
+            assert not np.any(seeded_field(g, other).values == a)
+
+    def test_bits_are_pinned(self):
+        # splitmix64's published first outputs of seed 0, then (z >> 11) * 2^-52 - 1
+        assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        pinned = {
+            0: ["0x1.8882a0e5ec772p-1", "-0x1.18761955e46a0p-3", "-0x1.e4ee8b9dffdb0p-1"],
+            2**64 - 1: ["0x1.9365c5dc6d94ap-1", "0x1.a67fe19f6fda0p-1", "-0x1.1f401ecd36360p-1"],
+        }
+        for seed, hexes in pinned.items():
+            values = seeded_field(COMPASS.grid(), seed).values.tolist()
+            assert [v.hex() for v in values] == hexes
+            assert values == [(z >> 11) * 2.0**-52 - 1.0 for z in splitmix64(seed, 3)]
+
+    def test_matches_the_reference_on_a_sphere_grid(self):
+        g = build_grid(3, 9)
+        expected = [(z >> 11) * 2.0**-52 - 1.0 for z in splitmix64(7, g.size)]
+        assert seeded_field(g, 7).values.tolist() == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("resolution", [2, 3, 8, 16])
+    def test_identities_hold_on_sphere_grids(self, n, resolution):
+        g = build_grid(n, resolution)
+        for seed in (0, 11, 2**64 - 1):
+            assert max(identity_residuals(seeded_field(g, seed)).values()) <= 1e-15
+
+    def test_identities_hold_on_finite_law_grids(self):
+        example3 = builtin_profile("example3_atoms", 2)
+        grids = [COMPASS.grid(), finite_law_grid(), *contraction_grids()[4:],
+                 UniformSphere().grid(2, 64, example3.atoms)]
+        for g in grids:
+            for seed in (0, 11, 2**64 - 1):
+                assert max(identity_residuals(seeded_field(g, seed)).values()) <= 1e-15
 
 
 class TestTestFunctions:
